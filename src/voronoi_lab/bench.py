@@ -2,7 +2,7 @@
 
 Both code paths compute identical arrays (the suites run on either), so the
 benchmark also asserts agreement to 1e-12 while it times them.  Run as
-``python -m voronoi_lab.bench`` or via benchmarks/bench_kernels.py.
+``python -m voronoi_lab.bench``.
 """
 
 from __future__ import annotations

@@ -17,9 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import kl_layer, kloosterman_vector_kernel
-from .characters import DirichletCharacter, induce
-from .numeric import TABLE_ENTRY_ERR, ComplexValue, power_with_error, roots_of_unity, sum_error_bound
+from ._kernels import kl_layer
+from .characters import DirichletCharacter, enumerate_characters, induce
+from .numeric import (
+    EPS,
+    TABLE_ENTRY_ERR,
+    ComplexValue,
+    power_with_error,
+    roots_of_unity,
+    sum_error_bound,
+)
 from .residues import divisors, euler_phi, inverse_table, mobius, unit_residues
 
 
@@ -329,6 +336,89 @@ def average_kloosterman_over_character(
     return ComplexValue(val, err)
 
 
+def _lemma34_factors(c, q, chains, n_values, chars):
+    """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
+
+    Returns (moduli, factors, live): factor i is g(chi*, M_i, d_{i+1}) for
+    i < K and g(chi*, M_K, n) for i = K, each complex128 and broadcastable to
+    [n_chars, n_chains, n_n]; live[x, j] is True when c* | M_i for every
+    i >= 1 of chain j.  Factors are gathered from one flat table holding the
+    gauss_sum_vector row of each (chi*, M) that a live chain reaches, after a
+    zero block that every other (chi*, M) points at.
+    """
+    q = tuple(q)
+    k = len(q)
+    mods = np.array(
+        [KloostermanSpec(1, 0, c, q, tuple(d)).moduli for d in chains], dtype=np.int64
+    ).reshape(len(chains), k + 1)  # the specs validate every chain
+    d = np.array(chains, dtype=np.int64).reshape(len(chains), k)
+    # n enters only mod M_K; reducing by their lcm first keeps any int in int64
+    lcm_k = math.lcm(*mods[:, k].tolist())
+    n_arr = np.array([n % lcm_k for n in n_values], dtype=np.int64)
+    stars = [chi.primitive() for chi in chars]
+    cstar = np.array([s.modulus for s in stars], dtype=np.int64)
+    live = (mods[None, :, 1:] % cstar[:, None, None] == 0).all(axis=2)
+
+    mod_list = sorted(set(mods.ravel().tolist()))
+    mod_pos = np.zeros(mod_list[-1] + 1, dtype=np.int64)
+    mod_pos[mod_list] = np.arange(len(mod_list))
+    mod_idx = mod_pos[mods]
+    offsets = np.zeros((len(stars), len(mod_list)), dtype=np.int64)
+    rows = [np.zeros(mod_list[-1], dtype=np.complex128)]
+    size = mod_list[-1]
+    for s, star in enumerate(stars):
+        for t in sorted(set(mod_idx[live[s]].ravel().tolist())):
+            m = mod_list[t]
+            offsets[s, t] = size
+            rows.append(gauss_sum_vector(star, m))
+            size += m
+    table = np.concatenate(rows)
+
+    factors = []
+    for i in range(k):
+        idx = offsets[:, mod_idx[:, i]] + d[:, i] % mods[:, i]
+        factors.append(table[idx][:, :, None])
+    idx = offsets[:, mod_idx[:, k], None] + n_arr[None, :] % mods[:, k, None]
+    factors.append(table[idx])
+    return mods, factors, live
+
+
+def _lemma34_product(factors, live) -> np.ndarray:
+    """complex128 product (1+0j) * f_0 * ... * f_K, zeroed where not live.
+
+    Real and imaginary parts are multiplied as separate float arrays, in the
+    order of Python's complex product, so every entry has the bits of the
+    left-to-right scalar product.
+    """
+    shape = np.broadcast_shapes(*(f.shape for f in factors))
+    re = np.ones(shape)
+    im = np.zeros(shape)
+    for f in factors:
+        fr, fi = f.real, f.imag
+        re, im = re * fr - im * fi, re * fi + im * fr
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return np.where(live[:, :, None], out, 0j)
+
+
+def average_kloosterman_closed_lemma34_table(
+    c: int, q: tuple[int, ...], chains, n_values, chars=None
+) -> np.ndarray:
+    """Lemma 3.4 closed form for every character, divisor chain and n at once.
+
+    complex128[n_chars, n_chains, n_n], characters in enumerate_characters(c)
+    order unless `chars` (characters mod c) is given.  Entry [x, j, t] is
+    average_kloosterman_closed_lemma34(chars[x], n_values[t], c, q, chains[j]).
+    """
+    if chars is None:
+        chars = enumerate_characters(c)
+    elif any(chi.modulus != c for chi in chars):
+        raise ValueError("chars must be characters mod c")
+    _, factors, live = _lemma34_factors(c, q, chains, n_values, chars)
+    return _lemma34_product(factors, live)
+
+
 def average_kloosterman_closed_lemma34(
     chi: DirichletCharacter, n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]
 ) -> ComplexValue:
@@ -336,21 +426,23 @@ def average_kloosterman_closed_lemma34(
 
     Zero unless d_i c* divides q_i M_{i-1} for every i (equivalently c* | M_i
     for i >= 1); otherwise the product g(chi*, M_0, d_1) g(chi*, M_1, d_2)
-    ... g(chi*, M_{K-1}, d_K) g(chi*, M_K, n).
+    ... g(chi*, M_{K-1}, d_K) g(chi*, M_K, n).  One point of
+    average_kloosterman_closed_lemma34_table; the bound propagates
+    gauss_sum_error through the product to first order plus rounding.
     """
     if chi.modulus != c:
         raise ValueError("chi must be a character mod c")
-    spec = KloostermanSpec(1, n, c, tuple(q), tuple(d))
-    mods = spec.moduli
-    chi_star = chi.primitive()
-    cstar = chi_star.modulus
-    if any(m % cstar != 0 for m in mods[1:]):
-        return ComplexValue(0j)
-    acc = ComplexValue(1 + 0j)
-    for i, di in enumerate(d):
-        acc = acc * gauss_sum(chi_star, mods[i], di)
-    acc = acc * gauss_sum(chi_star, mods[-1], n)
-    return acc
+    mods, factors, live = _lemma34_factors(c, q, [tuple(d)], [n], (chi,))
+    value = complex(_lemma34_product(factors, live)[0, 0, 0])
+    if not live[0, 0]:
+        return ComplexValue(value)
+    mag, err = 1.0, 0.0
+    for f, m in zip(factors, mods[0]):
+        a = abs(complex(f.flat[0]))
+        e = gauss_sum_error(int(m))
+        err = err * a + e * mag + err * e + 2.0 * EPS * mag * a
+        mag *= a
+    return ComplexValue(value, err)
 
 
 def kloosterman_divisor_chains(c: int, q: tuple[int, ...]):

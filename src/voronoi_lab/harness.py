@@ -34,7 +34,7 @@ from .characters import (
     principal,
 )
 from .exponential_sums import (
-    average_kloosterman_closed_lemma34,
+    average_kloosterman_closed_lemma34_table,
     clear_kloosterman_cache,
     gauss_sum_closed_lemma22,
     gauss_sum_closed_lemma23,
@@ -358,6 +358,9 @@ class SweepConfig:
                     f"ranges.{key}: unknown range for suite {self.suite!r}; "
                     f"known ranges: " + ", ".join(sorted(allowed))
                 )
+        for key, check in _SUITES[self.suite].range_checks.items():
+            if key in self.ranges:
+                check(self.ranges[key], f"ranges.{key}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed: expected an integer")
         if not 0 <= self.seed <= _UINT64_MAX:
@@ -456,6 +459,25 @@ def _as_int_list(value, label: str) -> list[int]:
     return out
 
 
+def _check_int(minimum: int):
+    def check(value, label: str) -> None:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{label}: expected an integer")
+        if value < minimum:
+            raise ConfigError(f"{label}: must be at least {minimum}")
+
+    return check
+
+
+def _check_int_list(minimum: int | None = None):
+    def check(value, label: str) -> None:
+        values = _as_int_list(value, label)
+        if minimum is not None and any(v < minimum for v in values):
+            raise ConfigError(f"{label}: entries must be at least {minimum}")
+
+    return check
+
+
 def _as_shift_set(value, label: str) -> tuple[complex, ...]:
     # Shifts are stored as integer imaginary parts; they must sum to zero.
     parts = _as_int_list(value, label)
@@ -480,6 +502,8 @@ class _SuiteSpec:
     defaults: dict
     default_tolerance: float
     builder: object  # (ranges, tolerance, config) -> list[callable]
+    # range name -> check(value, label) raising ConfigError; run on overrides
+    range_checks: dict = field(default_factory=dict)
 
 
 def _gauss_units(ranges, tol, config):
@@ -571,35 +595,51 @@ def _gauss_units(ranges, tol, config):
     return units
 
 
+def _worst_points(rel: np.ndarray) -> np.ndarray:
+    """Per row of rel[x, p], the index of its worst point.
+
+    The first maximum in p order, as a scan keeping strictly larger values
+    would pick; a NaN anywhere in a row outranks every number, so the row's
+    record carries it and fails instead of passing or being skipped.
+    """
+    return np.argmax(rel, axis=1)
+
+
 def _kloosterman_units(ranges, tol, config):
-    degrees = _as_int_list(ranges["degrees"], "ranges.degrees")
-    c_max = int(ranges["c_max"])
-    q_max = int(ranges["q_max"])
-    n_values = _as_int_list(ranges["n_values"], "ranges.n_values")
+    degrees = ranges["degrees"]
+    c_max = ranges["c_max"]
+    q_max = ranges["q_max"]
+    n_values = ranges["n_values"]
     anchor = _SUITES["kloosterman-average"].anchor
     units = []
+    if not n_values:  # no points, so no worst point to report
+        return units
 
     def unit(n_deg, c, q):
         def run():
             chars = enumerate_characters(c)
             vv = np.stack([ch.value_vector for ch in chars])
-            worst = [(-1.0, None)] * len(chars)
-            for d in kloosterman_divisor_chains(c, q):
+            chains = list(kloosterman_divisor_chains(c, q))
+            # Closed route: every (character, chain, n) of the unit in one
+            # array.  Direct route: one layered Kloosterman vector per
+            # (chain, n), averaged against all characters at once.
+            closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
+            direct = np.empty_like(closed)
+            scale = np.empty(len(chains))
+            for j, d in enumerate(chains):
                 mods = [c]
                 for qi, di in zip(q, d):
                     mods.append(qi * mods[-1] // di)
-                scale = math.sqrt(math.prod(mods))
-                for n in n_values:
+                scale[j] = math.sqrt(math.prod(mods))
+                for t, n in enumerate(n_values):
                     vec, _ = kloosterman_vector(n, c, q, d)
-                    dots = vv @ vec
-                    for i, ch in enumerate(chars):
-                        closed = average_kloosterman_closed_lemma34(ch, n, c, q, d).value
-                        rel = abs(dots[i] - closed) / scale
-                        if rel > worst[i][0]:
-                            worst[i] = (rel, (d, n, dots[i], closed))
+                    direct[:, j, t] = vv @ vec
+            diff = direct - closed
+            rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
+            worst = _worst_points(rel)
             recs = []
             for i, ch in enumerate(chars):
-                rel, (d, n, lhs, rhs) = worst[i]
+                j, t = divmod(int(worst[i]), len(n_values))
                 recs.append(
                     _rel_case(
                         anchor,
@@ -608,12 +648,12 @@ def _kloosterman_units(ranges, tol, config):
                             "c": c,
                             "q": list(q),
                             "chi": ch.label,
-                            "d": list(d),
-                            "n": n,
+                            "d": list(chains[j]),
+                            "n": n_values[t],
                         },
-                        lhs,
-                        rhs,
-                        rel,
+                        direct[i, j, t],
+                        closed[i, j, t],
+                        rel[i, worst[i]],
                         tol,
                     )
                 )
@@ -1090,6 +1130,12 @@ for _spec in (
         {"degrees": [3, 4, 5], "c_max": 12, "q_max": 4, "n_values": [1, 2, 5]},
         1e-8,
         _kloosterman_units,
+        {
+            "degrees": _check_int_list(2),
+            "c_max": _check_int(1),
+            "q_max": _check_int(1),
+            "n_values": _check_int_list(),
+        },
     ),
     _SuiteSpec(
         "hecke",

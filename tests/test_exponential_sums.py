@@ -1,6 +1,7 @@
 """Gauss and hyper-Kloosterman sums: brute-force oracles and closed forms."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from voronoi_lab.exponential_sums import (
     additive_char,
     average_gauss_identity_check,
     average_kloosterman_closed_lemma34,
+    average_kloosterman_closed_lemma34_table,
     clear_kloosterman_cache,
     divisor_sigma,
     gauss_sum,
@@ -160,6 +162,85 @@ def test_average_kloosterman_closed_form_small():
                     avg = sum(chi.value_vector[a] * vec[a] for a in units)
                     closed = average_kloosterman_closed_lemma34(chi, n, c, q, d).value
                     assert abs(avg - closed) < 1e-9 * scale, (c, q, d, n, chi.label)
+
+
+def _bits(z) -> bytes:
+    # == would let -0.0 pass for 0.0; reports print the sign of zero
+    z = complex(z)
+    return struct.pack("<2d", z.real, z.imag)
+
+
+def _lemma34_scalar_reference(chi, n, c, q, d):
+    # The per-character evaluation the table replaced: scalar Gauss sums
+    # multiplied left to right from 1 + 0j, exactly zero on the vanishing branch.
+    mods = KloostermanSpec(1, n, c, q, d).moduli
+    chi_star = chi.primitive()
+    if any(m % chi_star.modulus != 0 for m in mods[1:]):
+        return 0j
+    acc = 1 + 0j
+    for m, arg in zip(mods, d + (n,)):
+        acc = acc * gauss_sum(chi_star, m, arg).value
+    return acc
+
+
+def test_lemma34_table_is_bit_identical_to_scalar_products():
+    n_values = (1, 2, -3)
+    qs = [(qi,) for qi in (1, 2, 3)] + [(1, 2), (2, 2), (3, 2)]
+    zeros = entries = 0
+    for c in range(1, 7):
+        chars = enumerate_characters(c)
+        for q in qs:
+            chains = list(kloosterman_divisor_chains(c, q))
+            table = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
+            assert table.shape == (len(chars), len(chains), len(n_values))
+            for x, chi in enumerate(chars):
+                for j, d in enumerate(chains):
+                    for t, n in enumerate(n_values):
+                        want = _lemma34_scalar_reference(chi, n, c, q, d)
+                        assert _bits(table[x, j, t]) == _bits(want), (c, q, d, n, chi.label)
+                        got = average_kloosterman_closed_lemma34(chi, n, c, q, d)
+                        assert _bits(got.value) == _bits(want) and got.err >= 0
+                        entries += 1
+                        zeros += want == 0
+    assert 0 < zeros < entries
+
+
+def test_lemma34_table_against_nested_oracle():
+    # Sum over a of chi(a) times the nested hyper_kloosterman: no layered
+    # vectors and no Gauss sums, so it shares no code with either route.
+    for c in range(1, 6):
+        chars = enumerate_characters(c)
+        units = [int(a) for a in unit_residues(c)]
+        for q in ((), (1,), (2,), (3,), (1, 2), (2, 2)):
+            chains = list(kloosterman_divisor_chains(c, q))
+            table = average_kloosterman_closed_lemma34_table(c, q, chains, (1, 2))
+            for j, d in enumerate(chains):
+                scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
+                for t, n in enumerate((1, 2)):
+                    kl = [hyper_kloosterman(KloostermanSpec(a, n, c, q, d)).value for a in units]
+                    for x, chi in enumerate(chars):
+                        want = sum(chi.value_vector[a] * v for a, v in zip(units, kl))
+                        assert abs(table[x, j, t] - want) < 1e-9 * scale, (c, q, d, n, chi.label)
+                        closed = average_kloosterman_closed_lemma34(chi, n, c, q, d)
+                        assert abs(closed.value - want) <= closed.err + 1e-9 * scale
+
+
+def test_lemma34_table_takes_n_beyond_int64():
+    c, q = 6, (2, 3)
+    chains = list(kloosterman_divisor_chains(c, q))
+    big = (10**30 + 7, -(10**25) - 1)
+    table = average_kloosterman_closed_lemma34_table(c, q, chains, big)
+    for x, chi in enumerate(enumerate_characters(c)):
+        for j, d in enumerate(chains):
+            for t, n in enumerate(big):
+                assert _bits(table[x, j, t]) == _bits(_lemma34_scalar_reference(chi, n, c, q, d))
+
+
+def test_lemma34_table_rejects_broken_chains():
+    with pytest.raises(ValueError):
+        average_kloosterman_closed_lemma34_table(4, (2,), [(3,)], (1,))
+    with pytest.raises(ValueError):
+        average_kloosterman_closed_lemma34_table(4, (2,), [(1,)], (1,), enumerate_characters(5))
 
 
 def test_cache_clear_keeps_values():

@@ -1,10 +1,12 @@
 """Sweep harness: determinism, canonical reports, config handling, CLI."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from voronoi_lab import cli
+from voronoi_lab import cli, harness
 from voronoi_lab.harness import (
     ConfigError,
     SweepConfig,
@@ -125,6 +127,57 @@ def test_config_validation_diagnostics():
         SweepConfig(suite="hecke", ranges={}, precision=8).validate()
 
 
+def test_kloosterman_range_validation():
+    bad = [
+        ({"degrees": [1]}, "ranges.degrees"),
+        ({"degrees": [3, True]}, "ranges.degrees"),
+        ({"degrees": 3}, "ranges.degrees"),
+        ({"c_max": "abc"}, "ranges.c_max"),
+        ({"c_max": 0}, "ranges.c_max"),
+        ({"q_max": 2.5}, "ranges.q_max"),
+        ({"q_max": 0}, "ranges.q_max"),
+        ({"n_values": [1, "2"]}, "ranges.n_values"),
+    ]
+    for ranges, field in bad:
+        with pytest.raises(ConfigError, match=field):
+            SweepConfig(suite="kloosterman-average", ranges=ranges).validate()
+    SweepConfig(
+        suite="kloosterman-average",
+        ranges={"degrees": [2, 3], "c_max": 1, "q_max": 1, "n_values": [-3, 0]},
+    ).validate()
+
+
+def test_kloosterman_empty_n_values_yield_zero_cases():
+    rep = run_suite(SweepConfig(suite="kloosterman-average", ranges={"c_max": 3, "n_values": []}))
+    assert rep.cases == 0 and rep.passed
+
+
+def test_worst_points_first_maximum_and_nan():
+    nan = float("nan")
+    rel = np.array([[0.1, 0.3, 0.3], [0.2, nan, 0.9], [0.0, 0.0, 0.0], [0.5, 0.1, nan]])
+    assert harness._worst_points(rel).tolist() == [1, 1, 0, 2]
+
+
+def test_kloosterman_nan_point_fails_its_character(monkeypatch):
+    ranges = {"degrees": [3], "c_max": 5, "q_max": 2, "n_values": [1, 2]}
+    clean = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges)))
+    table = harness.average_kloosterman_closed_lemma34_table
+
+    def poisoned(c, q, chains, n_values):
+        out = table(c, q, chains, n_values)
+        if c == 5 and q == (2,):
+            out[1, -1, 0] = complex(math.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(harness, "average_kloosterman_closed_lemma34_table", poisoned)
+    rep = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges)))
+    assert rep.cases == clean.cases
+    (bad,) = [r for r in rep.records if not r.passed]
+    assert bad.parameters["c"] == 5 and bad.parameters["q"] == [2]
+    assert bad.parameters["n"] == 1 and math.isnan(bad.rel_error)
+    assert clean.passed
+
+
 def test_config_files_toml_and_json_agree(tmp_path):
     toml_path = tmp_path / "sweep.toml"
     toml_path.write_text(
@@ -184,6 +237,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     cfg.write_text(json.dumps({"suite": "hecke", "ranges": SMALL_HECKE}))
     assert cli.main(["--config", str(cfg), "--out", "/nonexistent-dir/x.json"]) == 3
     capsys.readouterr()
+    # out-of-range kloosterman-average ranges fail validation, not the sweep
+    for ranges, field in (({"degrees": [1]}, "ranges.degrees"), ({"c_max": "abc"}, "ranges.c_max")):
+        bad_range = tmp_path / "bad_range.json"
+        bad_range.write_text(json.dumps({"suite": "kloosterman-average", "ranges": ranges}))
+        assert cli.main(["--config", str(bad_range)]) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_report_from_dict_rejects_tampered_summary(tmp_path):
