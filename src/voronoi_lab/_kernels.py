@@ -1,11 +1,10 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
+"""The hyper-Kloosterman layer kernel.
 
 The only performance-critical inner loop in the package is the layered
 evaluation of hyper-Kloosterman vectors (one layer per nested summation
-variable).  Both implementations are importable for benchmarking; the
-module-level names `kl_layer` and `kloosterman_vector_kernel` dispatch to
-the jit path when numba is importable and the environment variable
-VORONOI_LAB_DISABLE_NUMBA is unset or "0".
+variable).  It is a gather over a units x m_prev index matrix rather than a
+length-m_prev FFT: at the layer moduli of the benchmark workloads (at most
+135) the FFT route measured slower end to end.
 
 All index arithmetic stays far below 2^63: moduli in sweeps are < 10^6 and
 the products formed here are (d * x) % m_prev with both factors < m_prev^2.
@@ -13,30 +12,14 @@ the products formed here are (d * x) % m_prev with both factors < m_prev^2.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLE = os.environ.get("VORONOI_LAB_DISABLE_NUMBA", "") not in ("", "0")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
+# No jit path exists; perfbench/child.py still reads these for its fingerprint.
+HAVE_NUMBA = False
+USE_NUMBA = False
 
 
-USE_NUMBA = HAVE_NUMBA and not _DISABLE
-
-
-def kl_layer_numpy(
+def kl_layer(
     units: np.ndarray,
     invs: np.ndarray,
     d: int,
@@ -53,71 +36,3 @@ def kl_layer_numpy(
     weights = tail[invs]
     idx = base[:, None] * np.arange(m_prev, dtype=np.int64)[None, :] % m_prev
     return (weights[:, None] * roots_prev[idx]).sum(axis=0)
-
-
-@njit(cache=True, nogil=True)
-def _kl_layer_jit(units, invs, d, m_prev, roots_prev, tail):  # pragma: no cover
-    out = np.zeros(m_prev, dtype=np.complex128)
-    for j in range(units.shape[0]):
-        w = tail[invs[j]]
-        base = (d * units[j]) % m_prev
-        idx = 0
-        for r in range(m_prev):
-            out[r] += roots_prev[idx] * w
-            idx += base
-            if idx >= m_prev:
-                idx -= m_prev
-        # idx walks r*base mod m_prev without multiplications
-    return out
-
-
-def kl_layer_numba(units, invs, d, m_prev, roots_prev, tail):
-    return _kl_layer_jit(
-        units, invs, np.int64(d % m_prev), np.int64(m_prev), roots_prev, tail
-    )
-
-
-def kloosterman_vector_kernel_numpy(
-    units: np.ndarray, invs: np.ndarray, b: int, c: int, roots: np.ndarray
-) -> np.ndarray:
-    """out[a] = S(a, b; c) for a = 0..c-1 (classical Kloosterman, all shifts)."""
-    shift = roots[(b % c) * invs % c]
-    idx = units[:, None] * np.arange(c, dtype=np.int64)[None, :] % c
-    return (shift[:, None] * roots[idx]).sum(axis=0)
-
-
-@njit(cache=True, nogil=True)
-def _kloosterman_vector_jit(units, invs, b, c, roots):  # pragma: no cover
-    out = np.zeros(c, dtype=np.complex128)
-    for j in range(units.shape[0]):
-        w = roots[(b * invs[j]) % c]
-        idx = 0
-        step = units[j] % c
-        for a in range(c):
-            out[a] += roots[idx] * w
-            idx += step
-            if idx >= c:
-                idx -= c
-    return out
-
-
-def kloosterman_vector_kernel_numba(units, invs, b, c, roots):
-    return _kloosterman_vector_jit(units, invs, np.int64(b % c), np.int64(c), roots)
-
-
-if USE_NUMBA:
-    kl_layer = kl_layer_numba
-    kloosterman_vector_kernel = kloosterman_vector_kernel_numba
-else:
-    kl_layer = kl_layer_numpy
-    kloosterman_vector_kernel = kloosterman_vector_kernel_numpy
-
-
-def warmup() -> None:
-    """Trigger jit compilation (no-op on the numpy path)."""
-    units = np.array([1, 2], dtype=np.int64)
-    invs = np.array([1, 2], dtype=np.int64)
-    roots = np.exp(2j * np.pi * np.arange(3) / 3)
-    tail = np.ones(3, dtype=np.complex128)
-    kl_layer(units, invs, 1, 3, roots, tail)
-    kloosterman_vector_kernel(units, invs, 1, 3, roots)

@@ -1,11 +1,11 @@
 """Gauss sums, Kloosterman and hyper-Kloosterman sums, and their closed forms.
 
-Everything here is a finite sum over reduced residues, evaluated from shared
-root-of-unity tables with conservative error bounds.  The closed forms
-(divisor-sum and vanishing expressions for non-primitive Gauss sums, the
-Gauss-sum product for character-averaged hyper-Kloosterman sums) are kept as
-separate entry points so sweeps can compare both routes; none of them is
-ever substituted for the direct summation it is checked against.
+Everything here is a finite sum over reduced residues, evaluated in float64
+from shared root-of-unity tables, or by one FFT for a Gauss-sum vector.  The
+closed forms (divisor-sum and vanishing expressions for non-primitive Gauss
+sums, the Gauss-sum product for character-averaged hyper-Kloosterman sums)
+are kept as separate entry points so sweeps can compare both routes; none of
+them is ever substituted for the direct summation it is checked against.
 """
 
 from __future__ import annotations
@@ -66,14 +66,11 @@ def _unpack(query_or_chi, c, m) -> GaussSumQuery:
 def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
     """Read-only complex128[c] of g(chi*, c, m) for m = 0..c-1.
 
-    Built as one matrix product against the induced character's value vector;
-    per-entry rounding is covered by gauss_sum_error(c).
+    g(chi*, c, m) = sum over u mod c of chi(u) e(mu/c) is the unscaled inverse
+    DFT of the induced character's value vector (zero off the units), so the
+    whole vector is one FFT; per-entry rounding is covered by gauss_sum_error(c).
     """
-    chi = induce(chi_star, c)
-    units = unit_residues(c)
-    vals = chi.value_vector[units]
-    idx = np.arange(c, dtype=np.int64)[:, None] * units[None, :] % c
-    vec = roots_of_unity(c)[idx] @ vals
+    vec = np.fft.ifft(induce(chi_star, c).value_vector, norm="forward")
     vec.setflags(write=False)
     return vec
 
@@ -266,8 +263,8 @@ def clear_kloosterman_cache() -> None:
     _kl_vector_cache.clear()
 
 
-def kloosterman_vector(n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """(vec, err) with vec[a] = Kl(a, n, c; q, d) for all a = 0..c-1 (junk at non-units).
+def kloosterman_vector(n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]) -> np.ndarray:
+    """vec[a] = Kl(a, n, c; q, d) for all a = 0..c-1 (junk at non-units).
 
     Evaluated layer by layer from the innermost variable outward, so the cost
     is a sum of phi(M_i) * M_{i-1} products instead of the full nested count.
@@ -279,8 +276,7 @@ def kloosterman_vector(n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]) -
     mods = spec.moduli
     k = len(q)
     if k == 0:
-        vec = roots_of_unity(c)[(n % c) * np.arange(c, dtype=np.int64) % c]
-        return vec, TABLE_ENTRY_ERR
+        return roots_of_unity(c)[(n % c) * np.arange(c, dtype=np.int64) % c]
 
     keys: list = [None] * (k + 2)
     keys[k + 1] = (mods[k], n % mods[k])
@@ -306,34 +302,7 @@ def kloosterman_vector(n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]) -
         out.setflags(write=False)
         _kl_vector_cache[keys[i]] = out
         tail = out
-
-    err = TABLE_ENTRY_ERR
-    mag = 1.0
-    for i in range(k, 0, -1):
-        phi = euler_phi(mods[i])
-        err = phi * err + sum_error_bound(phi, mag)
-        mag *= phi
-    return tail, err
-
-
-def kloosterman_magnitude_bound(c: int, q: tuple[int, ...], d: tuple[int, ...]) -> float:
-    """Trivial bound on |Kl|: the number of terms in the nested sum."""
-    spec = KloostermanSpec(1, 0, c, tuple(q), tuple(d))
-    return float(math.prod(euler_phi(m) for m in spec.moduli[1:]))
-
-
-def average_kloosterman_over_character(
-    chi: DirichletCharacter, n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]
-) -> ComplexValue:
-    """sum over units a mod c of chi(a) Kl(a, n, c; q, d), by direct summation."""
-    if chi.modulus != c:
-        raise ValueError("chi must be a character mod c")
-    vec, verr = kloosterman_vector(n, c, tuple(q), tuple(d))
-    val = complex(np.dot(chi.value_vector, vec))
-    phi = euler_phi(c)
-    mag = kloosterman_magnitude_bound(c, tuple(q), tuple(d))
-    err = phi * verr + sum_error_bound(phi, mag)
-    return ComplexValue(val, err)
+    return tail
 
 
 def _lemma34_factors(c, q, chains, n_values, chars):

@@ -107,8 +107,11 @@ class ConfigError(ValueError):
 
 
 def _float_repr(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("reports must not contain NaN or infinity")
+    # JSON has no non-finite numbers; they travel as strings float() reads back.
+    if math.isnan(x):
+        return '"NaN"'
+    if math.isinf(x):
+        return '"Infinity"' if x > 0 else '"-Infinity"'
     return "%.17g" % x
 
 
@@ -148,7 +151,11 @@ def _canonical(obj, out: list[str]) -> None:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, %.17g floats, complex as [re, im]."""
+    """Deterministic JSON: sorted keys, %.17g floats, complex as [re, im].
+
+    NaN and infinities are written as the strings "NaN", "Infinity" and
+    "-Infinity".
+    """
     out: list[str] = []
     _canonical(obj, out)
     return "".join(out)
@@ -199,11 +206,11 @@ class CaseRecord:
         return cls(
             anchor=data["anchor"],
             parameters=data["parameters"],
-            lhs=complex(*data["lhs"]),
-            rhs=complex(*data["rhs"]),
-            abs_error=data["abs_error"],
-            rel_error=data["rel_error"],
-            tolerance=data["tolerance"],
+            lhs=complex(*map(float, data["lhs"])),
+            rhs=complex(*map(float, data["rhs"])),
+            abs_error=float(data["abs_error"]),
+            rel_error=float(data["rel_error"]),
+            tolerance=float(data["tolerance"]),
             passed=data["pass"],
         )
 
@@ -272,7 +279,8 @@ class VerificationReport:
 
     @property
     def max_rel_error(self) -> float:
-        return max((r.rel_error for r in self.records), default=0.0)
+        """Largest rel_error, NaN if any record's is NaN (whatever the order)."""
+        return float(np.max([r.rel_error for r in self.records], initial=0.0))
 
     @property
     def passed(self) -> bool:
@@ -632,8 +640,7 @@ def _kloosterman_units(ranges, tol, config):
                     mods.append(qi * mods[-1] // di)
                 scale[j] = math.sqrt(math.prod(mods))
                 for t, n in enumerate(n_values):
-                    vec, _ = kloosterman_vector(n, c, q, d)
-                    direct[:, j, t] = vv @ vec
+                    direct[:, j, t] = vv @ kloosterman_vector(n, c, q, d)
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
             worst = _worst_points(rel)

@@ -1,9 +1,9 @@
 """Error-tracked complex scalars and shared root-of-unity tables.
 
 Exponential sums are evaluated in double precision from cached tables of
-e(k/M).  Every public sum carries a conservative absolute error bound so
-that verification sweeps can distinguish "identity holds to rounding" from
-"identity fails".  Bounds are deliberately loose (a factor ~n over the
+e(k/M).  Scalar sums (ComplexValue results) carry a conservative absolute
+error bound so that verification sweeps can distinguish "identity holds to
+rounding" from "identity fails".  Bounds are deliberately loose (a factor ~n over the
 pairwise-summation worst case) and cost nothing to maintain.
 """
 
@@ -47,21 +47,18 @@ def additive_character(k: int, m: int) -> complex:
 def sum_error_bound(n_terms: int, max_abs: float) -> float:
     """Rounding bound for a sum of n_terms values of magnitude <= max_abs.
 
-    Covers per-term table error plus accumulation rounding for pairwise
-    (numpy) or sequential (jit kernel) summation.  Sequential summation of n
-    terms loses at most (n-1)*eps*sum|x_i| <= n*eps*n*max_abs, so the n*depth
-    factor below with depth >= log2(n)+2 is only tight for pairwise; the
-    extra n/log2(n) slack for sequential sums is absorbed by callers passing
-    the kernel's own bound or by the x4 headroom in verification tolerances.
-    Kernel paths accumulate in float64 over < 2^20 terms of magnitude 1, for
-    which n*(n*eps) stays below 3e-10; tolerances downstream sit above that.
+    Covers per-term table error plus accumulation rounding: n*max_abs times
+    (TABLE_ENTRY_ERR + max(log2(n)+2, n)*eps), the worst case of sequential
+    summation and far above numpy's pairwise sums.  gauss_sum_error applies
+    it to the FFT that builds Gauss-sum vectors, whose rounding grows only
+    like eps*log2(c)*sqrt(phi(c)) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 24.1); tests/test_kernels.py checks those
+    vectors against mpmath within this bound.
     """
     if n_terms <= 0 or max_abs == 0.0:
         return 0.0
     n = float(n_terms)
     depth = max(1.0, math.log2(n) + 2.0)
-    # sequential worst case n*eps dominates pairwise depth*eps for n > 8;
-    # take the max so one bound serves both evaluation paths.
     accum = max(depth, n) * EPS
     return n * max_abs * (TABLE_ENTRY_ERR + accum)
 

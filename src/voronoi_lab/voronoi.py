@@ -281,8 +281,8 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s, g_plus, g_minus) -> np.nd
             a_val = row[n]
             if a_val == 0:
                 continue
-            kl_pos = kloosterman_vector(n, c, inst.q, d_vec)[0][a_idx]
-            kl_neg = kloosterman_vector(-n, c, inst.q, d_vec)[0][a_idx]
+            kl_pos = kloosterman_vector(n, c, inst.q, d_vec)[a_idx]
+            kl_neg = kloosterman_vector(-n, c, inst.q, d_vec)[a_idx]
             out[n] += weight * a_val * (half_diff * kl_pos + half_sum * kl_neg)
     return out * (qpow / c ** (n_deg * s - 1))
 

@@ -36,8 +36,9 @@ def test_canonical_json_values():
         assert json.loads(canonical_json(x)) == x
     assert canonical_json({"b": 1, "a": [True, None, "x"]}) == '{"a":[true,null,"x"],"b":1}'
     assert canonical_json(1 + 2j) == "[1,2]"
-    with pytest.raises(ValueError):
-        canonical_json(float("nan"))
+    inf = float("inf")
+    assert canonical_json([float("nan"), inf, -inf]) == '["NaN","Infinity","-Infinity"]'
+    assert canonical_json(complex(inf, 0.5)) == '["Infinity",0.5]'
     with pytest.raises(TypeError):
         canonical_json({1: "non-string key"})
 
@@ -158,7 +159,7 @@ def test_worst_points_first_maximum_and_nan():
     assert harness._worst_points(rel).tolist() == [1, 1, 0, 2]
 
 
-def test_kloosterman_nan_point_fails_its_character(monkeypatch):
+def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
     ranges = {"degrees": [3], "c_max": 5, "q_max": 2, "n_values": [1, 2]}
     clean = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges)))
     table = harness.average_kloosterman_closed_lemma34_table
@@ -176,6 +177,20 @@ def test_kloosterman_nan_point_fails_its_character(monkeypatch):
     assert bad.parameters["c"] == 5 and bad.parameters["q"] == [2]
     assert bad.parameters["n"] == 1 and math.isnan(bad.rel_error)
     assert clean.passed
+    # the poisoned report still serializes and reads back with its NaN
+    assert math.isnan(rep.max_rel_error)
+    text = rep.to_canonical_json()
+    assert '"rel_error":"NaN"' in text
+    back = VerificationReport.from_dict(json.loads(text))
+    (bad_back,) = [r for r in back.records if not r.passed]
+    assert math.isnan(bad_back.rel_error) and math.isnan(back.max_rel_error)
+    assert bad_back.parameters == bad.parameters and back.cases == rep.cases
+    # so the CLI reports a failure instead of an internal error
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"suite": "kloosterman-average", "ranges": ranges}))
+    out = tmp_path / "nan-report.json"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 1
+    assert out.read_text() == text
 
 
 def test_config_files_toml_and_json_agree(tmp_path):
