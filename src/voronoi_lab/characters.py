@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .numeric import TABLE_ENTRY_ERR, ComplexValue, roots_of_unity
+from .numeric import roots_of_unity
 from .residues import UnitGroup, unit_group, valuation
 
 
@@ -223,16 +223,6 @@ def induce(chi_star: DirichletCharacter, c: int) -> DirichletCharacter:
 def conductor(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
     """(c*, chi*): the conductor of chi and the primitive character inducing it."""
     return chi.conductor, chi.primitive()
-
-
-def evaluate(chi: DirichletCharacter, n: int) -> ComplexValue:
-    """chi(n) as an error-tracked value: exact 0 on non-units, a table root otherwise."""
-    v = chi.value_fraction(n)
-    if v is None:
-        return ComplexValue(0j, 0.0)
-    return ComplexValue(
-        complex(roots_of_unity(v.denominator)[v.numerator]), TABLE_ENTRY_ERR
-    )
 
 
 def principal(c: int) -> DirichletCharacter:

@@ -19,47 +19,26 @@ import numpy as np
 
 from ._kernels import kl_layer
 from .characters import DirichletCharacter, enumerate_characters, induce
-from .numeric import (
-    EPS,
-    TABLE_ENTRY_ERR,
-    ComplexValue,
-    power_with_error,
-    roots_of_unity,
-    sum_error_bound,
-)
+from .numeric import roots_of_unity, sum_error_bound
 from .residues import divisors, euler_phi, inverse_table, mobius, unit_residues
 
 
-def additive_char(x: Fraction | int) -> ComplexValue:
+def additive_char(x: Fraction | int) -> complex:
     """e(x) = exp(2*pi*i*x) for rational x, from the table of its denominator."""
     x = Fraction(x)
-    root = roots_of_unity(x.denominator)[x.numerator % x.denominator]
-    return ComplexValue(complex(root), TABLE_ENTRY_ERR)
+    return complex(roots_of_unity(x.denominator)[x.numerator % x.denominator])
 
 
 # ---------------------------------------------------------------------------
 # Gauss sums
 
 
-@dataclass(frozen=True)
-class GaussSumQuery:
-    """g(chi*, c, m): the Gauss sum of the character mod c induced by chi*."""
-
-    chi_star: DirichletCharacter
-    c: int
-    m: int
-
-    def __post_init__(self):
-        if not self.chi_star.is_primitive:
-            raise ValueError("chi_star must be primitive")
-        if self.c < 1 or self.c % self.chi_star.modulus != 0:
-            raise ValueError(f"conductor {self.chi_star.modulus} must divide c = {self.c}")
-
-
-def _unpack(query_or_chi, c, m) -> GaussSumQuery:
-    if isinstance(query_or_chi, GaussSumQuery):
-        return query_or_chi
-    return GaussSumQuery(query_or_chi, c, m)
+def _check_gauss_args(chi_star: DirichletCharacter, c: int) -> None:
+    """g(chi*, c, m) needs a primitive chi* whose conductor divides c."""
+    if not chi_star.is_primitive:
+        raise ValueError("chi_star must be primitive")
+    if c < 1 or c % chi_star.modulus != 0:
+        raise ValueError(f"conductor {chi_star.modulus} must divide c = {c}")
 
 
 @lru_cache(maxsize=None)
@@ -79,72 +58,68 @@ def gauss_sum_error(c: int) -> float:
     return sum_error_bound(euler_phi(c), 1.0)
 
 
-def gauss_sum(query_or_chi, c: int | None = None, m: int | None = None) -> ComplexValue:
+def gauss_sum(chi_star: DirichletCharacter, c: int, m: int) -> complex:
     """g(chi*, c, m) = sum over units u mod c of chi(u) e(mu/c), chi induced by chi*."""
-    q = _unpack(query_or_chi, c, m)
-    return ComplexValue(complex(gauss_sum_vector(q.chi_star, q.c)[q.m % q.c]), gauss_sum_error(q.c))
+    _check_gauss_args(chi_star, c)
+    return complex(gauss_sum_vector(chi_star, c)[m % c])
 
 
-def tau(chi_star: DirichletCharacter) -> ComplexValue:
+def tau(chi_star: DirichletCharacter) -> complex:
     """The standard Gauss sum of a primitive character: g(chi*, c*, 1)."""
-    if not chi_star.is_primitive:
-        raise ValueError("tau is defined for primitive characters only")
     return gauss_sum(chi_star, chi_star.modulus, 1)
 
 
-def gauss_sum_closed_lemma22(query_or_chi, c: int | None = None, m: int | None = None) -> ComplexValue:
+def gauss_sum_closed_lemma22(chi_star: DirichletCharacter, c: int, m: int) -> complex:
     """Divisor-sum closed form of g(chi*, c, m).
 
     tau(chi*) * sum over d | (m, c/c*) of d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)).
     """
-    q = _unpack(query_or_chi, c, m)
-    cstar = q.chi_star.modulus
-    ratio = q.c // cstar
-    g = math.gcd(q.m, ratio) if q.m != 0 else ratio
-    acc = ComplexValue(0j)
-    chi_bar = q.chi_star.conjugate()
+    _check_gauss_args(chi_star, c)
+    ratio = c // chi_star.modulus
+    g = math.gcd(m, ratio) if m != 0 else ratio
+    acc = 0j
+    chi_bar = chi_star.conjugate()
     for d in divisors(g):
         mu = mobius(ratio // d)
         if mu == 0:
             continue
-        term = q.chi_star(ratio // d) * chi_bar(q.m // d)
-        acc = acc + ComplexValue(mu * d * term, 2 * TABLE_ENTRY_ERR * d)
-    return tau(q.chi_star) * acc
+        acc = acc + mu * d * (chi_star(ratio // d) * chi_bar(m // d))
+    return tau(chi_star) * acc
 
 
-def gauss_sum_closed_lemma23(query_or_chi, c: int | None = None, m: int | None = None) -> ComplexValue:
+def gauss_sum_closed_lemma23(chi_star: DirichletCharacter, c: int, m: int) -> complex:
     """Vanishing/totient closed form of g(chi*, c, a).
 
     Zero unless c* | c/(c,a); otherwise
     tau(chi*) phi(c)/phi(c/(c,a)) mu(c/(c* (c,a))) chi*(c/(c* (c,a))) conj(chi*)(a/(c,a)).
     """
-    q = _unpack(query_or_chi, c, m)
-    cstar = q.chi_star.modulus
-    a = q.m
-    g = math.gcd(a, q.c) if a != 0 else q.c
-    cofactor = q.c // g
+    _check_gauss_args(chi_star, c)
+    cstar = chi_star.modulus
+    a = m
+    g = math.gcd(a, c) if a != 0 else c
+    cofactor = c // g
     if cofactor % cstar != 0:
-        return ComplexValue(0j)
-    scale = euler_phi(q.c) // euler_phi(cofactor) * mobius(cofactor // cstar)
-    term = q.chi_star(cofactor // cstar) * q.chi_star.conjugate()(a // g)
-    return tau(q.chi_star) * ComplexValue(scale * term, 2 * TABLE_ENTRY_ERR * abs(scale))
+        return 0j
+    scale = euler_phi(c) // euler_phi(cofactor) * mobius(cofactor // cstar)
+    term = chi_star(cofactor // cstar) * chi_star.conjugate()(a // g)
+    return tau(chi_star) * (scale * term)
 
 
-def divisor_sigma(s: complex, m: int, chi: DirichletCharacter) -> ComplexValue:
+def divisor_sigma(s: complex, m: int, chi: DirichletCharacter) -> complex:
     """Twisted divisor power sum: sum over d | m of chi(d) d^s."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    acc = ComplexValue(0j)
+    acc = 0j
     for d in divisors(m):
         v = chi(d)
         if v != 0:
-            acc = acc + power_with_error(d, s) * ComplexValue(v, TABLE_ENTRY_ERR)
+            acc = acc + complex(np.exp(s * math.log(d))) * v
     return acc
 
 
 def average_gauss_identity_check(
     n: int, m: int, chi_star: DirichletCharacter
-) -> tuple[ComplexValue, ComplexValue]:
+) -> tuple[complex, complex]:
     """Both sides of the divisor-averaged Gauss sum identity.
 
     lhs = sum over factorizations l*d = n of chi*(d) g(chi*, l*c*, m);
@@ -153,15 +128,15 @@ def average_gauss_identity_check(
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     cstar = chi_star.modulus
-    lhs = ComplexValue(0j)
+    lhs = 0j
     for d in divisors(n):
         v = chi_star(d)
         if v != 0:
-            lhs = lhs + ComplexValue(v, TABLE_ENTRY_ERR) * gauss_sum(chi_star, (n // d) * cstar, m)
+            lhs = lhs + v * gauss_sum(chi_star, (n // d) * cstar, m)
     if m % n == 0:
-        rhs = tau(chi_star) * ComplexValue(n * chi_star.conjugate()(m // n), n * TABLE_ENTRY_ERR)
+        rhs = tau(chi_star) * (n * chi_star.conjugate()(m // n))
     else:
-        rhs = ComplexValue(0j)
+        rhs = 0j
     return lhs, rhs
 
 
@@ -214,17 +189,7 @@ class KloostermanSpec:
         return tuple(mods)
 
 
-def kloosterman(a: int, b: int, c: int) -> ComplexValue:
-    """Classical S(a, b; c) = sum over units x mod c of e((a x + b inverse(x))/c)."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    units = unit_residues(c)
-    invs = inverse_table(c)[units]
-    val = roots_of_unity(c)[(a % c * units + b % c * invs) % c].sum()
-    return ComplexValue(complex(val), sum_error_bound(len(units), 1.0))
-
-
-def hyper_kloosterman(spec: KloostermanSpec) -> ComplexValue:
+def hyper_kloosterman(spec: KloostermanSpec) -> complex:
     """Direct nested summation of the hyper-Kloosterman sum (oracle path).
 
     Cost is the product of the unit counts of the layer moduli; sweeps keep
@@ -252,8 +217,7 @@ def hyper_kloosterman(spec: KloostermanSpec) -> ComplexValue:
                 acc += roots[i - 1][d_i * x * r % m_prev] * layer(i + 1, int(invs[i][x]))
         return acc
 
-    total_terms = math.prod(euler_phi(m) for m in mods[1:])
-    return ComplexValue(layer(1, spec.a % spec.c), sum_error_bound(total_terms, 1.0))
+    return complex(layer(1, spec.a % spec.c))
 
 
 _kl_vector_cache: dict[tuple, np.ndarray] = {}
@@ -308,7 +272,7 @@ def kloosterman_vector(n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]) -
 def _lemma34_factors(c, q, chains, n_values, chars):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
-    Returns (moduli, factors, live): factor i is g(chi*, M_i, d_{i+1}) for
+    Returns (factors, live): factor i is g(chi*, M_i, d_{i+1}) for
     i < K and g(chi*, M_K, n) for i = K, each complex128 and broadcastable to
     [n_chars, n_chains, n_n]; live[x, j] is True when c* | M_i for every
     i >= 1 of chain j.  Factors are gathered from one flat table holding the
@@ -349,7 +313,7 @@ def _lemma34_factors(c, q, chains, n_values, chars):
         factors.append(table[idx][:, :, None])
     idx = offsets[:, mod_idx[:, k], None] + n_arr[None, :] % mods[:, k, None]
     factors.append(table[idx])
-    return mods, factors, live
+    return factors, live
 
 
 def _lemma34_product(factors, live) -> np.ndarray:
@@ -384,34 +348,24 @@ def average_kloosterman_closed_lemma34_table(
         chars = enumerate_characters(c)
     elif any(chi.modulus != c for chi in chars):
         raise ValueError("chars must be characters mod c")
-    _, factors, live = _lemma34_factors(c, q, chains, n_values, chars)
+    factors, live = _lemma34_factors(c, q, chains, n_values, chars)
     return _lemma34_product(factors, live)
 
 
 def average_kloosterman_closed_lemma34(
     chi: DirichletCharacter, n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]
-) -> ComplexValue:
+) -> complex:
     """Gauss-sum product closed form of the character-averaged hyper-Kloosterman sum.
 
     Zero unless d_i c* divides q_i M_{i-1} for every i (equivalently c* | M_i
     for i >= 1); otherwise the product g(chi*, M_0, d_1) g(chi*, M_1, d_2)
     ... g(chi*, M_{K-1}, d_K) g(chi*, M_K, n).  One point of
-    average_kloosterman_closed_lemma34_table; the bound propagates
-    gauss_sum_error through the product to first order plus rounding.
+    average_kloosterman_closed_lemma34_table.
     """
     if chi.modulus != c:
         raise ValueError("chi must be a character mod c")
-    mods, factors, live = _lemma34_factors(c, q, [tuple(d)], [n], (chi,))
-    value = complex(_lemma34_product(factors, live)[0, 0, 0])
-    if not live[0, 0]:
-        return ComplexValue(value)
-    mag, err = 1.0, 0.0
-    for f, m in zip(factors, mods[0]):
-        a = abs(complex(f.flat[0]))
-        e = gauss_sum_error(int(m))
-        err = err * a + e * mag + err * e + 2.0 * EPS * mag * a
-        mag *= a
-    return ComplexValue(value, err)
+    table = average_kloosterman_closed_lemma34_table(c, q, [tuple(d)], [n], (chi,))
+    return complex(table[0, 0, 0])
 
 
 def kloosterman_divisor_chains(c: int, q: tuple[int, ...]):

@@ -333,9 +333,14 @@ def emit_report(report: VerificationReport, path, include_timing: bool = False) 
     return str(path)
 
 
+def _parse_int(text: str):
+    # %.17g writes -0.0 as "-0"; no integer prints that way, so it is the float.
+    return -0.0 if text == "-0" else int(text)
+
+
 def load_report(path) -> VerificationReport:
     with open(path, "r", encoding="ascii") as fh:
-        return VerificationReport.from_dict(json.load(fh))
+        return VerificationReport.from_dict(json.load(fh, parse_int=_parse_int))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +491,17 @@ def _check_int_list(minimum: int | None = None):
     return check
 
 
+def _check_conductors(check):
+    """check, then reject conductors that are 2 mod 4: they have no primitive character."""
+
+    def run(value, label: str) -> None:
+        check(value, label)
+        if any(v % 4 == 2 for v in (value if isinstance(value, (list, tuple)) else [value])):
+            raise ConfigError(f"{label}: conductors that are 2 mod 4 have no primitive character")
+
+    return run
+
+
 def _as_shift_set(value, label: str) -> tuple[complex, ...]:
     # Shifts are stored as integer imaginary parts; they must sum to zero.
     parts = _as_int_list(value, label)
@@ -516,10 +532,10 @@ class _SuiteSpec:
 
 def _gauss_units(ranges, tol, config):
     lemmas = [str(x) for x in ranges["lemmas"]]
-    cstar_max = int(ranges["cstar_max"])
-    c_max = int(ranges["c_max"])
-    m_max = int(ranges["m_max"])
-    n_max = int(ranges["n_max"])
+    cstar_max = ranges["cstar_max"]
+    c_max = ranges["c_max"]
+    m_max = ranges["m_max"]
+    n_max = ranges["n_max"]
     anchor = _SUITES["gauss-lemmas"].anchor
     units = []
 
@@ -532,7 +548,7 @@ def _gauss_units(ranges, tol, config):
                 scale = math.sqrt(c)
                 worst = (-1.0, None)
                 for m in range(1, m_max + 1):
-                    want = closed_form(chi, c, m).value
+                    want = closed_form(chi, c, m)
                     rel = abs(direct[m % c] - want) / scale
                     if rel > worst[0]:
                         worst = (rel, (m, direct[m % c], want))
@@ -556,7 +572,7 @@ def _gauss_units(ranges, tol, config):
             recs = []
             cstar = chi.modulus
             vv = chi.value_vector
-            tau_val = tau(chi).value
+            tau_val = tau(chi)
             m_arr = np.arange(m_max + 1)
             for n in range(1, n_max + 1):
                 lhs = np.zeros(m_max + 1, dtype=complex)
@@ -680,7 +696,7 @@ def _kloosterman_units(ranges, tol, config):
 
 def _hecke_units(ranges, tol, config):
     degrees = _as_int_list(ranges["degrees"], "ranges.degrees")
-    prime_max = int(ranges["prime_max"])
+    prime_max = ranges["prime_max"]
     exp_max = int(ranges["exponent_max"])
     draws = int(ranges["draws"])
     d3_max = int(ranges["d3_check_max"])
@@ -858,7 +874,7 @@ def _equivalence_units(ranges, tol, config):
 
 def _mobius_units(ranges, tol, config):
     degrees = _as_int_list(ranges["degrees"], "ranges.degrees")
-    cstar_values = _as_int_list(ranges["cstar_values"], "ranges.cstar_values")
+    cstar_values = ranges["cstar_values"]
     n_values = _as_int_list(ranges["n_values"], "ranges.n_values")
     modulus_max = int(ranges["modulus_max"])
     q_max = int(ranges["q_max"])
@@ -940,13 +956,13 @@ def _voronoi_units(ranges, tol, config):
         if fam not in ("gl3", "gl2", "z"):
             raise ConfigError(f"ranges.families: unknown family {fam!r}; expected gl3, gl2, z")
     s = _as_complex(ranges["s"], "ranges.s")
-    y = int(ranges["truncation_y"])
+    y = ranges["truncation_y"]
     n_values = _as_int_list(ranges["n_values"], "ranges.n_values")
-    cstar_values = _as_int_list(ranges["cstar_values"], "ranges.cstar_values")
+    cstar_values = ranges["cstar_values"]
     q_values = [tuple(_as_int_list(q, "ranges.q_values")) for q in ranges["q_values"]]
     gl3_shift_sets = [_as_shift_set(v, "ranges.gl3_shift_sets") for v in ranges["gl3_shift_sets"]]
     gl2_shift_sets = [_as_shift_set(v, "ranges.gl2_shift_sets") for v in ranges["gl2_shift_sets"]]
-    x_probe = int(ranges["x_probe"])
+    x_probe = ranges["x_probe"]
     probe_points = [
         (float(p[0]), float(p[1]))
         for p in (
@@ -955,7 +971,7 @@ def _voronoi_units(ranges, tol, config):
             else ()
         )
     ]
-    probe_cstar = int(ranges["probe_cstar"])
+    probe_cstar = ranges["probe_cstar"]
     anchor = _SUITES["voronoi-core"].anchor
     units = []
     truncation = 50  # series container length; a_n/b_n queries stay below it
@@ -974,7 +990,7 @@ def _voronoi_units(ranges, tol, config):
             chi_star = primitive_characters(cstar)[0]
             delta = 0 if chi_star.parity == 1 else 1
             gval = g_pm_eval(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
-            pref = gval * tau(chi_star).value ** n_deg * cstar ** (-n_deg * s)
+            pref = gval * tau(chi_star) ** n_deg * cstar ** (-n_deg * s)
             lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
             recs = []
             for q in qs:
@@ -1072,8 +1088,8 @@ def _voronoi_units(ranges, tol, config):
 
 def _lfunc_units(ranges, tol, config):
     shift_sets = [_as_shift_set(v, "ranges.shift_sets") for v in ranges["shift_sets"]]
-    cstar_min = int(ranges["cstar_min"])
-    cstar_max = int(ranges["cstar_max"])
+    cstar_min = ranges["cstar_min"]
+    cstar_max = ranges["cstar_max"]
     s_values = [_as_complex(v, "ranges.s_values") for v in ranges["s_values"]]
     anchor = _SUITES["lfunc"].anchor
     units = []
@@ -1128,6 +1144,7 @@ for _spec in (
         },
         1e-9,
         _gauss_units,
+        {key: _check_int(1) for key in ("cstar_max", "c_max", "m_max", "n_max")},
     ),
     _SuiteSpec(
         "kloosterman-average",
@@ -1159,6 +1176,7 @@ for _spec in (
         },
         1e-10,
         _hecke_units,
+        {"prime_max": _check_int(2)},
     ),
     _SuiteSpec(
         "equivalence",
@@ -1192,6 +1210,7 @@ for _spec in (
         },
         1e-10,
         _mobius_units,
+        {"cstar_values": _check_int_list(1)},
     ),
     _SuiteSpec(
         "voronoi-core",
@@ -1214,6 +1233,13 @@ for _spec in (
         },
         1e-6,
         _voronoi_units,
+        {
+            "truncation_y": _check_int(1),
+            "x_probe": _check_int(1),
+            "cstar_values": _check_conductors(_check_int_list(1)),
+            # conductor 1 would put the probe's L-value on the zeta pole
+            "probe_cstar": _check_conductors(_check_int(2)),
+        },
     ),
     _SuiteSpec(
         "lfunc",
@@ -1228,6 +1254,8 @@ for _spec in (
         },
         1e-9,
         _lfunc_units,
+        # conductor 1 (the trivial character) is outside the primitive-twist regime
+        {"cstar_min": _check_int(2), "cstar_max": _check_int(2)},
     ),
 ):
     _SUITES[_spec.name] = _spec

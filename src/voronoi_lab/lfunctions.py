@@ -352,7 +352,7 @@ def functional_equation_check(
     gamma_spec = GammaFactorSpec(tuple(-sh for sh in req.shifts), delta)
     g_val = g_pm_eval(req.s, gamma_spec, precision)
     dual = LValueRequest(1 - req.s, chi.conjugate(), tuple(-sh for sh in req.shifts))
-    tau_val = _tau_mp(chi, precision) if precision is not None else tau(chi).value
+    tau_val = _tau_mp(chi, precision) if precision is not None else tau(chi)
     rhs = (
         tau_val**n_deg
         * chi.modulus ** (-n_deg * req.s)

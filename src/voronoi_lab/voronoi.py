@@ -334,7 +334,7 @@ def _strengthened_chains(chi_star: DirichletCharacter, c: int, q: tuple[int, ...
         if total % cstar:
             return
         for d in divisors(total // cstar):
-            g_val = gauss_sum(chi_star, m_prev, d).value
+            g_val = gauss_sum(chi_star, m_prev, d)
             if g_val == 0:
                 continue
             yield from rec(i + 1, total // d, d_prefix + (d,), g_acc * g_val)
@@ -588,7 +588,7 @@ def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> comp
         weights = h_arr ** (s - 1)
         idx = np.arange(y + 1) % (n * cstar)
         inner = complex(np.sum(row[1:] * weights[1:] * gvec[idx][1:]))
-        return complex(prefactor) / tau(chi_star).value * inner
+        return complex(prefactor) / tau(chi_star) * inner
     vv_bar = chi_star.value_vector.conjugate()
     acc = 0j
     for e_rest in itertools.product(*(divisors(qi) for qi in inst.q)):

@@ -42,14 +42,25 @@ def test_gauss_sum_matches_brute():
                 for m in range(0, 13):
                     want = brute_gauss(chi, c, m)
                     assert abs(vec[m % c] - want) < 1e-10 * math.sqrt(c)
-                    assert abs(gauss_sum(chi, c, m).value - want) < 1e-10 * math.sqrt(c)
+                    assert abs(gauss_sum(chi, c, m) - want) < 1e-10 * math.sqrt(c)
 
 
 def test_tau_modulus():
     for cstar in (3, 4, 5, 7, 8, 9, 11):
         for chi in primitive_characters(cstar):
-            assert abs(abs(tau(chi).value) - math.sqrt(cstar)) < 1e-10
-    assert abs(tau(principal(1)).value - 1) < 1e-14
+            assert abs(abs(tau(chi)) - math.sqrt(cstar)) < 1e-10
+    assert abs(tau(principal(1)) - 1) < 1e-14
+
+
+def test_gauss_sum_argument_checks():
+    chi3 = primitive_characters(3)[0]
+    for f in (gauss_sum, gauss_sum_closed_lemma22, gauss_sum_closed_lemma23):
+        with pytest.raises(ValueError, match="primitive"):
+            f(principal(4), 8, 1)  # conductor 1, so not primitive mod 4
+        with pytest.raises(ValueError, match="must divide"):
+            f(chi3, 4, 1)
+        with pytest.raises(ValueError, match="must divide"):
+            f(chi3, 0, 1)
 
 
 def test_closed_forms_match_direct_small_box():
@@ -61,7 +72,7 @@ def test_closed_forms_match_direct_small_box():
                 for m in range(1, 13):
                     direct = brute_gauss(chi, c, m)
                     for closed in (gauss_sum_closed_lemma22, gauss_sum_closed_lemma23):
-                        got = closed(chi, c, m).value
+                        got = closed(chi, c, m)
                         assert abs(got - direct) < 1e-10 * scale, (cstar, c, m)
 
 
@@ -71,7 +82,7 @@ def test_closed_form_zero_branch():
     hits = 0
     for c in (10, 15, 20, 25):
         for m in range(1, 13):
-            want = gauss_sum_closed_lemma22(chi, c, m).value
+            want = gauss_sum_closed_lemma22(chi, c, m)
             if want == 0:
                 hits += 1
                 assert abs(brute_gauss(chi, c, m)) < 1e-10 * math.sqrt(c)
@@ -83,7 +94,7 @@ def test_average_gauss_identity():
     # sums against the tau closed form
     for cstar in (1, 3, 5):
         for chi in primitive_characters(cstar):
-            tau_val = tau(chi).value
+            tau_val = tau(chi)
             for n in range(1, 9):
                 for m in range(1, 17):
                     lhs, rhs = average_gauss_identity_check(n, m, chi)
@@ -91,13 +102,13 @@ def test_average_gauss_identity():
                         chi.value_vector[d % cstar] * brute_gauss(chi, (n // d) * cstar, m)
                         for d in divisors(n)
                     )
-                    assert abs(lhs.value - direct) < 1e-10 * math.sqrt(cstar) * n
+                    assert abs(lhs - direct) < 1e-10 * math.sqrt(cstar) * n
                     if m % n == 0:
                         want = tau_val * np.conj(chi.value_vector[(m // n) % cstar]) * n
                     else:
                         want = 0.0
-                    assert abs(rhs.value - want) < 1e-12 * max(1.0, abs(want))
-                    assert abs(lhs.value - rhs.value) < 1e-9 * math.sqrt(cstar) * n
+                    assert abs(rhs - want) < 1e-12 * max(1.0, abs(want))
+                    assert abs(lhs - rhs) < 1e-9 * math.sqrt(cstar) * n
 
 
 def test_divisor_sigma():
@@ -115,7 +126,7 @@ def test_kloosterman_vector_matches_naive():
             for n in (1, 2, 5):
                 vec = kloosterman_vector(n, c, q, d)
                 for a in unit_residues(c):
-                    want = hyper_kloosterman(KloostermanSpec(int(a), n, c, q, d)).value
+                    want = hyper_kloosterman(KloostermanSpec(int(a), n, c, q, d))
                     assert abs(vec[a] - want) < 1e-9, (c, q, d, n, int(a))
 
 
@@ -124,7 +135,7 @@ def test_kloosterman_negative_n():
     for d in kloosterman_divisor_chains(c, q):
         vec_neg = kloosterman_vector(-3, c, q, d)
         for a in unit_residues(c):
-            want = hyper_kloosterman(KloostermanSpec(int(a), -3, c, q, d)).value
+            want = hyper_kloosterman(KloostermanSpec(int(a), -3, c, q, d))
             assert abs(vec_neg[a] - want) < 1e-9
 
 
@@ -159,7 +170,7 @@ def test_average_kloosterman_closed_form_small():
                 vec = kloosterman_vector(n, c, q, d)
                 for chi in chars:
                     avg = sum(chi.value_vector[a] * vec[a] for a in units)
-                    closed = average_kloosterman_closed_lemma34(chi, n, c, q, d).value
+                    closed = average_kloosterman_closed_lemma34(chi, n, c, q, d)
                     assert abs(avg - closed) < 1e-9 * scale, (c, q, d, n, chi.label)
 
 
@@ -178,7 +189,7 @@ def _lemma34_scalar_reference(chi, n, c, q, d):
         return 0j
     acc = 1 + 0j
     for m, arg in zip(mods, d + (n,)):
-        acc = acc * gauss_sum(chi_star, m, arg).value
+        acc = acc * gauss_sum(chi_star, m, arg)
     return acc
 
 
@@ -198,7 +209,7 @@ def test_lemma34_table_is_bit_identical_to_scalar_products():
                         want = _lemma34_scalar_reference(chi, n, c, q, d)
                         assert _bits(table[x, j, t]) == _bits(want), (c, q, d, n, chi.label)
                         got = average_kloosterman_closed_lemma34(chi, n, c, q, d)
-                        assert _bits(got.value) == _bits(want) and got.err >= 0
+                        assert _bits(got) == _bits(want)
                         entries += 1
                         zeros += want == 0
     assert 0 < zeros < entries
@@ -216,12 +227,12 @@ def test_lemma34_table_against_nested_oracle():
             for j, d in enumerate(chains):
                 scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
                 for t, n in enumerate((1, 2)):
-                    kl = [hyper_kloosterman(KloostermanSpec(a, n, c, q, d)).value for a in units]
+                    kl = [hyper_kloosterman(KloostermanSpec(a, n, c, q, d)) for a in units]
                     for x, chi in enumerate(chars):
                         want = sum(chi.value_vector[a] * v for a, v in zip(units, kl))
                         assert abs(table[x, j, t] - want) < 1e-9 * scale, (c, q, d, n, chi.label)
                         closed = average_kloosterman_closed_lemma34(chi, n, c, q, d)
-                        assert abs(closed.value - want) <= closed.err + 1e-9 * scale
+                        assert abs(closed - want) < 1e-9 * scale
 
 
 def test_lemma34_table_takes_n_beyond_int64():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,14 @@ def test_report_round_trip(tmp_path):
     assert "wall_time_seconds" in timed["summary"]
     assert "wall_time_seconds" not in rep.to_dict()["summary"]
     assert json.loads(raw)["schema"] == "voronoi-lab-report/1"
+    # %.17g writes -0.0 as -0; reading it back must keep the sign
+    kl = run_suite(
+        SweepConfig(suite="kloosterman-average", ranges={"degrees": [3], "c_max": 5, "q_max": 2})
+    )
+    kl_path = tmp_path / "kl.json"
+    emit_report(kl, kl_path)
+    assert re.search(r"-0[],}]", kl_path.read_text(encoding="ascii"))
+    assert load_report(kl_path).to_canonical_json() == kl_path.read_text(encoding="ascii")
 
 
 def test_records_share_suite_anchor_and_fail_with_parameters():
@@ -146,6 +155,34 @@ def test_kloosterman_range_validation():
         suite="kloosterman-average",
         ranges={"degrees": [2, 3], "c_max": 1, "q_max": 1, "n_values": [-3, 0]},
     ).validate()
+
+
+def test_range_validation_beyond_kloosterman():
+    bad = [
+        ("gauss-lemmas", {"cstar_max": 2.0}, "ranges.cstar_max"),
+        ("gauss-lemmas", {"m_max": 0}, "ranges.m_max"),
+        ("gauss-lemmas", {"n_max": True}, "ranges.n_max"),
+        ("hecke", {"prime_max": "7"}, "ranges.prime_max"),
+        ("mobius", {"cstar_values": 3}, "ranges.cstar_values"),
+        ("voronoi-core", {"x_probe": 0}, "ranges.x_probe"),
+        ("voronoi-core", {"truncation_y": 64.0}, "ranges.truncation_y"),
+        ("voronoi-core", {"cstar_values": [3, 6]}, "ranges.cstar_values"),
+        ("voronoi-core", {"probe_cstar": 1}, "ranges.probe_cstar"),
+        ("voronoi-core", {"probe_cstar": 10}, "ranges.probe_cstar"),
+        ("lfunc", {"cstar_min": 1}, "ranges.cstar_min"),
+    ]
+    for suite, ranges, field in bad:
+        with pytest.raises(ConfigError, match=field):
+            SweepConfig(suite=suite, ranges=ranges).validate()
+    good = [
+        ("gauss-lemmas", {"cstar_max": 1, "c_max": 1, "m_max": 1, "n_max": 1}),
+        ("hecke", {"prime_max": 2}),
+        ("mobius", {"cstar_values": [1, 2]}),
+        ("voronoi-core", {"truncation_y": 1, "x_probe": 1, "cstar_values": [1, 4], "probe_cstar": 3}),
+        ("lfunc", {"cstar_min": 2, "cstar_max": 2}),
+    ]
+    for suite, ranges in good:
+        SweepConfig(suite=suite, ranges=ranges).validate()
 
 
 def test_kloosterman_empty_n_values_yield_zero_cases():
@@ -252,11 +289,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     cfg.write_text(json.dumps({"suite": "hecke", "ranges": SMALL_HECKE}))
     assert cli.main(["--config", str(cfg), "--out", "/nonexistent-dir/x.json"]) == 3
     capsys.readouterr()
-    # out-of-range kloosterman-average ranges fail validation, not the sweep
-    for ranges, field in (({"degrees": [1]}, "ranges.degrees"), ({"c_max": "abc"}, "ranges.c_max")):
+    # out-of-range ranges fail validation, not the sweep
+    probes = (
+        ("kloosterman-average", {"degrees": [1]}, "ranges.degrees"),
+        ("kloosterman-average", {"c_max": "abc"}, "ranges.c_max"),
+        ("mobius", {"cstar_values": [0]}, "ranges.cstar_values"),
+        ("voronoi-core", {"truncation_y": -5}, "ranges.truncation_y"),
+        ("hecke", {"prime_max": 1}, "ranges.prime_max"),
+        ("gauss-lemmas", {"c_max": "x"}, "ranges.c_max"),
+        ("lfunc", {"cstar_max": "a"}, "ranges.cstar_max"),
+        ("voronoi-core", {"cstar_values": [2]}, "ranges.cstar_values"),
+    )
+    for suite, ranges, field in probes:
         bad_range = tmp_path / "bad_range.json"
-        bad_range.write_text(json.dumps({"suite": "kloosterman-average", "ranges": ranges}))
-        assert cli.main(["--config", str(bad_range)]) == 2
+        bad_range.write_text(json.dumps({"suite": suite, "ranges": ranges}))
+        assert cli.main(["--config", str(bad_range)]) == 2, (suite, ranges)
         assert field in capsys.readouterr().err
 
 

@@ -199,7 +199,7 @@ def _side_by_side(src, shifts, chi_star, q, s, y, n_values):
     deg = src.degree
     delta = 0 if chi_star.parity == 1 else 1
     gval = g_pm_eval(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
-    pref = gval * tau(chi_star).value**deg * cstar ** (-deg * s)
+    pref = gval * tau(chi_star)**deg * cstar ** (-deg * s)
     lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
     inst = VoronoiInstance(src, q, cstar, chi=chi_star, truncation=X)
     for n in n_values:
@@ -231,7 +231,7 @@ def test_tail_bound_shrinks_and_rejects_raw_tables():
     inst = VoronoiInstance(src, (1,), 3, chi=chi, truncation=X)
     s = -1.5
     gval = g_pm_eval(s, GammaFactorSpec((0j, 0j, 0j), 1))
-    pref = gval * tau(chi).value**3 * 3.0 ** (-3 * s)
+    pref = gval * tau(chi)**3 * 3.0 ** (-3 * s)
     bounds = [b_n_tail_bound(inst, 2, s, pref, y) for y in (500, 2000, 8000)]
     assert bounds[0] > bounds[1] > bounds[2] > 0
     raw = VoronoiInstance(raw_table_source(3, seed=1), (1,), 3, chi=chi, truncation=X)
