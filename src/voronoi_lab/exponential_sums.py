@@ -105,41 +105,6 @@ def gauss_sum_closed_lemma23(chi_star: DirichletCharacter, c: int, m: int) -> co
     return tau(chi_star) * (scale * term)
 
 
-def divisor_sigma(s: complex, m: int, chi: DirichletCharacter) -> complex:
-    """Twisted divisor power sum: sum over d | m of chi(d) d^s."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    acc = 0j
-    for d in divisors(m):
-        v = chi(d)
-        if v != 0:
-            acc = acc + complex(np.exp(s * math.log(d))) * v
-    return acc
-
-
-def average_gauss_identity_check(
-    n: int, m: int, chi_star: DirichletCharacter
-) -> tuple[complex, complex]:
-    """Both sides of the divisor-averaged Gauss sum identity.
-
-    lhs = sum over factorizations l*d = n of chi*(d) g(chi*, l*c*, m);
-    rhs = tau(chi*) conj(chi*)(m/n) n when n | m, else 0.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    cstar = chi_star.modulus
-    lhs = 0j
-    for d in divisors(n):
-        v = chi_star(d)
-        if v != 0:
-            lhs = lhs + v * gauss_sum(chi_star, (n // d) * cstar, m)
-    if m % n == 0:
-        rhs = tau(chi_star) * (n * chi_star.conjugate()(m // n))
-    else:
-        rhs = 0j
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # Kloosterman sums
 

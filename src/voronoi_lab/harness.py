@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .characters import (
-    DirichletCharacter,
     conductor,
     enumerate_characters,
     induce,
@@ -451,12 +450,14 @@ def _seed_int(config_seed: int, *parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, label: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{label}: expected a number or a [re, im] pair")
 
@@ -502,6 +503,50 @@ def _check_conductors(check):
     return run
 
 
+def _check_length(check, length: int):
+    """check, then require exactly length entries."""
+
+    def run(value, label: str) -> None:
+        check(value, label)
+        if len(value) != length:
+            raise ConfigError(f"{label}: each entry must have length {length}")
+
+    return run
+
+
+def _check_each(entry, what: str):
+    """A list whose every entry passes entry(value, label)."""
+
+    def check(value, label: str) -> None:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{label}: expected a list of {what}")
+        for v in value:
+            entry(v, label)
+
+    return check
+
+
+def _check_choice(allowed: tuple[str, ...]):
+    def check(value, label: str) -> None:
+        if value not in allowed:
+            raise ConfigError(f"{label}: {value!r} is not one of " + ", ".join(allowed))
+
+    return check
+
+
+def _check_re_below(bound: float):
+    def check(value, label: str) -> None:
+        if not _as_complex(value, label).real < bound:
+            raise ConfigError(f"{label}: real part must be below {bound}")
+
+    return check
+
+
+def _check_real_pair(value, label: str) -> None:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))):
+        raise ConfigError(f"{label}: expected an [s, w] pair of real numbers")
+
+
 def _as_shift_set(value, label: str) -> tuple[complex, ...]:
     # Shifts are stored as integer imaginary parts; they must sum to zero.
     parts = _as_int_list(value, label)
@@ -531,7 +576,7 @@ class _SuiteSpec:
 
 
 def _gauss_units(ranges, tol, config):
-    lemmas = [str(x) for x in ranges["lemmas"]]
+    lemmas = ranges["lemmas"]
     cstar_max = ranges["cstar_max"]
     c_max = ranges["c_max"]
     m_max = ranges["m_max"]
@@ -695,11 +740,11 @@ def _kloosterman_units(ranges, tol, config):
 
 
 def _hecke_units(ranges, tol, config):
-    degrees = _as_int_list(ranges["degrees"], "ranges.degrees")
+    degrees = ranges["degrees"]
     prime_max = ranges["prime_max"]
-    exp_max = int(ranges["exponent_max"])
-    draws = int(ranges["draws"])
-    d3_max = int(ranges["d3_check_max"])
+    exp_max = ranges["exponent_max"]
+    draws = ranges["draws"]
+    d3_max = ranges["d3_check_max"]
     anchor = _SUITES["hecke"].anchor
     primes = primes_up_to(prime_max)
     units = []
@@ -770,10 +815,10 @@ def _hecke_units(ranges, tol, config):
 
 
 def _equivalence_units(ranges, tol, config):
-    degrees = _as_int_list(ranges["degrees"], "ranges.degrees")
-    c_values = _as_int_list(ranges["c_values"], "ranges.c_values")
-    q_max = int(ranges["q_max"])
-    x = int(ranges["coefficients"])
+    degrees = ranges["degrees"]
+    c_values = ranges["c_values"]
+    q_max = ranges["q_max"]
+    x = ranges["coefficients"]
     s = _as_complex(ranges["s"], "ranges.s")
     anchor = _SUITES["equivalence"].anchor
     units = []
@@ -873,12 +918,12 @@ def _equivalence_units(ranges, tol, config):
 
 
 def _mobius_units(ranges, tol, config):
-    degrees = _as_int_list(ranges["degrees"], "ranges.degrees")
+    degrees = ranges["degrees"]
     cstar_values = ranges["cstar_values"]
-    n_values = _as_int_list(ranges["n_values"], "ranges.n_values")
-    modulus_max = int(ranges["modulus_max"])
-    q_max = int(ranges["q_max"])
-    x = int(ranges["coefficients"])
+    n_values = ranges["n_values"]
+    modulus_max = ranges["modulus_max"]
+    q_max = ranges["q_max"]
+    x = ranges["coefficients"]
     s = _as_complex(ranges["s"], "ranges.s")
     anchor = _SUITES["mobius"].anchor
     units = []
@@ -951,30 +996,20 @@ def _mobius_units(ranges, tol, config):
 
 
 def _voronoi_units(ranges, tol, config):
-    families = [str(f) for f in ranges["families"]]
-    for fam in families:
-        if fam not in ("gl3", "gl2", "z"):
-            raise ConfigError(f"ranges.families: unknown family {fam!r}; expected gl3, gl2, z")
+    families = ranges["families"]
     s = _as_complex(ranges["s"], "ranges.s")
     y = ranges["truncation_y"]
-    n_values = _as_int_list(ranges["n_values"], "ranges.n_values")
+    n_values = ranges["n_values"]
     cstar_values = ranges["cstar_values"]
-    q_values = [tuple(_as_int_list(q, "ranges.q_values")) for q in ranges["q_values"]]
+    q_values = [tuple(q) for q in ranges["q_values"]]
     gl3_shift_sets = [_as_shift_set(v, "ranges.gl3_shift_sets") for v in ranges["gl3_shift_sets"]]
     gl2_shift_sets = [_as_shift_set(v, "ranges.gl2_shift_sets") for v in ranges["gl2_shift_sets"]]
     x_probe = ranges["x_probe"]
-    probe_points = [
-        (float(p[0]), float(p[1]))
-        for p in (
-            ranges["probe_points"]
-            if isinstance(ranges["probe_points"], (list, tuple))
-            else ()
-        )
-    ]
+    probe_points = [(float(p[0]), float(p[1])) for p in ranges["probe_points"]]
     probe_cstar = ranges["probe_cstar"]
     anchor = _SUITES["voronoi-core"].anchor
     units = []
-    truncation = 50  # series container length; a_n/b_n queries stay below it
+    truncation = 50  # outer length X of each instance; a_n, b_n and z_probe do not read it
 
     sources: dict = {}
 
@@ -1144,7 +1179,10 @@ for _spec in (
         },
         1e-9,
         _gauss_units,
-        {key: _check_int(1) for key in ("cstar_max", "c_max", "m_max", "n_max")},
+        {
+            "lemmas": _check_each(_check_choice(("2.2", "2.3", "2.5")), "lemma labels"),
+            **{key: _check_int(1) for key in ("cstar_max", "c_max", "m_max", "n_max")},
+        },
     ),
     _SuiteSpec(
         "kloosterman-average",
@@ -1176,7 +1214,13 @@ for _spec in (
         },
         1e-10,
         _hecke_units,
-        {"prime_max": _check_int(2)},
+        {
+            "degrees": _check_int_list(2),
+            "prime_max": _check_int(2),
+            "exponent_max": _check_int(1),
+            "draws": _check_int(0),
+            "d3_check_max": _check_int(0),
+        },
     ),
     _SuiteSpec(
         "equivalence",
@@ -1193,6 +1237,13 @@ for _spec in (
         },
         1e-10,
         _equivalence_units,
+        {
+            "degrees": _check_int_list(2),
+            "c_values": _check_int_list(1),
+            "q_max": _check_int(1),
+            "coefficients": _check_int(1),
+            "s": _as_complex,
+        },
     ),
     _SuiteSpec(
         "mobius",
@@ -1210,7 +1261,15 @@ for _spec in (
         },
         1e-10,
         _mobius_units,
-        {"cstar_values": _check_int_list(1)},
+        {
+            "degrees": _check_int_list(2),
+            "cstar_values": _check_int_list(1),
+            "n_values": _check_int_list(1),
+            "modulus_max": _check_int(1),
+            "q_max": _check_int(1),
+            "coefficients": _check_int(1),
+            "s": _as_complex,
+        },
     ),
     _SuiteSpec(
         "voronoi-core",
@@ -1234,9 +1293,18 @@ for _spec in (
         1e-6,
         _voronoi_units,
         {
+            "families": _check_each(_check_choice(("gl3", "gl2", "z")), "family names"),
+            # the certified tail needs 1 - Re s > 1.05
+            "s": _check_re_below(-0.05),
             "truncation_y": _check_int(1),
-            "x_probe": _check_int(1),
+            "n_values": _check_int_list(1),
             "cstar_values": _check_conductors(_check_int_list(1)),
+            # one layer size per GL(3) comparison
+            "q_values": _check_each(_check_length(_check_int_list(1), 1), "integer lists"),
+            "gl3_shift_sets": _check_each(_check_length(_as_shift_set, 3), "shift sets"),
+            "gl2_shift_sets": _check_each(_check_length(_as_shift_set, 2), "shift sets"),
+            "x_probe": _check_int(1),
+            "probe_points": _check_each(_check_real_pair, "[s, w] pairs"),
             # conductor 1 would put the probe's L-value on the zeta pole
             "probe_cstar": _check_conductors(_check_int(2)),
         },
@@ -1254,8 +1322,13 @@ for _spec in (
         },
         1e-9,
         _lfunc_units,
-        # conductor 1 (the trivial character) is outside the primitive-twist regime
-        {"cstar_min": _check_int(2), "cstar_max": _check_int(2)},
+        {
+            "shift_sets": _check_each(_as_shift_set, "shift sets"),
+            # conductor 1 (the trivial character) is outside the primitive-twist regime
+            "cstar_min": _check_int(2),
+            "cstar_max": _check_int(2),
+            "s_values": _check_each(_as_complex, "numbers or [re, im] pairs"),
+        },
     ),
 ):
     _SUITES[_spec.name] = _spec

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -212,7 +211,6 @@ class CoefficientSource:
         self._memo: dict[tuple[int, ...], complex] = {}
         self._blocks: dict[tuple[int, tuple[int, ...]], complex] = {}
         self._row_cache: dict[tuple, object] = {}
-        self._lock = threading.Lock()
 
     # -- prime blocks -------------------------------------------------------
 
@@ -300,17 +298,6 @@ def raw_table_source(
     return CoefficientSource("raw-table", degree, table=table, seed=seed)
 
 
-# -- module-level operation forms -------------------------------------------
-
-
-def coefficient(f: CoefficientSource, m: tuple[int, ...]) -> complex:
-    return f.coefficient(m)
-
-
-def dual_coefficient(f: CoefficientSource, m: tuple[int, ...]) -> complex:
-    return f.dual_coefficient(m)
-
-
 def verify_hecke_relations(
     f: CoefficientSource, n: int, m: tuple[int, ...]
 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -340,55 +327,3 @@ def verify_hecke_relations(
         rhs_a += f.coefficient(idx_a)
         rhs_b += f.coefficient(idx_b)
     return (lhs_a, rhs_a), (lhs_b, rhs_b)
-
-
-def growth_exponent_estimate(f: CoefficientSource, bound: int) -> float:
-    """max over m with 1 < prod(m) <= bound of log|A(m)| / log(prod m), floored at 0."""
-    if bound < 2:
-        raise ValueError("bound must be >= 2")
-    worst = 0.0
-
-    def rec(prefix: tuple[int, ...], budget: int):
-        nonlocal worst
-        if len(prefix) == f.degree - 1:
-            total = math.prod(prefix)
-            if total > 1:
-                a = abs(f.coefficient(prefix))
-                if a > 0.0:
-                    worst = max(worst, math.log(a) / math.log(total))
-            return
-        for v in range(1, budget + 1):
-            rec(prefix + (v,), budget // v)
-
-    rec((), bound)
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Coefficient table exchange
-
-TABLE_FORMAT_VERSION = 1
-
-
-def export_coefficient_table(f: CoefficientSource, entries) -> dict:
-    """Versioned JSON document of coefficient values at the given index tuples."""
-    rows = []
-    for m in entries:
-        v = f.coefficient(tuple(m))
-        rows.append([list(int(x) for x in m), [v.real, v.imag]])
-    return {
-        "version": TABLE_FORMAT_VERSION,
-        "N": f.degree,
-        "kind": f.kind,
-        "entries": rows,
-    }
-
-
-def import_coefficient_table(doc: Mapping) -> CoefficientSource:
-    """Raw-table source from an exported document (cross-implementation oracle)."""
-    if doc.get("version") != TABLE_FORMAT_VERSION:
-        raise ValueError(f"unsupported coefficient-table version {doc.get('version')!r}")
-    table = {
-        tuple(int(x) for x in m): complex(re, im) for m, (re, im) in doc["entries"]
-    }
-    return raw_table_source(int(doc["N"]), table=table)

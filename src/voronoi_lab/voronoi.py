@@ -5,9 +5,8 @@ side carries the (N-2)-fold divisor chains with their Gauss-sum products.
 Character averaging maps one family of coefficient vectors onto the other
 exactly, coefficient by coefficient, and the double-series probe compares the
 two expansions a_n(s), b_n(s) of the same two-variable L-quotient.  Nothing
-here evaluates a divergent series and calls it a value: scalar evaluations
-are offered for convergent-region use, while every identity check works on
-the finite coefficient vectors.
+here evaluates a divergent series and calls it a value: every identity check
+works on the finite coefficient vectors.
 """
 
 from __future__ import annotations
@@ -33,96 +32,21 @@ from .numeric import roots_of_unity
 from .residues import divisor_count, divisors, mobius
 
 __all__ = [
-    "TruncatedDirichletSeries",
     "VoronoiInstance",
     "a_n_coefficient",
     "b_n_coefficient",
     "b_n_tail_bound",
-    "curly_g",
     "curly_g_coefficients",
-    "curly_h",
     "curly_h_coefficients",
     "g_coefficients",
-    "g_series",
     "h_coefficients",
-    "h_series",
-    "lq_additive",
     "lq_additive_coefficients",
     "mobius_collapse",
     "parity_gamma",
-    "voronoi_rhs_additive",
     "voronoi_rhs_coefficients",
     "z_probe",
     "z_probe_bound",
 ]
-
-
-class TruncatedDirichletSeries:
-    """Finite Dirichlet polynomial sum_{n<=X} c_n n^{-s}, stored by coefficient.
-
-    Arithmetic keeps the truncation honest: combining two series truncates to
-    the shorter one, since coefficients beyond either X are unknown rather
-    than zero.  Querying a coefficient beyond X returns 0 (the polynomial
-    reading), which is what the min-X arithmetic relies on.
-    """
-
-    __slots__ = ("_coef",)
-
-    def __init__(self, coefficients):
-        arr = np.array(coefficients, dtype=complex)
-        if arr.ndim != 1 or arr.shape[0] < 2:
-            raise ValueError("need a 1-d coefficient array covering n = 1..X")
-        arr[0] = 0
-        arr.flags.writeable = False
-        self._coef = arr
-
-    @classmethod
-    def from_dict(cls, mapping, truncation: int) -> "TruncatedDirichletSeries":
-        arr = np.zeros(truncation + 1, dtype=complex)
-        for n, value in mapping.items():
-            if not 1 <= n <= truncation:
-                raise ValueError(f"coefficient index {n} outside 1..{truncation}")
-            arr[n] = value
-        return cls(arr)
-
-    @property
-    def truncation(self) -> int:
-        return self._coef.shape[0] - 1
-
-    def coefficient(self, n: int) -> complex:
-        if n < 1:
-            raise ValueError("Dirichlet coefficients are indexed from 1")
-        if n > self.truncation:
-            return 0j
-        return complex(self._coef[n])
-
-    def as_array(self) -> np.ndarray:
-        return self._coef
-
-    def evaluate(self, s) -> complex:
-        return _dirichlet_eval(self._coef, s)
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedDirichletSeries):
-            return NotImplemented
-        x = min(self.truncation, other.truncation)
-        return TruncatedDirichletSeries(self._coef[: x + 1] + other._coef[: x + 1])
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedDirichletSeries):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, TruncatedDirichletSeries):
-            return NotImplemented
-        return TruncatedDirichletSeries(self._coef * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def max_abs_difference(self, other: "TruncatedDirichletSeries") -> float:
-        x = min(self.truncation, other.truncation)
-        return float(np.max(np.abs(self._coef[: x + 1] - other._coef[: x + 1])))
 
 
 def _dirichlet_eval(coef: np.ndarray, s) -> complex:
@@ -244,15 +168,6 @@ def lq_additive_coefficients(inst: VoronoiInstance) -> np.ndarray:
     return row * phases
 
 
-def lq_additive(inst: VoronoiInstance, s) -> complex:
-    """Truncated additively twisted series sum_{n<=X} A(...) e(a_bar n/c) n^{-s}.
-
-    Honest as a value only in the convergence half-plane; outside it, use the
-    coefficient vector.
-    """
-    return _dirichlet_eval(lq_additive_coefficients(inst), s)
-
-
 def voronoi_rhs_coefficients(inst: VoronoiInstance, s, g_plus, g_minus) -> np.ndarray:
     """Per-coefficient dual side of the additive identity, basis n^{-(1-s)}.
 
@@ -287,35 +202,20 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s, g_plus, g_minus) -> np.nd
     return out * (qpow / c ** (n_deg * s - 1))
 
 
-def voronoi_rhs_additive(inst: VoronoiInstance, s, g_plus, g_minus, y: int) -> complex:
-    """Scalar dual-side value, inner sum truncated at Y, basis n^{-(1-s)}."""
-    coef = voronoi_rhs_coefficients(replace(inst, truncation=y), s, g_plus, g_minus)
-    return _dirichlet_eval(coef, 1 - complex(s))
-
-
 # -- Gauss-sum side ----------------------------------------------------------
 
 
 def h_coefficients(inst: VoronoiInstance) -> np.ndarray:
     """Arithmetic part A(q_{N-2},...,q_1,n) g(chi_bar*, c, n) of the H series.
 
-    The s-dependent scale (c/c*)^{2s-1} is applied by h_series; character
-    averaging the additive coefficients lands exactly on this vector.
+    The s-dependent scale (c/c*)^{2s-1} is applied by curly_h_coefficients;
+    character averaging the additive coefficients lands exactly on this vector.
     """
     _require_character(inst)
     row = _coefficient_row(inst.source, tuple(reversed(inst.q)), (), inst.truncation)
     gvec = gauss_sum_vector(inst.chi_star.conjugate(), inst.c)
     idx = np.arange(inst.truncation + 1) % inst.c
     return row * gvec[idx]
-
-
-def _h_full_coefficients(inst: VoronoiInstance, s) -> np.ndarray:
-    return h_coefficients(inst) * (inst.c / inst.cstar) ** (2 * complex(s) - 1)
-
-
-def h_series(inst: VoronoiInstance, s) -> complex:
-    """(c/c*)^{2s-1} sum_{n<=X} A(q_{N-2},...,q_1,n) g(chi_bar*, c, n) n^{-s}."""
-    return _dirichlet_eval(_h_full_coefficients(inst, s), s)
 
 
 def _strengthened_chains(chi_star: DirichletCharacter, c: int, q: tuple[int, ...]):
@@ -376,30 +276,15 @@ def g_coefficients(inst: VoronoiInstance, s, g_value) -> np.ndarray:
     return out * (pref * qpow)
 
 
-def g_series(inst: VoronoiInstance, s, g_value) -> complex:
-    """Scalar dual-side value with Gauss-sum factors, truncated at X."""
-    return _dirichlet_eval(g_coefficients(inst, s, g_value), 1 - complex(s))
-
-
 # -- the curly wrappers and their Mobius inversion ---------------------------
 
 
-def _shifted_layers(q: tuple[int, ...], d_vec: tuple[int, ...], lead: int):
-    prev = lead
-    out = []
-    for qi, di in zip(q, d_vec):
-        out.append(qi * prev // di)
-        prev = di
-    return tuple(out)
+def _divisor_average(inst: VoronoiInstance, n: int, s, series) -> np.ndarray:
+    """Divisor average of series(sub) at index n, the curly H/G wrappers.
 
-
-def curly_h_coefficients(inst: VoronoiInstance, n: int, s) -> np.ndarray:
-    """Coefficient vector of the divisor-averaged H wrapper at index n.
-
-    Sums chi*(d_1...d_{N-2}) (d_1...d_{N-2})^{-s} over d_i | q_i and
-    chi*(d) over factorizations d*l = n of the full H series at layer sizes
-    (q_1 d/d_1, q_2 d_1/d_2, ...) and modulus l c*.  Only the primitive part
-    of the instance's character enters.
+    Sums chi*(d_1...d_{N-2}) (d_1...d_{N-2})^{-s} over d_i | q_i and chi*(d)
+    over d*l = n of series at layer sizes (q_1 d/d_1, q_2 d_1/d_2, ...) and
+    modulus l c*.  Only the primitive part of the instance's character enters.
     """
     _require_character(inst)
     s = complex(s)
@@ -420,51 +305,26 @@ def curly_h_coefficients(inst: VoronoiInstance, n: int, s) -> np.ndarray:
             ell = n // d
             sub = replace(
                 inst,
-                q=_shifted_layers(inst.q, d_vec, d),
+                q=tuple(qi * p // di for qi, p, di in zip(inst.q, (d,) + d_vec, d_vec)),
                 c=ell * cstar,
                 chi=_induced(chi_star, ell * cstar),
                 a=None,
             )
-            out += (w_outer * v_inner) * _h_full_coefficients(sub, s)
+            out += (w_outer * v_inner) * series(sub)
     return out
 
 
-def curly_h(inst: VoronoiInstance, n: int, s) -> complex:
-    return _dirichlet_eval(curly_h_coefficients(inst, n, s), s)
+def curly_h_coefficients(inst: VoronoiInstance, n: int, s) -> np.ndarray:
+    """Divisor-averaged H series (c/c*)^{2s-1} h_coefficients."""
+    s = complex(s)
+    return _divisor_average(
+        inst, n, s, lambda sub: h_coefficients(sub) * (sub.c / sub.cstar) ** (2 * s - 1)
+    )
 
 
 def curly_g_coefficients(inst: VoronoiInstance, n: int, s, g_value) -> np.ndarray:
-    """Same divisor averaging as curly_h_coefficients, wrapping the G series."""
-    _require_character(inst)
-    s = complex(s)
-    chi_star = inst.chi_star
-    cstar = chi_star.modulus
-    vv = chi_star.value_vector
-    out = np.zeros(inst.truncation + 1, dtype=complex)
-    for d_vec in itertools.product(*(divisors(qi) for qi in inst.q)):
-        prod_d = math.prod(d_vec)
-        v_outer = vv[prod_d % cstar]
-        if v_outer == 0:
-            continue
-        w_outer = v_outer * prod_d ** (-s)
-        for d in divisors(n):
-            v_inner = vv[d % cstar]
-            if v_inner == 0:
-                continue
-            ell = n // d
-            sub = replace(
-                inst,
-                q=_shifted_layers(inst.q, d_vec, d),
-                c=ell * cstar,
-                chi=_induced(chi_star, ell * cstar),
-                a=None,
-            )
-            out += (w_outer * v_inner) * g_coefficients(sub, s, g_value)
-    return out
-
-
-def curly_g(inst: VoronoiInstance, n: int, s, g_value) -> complex:
-    return _dirichlet_eval(curly_g_coefficients(inst, n, s, g_value), 1 - complex(s))
+    """Divisor-averaged G series g_coefficients."""
+    return _divisor_average(inst, n, s, lambda sub: g_coefficients(sub, s, g_value))
 
 
 def mobius_collapse(family, q: tuple[int, ...], n: int, s, chi_star: DirichletCharacter):
@@ -562,6 +422,20 @@ def a_n_coefficient(inst: VoronoiInstance, n: int, s, l_value) -> complex:
     return complex(l_value) * acc
 
 
+def _b_n_layers(inst: VoronoiInstance, n: int):
+    """(e_1...e_{N-2}, free_ratio, mid, last) for each e_i | q_i: b_n reads A at
+    (e_{N-1} free_ratio, *mid, last); slot j <= N-2 holds e_{N-j} q_{N-1-j} / e_{N-1-j}.
+    """
+    n_deg = inst.degree
+    for e_rest in itertools.product(*(divisors(qi) for qi in inst.q)):
+        free_ratio = inst.q[-1] // e_rest[-1]
+        mid = tuple(
+            e_rest[n_deg - j - 1] * inst.q[n_deg - j - 2] // e_rest[n_deg - j - 2]
+            for j in range(2, n_deg - 1)
+        )
+        yield math.prod(e_rest), free_ratio, mid, e_rest[0] * n
+
+
 def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> complex:
     """Coefficient b_n(s) of the dual-side n^{-2w} expansion, inner sum to Y.
 
@@ -591,15 +465,7 @@ def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> comp
         return complex(prefactor) / tau(chi_star) * inner
     vv_bar = chi_star.value_vector.conjugate()
     acc = 0j
-    for e_rest in itertools.product(*(divisors(qi) for qi in inst.q)):
-        prod_rest = math.prod(e_rest)
-        # A-index template: slot j (1-based, j <= N-2) holds e_{N-j} q_{N-1-j} / e_{N-1-j}
-        free_ratio = inst.q[-1] // e_rest[-1]
-        mid = tuple(
-            e_rest[n_deg - j - 1] * inst.q[n_deg - j - 2] // e_rest[n_deg - j - 2]
-            for j in range(2, n_deg - 1)
-        )
-        last = e_rest[0] * n
+    for prod_rest, free_ratio, mid, last in _b_n_layers(inst, n):
         for e_free in range(1, y + 1):
             prod_e = prod_rest * e_free
             v = vv_bar[prod_e % cstar]
@@ -650,14 +516,7 @@ def b_n_tail_bound(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> float
         )
     rank = _rankin_tail(n_deg, t, y)
     total = 0.0
-    for e_rest in itertools.product(*(divisors(qi) for qi in inst.q)):
-        prod_rest = math.prod(e_rest)
-        free_ratio = inst.q[-1] // e_rest[-1]
-        mid = tuple(
-            e_rest[n_deg - j - 1] * inst.q[n_deg - j - 2] // e_rest[n_deg - j - 2]
-            for j in range(2, n_deg - 1)
-        )
-        last = e_rest[0] * n
+    for prod_rest, free_ratio, mid, last in _b_n_layers(inst, n):
         cap = divisor_count(n_deg, free_ratio) * divisor_count(n_deg, last)
         for m in mid:
             cap *= divisor_count(n_deg, m)

@@ -170,6 +170,22 @@ def test_range_validation_beyond_kloosterman():
         ("voronoi-core", {"probe_cstar": 1}, "ranges.probe_cstar"),
         ("voronoi-core", {"probe_cstar": 10}, "ranges.probe_cstar"),
         ("lfunc", {"cstar_min": 1}, "ranges.cstar_min"),
+        ("gauss-lemmas", {"lemmas": [2.2]}, "ranges.lemmas"),
+        ("hecke", {"degrees": [3, 4.0]}, "ranges.degrees"),
+        ("hecke", {"draws": -1}, "ranges.draws"),
+        ("hecke", {"d3_check_max": 1.5}, "ranges.d3_check_max"),
+        ("equivalence", {"q_max": 0}, "ranges.q_max"),
+        ("equivalence", {"s": [1, 2, 3]}, "ranges.s"),
+        ("mobius", {"s": True}, "ranges.s"),
+        ("mobius", {"modulus_max": 0}, "ranges.modulus_max"),
+        ("mobius", {"degrees": 3}, "ranges.degrees"),
+        ("voronoi-core", {"s": -0.05}, "ranges.s"),
+        ("voronoi-core", {"q_values": [[1, 1]]}, "ranges.q_values"),
+        ("voronoi-core", {"gl3_shift_sets": [[1, -1]]}, "ranges.gl3_shift_sets"),
+        ("voronoi-core", {"gl2_shift_sets": [[]]}, "ranges.gl2_shift_sets"),
+        ("voronoi-core", {"probe_points": [[2.5]]}, "ranges.probe_points"),
+        ("lfunc", {"s_values": [[0.5, "i"]]}, "ranges.s_values"),
+        ("lfunc", {"shift_sets": [[1, 0]]}, "ranges.shift_sets"),
     ]
     for suite, ranges, field in bad:
         with pytest.raises(ConfigError, match=field):
@@ -180,6 +196,23 @@ def test_range_validation_beyond_kloosterman():
         ("mobius", {"cstar_values": [1, 2]}),
         ("voronoi-core", {"truncation_y": 1, "x_probe": 1, "cstar_values": [1, 4], "probe_cstar": 3}),
         ("lfunc", {"cstar_min": 2, "cstar_max": 2}),
+        ("gauss-lemmas", {"lemmas": ["2.5"]}),
+        ("hecke", {"degrees": [2], "exponent_max": 1, "draws": 0, "d3_check_max": 0}),
+        ("equivalence", {"degrees": [2], "c_values": [1], "q_max": 1, "coefficients": 1, "s": 0.5}),
+        ("mobius", {"degrees": [2], "n_values": [1], "modulus_max": 1, "q_max": 1, "s": [0, 1]}),
+        (
+            "voronoi-core",
+            {
+                "families": ["z"],
+                "s": [-0.06, 2],
+                "n_values": [1],
+                "q_values": [[1]],
+                "gl3_shift_sets": [[0, 0, 0]],
+                "gl2_shift_sets": [[2, -2]],
+                "probe_points": [[3, 3.0]],
+            },
+        ),
+        ("lfunc", {"shift_sets": [[0]], "s_values": [1.5, [0.25, 2]]}),
     ]
     for suite, ranges in good:
         SweepConfig(suite=suite, ranges=ranges).validate()
@@ -299,6 +332,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         ("gauss-lemmas", {"c_max": "x"}, "ranges.c_max"),
         ("lfunc", {"cstar_max": "a"}, "ranges.cstar_max"),
         ("voronoi-core", {"cstar_values": [2]}, "ranges.cstar_values"),
+        ("hecke", {"exponent_max": 0}, "ranges.exponent_max"),
+        ("hecke", {"degrees": [1]}, "ranges.degrees"),
+        ("equivalence", {"c_values": [0]}, "ranges.c_values"),
+        ("equivalence", {"s": "x"}, "ranges.s"),
+        ("equivalence", {"coefficients": 0}, "ranges.coefficients"),
+        ("mobius", {"n_values": [0]}, "ranges.n_values"),
+        ("voronoi-core", {"n_values": [0]}, "ranges.n_values"),
+        ("voronoi-core", {"families": ["foo"]}, "ranges.families"),
+        ("voronoi-core", {"gl3_shift_sets": [[1, 1, 1]]}, "ranges.gl3_shift_sets"),
+        ("voronoi-core", {"q_values": [[0]]}, "ranges.q_values"),
+        ("voronoi-core", {"s": [0.5, 0]}, "ranges.s"),
+        ("gauss-lemmas", {"lemmas": ["9.9"]}, "ranges.lemmas"),
     )
     for suite, ranges, field in probes:
         bad_range = tmp_path / "bad_range.json"

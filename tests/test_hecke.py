@@ -7,9 +7,6 @@ import pytest
 
 from voronoi_lab.hecke import (
     SatakeParams,
-    export_coefficient_table,
-    growth_exponent_estimate,
-    import_coefficient_table,
     isobaric_params,
     isobaric_source,
     random_satake,
@@ -150,28 +147,11 @@ def test_rankin_selberg_block():
 
 def test_raw_table_deterministic_and_exportable():
     src = raw_table_source(3, seed=17)
-    entries = [(1, 1), (2, 1), (2, 3), (7, 4)]
-    doc = export_coefficient_table(src, entries)
-    assert doc["version"] == 1 and doc["N"] == 3
-    back = import_coefficient_table(doc)
-    for m in entries:
-        assert back.coefficient(m) == src.coefficient(m)
-    with pytest.raises(ValueError):
-        import_coefficient_table({**doc, "version": 99})
     again = raw_table_source(3, seed=17)
-    assert again.coefficient((5, 9)) == src.coefficient((5, 9))
+    for m in [(1, 1), (2, 1), (2, 3), (7, 4), (5, 9)]:
+        assert again.coefficient(m) == src.coefficient(m)
     with pytest.raises(ValueError):
         raw_table_source(3, table={(1, 1): 1 + 0j}).coefficient((2, 2))
-
-
-def test_growth_exponent_regression():
-    # for the ternary-divisor source the maximum of log A(m) / log(prod m)
-    # over 1 < prod m <= bound lands exactly on m = (2,1): log2(3)
-    src = isobaric_source(3, (0j, 0j, 0j), 4096)
-    for bound in (512, 4096):
-        assert abs(growth_exponent_estimate(src, bound) - math.log2(3)) < 1e-12
-    with pytest.raises(ValueError):
-        growth_exponent_estimate(src, 1)
 
 
 def test_source_kinds_and_index_validation():

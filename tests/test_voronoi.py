@@ -23,20 +23,14 @@ from voronoi_lab.lfunctions import (
 )
 from voronoi_lab.residues import divisor_count, euler_phi, unit_residues
 from voronoi_lab.voronoi import (
-    TruncatedDirichletSeries,
     VoronoiInstance,
     a_n_coefficient,
     b_n_coefficient,
     b_n_tail_bound,
-    curly_g,
     curly_g_coefficients,
-    curly_h,
     curly_h_coefficients,
     g_coefficients,
-    g_series,
     h_coefficients,
-    h_series,
-    lq_additive,
     lq_additive_coefficients,
     mobius_collapse,
     parity_gamma,
@@ -57,20 +51,6 @@ def _maxdiff(u, v):
 
 def _scale(*arrays):
     return max(1e-30, *(float(np.max(np.abs(a))) for a in arrays))
-
-
-def test_series_container():
-    ser = TruncatedDirichletSeries.from_dict({1: 2.0, 3: 1j}, 5)
-    assert ser.coefficient(3) == 1j
-    assert ser.coefficient(2) == 0 and ser.coefficient(7) == 0
-    assert abs(ser.evaluate(2.0) - (2.0 + 1j * 3.0**-2.0)) < 1e-15
-    other = TruncatedDirichletSeries.from_dict({1: 1.0, 2: 1.0}, 3)
-    tot = ser + other
-    assert tot.truncation == 3 and tot.coefficient(1) == 3.0
-    assert (2 * ser).coefficient(3) == 2j
-    assert (ser - other).coefficient(1) == 1.0
-    with pytest.raises(TypeError):
-        ser + 3.0
 
 
 def test_instance_validation():
@@ -175,25 +155,6 @@ def test_curly_wrappers_degenerate_to_plain_series():
         assert _maxdiff(curly_h_coefficients(base, 1, S0), h_coefficients(base)) == 0.0
 
 
-def test_scalar_wrappers_match_coefficient_sums():
-    src = raw_table_source(3, seed=31)
-    chi5 = primitive_characters(5)[0]
-    inst_a = VoronoiInstance(src, (2,), 5, a=3, truncation=X)
-    inst_c = VoronoiInstance(src, (2,), 10, chi=induce(chi5, 10), truncation=X)
-    n = np.arange(1, X + 1, dtype=complex)
-    s = S0
-    lq = lq_additive_coefficients(inst_a)[1:]
-    assert abs(lq_additive(inst_a, s) - np.sum(lq * n**-s)) < 1e-12
-    hfull = h_coefficients(inst_c)[1:] * (inst_c.c / inst_c.cstar) ** (2 * s - 1)
-    assert abs(h_series(inst_c, s) - np.sum(hfull * n**-s)) < 1e-12
-    gc = g_coefficients(inst_c, s, GP)[1:]
-    assert abs(g_series(inst_c, s, GP) - np.sum(gc * n ** -(1 - s))) < 1e-12
-    ch = curly_h_coefficients(inst_c, 2, s)[1:]
-    assert abs(curly_h(inst_c, 2, s) - np.sum(ch * n**-s)) < 1e-12
-    cg = curly_g_coefficients(inst_c, 2, s, GP)[1:]
-    assert abs(curly_g(inst_c, 2, s, GP) - np.sum(cg * n ** -(1 - s))) < 1e-12
-
-
 def _side_by_side(src, shifts, chi_star, q, s, y, n_values):
     cstar = chi_star.modulus
     deg = src.degree
@@ -222,6 +183,18 @@ def test_gl2_side_by_side_with_certified_tail():
     shifts = (1j, -1j)
     src = isobaric_source(2, shifts, 2 * y + 10)
     _side_by_side(src, shifts, primitive_characters(4)[0], (), -1.5, y, (1, 3, 7))
+
+
+def test_gl4_side_by_side_reaches_the_middle_slots():
+    # degree 4 is the smallest degree whose A-index template has a middle
+    # slot e_2 q_1 / e_1; the layer sizes (2, 1) and (1, 2) tell it apart
+    # from its mirror image
+    y = 600
+    shifts = (1j, 0j, 0j, -1j)
+    src = isobaric_source(4, shifts, 2 * y + 10)
+    for cstar in (4, 3):
+        for q in ((2, 1), (1, 2)):
+            _side_by_side(src, shifts, primitive_characters(cstar)[0], q, -1.5, y, (1, 2, 3, 6))
 
 
 def test_tail_bound_shrinks_and_rejects_raw_tables():
