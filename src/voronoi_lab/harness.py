@@ -52,7 +52,9 @@ from .lfunctions import (
     GammaFactorSpec,
     LValueRequest,
     functional_equation_check,
+    g_pm_arguments,
     g_pm_eval,
+    gamma_pole,
     twisted_l_isobaric,
 )
 from .residues import divisor_count, euler_phi, primes_up_to, unit_residues
@@ -370,9 +372,12 @@ class SweepConfig:
                     f"ranges.{key}: unknown range for suite {self.suite!r}; "
                     f"known ranges: " + ", ".join(sorted(allowed))
                 )
-        for key, check in _SUITES[self.suite].range_checks.items():
+        spec = _SUITES[self.suite]
+        for key, check in spec.range_checks.items():
             if key in self.ranges:
                 check(self.ranges[key], f"ranges.{key}")
+        if spec.joint_check is not None:
+            spec.joint_check({**spec.defaults, **self.ranges})
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError("seed: expected an integer")
         if not 0 <= self.seed <= _UINT64_MAX:
@@ -573,6 +578,8 @@ class _SuiteSpec:
     builder: object  # (ranges, tolerance, config) -> list[callable]
     # range name -> check(value, label) raising ConfigError; run on overrides
     range_checks: dict = field(default_factory=dict)
+    # check(ranges) raising ConfigError, run on the effective ranges after range_checks
+    joint_check: object = None
 
 
 def _gauss_units(ranges, tol, config):
@@ -1121,6 +1128,37 @@ def _voronoi_units(ranges, tol, config):
     return units
 
 
+def _check_lfunc_gamma_poles(ranges) -> None:
+    """Reject an s at which g_pm_eval would meet a Gamma pole for a character in range.
+
+    The Gamma arguments depend on s, the shift set and the parity delta of the
+    twist, so a pole only matters when a primitive character of that parity
+    has a conductor in [cstar_min, cstar_max].
+    """
+    shift_sets = [_as_shift_set(v, "ranges.shift_sets") for v in ranges["shift_sets"]]
+    for value in ranges["s_values"]:
+        s = _as_complex(value, "ranges.s_values")
+        for delta in (0, 1):
+            if not any(
+                gamma_pole(z) is not None
+                for shifts in shift_sets
+                for pair in g_pm_arguments(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
+                for z in pair
+            ):
+                continue
+            parity = 1 if delta == 0 else -1
+            if any(
+                chi.parity == parity
+                for cstar in range(ranges["cstar_min"], ranges["cstar_max"] + 1)
+                for chi in primitive_characters(cstar)
+            ):
+                kind = "even" if delta == 0 else "odd"
+                raise ConfigError(
+                    f"ranges.s_values: s = {value} puts a Gamma factor of the {kind} "
+                    f"functional equation within 1e-6 of a pole"
+                )
+
+
 def _lfunc_units(ranges, tol, config):
     shift_sets = [_as_shift_set(v, "ranges.shift_sets") for v in ranges["shift_sets"]]
     cstar_min = ranges["cstar_min"]
@@ -1329,6 +1367,7 @@ for _spec in (
             "cstar_max": _check_int(2),
             "s_values": _check_each(_as_complex, "numbers or [re, im] pairs"),
         },
+        _check_lfunc_gamma_poles,
     ),
 ):
     _SUITES[_spec.name] = _spec

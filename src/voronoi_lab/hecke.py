@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .residues import divisors, factorize, primes_up_to
+from .residues import divisors, factorize, primes_up_to, valuation
 
 _DET_TOL = 1e-12
 
@@ -248,6 +248,109 @@ class CoefficientSource:
             out *= self._block(p, tuple(reversed(evec)))
         self._memo[m] = out
         return out
+
+    def _block_or_nan(self, p: int, kvec: tuple[int, ...]) -> complex:
+        """_block, with NaN for a block that cannot be formed (coefficient_row re-reads those)."""
+        try:
+            return self._block(p, kvec)
+        except ValueError:
+            return complex(math.nan, math.nan)
+
+    def _base_row(self, pos: int, x: int) -> np.ndarray:
+        """A with slot pos equal to e and every other slot 1, e = 0..x (entry 0 is 0).
+
+        One sieve: each prime p <= sqrt(x) writes its blocks into the multiples
+        of p, exact valuation last; every larger prime divides its multiples
+        once, so those are written for all of them at once, one cofactor j at
+        a time.  Blocks multiply in ascending prime order, as in coefficient.
+        """
+        key = ("base", pos, x)
+        row = self._row_cache.get(key)
+        if row is not None:
+            return row
+
+        def block(p: int, k: int) -> complex:
+            evec = [0] * (self.degree - 1)
+            evec[pos] = k
+            return self._block_or_nan(p, tuple(reversed(evec)))
+
+        row = np.ones(x + 1, dtype=complex)
+        row[0] = 0
+        primes = np.array(primes_up_to(x), dtype=np.int64)
+        split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
+        for p in primes[:split].tolist():
+            factor = np.full(x // p, block(p, 1))
+            pk, k = p, 1
+            while pk * p <= x:
+                k += 1
+                factor[pk - 1 :: pk] = block(p, k)
+                pk *= p
+            row[p::p] *= factor
+        big = primes[split:]
+        if big.size:
+            b1 = np.array([block(p, 1) for p in big.tolist()])
+            for j in range(1, x // int(big[0]) + 1):
+                stop = int(np.searchsorted(big, x // j, side="right"))
+                row[j * big[:stop]] *= b1[:stop]
+        row.flags.writeable = False
+        self._row_cache[key] = row
+        return row
+
+    def coefficient_row(
+        self, prefix: tuple[int, ...], suffix: tuple[int, ...], x: int, scale: int = 1
+    ) -> np.ndarray:
+        """Read-only complex128[x+1] whose entry e is A(prefix, scale*e, suffix); entry 0 is 0.
+
+        The same values as coefficient, built with array operations: split e into
+        its part over the primes of the fixed slots and of scale, and the rest
+        e'.  The entry is the base row (_base_row) at e' times one block per
+        fixed prime.  A raw table's explicit entries override the product, as
+        in coefficient, and an entry whose blocks cannot be formed is re-read
+        through coefficient, which raises the same error.
+        """
+        key = (tuple(prefix), tuple(suffix), x, scale)
+        row = self._row_cache.get(key)
+        if row is not None:
+            return row
+        prefix = tuple(int(v) for v in prefix)
+        suffix = tuple(int(v) for v in suffix)
+        scale, x = int(scale), int(x)
+        fixed = prefix + (scale,) + suffix
+        if len(fixed) != self.degree - 1:
+            raise ValueError(f"need {self.degree - 1} indices, got {len(fixed)}")
+        if any(v < 1 for v in fixed):
+            raise ValueError("indices must be >= 1")
+        if x < 0:
+            raise ValueError("row length x must be >= 0")
+        pos = len(prefix)
+        rest = np.arange(x + 1, dtype=np.int64)  # e stripped of the fixed primes
+        factor = np.ones(x + 1, dtype=complex)
+        for p in sorted({p for v in fixed for p, _ in factorize(v)}):
+            exps = [valuation(v, p) for v in fixed]
+            val = np.zeros(x + 1, dtype=np.int64)
+            pk = p
+            while pk <= x:
+                val[pk::pk] += 1
+                pk *= p
+            table = []
+            for k in range(int(val.max()) + 1):
+                evec = list(exps)
+                evec[pos] += k
+                table.append(self._block_or_nan(p, tuple(reversed(evec))))
+            factor *= np.array(table)[val]
+            rest //= p**val
+        row = self._base_row(pos, x)[rest] * factor
+        row[0] = 0
+        if self.kind == "raw-table":
+            for m, value in tuple(self._table.items()):
+                if len(m) == len(fixed) and m[:pos] == prefix and m[pos + 1 :] == suffix:
+                    if m[pos] % scale == 0 and m[pos] // scale <= x:
+                        row[m[pos] // scale] = value
+        for bad in np.flatnonzero(np.isnan(row)).tolist():
+            row[bad] = self.coefficient(prefix + (scale * bad,) + suffix)
+        row.flags.writeable = False
+        self._row_cache[key] = row
+        return row
 
     def dual_coefficient(self, m: tuple[int, ...]) -> complex:
         """B(m) = A with the index tuple reversed."""

@@ -30,7 +30,9 @@ __all__ = [
     "bernoulli_number",
     "dirichlet_l",
     "functional_equation_check",
+    "g_pm_arguments",
     "g_pm_eval",
+    "gamma_pole",
     "hurwitz_zeta",
     "log_gamma",
     "twisted_l_isobaric",
@@ -225,12 +227,19 @@ def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> com
     return c ** (-s) * _csum(terms)
 
 
+def gamma_pole(z) -> int | None:
+    """The pole of Gamma (0, -1, -2, ...) within 1e-6 of z, or None."""
+    z = complex(z)
+    nearest = round(z.real)
+    return nearest if nearest <= 0 and abs(z - nearest) < _POLE_TOL else None
+
+
 def log_gamma(z, precision: int | None = None) -> complex:
     """Principal-branch log Gamma; rejects arguments within 1e-6 of a pole."""
     z = complex(z)
-    nearest = round(z.real)
-    if nearest <= 0 and abs(z - nearest) < _POLE_TOL:
-        raise ValueError(f"log_gamma: argument within 1e-6 of the pole at {nearest}")
+    pole = gamma_pole(z)
+    if pole is not None:
+        raise ValueError(f"log_gamma: argument within 1e-6 of the pole at {pole}")
     if precision is not None:
         import mpmath as mp
 
@@ -262,6 +271,15 @@ class GammaFactorSpec:
 _I_NEG_POWERS = (1 + 0j, -1j, -1 + 0j, 1j)
 
 
+def g_pm_arguments(s, spec: GammaFactorSpec) -> list[tuple[complex, complex]]:
+    """(numerator, denominator) Gamma arguments of g_pm_eval, one pair per lambda_j."""
+    s = complex(s)
+    return [
+        ((spec.delta + 1.0 - s - lam.conjugate()) / 2.0, (spec.delta + s - lam) / 2.0)
+        for lam in spec.lambdas
+    ]
+
+
 def g_pm_eval(s, spec: GammaFactorSpec, precision: int | None = None) -> complex:
     """Ratio of Gamma factors
     G(s) = i^{-N delta} pi^{-N(1/2-s)} prod_j Gamma((delta+1-s-conj(lambda_j))/2)
@@ -286,9 +304,7 @@ def g_pm_eval(s, spec: GammaFactorSpec, precision: int | None = None) -> complex
                 acc += mp.loggamma(num) - mp.loggamma(den)
             return complex(_I_NEG_POWERS[(n_deg * delta) % 4] * mp.exp(acc))
     log_acc = n_deg * (s - 0.5) * math.log(math.pi)
-    for lam in spec.lambdas:
-        num = (delta + 1.0 - s - lam.conjugate()) / 2.0
-        den = (delta + s - lam) / 2.0
+    for num, den in g_pm_arguments(s, spec):
         log_acc += log_gamma(num) - log_gamma(den)
     return _I_NEG_POWERS[(n_deg * delta) % 4] * cmath.exp(log_acc)
 

@@ -53,6 +53,18 @@ def mobius(n: int) -> int:
     return mu
 
 
+@lru_cache(maxsize=8)
+def mobius_sieve(n: int) -> np.ndarray:
+    """Read-only int8[n+1] holding mu(m) at index m = 1..n; index 0 is 0."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes_up_to(n):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    mu.flags.writeable = False
+    return mu
+
+
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""

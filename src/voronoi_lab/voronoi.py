@@ -29,7 +29,7 @@ from .exponential_sums import (
 from .hecke import CoefficientSource
 from .lfunctions import LValueRequest, dirichlet_l, hurwitz_zeta, twisted_l_isobaric
 from .numeric import roots_of_unity
-from .residues import divisor_count, divisors, mobius
+from .residues import divisor_count, divisors, mobius, mobius_sieve
 
 __all__ = [
     "VoronoiInstance",
@@ -133,24 +133,6 @@ def _induced(chi_star: DirichletCharacter, c: int) -> DirichletCharacter:
     return induce(chi_star, c)
 
 
-def _coefficient_row(
-    source: CoefficientSource,
-    prefix: tuple[int, ...],
-    suffix: tuple[int, ...],
-    x: int,
-) -> np.ndarray:
-    """A(prefix, n, suffix) for n = 1..x, cached per source."""
-    key = (prefix, suffix, x)
-    row = source._row_cache.get(key)
-    if row is None:
-        row = np.zeros(x + 1, dtype=complex)
-        for n in range(1, x + 1):
-            row[n] = source.coefficient(prefix + (n,) + suffix)
-        row.flags.writeable = False
-        source._row_cache[key] = row
-    return row
-
-
 def parity_gamma(chi_star: DirichletCharacter, g_plus, g_minus) -> complex:
     """The Gamma-ratio value matched to the twist parity: G+ if even, G- if odd."""
     return complex(g_plus) if chi_star.parity == 1 else complex(g_minus)
@@ -162,7 +144,7 @@ def parity_gamma(chi_star: DirichletCharacter, g_plus, g_minus) -> complex:
 def lq_additive_coefficients(inst: VoronoiInstance) -> np.ndarray:
     """Coefficients A(q_{N-2},...,q_1,n) e(a_bar n / c) of the n^{-s} series."""
     _require_additive(inst)
-    row = _coefficient_row(inst.source, tuple(reversed(inst.q)), (), inst.truncation)
+    row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), inst.truncation)
     roots = roots_of_unity(inst.c)
     phases = roots[(inst.abar * np.arange(inst.truncation + 1)) % inst.c]
     return row * phases
@@ -191,7 +173,7 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s, g_plus, g_minus) -> np.nd
         weight = 1 + 0j
         for i, di in enumerate(d_vec, start=1):
             weight *= di ** ((n_deg - i) * s) / di
-        row = _coefficient_row(inst.source, (), tuple(reversed(d_vec)), x)
+        row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
         for n in range(1, x + 1):
             a_val = row[n]
             if a_val == 0:
@@ -212,7 +194,7 @@ def h_coefficients(inst: VoronoiInstance) -> np.ndarray:
     character averaging the additive coefficients lands exactly on this vector.
     """
     _require_character(inst)
-    row = _coefficient_row(inst.source, tuple(reversed(inst.q)), (), inst.truncation)
+    row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), inst.truncation)
     gvec = gauss_sum_vector(inst.chi_star.conjugate(), inst.c)
     idx = np.arange(inst.truncation + 1) % inst.c
     return row * gvec[idx]
@@ -269,7 +251,7 @@ def g_coefficients(inst: VoronoiInstance, s, g_value) -> np.ndarray:
         weight = g_prod
         for i, di in enumerate(d_vec, start=1):
             weight *= di ** ((n_deg - i) * s) / di
-        row = _coefficient_row(inst.source, (), tuple(reversed(d_vec)), x)
+        row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
         g_tail = gauss_sum_vector(chi_star, m_last)
         idx = np.arange(x + 1) % m_last
         out += weight * row * g_tail[idx]
@@ -456,7 +438,7 @@ def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> comp
     n_deg = inst.degree
     if n_deg == 2:
         gvec = gauss_sum_vector(chi_star, n * cstar)
-        row = _coefficient_row(inst.source, (), (), y)
+        row = inst.source.coefficient_row((), (), y)
         h_arr = np.arange(y + 1, dtype=np.float64)
         h_arr[0] = 1.0
         weights = h_arr ** (s - 1)
@@ -464,20 +446,19 @@ def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> comp
         inner = complex(np.sum(row[1:] * weights[1:] * gvec[idx][1:]))
         return complex(prefactor) / tau(chi_star) * inner
     vv_bar = chi_star.value_vector.conjugate()
+    e_free = np.arange(1, y + 1, dtype=np.int64)
     acc = 0j
     for prod_rest, free_ratio, mid, last in _b_n_layers(inst, n):
-        for e_free in range(1, y + 1):
-            prod_e = prod_rest * e_free
-            v = vv_bar[prod_e % cstar]
-            if v == 0:
-                continue
-            a_val = inst.source.coefficient((e_free * free_ratio,) + mid + (last,))
-            if a_val == 0:
-                continue
-            acc += v * prod_e ** (s - 1) * a_val
+        row = inst.source.coefficient_row((), mid + (last,), y, scale=free_ratio)[1:]
+        prod_e = prod_rest * e_free
+        v = vv_bar[prod_e % cstar]
+        keep = v != 0
+        weights = prod_e[keep].astype(np.float64) ** (s - 1)
+        acc += complex(np.sum(v[keep] * weights * row[keep]))
     return complex(prefactor) * n**s * acc
 
 
+@lru_cache(maxsize=64)
 def _rankin_tail(k: int, t: float, y: int) -> float:
     """Rigorous bound on sum_{m>Y} d_k(m) m^{-t}: min over u of Y^{u-t} zeta(u)^k."""
     if t <= 1.05:
@@ -529,15 +510,11 @@ def b_n_tail_bound(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> float
 
 def _mobius_character_prefix(chi_values: np.ndarray, cstar: int, exponent: complex, x: int) -> np.ndarray:
     """Prefix sums of chi(m) mu(m) m^exponent for m = 1..x (index 0 is 0)."""
+    m = np.arange(x + 1, dtype=np.int64)
+    coef = mobius_sieve(x) * chi_values[m % cstar]
+    keep = np.flatnonzero(coef)
     vals = np.zeros(x + 1, dtype=complex)
-    for m in range(1, x + 1):
-        mu = mobius(m)
-        if mu == 0:
-            continue
-        v = chi_values[m % cstar]
-        if v == 0:
-            continue
-        vals[m] = mu * v * m**exponent
+    vals[keep] = coef[keep] * m[keep].astype(np.float64) ** exponent
     return np.cumsum(vals)
 
 
@@ -558,7 +535,7 @@ def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
     w = complex(w)
     chi_star = inst.chi_star
     cstar = chi_star.modulus
-    row = _coefficient_row(inst.source, tuple(reversed(inst.q)), (), x)
+    row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), x)
     l_twist = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
     l_den = dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
     via_l = _dirichlet_eval(row, 2 * w - s) * l_twist / l_den
@@ -570,6 +547,7 @@ def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
     if inst.degree == 2:
         via_l /= dirichlet_l(2 * w, chi_star)
         k_prefix = _mobius_character_prefix(chi_star.value_vector, cstar, -2 * w, x)
+        mu_list = mobius_sieve(x).tolist()
         acc = 0j
         for j in range(1, x + 1):
             a_val = row[j]
@@ -577,7 +555,7 @@ def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
                 continue
             inner = 0j
             for m in range(1, x // j + 1):
-                mu = mobius(m)
+                mu = mu_list[m]
                 if mu == 0:
                     continue
                 v = chi_star.value_vector[m % cstar].conjugate()
@@ -611,7 +589,7 @@ def z_probe_bound(inst: VoronoiInstance, s, w, x: int) -> float:
     w = complex(w)
     chi_star = inst.chi_star
     cstar = chi_star.modulus
-    row = np.abs(_coefficient_row(inst.source, tuple(reversed(inst.q)), (), x))
+    row = np.abs(inst.source.coefficient_row(tuple(reversed(inst.q)), (), x))
     l_twist = abs(twisted_l_isobaric(LValueRequest(s, chi_star, shifts)))
     d_pow = np.arange(1, x + 1, dtype=np.float64) ** (s.real - 2 * w.real)
     m_prefix = _mobius_character_prefix(
@@ -625,13 +603,14 @@ def z_probe_bound(inst: VoronoiInstance, s, w, x: int) -> float:
         k_prefix = _mobius_character_prefix(chi_star.value_vector, cstar, -2 * w, 4 * x)
         k_inf = 1 / dirichlet_l(2 * w, chi_star)
         k_anchor = abs(k_prefix[4 * x] - k_inf) + 1e-12 * (1 + abs(k_inf))
+        mu_list = mobius_sieve(x).tolist()
         total = 0.0
         for j in range(1, x + 1):
             if row[j] == 0:
                 continue
             inner = 0.0
             for m in range(1, x // j + 1):
-                if mobius(m) == 0 or chi_star.value_vector[m % cstar] == 0:
+                if mu_list[m] == 0 or chi_star.value_vector[m % cstar] == 0:
                     continue
                 k_err = abs(k_prefix[4 * x] - k_prefix[x // (j * m)]) + k_anchor
                 inner += m ** (2 * s.real - 1 - 2 * w.real) * k_err

@@ -186,6 +186,8 @@ def test_range_validation_beyond_kloosterman():
         ("voronoi-core", {"probe_points": [[2.5]]}, "ranges.probe_points"),
         ("lfunc", {"s_values": [[0.5, "i"]]}, "ranges.s_values"),
         ("lfunc", {"shift_sets": [[1, 0]]}, "ranges.shift_sets"),
+        ("lfunc", {"s_values": [[-1, 0]]}, "ranges.s_values"),  # odd twists: pole at 0
+        ("lfunc", {"s_values": [1e-7], "cstar_min": 5, "cstar_max": 5}, "ranges.s_values"),
     ]
     for suite, ranges, field in bad:
         with pytest.raises(ConfigError, match=field):
@@ -213,6 +215,10 @@ def test_range_validation_beyond_kloosterman():
             },
         ),
         ("lfunc", {"shift_sets": [[0]], "s_values": [1.5, [0.25, 2]]}),
+        # conductors 3 and 4 have only odd primitive characters, whose Gamma
+        # factors are finite at s = 0 and s = 1
+        ("lfunc", {"s_values": [0, 1], "cstar_min": 3, "cstar_max": 4}),
+        ("lfunc", {"s_values": [0.5, [0, 1e-3]]}),
     ]
     for suite, ranges in good:
         SweepConfig(suite=suite, ranges=ranges).validate()
@@ -344,12 +350,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         ("voronoi-core", {"q_values": [[0]]}, "ranges.q_values"),
         ("voronoi-core", {"s": [0.5, 0]}, "ranges.s"),
         ("gauss-lemmas", {"lemmas": ["9.9"]}, "ranges.lemmas"),
+        # s = 0 and s = 1 put a Gamma argument of the even functional equation on its pole at 0
+        ("lfunc", {"s_values": [0]}, "ranges.s_values"),
+        ("lfunc", {"s_values": [1]}, "ranges.s_values"),
     )
     for suite, ranges, field in probes:
         bad_range = tmp_path / "bad_range.json"
         bad_range.write_text(json.dumps({"suite": suite, "ranges": ranges}))
         assert cli.main(["--config", str(bad_range)]) == 2, (suite, ranges)
         assert field in capsys.readouterr().err
+    half = tmp_path / "half.json"
+    half.write_text(json.dumps({"suite": "lfunc", "ranges": {"s_values": [0.5], "cstar_max": 5}}))
+    assert cli.main(["--config", str(half), "--out", str(tmp_path / "half_report.json")]) == 0
 
 
 def test_report_from_dict_rejects_tampered_summary(tmp_path):

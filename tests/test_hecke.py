@@ -162,3 +162,81 @@ def test_source_kinds_and_index_validation():
         random_satake_source(3, 10, 1).coefficient((2,))  # arity
     with pytest.raises(ValueError):
         random_satake_source(3, 10, 1).coefficient((0, 1))  # nonpositive index
+
+
+def _scalar_row(src, prefix, suffix, x, scale=1):
+    row = np.zeros(x + 1, dtype=complex)
+    for e in range(1, x + 1):
+        row[e] = src.coefficient(prefix + (scale * e,) + suffix)
+    return row
+
+
+def _row_sources():
+    bound = 600
+    yield random_satake_source(2, bound, 41)
+    yield random_satake_source(3, bound, 42)
+    yield random_satake_source(4, bound, 43)
+    yield isobaric_source(2, (1j, -1j), bound)
+    yield isobaric_source(3, (1j, 0j, -1j), bound)
+    yield isobaric_source(4, (2j, 1j, -1j, -2j), bound)
+    yield rankin_selberg_source(random_satake(2, bound, 44), random_satake(2, bound, 45))
+
+
+@pytest.mark.parametrize("src", list(_row_sources()), ids=lambda s: f"{s.kind}-{s.degree}")
+def test_coefficient_row_matches_scalar_reads(src):
+    # every slot position varies in turn; the others are held at values whose
+    # primes overlap the row's (2, 3, 5) or are all 1
+    x = 500
+    slots = src.degree - 1
+    for fixed in ((1,) * slots, (18, 10, 9)[:slots], (4, 7, 25)[:slots]):
+        for pos in range(slots):
+            prefix, suffix = fixed[:pos], fixed[pos + 1 : slots]
+            row = src.coefficient_row(prefix, suffix, x)
+            assert row.shape == (x + 1,) and row[0] == 0 and not row.flags.writeable
+            np.testing.assert_allclose(row, _scalar_row(src, prefix, suffix, x), rtol=1e-13, atol=0)
+            assert src.coefficient_row(prefix, suffix, x) is row
+
+
+def test_coefficient_row_scale_shares_primes_with_a_fixed_slot():
+    src = random_satake_source(3, 6000, 46)
+    x = 400
+    for prefix, suffix, scale in (((), (18,), 12), ((18,), (), 12), ((), (1,), 12), ((), (7,), 8)):
+        row = src.coefficient_row(prefix, suffix, x, scale=scale)
+        np.testing.assert_allclose(
+            row, _scalar_row(src, prefix, suffix, x, scale), rtol=1e-13, atol=0
+        )
+
+
+def test_coefficient_row_on_raw_tables():
+    # seeded draws: the same values as scalar reads of an identically seeded
+    # source that never built a row
+    row = raw_table_source(3, seed=23).coefficient_row((), (12,), 300, scale=2)
+    want = _scalar_row(raw_table_source(3, seed=23), (), (12,), 300, 2)
+    np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
+    # an explicit composite entry overrides the multiplicative product
+    table = {(1, 2): 2 + 0j, (1, 3): 3j, (1, 4): -1 + 0j, (1, 5): 0.5 + 0j, (1, 6): 9 + 9j}
+    src = raw_table_source(3, table=dict(table))
+    row = src.coefficient_row((1,), (), 6)
+    assert list(row) == [0, 1, 2, 3j, -1, 0.5, 9 + 9j]
+    assert src.coefficient((1, 6)) == 9 + 9j
+    # a missing entry raises what the scalar read raises
+    with pytest.raises(ValueError) as scalar_err:
+        raw_table_source(3, table=dict(table)).coefficient((1, 7))
+    with pytest.raises(ValueError) as row_err:
+        raw_table_source(3, table=dict(table)).coefficient_row((1,), (), 7)
+    assert str(row_err.value) == str(scalar_err.value)
+    # a row whose every entry is an explicit full tuple needs no prime block
+    src = raw_table_source(3, table={(6, 1): 1j, (6, 2): -2 + 0j})
+    assert list(src.coefficient_row((6,), (), 2)) == [0, 1j, -2]
+
+
+def test_coefficient_row_validation():
+    src = random_satake_source(3, 50, 1)
+    with pytest.raises(ValueError):
+        src.coefficient_row((), (), 10)  # arity
+    with pytest.raises(ValueError):
+        src.coefficient_row((), (0,), 10)  # nonpositive fixed slot
+    with pytest.raises(ValueError):
+        src.coefficient_row((), (1,), 10, scale=0)
+    with pytest.raises(ValueError):
+        src.coefficient_row((), (1,), 60)  # primes beyond the parameter table, as coefficient

@@ -14,6 +14,7 @@ from voronoi_lab.residues import (
     inverse_mod,
     inverse_table,
     mobius,
+    mobius_sieve,
     primes_up_to,
     primitive_root,
     unit_residues,
@@ -51,6 +52,14 @@ def test_mobius_brute():
     # sum over divisors collapses to the unit impulse
     for n in range(1, 200):
         assert sum(mobius(d) for d in divisors(n)) == (1 if n == 1 else 0)
+
+
+def test_mobius_sieve_matches_mobius():
+    n = 10_000
+    mu = mobius_sieve(n)
+    assert mu.shape == (n + 1,) and mu[0] == 0 and not mu.flags.writeable
+    assert mu.tolist()[1:] == [mobius(m) for m in range(1, n + 1)]
+    assert mobius_sieve(1).tolist() == [0, 1]
 
 
 def test_divisors_sorted_complete():

@@ -1,5 +1,6 @@
 """Truncated series identities: averaging, collapse, a_n = b_n, z probe."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ from voronoi_lab.lfunctions import (
     g_pm_eval,
     twisted_l_isobaric,
 )
-from voronoi_lab.residues import divisor_count, euler_phi, unit_residues
+from voronoi_lab.residues import divisor_count, divisors, euler_phi, unit_residues
 from voronoi_lab.voronoi import (
     VoronoiInstance,
     a_n_coefficient,
@@ -195,6 +196,47 @@ def test_gl4_side_by_side_reaches_the_middle_slots():
     for cstar in (4, 3):
         for q in ((2, 1), (1, 2)):
             _side_by_side(src, shifts, primitive_characters(cstar)[0], q, -1.5, y, (1, 2, 3, 6))
+
+
+def _b_n_scalar_loop(inst, n, s, prefactor, y):
+    """b_n for degree >= 3 the way it was first written: one scalar A-read per term."""
+    s = complex(s)
+    cstar = inst.chi_star.modulus
+    vv_bar = inst.chi_star.value_vector.conjugate()
+    acc = 0j
+    for e_rest in itertools.product(*(divisors(qi) for qi in inst.q)):
+        prod_rest = math.prod(e_rest)
+        free_ratio = inst.q[-1] // e_rest[-1]
+        mid = tuple(
+            e_rest[inst.degree - j - 1] * inst.q[inst.degree - j - 2] // e_rest[inst.degree - j - 2]
+            for j in range(2, inst.degree - 1)
+        )
+        last = e_rest[0] * n
+        for e_free in range(1, y + 1):
+            v = vv_bar[prod_rest * e_free % cstar]
+            if v == 0:
+                continue
+            a_val = inst.source.coefficient((e_free * free_ratio,) + mid + (last,))
+            acc += v * (prod_rest * e_free) ** (s - 1) * a_val
+    return complex(prefactor) * n**s * acc
+
+
+@pytest.mark.parametrize(
+    "shifts, qs",
+    [((1j, 0j, -1j), ((1,), (2,), (6,))), ((1j, 0j, 0j, -1j), ((2, 1), (1, 2), (2, 3)))],
+    ids=["gl3", "gl4"],
+)
+def test_b_n_matches_the_scalar_loop(shifts, qs):
+    y, s = 700, -1.5 + 0.5j
+    src = isobaric_source(len(shifts), shifts, 20 * y)
+    for cstar in (4, 5):
+        chi = primitive_characters(cstar)[-1]
+        for q in qs:
+            inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+            for n in (1, 2, 6, 7):
+                got = b_n_coefficient(inst, n, s, 1.0, y)
+                want = _b_n_scalar_loop(inst, n, s, 1.0, y)
+                assert abs(got - want) <= 1e-13 * abs(want), (cstar, q, n)
 
 
 def test_tail_bound_shrinks_and_rejects_raw_tables():
