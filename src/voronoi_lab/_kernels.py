@@ -1,13 +1,14 @@
 """The hyper-Kloosterman layer kernel.
 
 The only performance-critical inner loop in the package is the layered
-evaluation of hyper-Kloosterman vectors (one layer per nested summation
-variable).  It is a gather over a units x m_prev index matrix rather than a
-length-m_prev FFT: at the layer moduli of the benchmark workloads (at most
-135) the FFT route measured slower end to end.
+evaluation of hyper-Kloosterman tables (one layer per nested summation
+variable).  A layer is one matrix product: the m_prev x units block of roots
+e(d*u*r / m_prev), gathered from the root table, times the tail rows at the
+unit inverses.  The tail carries one column per n, so every n of a divisor
+chain goes through the layer in one BLAS call.
 
 All index arithmetic stays far below 2^63: moduli in sweeps are < 10^6 and
-the products formed here are (d * x) % m_prev with both factors < m_prev^2.
+the products formed here are r * ((d * u) % m_prev) with both factors < m_prev.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def kl_layer(
     """One summation layer of the hyper-Kloosterman recursion.
 
     out[r] = sum over units x (with precomputed inverses) of
-             e(d*x*r / m_prev) * tail[x^-1],  r = 0..m_prev-1.
+             e(d*x*r / m_prev) * tail[x^-1],  r = 0..m_prev-1,
+    for a 1-D tail, and column by column for a 2-D tail.
     """
     base = (d % m_prev) * units % m_prev
-    weights = tail[invs]
-    idx = base[:, None] * np.arange(m_prev, dtype=np.int64)[None, :] % m_prev
-    return (weights[:, None] * roots_prev[idx]).sum(axis=0)
+    r = np.arange(m_prev, dtype=np.int64)
+    return roots_prev[r[:, None] * base[None, :] % m_prev] @ tail[invs]

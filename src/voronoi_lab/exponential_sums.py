@@ -142,10 +142,6 @@ class KloostermanSpec:
             m = qi * m // di
 
     @property
-    def degree(self) -> int:
-        return len(self.q) + 2
-
-    @property
     def moduli(self) -> tuple[int, ...]:
         """(M_0, ..., M_K): M_0 = c, M_i = q_i M_{i-1} / d_i."""
         mods = [self.c]
@@ -185,52 +181,24 @@ def hyper_kloosterman(spec: KloostermanSpec) -> complex:
     return complex(layer(1, spec.a % spec.c))
 
 
-_kl_vector_cache: dict[tuple, np.ndarray] = {}
+def kloosterman_vector(n_values, c: int, q: tuple[int, ...], d: tuple[int, ...]) -> np.ndarray:
+    """table[a, t] = Kl(a, n_values[t], c; q, d) for a = 0..c-1 (junk at non-units).
 
-
-def clear_kloosterman_cache() -> None:
-    _kl_vector_cache.clear()
-
-
-def kloosterman_vector(n: int, c: int, q: tuple[int, ...], d: tuple[int, ...]) -> np.ndarray:
-    """vec[a] = Kl(a, n, c; q, d) for all a = 0..c-1 (junk at non-units).
-
-    Evaluated layer by layer from the innermost variable outward, so the cost
-    is a sum of phi(M_i) * M_{i-1} products instead of the full nested count.
-    Intermediate layers are memoized across calls keyed by the tail of
-    (modulus, d_i) pairs they depend on; entries at non-unit indices a are
-    not meaningful.
+    Kl depends on n only through n mod M_K, so the innermost block is
+    e(x r_t / M_K) with r_t = n_t mod M_K reduced as a Python int (any n is
+    exact).  The K layers are then applied from the innermost variable
+    outward, each one matrix product over all columns, so the cost is a sum of
+    M_{i-1} * phi(M_i) * len(n_values) products instead of the nested count.
     """
-    spec = KloostermanSpec(1, n, c, tuple(q), tuple(d))  # validates the chain
-    mods = spec.moduli
-    k = len(q)
-    if k == 0:
-        return roots_of_unity(c)[(n % c) * np.arange(c, dtype=np.int64) % c]
-
-    keys: list = [None] * (k + 2)
-    keys[k + 1] = (mods[k], n % mods[k])
-    for i in range(k, 0, -1):
-        keys[i] = (mods[i - 1], d[i - 1] % mods[i - 1], keys[i + 1])
-
-    tail = None
-    start = k + 1
-    for i in range(1, k + 1):  # outermost cached level wins
-        hit = _kl_vector_cache.get(keys[i])
-        if hit is not None:
-            tail, start = hit, i
-            break
-    if tail is None:
-        m = mods[k]
-        tail = roots_of_unity(m)[(n % m) * np.arange(m, dtype=np.int64) % m]
-        start = k + 1
-    for i in range(start - 1, 0, -1):
-        m = mods[i]
-        units = unit_residues(m)
-        invs = inverse_table(m)[units]
-        out = kl_layer(units, invs, d[i - 1], mods[i - 1], roots_of_unity(mods[i - 1]), tail)
-        out.setflags(write=False)
-        _kl_vector_cache[keys[i]] = out
-        tail = out
+    q, d = tuple(q), tuple(d)
+    mods = KloostermanSpec(1, 0, c, q, d).moduli  # validates the chain
+    m = mods[-1]
+    r = np.array([n % m for n in n_values], dtype=np.int64)
+    tail = roots_of_unity(m)[np.arange(m, dtype=np.int64)[:, None] * r[None, :] % m]
+    for i in range(len(q), 0, -1):
+        units = unit_residues(mods[i])
+        invs = inverse_table(mods[i])[units]
+        tail = kl_layer(units, invs, d[i - 1], mods[i - 1], roots_of_unity(mods[i - 1]), tail)
     return tail
 
 

@@ -34,7 +34,6 @@ from .characters import (
 )
 from .exponential_sums import (
     average_kloosterman_closed_lemma34_table,
-    clear_kloosterman_cache,
     gauss_sum_closed_lemma22,
     gauss_sum_closed_lemma23,
     gauss_sum_vector,
@@ -697,8 +696,8 @@ def _kloosterman_units(ranges, tol, config):
             vv = np.stack([ch.value_vector for ch in chars])
             chains = list(kloosterman_divisor_chains(c, q))
             # Closed route: every (character, chain, n) of the unit in one
-            # array.  Direct route: one layered Kloosterman vector per
-            # (chain, n), averaged against all characters at once.
+            # array.  Direct route: one layered Kloosterman table per chain,
+            # every n at once, averaged against all characters at once.
             closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
             direct = np.empty_like(closed)
             scale = np.empty(len(chains))
@@ -707,8 +706,7 @@ def _kloosterman_units(ranges, tol, config):
                 for qi, di in zip(q, d):
                     mods.append(qi * mods[-1] // di)
                 scale[j] = math.sqrt(math.prod(mods))
-                for t, n in enumerate(n_values):
-                    direct[:, j, t] = vv @ kloosterman_vector(n, c, q, d)
+                direct[:, j, :] = vv @ kloosterman_vector(n_values, c, q, d)
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
             worst = _worst_points(rel)
@@ -732,9 +730,6 @@ def _kloosterman_units(ranges, tol, config):
                         tol,
                     )
                 )
-            # Chain vectors are only shared within one (c, q) box; drop them
-            # so long sweeps stay flat in memory.
-            clear_kloosterman_cache()
             return recs
 
         return run
@@ -912,7 +907,6 @@ def _equivalence_units(ranges, tol, config):
                 direct = _G_EVEN_PROBE * r10[a] + _G_ODD_PROBE * r01[a]
                 scale = max(1e-30, float(np.max(np.abs(direct))))
                 vec_case("reverse-dual", {"a": a}, rec_r, direct, scale)
-            clear_kloosterman_cache()
             return recs
 
         return run
@@ -1128,16 +1122,25 @@ def _voronoi_units(ranges, tol, config):
     return units
 
 
-def _check_lfunc_gamma_poles(ranges) -> None:
-    """Reject an s at which g_pm_eval would meet a Gamma pole for a character in range.
+def _check_lfunc_poles(ranges) -> None:
+    """Reject an s at which g_pm_eval or dirichlet_l would refuse to evaluate.
 
     The Gamma arguments depend on s, the shift set and the parity delta of the
-    twist, so a pole only matters when a primitive character of that parity
-    has a conductor in [cstar_min, cstar_max].
+    twist, so a Gamma pole only matters when a primitive character of that
+    parity has a conductor in [cstar_min, cstar_max].  The L-values sit at
+    s + s_i and 1 - s - s_i; dirichlet_l evaluates a nonprincipal L exactly at
+    1 but rejects any point within 1e-6 of 1 that is not on it.
     """
     shift_sets = [_as_shift_set(v, "ranges.shift_sets") for v in ranges["shift_sets"]]
     for value in ranges["s_values"]:
         s = _as_complex(value, "ranges.s_values")
+        # the same float operations as functional_equation_check's two requests
+        l_args = [z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)]
+        if any(abs(z - 1.0) < 1e-6 and z != 1.0 for z in l_args):
+            raise ConfigError(
+                f"ranges.s_values: s = {value} puts an L-value argument within 1e-6 "
+                f"of 1 without being exactly 1"
+            )
         for delta in (0, 1):
             if not any(
                 gamma_pole(z) is not None
@@ -1367,7 +1370,7 @@ for _spec in (
             "cstar_max": _check_int(2),
             "s_values": _check_each(_as_complex, "numbers or [re, im] pairs"),
         },
-        _check_lfunc_gamma_poles,
+        _check_lfunc_poles,
     ),
 ):
     _SUITES[_spec.name] = _spec

@@ -212,13 +212,6 @@ class UnitGroup:
         """lcm of the factor orders (1 for c in {1, 2})."""
         return reduce(math.lcm, (f.order for f in self.factors), 1)
 
-    def dlog_vector(self, u: int) -> tuple[int, ...]:
-        """Exponents of u on each factor; u must be a unit mod the modulus."""
-        u %= self.modulus
-        if math.gcd(u, self.modulus) != 1:
-            raise ValueError(f"{u} is not a unit mod {self.modulus}")
-        return tuple(int(f.dlog[u % f.prime_power]) for f in self.factors)
-
 
 @lru_cache(maxsize=None)
 def unit_group(c: int) -> UnitGroup:

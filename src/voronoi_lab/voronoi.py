@@ -168,19 +168,14 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s, g_plus, g_minus) -> np.nd
     for i, qi in enumerate(inst.q, start=1):
         qpow *= qi ** (-(n_deg - 1 - i) * s)
     out = np.zeros(x + 1, dtype=complex)
-    a_idx = inst.a % c
+    n_range = range(1, x + 1)
     for d_vec in kloosterman_divisor_chains(c, inst.q):
         weight = 1 + 0j
         for i, di in enumerate(d_vec, start=1):
             weight *= di ** ((n_deg - i) * s) / di
         row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
-        for n in range(1, x + 1):
-            a_val = row[n]
-            if a_val == 0:
-                continue
-            kl_pos = kloosterman_vector(n, c, inst.q, d_vec)[a_idx]
-            kl_neg = kloosterman_vector(-n, c, inst.q, d_vec)[a_idx]
-            out[n] += weight * a_val * (half_diff * kl_pos + half_sum * kl_neg)
+        kl = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, d_vec)[inst.a]
+        out[1:] += weight * row[1:] * (half_diff * kl[:x] + half_sum * kl[x:])
     return out * (qpow / c ** (n_deg * s - 1))
 
 
@@ -508,14 +503,27 @@ def b_n_tail_bound(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> float
 # -- the double-series probe -------------------------------------------------
 
 
-def _mobius_character_prefix(chi_values: np.ndarray, cstar: int, exponent: complex, x: int) -> np.ndarray:
-    """Prefix sums of chi(m) mu(m) m^exponent for m = 1..x (index 0 is 0)."""
+def _quotient_convolution(w: np.ndarray, t: np.ndarray, x: int) -> np.ndarray:
+    """S[y] = sum over 1 <= m <= y of w[m] t[y // m], at every y = x // j (0 elsewhere).
+
+    x // (j m) = (x // j) // m, so a double sum over j m <= x reads S[x // j];
+    x // j takes about 2 sqrt(x) values, each one array expression over m <= y.
+    """
+    m = np.arange(1, x + 1)
+    out = np.zeros(x + 1, dtype=np.result_type(w, t))
+    for y in np.unique(x // m):
+        out[y] = np.sum(w[1 : y + 1] * t[y // m[:y]])
+    return out
+
+
+def _mobius_character_terms(chi_values: np.ndarray, cstar: int, exponent: complex, x: int) -> np.ndarray:
+    """chi(m) mu(m) m^exponent for m = 0..x (index 0 is 0); its cumsum is the prefix."""
     m = np.arange(x + 1, dtype=np.int64)
     coef = mobius_sieve(x) * chi_values[m % cstar]
     keep = np.flatnonzero(coef)
     vals = np.zeros(x + 1, dtype=complex)
     vals[keep] = coef[keep] * m[keep].astype(np.float64) ** exponent
-    return np.cumsum(vals)
+    return vals
 
 
 def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
@@ -541,32 +549,17 @@ def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
     via_l = _dirichlet_eval(row, 2 * w - s) * l_twist / l_den
     d_arr = np.arange(1, x + 1, dtype=np.float64)
     d_pow = d_arr ** (s - 2 * w)
-    m_prefix = _mobius_character_prefix(
+    m_terms = _mobius_character_terms(
         chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, x
     )
     if inst.degree == 2:
         via_l /= dirichlet_l(2 * w, chi_star)
-        k_prefix = _mobius_character_prefix(chi_star.value_vector, cstar, -2 * w, x)
-        mu_list = mobius_sieve(x).tolist()
-        acc = 0j
-        for j in range(1, x + 1):
-            a_val = row[j]
-            if a_val == 0:
-                continue
-            inner = 0j
-            for m in range(1, x // j + 1):
-                mu = mu_list[m]
-                if mu == 0:
-                    continue
-                v = chi_star.value_vector[m % cstar].conjugate()
-                if v == 0:
-                    continue
-                inner += mu * v * m ** (2 * s - 1 - 2 * w) * k_prefix[x // (j * m)]
-            acc += a_val * d_pow[j - 1] * inner
-        via_a = l_twist * acc
-        return via_l, via_a
+        k_prefix = np.cumsum(_mobius_character_terms(chi_star.value_vector, cstar, -2 * w, x))
+        inner = _quotient_convolution(m_terms, k_prefix, x)
+    else:
+        inner = np.cumsum(m_terms)
     tail_idx = x // np.arange(1, x + 1)
-    via_a = l_twist * complex(np.sum(row[1:] * d_pow * m_prefix[tail_idx]))
+    via_a = l_twist * complex(np.sum(row[1:] * d_pow * inner[tail_idx]))
     return via_l, via_a
 
 
@@ -592,29 +585,22 @@ def z_probe_bound(inst: VoronoiInstance, s, w, x: int) -> float:
     row = np.abs(inst.source.coefficient_row(tuple(reversed(inst.q)), (), x))
     l_twist = abs(twisted_l_isobaric(LValueRequest(s, chi_star, shifts)))
     d_pow = np.arange(1, x + 1, dtype=np.float64) ** (s.real - 2 * w.real)
-    m_prefix = _mobius_character_prefix(
+    m_terms = _mobius_character_terms(
         chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, 4 * x
     )
+    m_prefix = np.cumsum(m_terms)
     m_inf = 1 / dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
     anchor = abs(m_prefix[4 * x] - m_inf) + 1e-12 * (1 + abs(m_inf))
     tail_idx = x // np.arange(1, x + 1)
     m_err = np.abs(m_prefix[4 * x] - m_prefix[tail_idx]) + anchor
     if inst.degree == 2:
-        k_prefix = _mobius_character_prefix(chi_star.value_vector, cstar, -2 * w, 4 * x)
+        k_prefix = np.cumsum(_mobius_character_terms(chi_star.value_vector, cstar, -2 * w, 4 * x))
         k_inf = 1 / dirichlet_l(2 * w, chi_star)
         k_anchor = abs(k_prefix[4 * x] - k_inf) + 1e-12 * (1 + abs(k_inf))
-        mu_list = mobius_sieve(x).tolist()
-        total = 0.0
-        for j in range(1, x + 1):
-            if row[j] == 0:
-                continue
-            inner = 0.0
-            for m in range(1, x // j + 1):
-                if mu_list[m] == 0 or chi_star.value_vector[m % cstar] == 0:
-                    continue
-                k_err = abs(k_prefix[4 * x] - k_prefix[x // (j * m)]) + k_anchor
-                inner += m ** (2 * s.real - 1 - 2 * w.real) * k_err
-            inner += abs(k_inf) * (abs(m_prefix[4 * x] - m_prefix[x // j]) + anchor)
-            total += row[j] * d_pow[j - 1] * inner
-        return l_twist * total + 1e-12
+        # |chi(m) mu(m) m^(2s-1-2w)| for m <= x, zero where mu chi vanishes
+        m_abs = np.zeros(x + 1)
+        keep = np.flatnonzero(m_terms[: x + 1])
+        m_abs[keep] = keep.astype(np.float64) ** (2 * s.real - 1 - 2 * w.real)
+        k_err = np.abs(k_prefix[4 * x] - k_prefix[: x + 1]) + k_anchor
+        m_err = _quotient_convolution(m_abs, k_err, x)[tail_idx] + abs(k_inf) * m_err
     return float(l_twist * np.sum(row[1:] * d_pow * m_err) + 1e-12)

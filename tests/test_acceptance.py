@@ -55,8 +55,12 @@ def test_acceptance_4_hecke_recursions():
 
 def test_acceptance_5_equivalence_and_collapse():
     rep_e = run_suite(SweepConfig(suite="equivalence", ranges={}, tolerance=1e-10))
+    # twice the default moduli, so the layered tables reach moduli in the hundreds
+    rep_big = run_suite(
+        SweepConfig(suite="equivalence", ranges={"c_values": list(range(2, 25))}, tolerance=1e-10)
+    )
     rep_m = run_suite(SweepConfig(suite="mobius", ranges={}, tolerance=1e-10))
-    assert _line(5, "equivalence-and-collapse", [rep_e, rep_m], 120)
+    assert _line(5, "equivalence-and-collapse", [rep_e, rep_big, rep_m], 120)
 
 
 def test_acceptance_6_side_by_side_series():

@@ -12,7 +12,6 @@ from voronoi_lab.exponential_sums import (
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
-    clear_kloosterman_cache,
     gauss_sum,
     gauss_sum_closed_lemma22,
     gauss_sum_closed_lemma23,
@@ -111,24 +110,27 @@ def test_average_gauss_identity():
                     assert abs(lhs - rhs) < 1e-9 * math.sqrt(cstar) * n
 
 
+KL_N_VALUES = (1, 2, 5, 0, -3, 2**63 + 5)
+
+
+def _assert_table_matches_nested(c, q, n_values):
+    """One table call per chain against the nested oracle, column by column."""
+    for d in kloosterman_divisor_chains(c, q):
+        table = kloosterman_vector(n_values, c, q, d)
+        assert table.shape == (c, len(n_values))
+        for t, n in enumerate(n_values):
+            for a in unit_residues(c):
+                want = hyper_kloosterman(KloostermanSpec(int(a), n, c, q, d))
+                assert abs(table[a, t] - want) < 1e-9, (c, q, d, n, int(a))
+
+
 def test_kloosterman_vector_matches_naive():
-    clear_kloosterman_cache()
-    for c, q in ((3, (2,)), (4, (2, 2)), (5, (1,)), (6, (3, 2))):
-        for d in kloosterman_divisor_chains(c, q):
-            for n in (1, 2, 5):
-                vec = kloosterman_vector(n, c, q, d)
-                for a in unit_residues(c):
-                    want = hyper_kloosterman(KloostermanSpec(int(a), n, c, q, d))
-                    assert abs(vec[a] - want) < 1e-9, (c, q, d, n, int(a))
+    for c, q in ((7, ()), (3, (2,)), (4, (2, 2)), (5, (1,)), (6, (3, 2))):
+        _assert_table_matches_nested(c, q, KL_N_VALUES)
 
 
 def test_kloosterman_negative_n():
-    c, q = 5, (2,)
-    for d in kloosterman_divisor_chains(c, q):
-        vec_neg = kloosterman_vector(-3, c, q, d)
-        for a in unit_residues(c):
-            want = hyper_kloosterman(KloostermanSpec(int(a), -3, c, q, d))
-            assert abs(vec_neg[a] - want) < 1e-9
+    _assert_table_matches_nested(5, (2,), KL_N_VALUES + tuple(-n for n in KL_N_VALUES))
 
 
 def test_kloosterman_spec_validation():
@@ -138,6 +140,8 @@ def test_kloosterman_spec_validation():
         KloostermanSpec(1, 1, 4, (2,), (3,))  # 3 does not divide q_1 c
     with pytest.raises(ValueError):
         KloostermanSpec(1, 1, 0, (2,), (1,))
+    with pytest.raises(ValueError):
+        kloosterman_vector((1, 2), 4, (2,), (3,))  # the table checks its chain too
 
 
 def test_divisor_chains_count():
@@ -158,10 +162,10 @@ def test_average_kloosterman_closed_form_small():
             for qi, di in zip(q, d):
                 mods.append(qi * mods[-1] // di)
             scale = math.sqrt(math.prod(mods))
-            for n in (1, 2):
-                vec = kloosterman_vector(n, c, q, d)
+            table = kloosterman_vector((1, 2), c, q, d)
+            for t, n in enumerate((1, 2)):
                 for chi in chars:
-                    avg = sum(chi.value_vector[a] * vec[a] for a in units)
+                    avg = sum(chi.value_vector[a] * table[a, t] for a in units)
                     closed = average_kloosterman_closed_lemma34(chi, n, c, q, d)
                     assert abs(avg - closed) < 1e-9 * scale, (c, q, d, n, chi.label)
 
@@ -243,13 +247,6 @@ def test_lemma34_table_rejects_broken_chains():
         average_kloosterman_closed_lemma34_table(4, (2,), [(3,)], (1,))
     with pytest.raises(ValueError):
         average_kloosterman_closed_lemma34_table(4, (2,), [(1,)], (1,), enumerate_characters(5))
-
-
-def test_cache_clear_keeps_values():
-    vec1 = kloosterman_vector(2, 6, (3,), (2,))
-    clear_kloosterman_cache()
-    vec2 = kloosterman_vector(2, 6, (3,), (2,))
-    assert np.array_equal(vec1, vec2)
 
 
 def test_additive_char():

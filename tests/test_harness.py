@@ -353,6 +353,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         # s = 0 and s = 1 put a Gamma argument of the even functional equation on its pole at 0
         ("lfunc", {"s_values": [0]}, "ranges.s_values"),
         ("lfunc", {"s_values": [1]}, "ranges.s_values"),
+        # odd twists only: no Gamma pole, but an L argument 1 +- 1e-7 that dirichlet_l rejects
+        ("lfunc", {"s_values": [1.0000001], "cstar_min": 3, "cstar_max": 4}, "ranges.s_values"),
+        ("lfunc", {"s_values": [-1e-7], "cstar_min": 3, "cstar_max": 4}, "ranges.s_values"),
     )
     for suite, ranges, field in probes:
         bad_range = tmp_path / "bad_range.json"

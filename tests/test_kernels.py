@@ -20,17 +20,21 @@ def test_kl_layer_matches_double_loop():
     for m, ds in ((7, (1, 3, 14)), (36, (1, 5, 6)), (199, (2, 198, 398)), (2310, (1, 13, 42))):
         units = unit_residues(m)
         invs = inverse_table(m)[units]
-        tail = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        # a 1-D tail, and a 2-D tail whose columns are layered at once
+        tail = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
         bound = sum_error_bound(len(units), float(np.max(np.abs(tail))))
         xs = [x for x in range(m) if math.gcd(x, m) == 1]
         rs = range(m) if m < 1000 else sorted({0, 1, m - 1} | set(rng.integers(0, m, 40).tolist()))
         for d in ds:
-            got = kl_layer(units, invs, d, m, roots_of_unity(m), tail)
+            got_1d = kl_layer(units, invs, d, m, roots_of_unity(m), tail[:, 0])
+            got_2d = kl_layer(units, invs, d, m, roots_of_unity(m), tail)
+            assert got_1d.shape == (m,) and got_2d.shape == (m, 3)
             for r in rs:
-                want = 0j
+                want = np.zeros(3, dtype=complex)
                 for x in xs:
                     want += cmath.exp(2j * math.pi * (d * x * r % m) / m) * tail[pow(x, -1, m)]
-                assert abs(got[r] - want) <= bound, (m, d, r)
+                assert abs(got_1d[r] - want[0]) <= bound, (m, d, r)
+                assert np.all(np.abs(got_2d[r] - want) <= bound), (m, d, r)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
-"""Route independence: the two sides of Thm. 3.1 read A through different code.
+"""Route independence: the two sides of each identity read through different code.
 
 a_n reads A one scalar at a time through CoefficientSource.coefficient; b_n
-reads sieved rows through CoefficientSource.coefficient_row.  A green
-a_n = b_n record is evidence about the identity only while neither side
-reaches the other's reader, so both are checked here on the source of
-voronoi.py, following calls into the module's own functions.
+reads sieved rows through CoefficientSource.coefficient_row.  The direct
+Kloosterman route (the layered table and the additive dual side built on it)
+sums the layers itself; the closed route is built from Gauss sums.  A green
+record is evidence about the identity only while neither side reaches the
+other's code, so each route is checked here on the source of its module,
+following calls into the module's own functions and classes.
 """
 
 import ast
@@ -12,34 +14,58 @@ from pathlib import Path
 
 import voronoi_lab
 
-TREE = ast.parse((Path(voronoi_lab.__file__).parent / "voronoi.py").read_text(encoding="utf-8"))
-FUNCTIONS = {node.name: node for node in TREE.body if isinstance(node, ast.FunctionDef)}
+PACKAGE = Path(voronoi_lab.__file__).parent
 
 
-def _reachable(name: str) -> list[ast.FunctionDef]:
-    """name and every module-level function of voronoi.py it mentions, transitively."""
+def _definitions(module: str) -> dict[str, ast.AST]:
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def _reachable(module: str, name: str) -> list[ast.AST]:
+    """name and every module-level function or class of module it mentions, transitively."""
+    defs = _definitions(module)
     seen, todo = {}, [name]
     while todo:
-        fn = FUNCTIONS[todo.pop()]
-        if fn.name in seen:
+        node = defs[todo.pop()]
+        if node.name in seen:
             continue
-        seen[fn.name] = fn
-        todo += [n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id in FUNCTIONS]
+        seen[node.name] = node
+        todo += [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs]
     return list(seen.values())
 
 
+def _names(node: ast.AST) -> set[str]:
+    refs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return refs | {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
 def test_a_n_never_reads_a_coefficient_row():
-    for fn in _reachable("a_n_coefficient"):
-        refs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
-        refs |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
-        assert not refs & {"coefficient_row", "_coefficient_row"}, fn.name
+    for fn in _reachable("voronoi.py", "a_n_coefficient"):
+        assert not _names(fn) & {"coefficient_row", "_coefficient_row"}, fn.name
 
 
 def test_b_n_never_makes_a_scalar_coefficient_read():
-    for fn in _reachable("b_n_coefficient"):
+    for fn in _reachable("voronoi.py", "b_n_coefficient"):
         calls = {
             n.func.attr
             for n in ast.walk(fn)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
         }
         assert not calls & {"coefficient", "dual_coefficient"}, fn.name
+
+
+def test_direct_kloosterman_route_never_reaches_a_gauss_sum():
+    gauss = {"gauss_sum", "gauss_sum_vector", "tau", "_strengthened_chains"}
+    for module, name in (
+        ("exponential_sums.py", "kloosterman_vector"),
+        ("voronoi.py", "voronoi_rhs_coefficients"),
+    ):
+        for node in _reachable(module, name):
+            refs = _names(node)
+            assert not refs & gauss, (name, node.name, refs & gauss)
+            assert not [r for r in refs if "lemma34" in r], (name, node.name)

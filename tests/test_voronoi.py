@@ -254,17 +254,22 @@ def test_tail_bound_shrinks_and_rejects_raw_tables():
         b_n_tail_bound(raw, 2, s, pref, 500)
 
 
+# GL(3) with one layer, and GL(2), whose probe has a second Mobius layer
+Z_SHAPES = [((1j, 0j, -1j), (2,)), ((1j, -1j), ())]
+
+
 def test_z_probe_rearrangement_is_exact():
     s, w, x = 2.5, 4.0, 300
-    src = isobaric_source(3, (1j, 0j, -1j), 4 * x)
     chi5 = primitive_characters(5)[0]
-    inst = VoronoiInstance(src, (2,), 5, chi=chi5, truncation=X)
-    _, via_a = z_probe(inst, s, w, x)
-    lval = twisted_l_isobaric(LValueRequest(s, chi5, (1j, 0j, -1j)))
-    direct = sum(
-        a_n_coefficient(inst, n, s, lval) * n ** (-2.0 * w) for n in range(1, x + 1)
-    )
-    assert abs(via_a - direct) / abs(direct) < 1e-12
+    for shifts, q in Z_SHAPES:
+        src = isobaric_source(len(shifts), shifts, 4 * x)
+        inst = VoronoiInstance(src, q, 5, chi=chi5, truncation=X)
+        _, via_a = z_probe(inst, s, w, x)
+        lval = twisted_l_isobaric(LValueRequest(s, chi5, shifts))
+        direct = sum(
+            a_n_coefficient(inst, n, s, lval) * n ** (-2.0 * w) for n in range(1, x + 1)
+        )
+        assert abs(via_a - direct) / abs(direct) < 1e-12, shifts
 
 
 def test_z_probe_trivial_twist_zeta_oracle():
@@ -282,13 +287,14 @@ def test_z_probe_trivial_twist_zeta_oracle():
 
 def test_z_probe_within_certified_bound():
     s, w, x = 2.5, 4.0, 2000
-    src = isobaric_source(3, (1j, 0j, -1j), 2 * x)
     chi5 = primitive_characters(5)[0]
-    inst = VoronoiInstance(src, (2,), 5, chi=chi5, truncation=X)
-    via_l, via_a = z_probe(inst, s, w, x)
-    bound = z_probe_bound(inst, s, w, x)
-    assert abs(via_l - via_a) < bound
-    assert bound < 1e-8  # the d3-squared tail is already tiny here
+    for shifts, q in Z_SHAPES:
+        src = isobaric_source(len(shifts), shifts, 2 * x)
+        inst = VoronoiInstance(src, q, 5, chi=chi5, truncation=X)
+        via_l, via_a = z_probe(inst, s, w, x)
+        bound = z_probe_bound(inst, s, w, x)
+        assert abs(via_l - via_a) < bound, shifts
+        assert bound < 1e-8, shifts  # the squared-divisor tail is already tiny here
 
 
 def test_z_probe_rejects_raw_tables():
