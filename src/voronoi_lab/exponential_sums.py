@@ -69,40 +69,104 @@ def tau(chi_star: DirichletCharacter) -> complex:
     return gauss_sum(chi_star, chi_star.modulus, 1)
 
 
-def gauss_sum_closed_lemma22(chi_star: DirichletCharacter, c: int, m: int) -> complex:
-    """Divisor-sum closed form of g(chi*, c, m).
+def _product(a, b):
+    """(re, im) of the complex product a * b, each given as an (re, im) pair.
 
-    tau(chi*) * sum over d | (m, c/c*) of d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)).
+    The parts are floats or float arrays, combined in the order of Python's
+    complex product, so every entry has the bits of the scalar product.
+    """
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _as_complex(re, im) -> np.ndarray:
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _closed_form_inputs(chi_star: DirichletCharacter, c: int, m_values):
+    """Shared set-up of the Lemma 2.2/2.3 rows.
+
+    Returns (m, chi, chi_bar, tau): m_values reduced mod c as int64 (both
+    closed forms read m only through gcds with divisors of c and through
+    (m/d) mod c* with c* | c/d, so the reduction changes no index); the (re,
+    im) tables of chi*(r) and conj(chi*)(r) for r < c*, each read once
+    through the exact scalar evaluation; and tau(chi*) as an (re, im) pair.
     """
     _check_gauss_args(chi_star, c)
-    ratio = c // chi_star.modulus
-    g = math.gcd(m, ratio) if m != 0 else ratio
-    acc = 0j
-    chi_bar = chi_star.conjugate()
-    for d in divisors(g):
+    m = np.array([v % c for v in m_values], dtype=np.int64)
+    tables = []
+    for ch in (chi_star, chi_star.conjugate()):
+        vals = np.array([ch(r) for r in range(chi_star.modulus)], dtype=np.complex128)
+        tables.append((vals.real, vals.imag))
+    t = tau(chi_star)
+    return m, tables[0], tables[1], (t.real, t.imag)
+
+
+def gauss_sum_closed_lemma22_row(chi_star: DirichletCharacter, c: int, m_values) -> np.ndarray:
+    """complex128 row of the Lemma 2.2 closed form at every m of m_values.
+
+    tau(chi*) * sum over d | (m, c/c*) of d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)).
+    The divisors d of c/c* are visited in ascending order and each term is
+    added at the m it divides, so every entry is summed in the order of the
+    scalar loop over the divisors of (m, c/c*).
+    """
+    m, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, c, m_values)
+    cstar = chi_star.modulus
+    ratio = c // cstar
+    acc_re = np.zeros(len(m))
+    acc_im = np.zeros(len(m))
+    for d in divisors(ratio):
         mu = mobius(ratio // d)
         if mu == 0:
             continue
-        acc = acc + mu * d * (chi_star(ratio // d) * chi_bar(m // d))
-    return tau(chi_star) * acc
+        hit = m % d == 0
+        k = m[hit] // d % cstar
+        r = ratio // d % cstar
+        term = _product((cr[r], ci[r]), (br[k], bi[k]))
+        tr, ti = _product((float(mu * d), 0.0), term)
+        acc_re[hit] += tr
+        acc_im[hit] += ti
+    return _as_complex(*_product(tau_pair, (acc_re, acc_im)))
 
 
-def gauss_sum_closed_lemma23(chi_star: DirichletCharacter, c: int, m: int) -> complex:
-    """Vanishing/totient closed form of g(chi*, c, a).
+def gauss_sum_closed_lemma23_row(chi_star: DirichletCharacter, c: int, m_values) -> np.ndarray:
+    """complex128 row of the Lemma 2.3 closed form at every a of m_values.
 
     Zero unless c* | c/(c,a); otherwise
     tau(chi*) phi(c)/phi(c/(c,a)) mu(c/(c* (c,a))) chi*(c/(c* (c,a))) conj(chi*)(a/(c,a)).
     """
-    _check_gauss_args(chi_star, c)
+    a, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, c, m_values)
     cstar = chi_star.modulus
-    a = m
-    g = math.gcd(a, c) if a != 0 else c
+    g = np.gcd(a, c)
     cofactor = c // g
-    if cofactor % cstar != 0:
-        return 0j
-    scale = euler_phi(c) // euler_phi(cofactor) * mobius(cofactor // cstar)
-    term = chi_star(cofactor // cstar) * chi_star.conjugate()(a // g)
-    return tau(chi_star) * (scale * term)
+    live = cofactor % cstar == 0
+    phi = np.zeros(c + 1, dtype=np.int64)
+    mu = np.zeros(c + 1, dtype=np.int64)
+    for d in divisors(c):
+        phi[d] = euler_phi(d)
+        mu[d] = mobius(d)
+    f, q = cofactor[live], cofactor[live] // cstar
+    scale = (euler_phi(c) // phi[f] * mu[q]).astype(np.float64)
+    k = a[live] // g[live] % cstar
+    r = q % cstar
+    term = _product((cr[r], ci[r]), (br[k], bi[k]))
+    re, im = _product(tau_pair, _product((scale, 0.0), term))
+    out = np.zeros(len(a), dtype=np.complex128)
+    out[live] = _as_complex(re, im)
+    return out
+
+
+def gauss_sum_closed_lemma22(chi_star: DirichletCharacter, c: int, m: int) -> complex:
+    """Divisor-sum closed form of g(chi*, c, m); one point of gauss_sum_closed_lemma22_row."""
+    return complex(gauss_sum_closed_lemma22_row(chi_star, c, [m])[0])
+
+
+def gauss_sum_closed_lemma23(chi_star: DirichletCharacter, c: int, m: int) -> complex:
+    """Vanishing/totient closed form of g(chi*, c, a); one point of gauss_sum_closed_lemma23_row."""
+    return complex(gauss_sum_closed_lemma23_row(chi_star, c, [m])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +321,10 @@ def _lemma34_product(factors, live) -> np.ndarray:
     left-to-right scalar product.
     """
     shape = np.broadcast_shapes(*(f.shape for f in factors))
-    re = np.ones(shape)
-    im = np.zeros(shape)
+    acc = np.ones(shape), np.zeros(shape)
     for f in factors:
-        fr, fi = f.real, f.imag
-        re, im = re * fr - im * fi, re * fi + im * fr
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return np.where(live[:, :, None], out, 0j)
+        acc = _product(acc, (f.real, f.imag))
+    return np.where(live[:, :, None], _as_complex(*acc), 0j)
 
 
 def average_kloosterman_closed_lemma34_table(

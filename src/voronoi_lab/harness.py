@@ -34,8 +34,8 @@ from .characters import (
 )
 from .exponential_sums import (
     average_kloosterman_closed_lemma34_table,
-    gauss_sum_closed_lemma22,
-    gauss_sum_closed_lemma23,
+    gauss_sum_closed_lemma22_row,
+    gauss_sum_closed_lemma23_row,
     gauss_sum_vector,
     kloosterman_divisor_chains,
     kloosterman_vector,
@@ -590,27 +590,24 @@ def _gauss_units(ranges, tol, config):
     anchor = _SUITES["gauss-lemmas"].anchor
     units = []
 
-    def closed_unit(chi, lemma, closed_form):
+    def closed_unit(chi, lemma, closed_row):
         def run():
             recs = []
             cstar = chi.modulus
+            m_arr = np.arange(1, m_max + 1)
             for c in range(cstar, c_max + 1, cstar):
-                direct = gauss_sum_vector(chi, c)
-                scale = math.sqrt(c)
-                worst = (-1.0, None)
-                for m in range(1, m_max + 1):
-                    want = closed_form(chi, c, m)
-                    rel = abs(direct[m % c] - want) / scale
-                    if rel > worst[0]:
-                        worst = (rel, (m, direct[m % c], want))
-                m, lhs, rhs = worst[1]
+                direct = gauss_sum_vector(chi, c)[m_arr % c]
+                closed = closed_row(chi, c, m_arr)
+                diff = direct - closed
+                rel = np.hypot(diff.real, diff.imag) / math.sqrt(c)
+                i = int(_worst_points(rel[None, :])[0])
                 recs.append(
                     _rel_case(
                         anchor,
-                        {"lemma": lemma, "chi": chi.label, "c": c, "m": m},
-                        lhs,
-                        rhs,
-                        worst[0],
+                        {"lemma": lemma, "chi": chi.label, "c": c, "m": int(m_arr[i])},
+                        direct[i],
+                        closed[i],
+                        rel[i],
                         tol,
                     )
                 )
@@ -662,9 +659,9 @@ def _gauss_units(ranges, tol, config):
     for cstar in range(1, cstar_max + 1):
         for chi in primitive_characters(cstar):
             if "2.2" in lemmas:
-                units.append(closed_unit(chi, "2.2", gauss_sum_closed_lemma22))
+                units.append(closed_unit(chi, "2.2", gauss_sum_closed_lemma22_row))
             if "2.3" in lemmas:
-                units.append(closed_unit(chi, "2.3", gauss_sum_closed_lemma23))
+                units.append(closed_unit(chi, "2.3", gauss_sum_closed_lemma23_row))
             if "2.5" in lemmas:
                 units.append(average_unit(chi))
     return units

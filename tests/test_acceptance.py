@@ -30,7 +30,16 @@ def test_acceptance_1_gauss_closed_forms():
             tolerance=1e-9,
         )
     )
-    assert _line(1, "gauss-closed-forms", [rep], 30)
+    # m_max = c_max, so every residue mod every c is checked
+    rep_big = run_suite(
+        SweepConfig(
+            suite="gauss-lemmas",
+            ranges={"lemmas": ["2.2", "2.3"], "cstar_max": 32, "c_max": 192, "m_max": 192},
+            tolerance=1e-9,
+        )
+    )
+    assert rep_big.cases == 4586
+    assert _line(1, "gauss-closed-forms", [rep, rep_big], 30)
 
 
 def test_acceptance_2_gauss_divisor_average():

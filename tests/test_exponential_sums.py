@@ -14,7 +14,9 @@ from voronoi_lab.exponential_sums import (
     average_kloosterman_closed_lemma34_table,
     gauss_sum,
     gauss_sum_closed_lemma22,
+    gauss_sum_closed_lemma22_row,
     gauss_sum_closed_lemma23,
+    gauss_sum_closed_lemma23_row,
     gauss_sum_vector,
     hyper_kloosterman,
     kloosterman_divisor_chains,
@@ -22,7 +24,7 @@ from voronoi_lab.exponential_sums import (
     tau,
 )
 from voronoi_lab.numeric import roots_of_unity
-from voronoi_lab.residues import divisors, unit_residues
+from voronoi_lab.residues import divisors, euler_phi, mobius, unit_residues
 
 
 def brute_gauss(chi_star, c, m):
@@ -51,13 +53,19 @@ def test_tau_modulus():
 
 def test_gauss_sum_argument_checks():
     chi3 = primitive_characters(3)[0]
-    for f in (gauss_sum, gauss_sum_closed_lemma22, gauss_sum_closed_lemma23):
+    for f, m in (
+        (gauss_sum, 1),
+        (gauss_sum_closed_lemma22, 1),
+        (gauss_sum_closed_lemma23, 1),
+        (gauss_sum_closed_lemma22_row, [1, 2]),
+        (gauss_sum_closed_lemma23_row, [1, 2]),
+    ):
         with pytest.raises(ValueError, match="primitive"):
-            f(principal(4), 8, 1)  # conductor 1, so not primitive mod 4
+            f(principal(4), 8, m)  # conductor 1, so not primitive mod 4
         with pytest.raises(ValueError, match="must divide"):
-            f(chi3, 4, 1)
+            f(chi3, 4, m)
         with pytest.raises(ValueError, match="must divide"):
-            f(chi3, 0, 1)
+            f(chi3, 0, m)
 
 
 def test_closed_forms_match_direct_small_box():
@@ -71,6 +79,83 @@ def test_closed_forms_match_direct_small_box():
                     for closed in (gauss_sum_closed_lemma22, gauss_sum_closed_lemma23):
                         got = closed(chi, c, m)
                         assert abs(got - direct) < 1e-10 * scale, (cstar, c, m)
+
+
+def _bits(z) -> bytes:
+    # == would let -0.0 pass for 0.0; reports print the sign of zero
+    z = complex(z)
+    return struct.pack("<2d", z.real, z.imag)
+
+
+def _lemma22_scalar_reference(chi_star, c, m):
+    # The per-m loop the row replaced: exact character calls, Python complex
+    # arithmetic, divisors of (m, c/c*) in ascending order.
+    ratio = c // chi_star.modulus
+    g = math.gcd(m, ratio) if m != 0 else ratio
+    acc = 0j
+    chi_bar = chi_star.conjugate()
+    for d in divisors(g):
+        mu = mobius(ratio // d)
+        if mu == 0:
+            continue
+        acc = acc + mu * d * (chi_star(ratio // d) * chi_bar(m // d))
+    return tau(chi_star) * acc
+
+
+def _lemma23_scalar_reference(chi_star, c, a):
+    cstar = chi_star.modulus
+    g = math.gcd(a, c) if a != 0 else c
+    cofactor = c // g
+    if cofactor % cstar != 0:
+        return 0j
+    scale = euler_phi(c) // euler_phi(cofactor) * mobius(cofactor // cstar)
+    term = chi_star(cofactor // cstar) * chi_star.conjugate()(a // g)
+    return tau(chi_star) * (scale * term)
+
+
+def test_closed_rows_are_bit_identical_to_scalar_loops():
+    m_values = list(range(-7, 71))
+    zeros = entries = 0
+    for cstar in range(1, 13):
+        for chi in primitive_characters(cstar):
+            for c in range(cstar, 49, cstar):
+                rows = (
+                    (gauss_sum_closed_lemma22_row, gauss_sum_closed_lemma22, _lemma22_scalar_reference),
+                    (gauss_sum_closed_lemma23_row, gauss_sum_closed_lemma23, _lemma23_scalar_reference),
+                )
+                for row_fn, point_fn, reference in rows:
+                    row = row_fn(chi, c, m_values)
+                    assert row.dtype == np.complex128 and row.shape == (len(m_values),)
+                    for m, got in zip(m_values, row):
+                        want = reference(chi, c, m)
+                        assert _bits(got) == _bits(want), (row_fn.__name__, chi.label, c, m)
+                        if m % 11 == 0:  # the scalar form is a one-point row
+                            assert _bits(point_fn(chi, c, m)) == _bits(want)
+                        entries += 1
+                        zeros += want == 0
+    assert 0 < zeros < entries
+
+
+def test_closed_rows_match_brute_force():
+    m_values = list(range(-7, 71))
+    for cstar in range(1, 13):
+        for chi in primitive_characters(cstar):
+            for c in range(cstar, 49, cstar):
+                want = [brute_gauss(chi, c, m) for m in m_values]
+                for row_fn in (gauss_sum_closed_lemma22_row, gauss_sum_closed_lemma23_row):
+                    err = np.abs(row_fn(chi, c, m_values) - np.array(want))
+                    assert err.max() < 1e-10 * math.sqrt(c), (row_fn.__name__, chi.label, c)
+
+
+def test_closed_rows_take_m_beyond_int64():
+    chi = primitive_characters(4)[0]
+    big = [10**30 + 6, -(10**25) - 2, 2**63 + 4]
+    for row_fn, reference in (
+        (gauss_sum_closed_lemma22_row, _lemma22_scalar_reference),
+        (gauss_sum_closed_lemma23_row, _lemma23_scalar_reference),
+    ):
+        row = row_fn(chi, 24, big)
+        assert [_bits(z) for z in row] == [_bits(reference(chi, 24, m)) for m in big]
 
 
 def test_closed_form_zero_branch():
@@ -168,12 +253,6 @@ def test_average_kloosterman_closed_form_small():
                     avg = sum(chi.value_vector[a] * table[a, t] for a in units)
                     closed = average_kloosterman_closed_lemma34(chi, n, c, q, d)
                     assert abs(avg - closed) < 1e-9 * scale, (c, q, d, n, chi.label)
-
-
-def _bits(z) -> bytes:
-    # == would let -0.0 pass for 0.0; reports print the sign of zero
-    z = complex(z)
-    return struct.pack("<2d", z.real, z.imag)
 
 
 def _lemma34_scalar_reference(chi, n, c, q, d):

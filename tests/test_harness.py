@@ -269,6 +269,34 @@ def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
     assert out.read_text() == text
 
 
+def test_gauss_closed_nan_points_fail_their_record(monkeypatch):
+    ranges = {"lemmas": ["2.2"], "cstar_max": 4, "c_max": 12, "m_max": 8}
+    clean = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges)))
+    row = harness.gauss_sum_closed_lemma22_row
+
+    def poisoned(at_m):
+        def closed_row(chi, c, m_values):
+            out = row(chi, c, m_values)
+            if chi.label == "3:1" and c == 6:
+                for i, m in enumerate(m_values):
+                    if at_m is None or m == at_m:
+                        out[i] = complex(math.nan, 0.0)
+            return out
+
+        return closed_row
+
+    # one NaN point outranks every number in its row; a row NaN at every m
+    # still yields a record (its first point), not a crash mid-sweep
+    for at_m, want_m in ((5, 5), (None, 1)):
+        monkeypatch.setattr(harness, "gauss_sum_closed_lemma22_row", poisoned(at_m))
+        rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges)))
+        assert rep.cases == clean.cases
+        (bad,) = [r for r in rep.records if not r.passed]
+        assert bad.parameters == {"lemma": "2.2", "chi": "3:1", "c": 6, "m": want_m}
+        assert math.isnan(bad.rel_error) and math.isnan(rep.max_rel_error)
+    assert clean.passed
+
+
 def test_config_files_toml_and_json_agree(tmp_path):
     toml_path = tmp_path / "sweep.toml"
     toml_path.write_text(

@@ -3,10 +3,12 @@
 a_n reads A one scalar at a time through CoefficientSource.coefficient; b_n
 reads sieved rows through CoefficientSource.coefficient_row.  The direct
 Kloosterman route (the layered table and the additive dual side built on it)
-sums the layers itself; the closed route is built from Gauss sums.  A green
-record is evidence about the identity only while neither side reaches the
-other's code, so each route is checked here on the source of its module,
-following calls into the module's own functions and classes.
+sums the layers itself; the closed route is built from Gauss sums.  The
+Lemma 2.2/2.3 closed rows read characters by exact scalar calls, not through
+the value vectors the FFT Gauss sums use.  A green record is evidence about
+the identity only while neither side reaches the other's code, so each route
+is checked here on the source of its module, following calls into the
+module's own functions and classes.
 """
 
 import ast
@@ -26,8 +28,11 @@ def _definitions(module: str) -> dict[str, ast.AST]:
     }
 
 
-def _reachable(module: str, name: str) -> list[ast.AST]:
-    """name and every module-level function or class of module it mentions, transitively."""
+def _reachable(module: str, name: str, stop: frozenset[str] = frozenset()) -> list[ast.AST]:
+    """name and every module-level function or class of module it mentions, transitively.
+
+    Names in stop may be mentioned but are not followed.
+    """
     defs = _definitions(module)
     seen, todo = {}, [name]
     while todo:
@@ -35,7 +40,11 @@ def _reachable(module: str, name: str) -> list[ast.AST]:
         if node.name in seen:
             continue
         seen[node.name] = node
-        todo += [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in defs]
+        todo += [
+            n.id
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id in defs and n.id not in stop
+        ]
     return list(seen.values())
 
 
@@ -69,3 +78,13 @@ def test_direct_kloosterman_route_never_reaches_a_gauss_sum():
             refs = _names(node)
             assert not refs & gauss, (name, node.name, refs & gauss)
             assert not [r for r in refs if "lemma34" in r], (name, node.name)
+
+
+def test_closed_gauss_rows_read_characters_only_through_scalar_calls():
+    # Lemma 2.2/2.3 rows are checked against gauss_sum_vector, the FFT of the
+    # induced value vector; the rows may use the FFT only for tau(chi*).
+    direct = {"value_vector", "induce", "gauss_sum_vector", "gauss_sum"}
+    for name in ("gauss_sum_closed_lemma22_row", "gauss_sum_closed_lemma23_row"):
+        for node in _reachable("exponential_sums.py", name, stop=frozenset({"tau"})):
+            refs = _names(node)
+            assert not refs & direct, (name, node.name, refs & direct)
