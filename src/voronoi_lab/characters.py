@@ -109,28 +109,38 @@ class DirichletCharacter:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _turns(self, n: int) -> tuple[int, int] | None:
+        """(k, m) with chi(n) = e(k/m), m the group exponent and 0 <= k < m.
+
+        None on non-units.  Integer arithmetic only: the sum of k_i t_i / s_i
+        over the factors is taken over the common denominator m.
+        """
+        n %= self.modulus
+        if math.gcd(n, self.modulus) != 1:
+            return None
+        group = self.group
+        m = group.exponent
+        k = 0
+        for e, f in zip(self.exponents, group.factors):
+            if e:
+                k += e * int(f.dlog[n % f.prime_power]) * (m // f.order)
+        return k % m, m
+
     def value_fraction(self, n: int) -> Fraction | None:
         """Exact argument of chi(n) as a fraction of a full turn, None on non-units.
 
         chi(n) = e(value_fraction(n)); the fraction is reduced mod 1.
         """
-        n %= self.modulus
-        if self.modulus == 1:
-            return Fraction(0)
-        if math.gcd(n, self.modulus) != 1:
-            return None
-        acc = Fraction(0)
-        for k, f in zip(self.exponents, self.group.factors):
-            if k:
-                t = int(f.dlog[n % f.prime_power])
-                acc += Fraction(k * t, f.order)
-        return acc % 1
+        turns = self._turns(n)
+        return None if turns is None else Fraction(*turns)
 
     def __call__(self, n: int) -> complex:
-        v = self.value_fraction(n)
-        if v is None:
+        turns = self._turns(n)
+        if turns is None:
             return 0j
-        return complex(roots_of_unity(v.denominator)[v.numerator])
+        k, m = turns
+        g = math.gcd(k, m)
+        return complex(roots_of_unity(m // g)[k // g])
 
     @cached_property
     def value_vector(self) -> np.ndarray:

@@ -245,6 +245,38 @@ def hyper_kloosterman(spec: KloostermanSpec) -> complex:
     return complex(layer(1, spec.a % spec.c))
 
 
+def _chain_moduli(c: int, q, chains) -> np.ndarray:
+    """int64[n_chains, K+1] of the moduli (M_0, ..., M_K) of every chain.
+
+    The divisibility chain d_i | q_i M_{i-1} of every chain is checked in one
+    array test; the error names the first broken d_i of the first broken
+    chain, as KloostermanSpec does.
+    """
+    q = tuple(q)
+    k = len(q)
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    try:
+        d = np.array(chains, dtype=np.int64).reshape(len(chains), k)
+    except ValueError:
+        raise ValueError("q and every d must have equal length") from None
+    if any(x < 1 for x in q) or (d < 1).any():
+        raise ValueError("q and d entries must be positive")
+    mods = np.empty((len(chains), k + 1), dtype=np.int64)
+    mods[:, 0] = c
+    num = np.empty((len(chains), k), dtype=np.int64)
+    for i in range(k):
+        num[:, i] = q[i] * mods[:, i]
+        mods[:, i + 1] = num[:, i] // d[:, i]
+    broken = num % d != 0
+    if broken.any():
+        j, i = divmod(int(np.argmax(broken)), k)
+        raise ValueError(
+            f"divisibility chain broken at d_{i + 1} = {d[j, i]}: must divide {num[j, i]}"
+        )
+    return mods
+
+
 def kloosterman_vector(n_values, c: int, q: tuple[int, ...], d: tuple[int, ...]) -> np.ndarray:
     """table[a, t] = Kl(a, n_values[t], c; q, d) for a = 0..c-1 (junk at non-units).
 
@@ -266,6 +298,69 @@ def kloosterman_vector(n_values, c: int, q: tuple[int, ...], d: tuple[int, ...])
     return tail
 
 
+def average_kloosterman_direct_table(
+    c: int, q: tuple[int, ...], chains, n_values, rows
+) -> np.ndarray:
+    """Character averages (or any row averages) of the direct Kloosterman sums.
+
+    complex128[n_rows, n_chains, n_n] for rows of shape [n_rows, c]: entry
+    [x, j, t] = sum over a mod c of rows[x, a] Kl(a, n_values[t], c; q, chains[j]).
+
+    The prefix tree of the chains is walked once from the outermost layer.
+    L starts as rows, a function on Z/M_0; the edge d_i maps L to the function
+    on Z/M_i that is sum over r of L[r] e(d_i y r / M_{i-1}) at y^-1 for the
+    units y mod M_i and zero elsewhere, so chains sharing a prefix share its
+    left products.  At depth K-1 every leaf d_K is done in one matrix product
+    of L with the side-by-side kloosterman_vector tables of (M_{K-1}; q_K, d_K),
+    the chain's innermost layer, each built once per call.  For K = 0 and 1
+    the root is that node.
+    """
+    q = tuple(q)
+    k = len(q)
+    _chain_moduli(c, q, chains)
+    rows = np.asarray(rows, dtype=np.complex128)
+    if rows.ndim != 2 or rows.shape[1] != c:
+        raise ValueError(f"rows must have shape [n_rows, {c}]")
+    n_rows, n_n = rows.shape[0], len(n_values)
+    out = np.empty((n_rows, len(chains), n_n), dtype=np.complex128)
+    if not chains:
+        return out
+    leaves = {}  # (M_{K-1}, chain tail) -> innermost-layer table
+
+    def leaf(m_prev, tail_d):
+        if (m_prev, tail_d) not in leaves:
+            leaves[m_prev, tail_d] = kloosterman_vector(n_values, m_prev, q[k - 1 :], tail_d)
+        return leaves[m_prev, tail_d]
+
+    # A node is (depth, M_depth, at, left, chain indices): column s of left is
+    # L at the residue at[s] mod M_depth, and L is zero at the residues not
+    # listed, so below the root only the units carry columns.
+    todo = [(0, c, np.arange(c, dtype=np.int64), rows, range(len(chains)))]
+    while todo:
+        depth, m_prev, at, left, idx = todo.pop()
+        groups = {}
+        if depth < k - 1:
+            for j in idx:
+                groups.setdefault(chains[j][depth], []).append(j)
+            for d_i, sub in groups.items():
+                m = q[depth] * m_prev // d_i
+                units = unit_residues(m)
+                base = (d_i % m_prev) * units % m_prev
+                nxt = left @ roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
+                todo.append((depth + 1, m, inverse_table(m)[units], nxt, sub))
+            continue
+        for j in idx:
+            groups.setdefault(tuple(chains[j][k - 1 :]), []).append(j)
+        block = np.concatenate([leaf(m_prev, tail_d) for tail_d in groups], axis=1)
+        res = (left @ block[at]).reshape(n_rows, len(groups), n_n)
+        cols, pos = [], []
+        for p, sub in enumerate(groups.values()):
+            cols += sub
+            pos += [p] * len(sub)
+        out[:, cols, :] = res[:, pos, :]
+    return out
+
+
 def _lemma34_factors(c, q, chains, n_values, chars):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
@@ -276,11 +371,8 @@ def _lemma34_factors(c, q, chains, n_values, chars):
     gauss_sum_vector row of each (chi*, M) that a live chain reaches, after a
     zero block that every other (chi*, M) points at.
     """
-    q = tuple(q)
     k = len(q)
-    mods = np.array(
-        [KloostermanSpec(1, 0, c, q, tuple(d)).moduli for d in chains], dtype=np.int64
-    ).reshape(len(chains), k + 1)  # the specs validate every chain
+    mods = _chain_moduli(c, q, chains)
     d = np.array(chains, dtype=np.int64).reshape(len(chains), k)
     # n enters only mod M_K; reducing by their lcm first keeps any int in int64
     lcm_k = math.lcm(*mods[:, k].tolist())

@@ -33,12 +33,13 @@ from .characters import (
     principal,
 )
 from .exponential_sums import (
+    _chain_moduli,
     average_kloosterman_closed_lemma34_table,
+    average_kloosterman_direct_table,
     gauss_sum_closed_lemma22_row,
     gauss_sum_closed_lemma23_row,
     gauss_sum_vector,
     kloosterman_divisor_chains,
-    kloosterman_vector,
     tau,
 )
 from .hecke import (
@@ -692,18 +693,12 @@ def _kloosterman_units(ranges, tol, config):
             chars = enumerate_characters(c)
             vv = np.stack([ch.value_vector for ch in chars])
             chains = list(kloosterman_divisor_chains(c, q))
-            # Closed route: every (character, chain, n) of the unit in one
-            # array.  Direct route: one layered Kloosterman table per chain,
-            # every n at once, averaged against all characters at once.
+            # Both routes give every (character, chain, n) of the unit in one
+            # array: the closed one from Gauss sums, the direct one by one
+            # walk of the chains' prefix tree against the value vectors.
             closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
-            direct = np.empty_like(closed)
-            scale = np.empty(len(chains))
-            for j, d in enumerate(chains):
-                mods = [c]
-                for qi, di in zip(q, d):
-                    mods.append(qi * mods[-1] // di)
-                scale[j] = math.sqrt(math.prod(mods))
-                direct[:, j, :] = vv @ kloosterman_vector(n_values, c, q, d)
+            direct = average_kloosterman_direct_table(c, q, chains, n_values, vv)
+            scale = np.sqrt(np.prod(_chain_moduli(c, q, chains), axis=1))
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
             worst = _worst_points(rel)

@@ -1,6 +1,8 @@
 """Dirichlet character enumeration, orthogonality, conductor bookkeeping."""
 
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from voronoi_lab.characters import (
     primitive_characters,
     principal,
 )
+from voronoi_lab.numeric import roots_of_unity
 from voronoi_lab.residues import euler_phi, unit_residues
 
 
@@ -22,6 +25,32 @@ def test_enumeration_counts_and_labels():
         assert len({ch.label for ch in chars}) == len(chars)
         for ch in chars:
             assert ch.modulus == c
+
+
+def _fraction_reference(chi, n):
+    # The Fraction sum of k_i t_i / s_i over the unit-group factors, reduced
+    # mod 1, and the root of unity read at its reduced denominator.
+    n %= chi.modulus
+    if math.gcd(n, chi.modulus) != 1:
+        return None, 0j
+    acc = Fraction(0)
+    for k, f in zip(chi.exponents, chi.group.factors):
+        if k:
+            acc += Fraction(k * int(f.dlog[n % f.prime_power]), f.order)
+    acc %= 1
+    return acc, complex(roots_of_unity(acc.denominator)[acc.numerator])
+
+
+def test_values_match_fraction_reference_bit_for_bit():
+    for c in range(1, 73):
+        for chi in enumerate_characters(c):
+            for n in range(-3, c + 3):
+                frac, val = _fraction_reference(chi, n)
+                assert chi.value_fraction(n) == frac, (chi.label, n)
+                got = chi(n)
+                assert struct.pack("<dd", got.real, got.imag) == struct.pack(
+                    "<dd", val.real, val.imag
+                ), (chi.label, n)
 
 
 def test_mod_five_orders():

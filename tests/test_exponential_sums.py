@@ -12,6 +12,7 @@ from voronoi_lab.exponential_sums import (
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
+    average_kloosterman_direct_table,
     gauss_sum,
     gauss_sum_closed_lemma22,
     gauss_sum_closed_lemma22_row,
@@ -218,6 +219,65 @@ def test_kloosterman_negative_n():
     _assert_table_matches_nested(5, (2,), KL_N_VALUES + tuple(-n for n in KL_N_VALUES))
 
 
+# K = 0, 1, 2 and 3, with chains that branch at every layer
+DIRECT_QS = ((), (2,), (3,), (1, 2), (2, 2), (1, 2, 1), (2, 1, 2))
+
+
+def test_direct_table_against_nested_oracle():
+    # Sum over the units a of rows[x, a] times the nested hyper_kloosterman:
+    # no layered tables and no Gauss sums.
+    rng = np.random.default_rng(11)
+    for c in range(1, 7):
+        units = [int(a) for a in unit_residues(c)]
+        vv = np.stack([chi.value_vector for chi in enumerate_characters(c)])
+        rand = np.zeros((2, c), dtype=np.complex128)
+        rand[:, units] = rng.uniform(-1, 1, (2, len(units))) + 1j * rng.uniform(
+            -1, 1, (2, len(units))
+        )
+        for q in DIRECT_QS:
+            chains = list(kloosterman_divisor_chains(c, q))
+            for rows in (vv, rand):
+                table = average_kloosterman_direct_table(c, q, chains, KL_N_VALUES, rows)
+                assert table.shape == (len(rows), len(chains), len(KL_N_VALUES))
+                for j, d in enumerate(chains):
+                    scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
+                    for t, n in enumerate(KL_N_VALUES):
+                        kl = [hyper_kloosterman(KloostermanSpec(a, n, c, q, d)) for a in units]
+                        want = rows[:, units] @ np.array(kl)
+                        err = np.abs(table[:, j, t] - want).max()
+                        assert err < 1e-12 * scale, (c, q, d, n)
+
+
+def test_direct_table_matches_per_chain_tables():
+    # Rows with entries at the non-units too, and chains in reverse order with
+    # one repeated, so the walk's grouping cannot lean on enumeration order.
+    rng = np.random.default_rng(12)
+    for c in range(1, 7):
+        rows = rng.uniform(-1, 1, (3, c)) + 1j * rng.uniform(-1, 1, (3, c))
+        for q in DIRECT_QS:
+            chains = list(kloosterman_divisor_chains(c, q))[::-1]
+            chains.append(chains[0])
+            table = average_kloosterman_direct_table(c, q, chains, KL_N_VALUES, rows)
+            for j, d in enumerate(chains):
+                scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
+                want = rows @ kloosterman_vector(KL_N_VALUES, c, q, d)
+                assert np.abs(table[:, j, :] - want).max() < 1e-12 * scale, (c, q, d)
+
+
+def test_direct_table_rejects_broken_chains():
+    rows = np.ones((1, 4))
+    with pytest.raises(ValueError, match="d_1 = 3: must divide 8"):
+        average_kloosterman_direct_table(4, (2,), [(1,), (3,)], (1,), rows)
+    with pytest.raises(ValueError, match="d_2 = 5: must divide 8"):
+        average_kloosterman_direct_table(4, (2, 2), [(2, 2), (2, 5)], (1,), rows)
+    with pytest.raises(ValueError):
+        average_kloosterman_direct_table(4, (2,), [(1, 1)], (1,), rows)
+    with pytest.raises(ValueError):
+        average_kloosterman_direct_table(4, (2,), [(0,)], (1,), rows)
+    with pytest.raises(ValueError, match="rows"):
+        average_kloosterman_direct_table(4, (2,), [(1,)], (1,), np.ones((1, 5)))
+
+
 def test_kloosterman_spec_validation():
     with pytest.raises(ValueError):
         KloostermanSpec(2, 1, 4, (2,), (2,))  # gcd(a, c) != 1
@@ -322,7 +382,7 @@ def test_lemma34_table_takes_n_beyond_int64():
 
 
 def test_lemma34_table_rejects_broken_chains():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d_1 = 3: must divide 8"):
         average_kloosterman_closed_lemma34_table(4, (2,), [(3,)], (1,))
     with pytest.raises(ValueError):
         average_kloosterman_closed_lemma34_table(4, (2,), [(1,)], (1,), enumerate_characters(5))

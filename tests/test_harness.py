@@ -80,6 +80,19 @@ def test_parallel_scheduling_does_not_reorder():
     assert a.to_canonical_json() == b.to_canonical_json()
 
 
+def test_kloosterman_reports_repeat_across_jobs_and_runs():
+    # Each unit walks its chains with tables local to the call, so neither a
+    # second run in this process nor two pool threads may change a byte.
+    cfg = {"degrees": [3, 4, 5], "c_max": 4, "q_max": 2, "n_values": [1, 2, -3]}
+    reps = [
+        run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(cfg), jobs=jobs))
+        for jobs in (1, 1, 2)
+    ]
+    texts = [rep.to_canonical_json() for rep in reps]
+    assert texts[0] == texts[1] == texts[2]
+    assert reps[0].cases == 84 and reps[0].passed
+
+
 def test_report_round_trip(tmp_path):
     rep = run_suite(SweepConfig(suite="hecke", ranges=dict(SMALL_HECKE), seed=1))
     path = tmp_path / "rep.json"

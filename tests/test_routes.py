@@ -2,14 +2,13 @@
 
 a_n reads A one scalar at a time through CoefficientSource.coefficient; b_n
 reads sieved rows through CoefficientSource.coefficient_row.  The direct
-Kloosterman route (the layered table and the additive dual side built on it)
-sums the layers itself; the closed route is built from Gauss sums.  The
-Lemma 2.2/2.3 closed rows read characters by exact scalar calls, not through
-the value vectors the FFT Gauss sums use.  A green record is evidence about
-the identity only while neither side reaches the other's code, so each route
-is checked here on the source of its module, following calls into the
-module's own functions and classes.
-"""
+Kloosterman route (the layered table, the prefix-tree walk over it and the
+additive dual side) sums the layers itself; the closed route is built from
+Gauss sums and never sums a layer.  The Lemma 2.2/2.3 closed rows read
+characters by exact scalar calls, not through the value vectors the FFT Gauss
+sums use.  A green record is evidence about the identity only while neither
+side reaches the other's code, so each route is checked here on the source of
+its module, following calls into the module's own functions and classes."""
 
 import ast
 from pathlib import Path
@@ -72,12 +71,25 @@ def test_direct_kloosterman_route_never_reaches_a_gauss_sum():
     gauss = {"gauss_sum", "gauss_sum_vector", "tau", "_strengthened_chains"}
     for module, name in (
         ("exponential_sums.py", "kloosterman_vector"),
+        ("exponential_sums.py", "average_kloosterman_direct_table"),
         ("voronoi.py", "voronoi_rhs_coefficients"),
     ):
         for node in _reachable(module, name):
             refs = _names(node)
             assert not refs & gauss, (name, node.name, refs & gauss)
             assert not [r for r in refs if "lemma34" in r], (name, node.name)
+
+
+def test_closed_kloosterman_route_never_reaches_a_layered_sum():
+    direct = {
+        "kloosterman_vector",
+        "kl_layer",
+        "hyper_kloosterman",
+        "average_kloosterman_direct_table",
+    }
+    for node in _reachable("exponential_sums.py", "average_kloosterman_closed_lemma34_table"):
+        refs = _names(node)
+        assert not refs & direct, (node.name, refs & direct)
 
 
 def test_closed_gauss_rows_read_characters_only_through_scalar_calls():
