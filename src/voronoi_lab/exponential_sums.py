@@ -452,15 +452,13 @@ def average_kloosterman_closed_lemma34(
     return complex(table[0, 0, 0])
 
 
-def kloosterman_divisor_chains(c: int, q: tuple[int, ...]):
-    """Yield every d tuple satisfying the divisibility chain for (c, q)."""
+def kloosterman_divisor_chains(c: int, q: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every d tuple satisfying the divisibility chain for (c, q), d_i | q_i M_{i-1}.
 
-    def rec(prefix: tuple[int, ...], m: int, rest: tuple[int, ...]):
-        if not rest:
-            yield prefix
-            return
-        head = rest[0]
-        for di in divisors(head * m):
-            yield from rec(prefix + (di,), head * m // di, rest[1:])
-
-    yield from rec((), c, tuple(q))
+    Built one layer at a time; each prefix is extended by the divisors of
+    q_i M_{i-1} in ascending order, so the list is in lexicographic order.
+    """
+    level = [((), c)]
+    for qi in q:
+        level = [(prefix + (d,), qi * m // d) for prefix, m in level for d in divisors(qi * m)]
+    return [prefix for prefix, _ in level]

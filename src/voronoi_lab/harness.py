@@ -692,7 +692,7 @@ def _kloosterman_units(ranges, tol, config):
         def run():
             chars = enumerate_characters(c)
             vv = np.stack([ch.value_vector for ch in chars])
-            chains = list(kloosterman_divisor_chains(c, q))
+            chains = kloosterman_divisor_chains(c, q)
             # Both routes give every (character, chain, n) of the unit in one
             # array: the closed one from Gauss sums, the direct one by one
             # walk of the chains' prefix tree against the value vectors.
@@ -821,12 +821,10 @@ def _equivalence_units(ranges, tol, config):
         def run():
             src = raw_table_source(n_deg, seed=_seed_int(config.seed, 303, n_deg, c, *q))
             units_c = [int(a) for a in unit_residues(c)]
-            add_coefs, r10, r01 = {}, {}, {}
-            for a in units_c:
-                inst_a = VoronoiInstance(src, q, c, a=a, truncation=x)
-                add_coefs[a] = lq_additive_coefficients(inst_a)
-                r10[a] = voronoi_rhs_coefficients(inst_a, s, 1.0, 0.0)
-                r01[a] = voronoi_rhs_coefficients(inst_a, s, 0.0, 1.0)
+            family = VoronoiInstance(src, q, c, truncation=x)
+            add_coefs = lq_additive_coefficients(family)
+            rhs = voronoi_rhs_coefficients(family, s)
+            r10, r01 = rhs[:, 0], rhs[:, 1]
             basis_scale = max(
                 1e-30,
                 *(float(np.max(np.abs(r10[a]))) for a in units_c),
@@ -1395,7 +1393,7 @@ def run_suite(config: SweepConfig) -> VerificationReport:
     else:
         chunks = [u() for u in units]
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: canonical_json(_jsonable(r.parameters)))
+    records.sort(key=lambda r: canonical_json(r.parameters))
     # jobs is deliberately not echoed: worker count is scheduling only, so
     # reports from differently provisioned machines stay byte-comparable.
     echo = {

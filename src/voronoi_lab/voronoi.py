@@ -1,7 +1,8 @@
 """Truncated Dirichlet series on both sides of the twisted dual identities.
 
-The additive side carries coefficients A(...) e(a_bar n / c); the Gauss-sum
-side carries the (N-2)-fold divisor chains with their Gauss-sum products.
+The additive side is one family over the units a mod c, with coefficients
+A(...) e(a_bar n / c) in row a; the Gauss-sum side carries the (N-2)-fold
+divisor chains with their Gauss-sum products.
 Character averaging maps one family of coefficient vectors onto the other
 exactly, coefficient by coefficient, and the double-series probe compares the
 two expansions a_n(s), b_n(s) of the same two-variable L-quotient.  Nothing
@@ -29,7 +30,7 @@ from .exponential_sums import (
 from .hecke import CoefficientSource
 from .lfunctions import LValueRequest, dirichlet_l, hurwitz_zeta, twisted_l_isobaric
 from .numeric import roots_of_unity
-from .residues import divisor_count, divisors, mobius, mobius_sieve
+from .residues import divisor_count, divisors, inverse_table, mobius, mobius_sieve, unit_residues
 
 __all__ = [
     "VoronoiInstance",
@@ -58,17 +59,16 @@ def _dirichlet_eval(coef: np.ndarray, s) -> complex:
 class VoronoiInstance:
     """One configured side-by-side comparison: coefficients, layers, twist.
 
-    Exactly one of ``chi`` (a character mod c) or ``a`` (an additive twist
-    with gcd(a, c) = 1) is set.  ``q`` holds the N-2 layer sizes, where N is
-    the degree of the coefficient source; ``truncation`` is the outer series
-    length X.
+    With ``chi`` (a character mod c) set, the instance is that character
+    twist; without it, the additive family of twists by every unit a mod c.
+    ``q`` holds the N-2 layer sizes, where N is the degree of the coefficient
+    source; ``truncation`` is the outer series length X.
     """
 
     source: CoefficientSource
     q: tuple[int, ...]
     c: int
     chi: DirichletCharacter | None = None
-    a: int | None = None
     truncation: int = 50
 
     def __post_init__(self):
@@ -81,31 +81,12 @@ class VoronoiInstance:
             raise ValueError("modulus must be positive")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
-        if (self.chi is None) == (self.a is None):
-            raise ValueError("set exactly one of chi (character) or a (additive)")
-        if self.chi is not None:
-            if self.chi.modulus != self.c:
-                raise ValueError("character modulus must equal c")
-        else:
-            a = self.a % self.c
-            if math.gcd(a, self.c) != 1:
-                raise ValueError("additive twist needs gcd(a, c) = 1")
-            object.__setattr__(self, "a", a)
+        if self.chi is not None and self.chi.modulus != self.c:
+            raise ValueError("character modulus must equal c")
 
     @property
     def degree(self) -> int:
         return self.source.degree
-
-    @property
-    def is_additive(self) -> bool:
-        return self.a is not None
-
-    @cached_property
-    def abar(self) -> int:
-        """Inverse of the additive twist mod c, computed once."""
-        if self.a is None:
-            raise ValueError("abar is only defined for additive instances")
-        return pow(self.a, -1, self.c) if self.c > 1 else 0
 
     @cached_property
     def chi_star(self) -> DirichletCharacter:
@@ -119,12 +100,12 @@ class VoronoiInstance:
 
 
 def _require_additive(inst: VoronoiInstance):
-    if not inst.is_additive:
-        raise ValueError("this series needs an additive twist (a, c)")
+    if inst.chi is not None:
+        raise ValueError("this series needs the additive family (no chi)")
 
 
 def _require_character(inst: VoronoiInstance):
-    if inst.is_additive:
+    if inst.chi is None:
         raise ValueError("this series needs a character twist chi mod c")
 
 
@@ -142,41 +123,53 @@ def parity_gamma(chi_star: DirichletCharacter, g_plus, g_minus) -> complex:
 
 
 def lq_additive_coefficients(inst: VoronoiInstance) -> np.ndarray:
-    """Coefficients A(q_{N-2},...,q_1,n) e(a_bar n / c) of the n^{-s} series."""
+    """complex128[c, X+1]: row a is A(q_{N-2},...,q_1,n) e(a_bar n / c), 0 at non-units."""
     _require_additive(inst)
+    c = inst.c
+    units = unit_residues(c)
     row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), inst.truncation)
-    roots = roots_of_unity(inst.c)
-    phases = roots[(inst.abar * np.arange(inst.truncation + 1)) % inst.c]
-    return row * phases
+    exps = inverse_table(c)[units, None] * np.arange(inst.truncation + 1)
+    out = np.zeros((c, inst.truncation + 1), dtype=complex)
+    out[units] = row * roots_of_unity(c)[exps % c]
+    return out
 
 
-def voronoi_rhs_coefficients(inst: VoronoiInstance, s, g_plus, g_minus) -> np.ndarray:
+# (half_diff, half_sum) = ((G+ - G-)/2, (G+ + G-)/2) at (G+, G-) = (1, 0) and (0, 1)
+_GAMMA_PARTS = ((0.5 + 0j, 0.5 + 0j), (-0.5 + 0j, 0.5 + 0j))
+
+
+def voronoi_rhs_coefficients(inst: VoronoiInstance, s) -> np.ndarray:
     """Per-coefficient dual side of the additive identity, basis n^{-(1-s)}.
 
+    complex128[c, 2, X+1]: [a, 0] is the G+ part and [a, 1] the G- part of
+    twist a, so G+ [a, 0] + G- [a, 1] is the dual side for Gamma ratios G+-.
     Entry n carries both twisted families:
         (G+ - G-)/2 * Kl(a, n, c; q, d)  and  (G+ + G-)/2 * Kl(a, -n, c; q, d),
     summed over the plain divisor chains d_1 | q_1 c, d_2 | q_2 q_1 c / d_1, ...
     with the layer powers d_i^{(N-i)s} / (d_1...d_{N-2}) and the global factor
-    c^{1-Ns} / (q_1^{(N-2)s} ... q_{N-2}^s).
+    c^{1-Ns} / (q_1^{(N-2)s} ... q_{N-2}^s).  Rows at non-units are zero.
     """
     _require_additive(inst)
     s = complex(s)
     n_deg, c, x = inst.degree, inst.c, inst.truncation
-    half_diff = (complex(g_plus) - complex(g_minus)) / 2.0
-    half_sum = (complex(g_plus) + complex(g_minus)) / 2.0
     qpow = 1 + 0j
     for i, qi in enumerate(inst.q, start=1):
         qpow *= qi ** (-(n_deg - 1 - i) * s)
-    out = np.zeros(x + 1, dtype=complex)
+    units = unit_residues(c)
+    acc = np.zeros((len(units), 2, x + 1), dtype=complex)
     n_range = range(1, x + 1)
     for d_vec in kloosterman_divisor_chains(c, inst.q):
         weight = 1 + 0j
         for i, di in enumerate(d_vec, start=1):
             weight *= di ** ((n_deg - i) * s) / di
         row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
-        kl = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, d_vec)[inst.a]
-        out[1:] += weight * row[1:] * (half_diff * kl[:x] + half_sum * kl[x:])
-    return out * (qpow / c ** (n_deg * s - 1))
+        kl = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, d_vec)[units]
+        w_row = weight * row[1:]
+        for j, (half_diff, half_sum) in enumerate(_GAMMA_PARTS):
+            acc[:, j, 1:] += w_row * (half_diff * kl[:, :x] + half_sum * kl[:, x:])
+    out = np.zeros((c, 2, x + 1), dtype=complex)
+    out[units] = acc * (qpow / c ** (n_deg * s - 1))
+    return out
 
 
 # -- Gauss-sum side ----------------------------------------------------------
@@ -285,7 +278,6 @@ def _divisor_average(inst: VoronoiInstance, n: int, s, series) -> np.ndarray:
                 q=tuple(qi * p // di for qi, p, di in zip(inst.q, (d,) + d_vec, d_vec)),
                 c=ell * cstar,
                 chi=_induced(chi_star, ell * cstar),
-                a=None,
             )
             out += (w_outer * v_inner) * series(sub)
     return out

@@ -3,12 +3,13 @@
 a_n reads A one scalar at a time through CoefficientSource.coefficient; b_n
 reads sieved rows through CoefficientSource.coefficient_row.  The direct
 Kloosterman route (the layered table, the prefix-tree walk over it and the
-additive dual side) sums the layers itself; the closed route is built from
-Gauss sums and never sums a layer.  The Lemma 2.2/2.3 closed rows read
-characters by exact scalar calls, not through the value vectors the FFT Gauss
-sums use.  A green record is evidence about the identity only while neither
-side reaches the other's code, so each route is checked here on the source of
-its module, following calls into the module's own functions and classes."""
+additive family) sums the layers itself; the closed route and the H and G
+series are built from Gauss sums and never sum a layer.  The Lemma 2.2/2.3
+closed rows read characters by exact scalar calls, not through the value
+vectors the FFT Gauss sums use.  A green record is evidence about the identity
+only while neither side reaches the other's code, so each route is checked
+here on the source of its module, following calls into the module's own
+functions and classes."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,7 @@ def test_direct_kloosterman_route_never_reaches_a_gauss_sum():
         ("exponential_sums.py", "kloosterman_vector"),
         ("exponential_sums.py", "average_kloosterman_direct_table"),
         ("voronoi.py", "voronoi_rhs_coefficients"),
+        ("voronoi.py", "lq_additive_coefficients"),
     ):
         for node in _reachable(module, name):
             refs = _names(node)
@@ -90,6 +92,22 @@ def test_closed_kloosterman_route_never_reaches_a_layered_sum():
     for node in _reachable("exponential_sums.py", "average_kloosterman_closed_lemma34_table"):
         refs = _names(node)
         assert not refs & direct, (node.name, refs & direct)
+
+
+def test_gauss_sum_side_never_reaches_the_additive_side():
+    # the equivalence suite checks character averages of the additive family
+    # against h and g, so neither may be built from Kloosterman sums
+    additive = {
+        "kloosterman_vector",
+        "kl_layer",
+        "kloosterman_divisor_chains",
+        "lq_additive_coefficients",
+        "voronoi_rhs_coefficients",
+    }
+    for name in ("h_coefficients", "g_coefficients"):
+        for node in _reachable("voronoi.py", name):
+            refs = _names(node)
+            assert not refs & additive, (name, node.name, refs & additive)
 
 
 def test_closed_gauss_rows_read_characters_only_through_scalar_calls():

@@ -57,22 +57,51 @@ def _scale(*arrays):
 def test_instance_validation():
     src = raw_table_source(3, seed=1)
     chi5 = primitive_characters(5)[0]
-    with pytest.raises(ValueError):
-        VoronoiInstance(src, (1,), 5, chi=chi5, a=2)  # both twists
-    with pytest.raises(ValueError):
-        VoronoiInstance(src, (1,), 5)  # neither twist
+    VoronoiInstance(src, (1,), 6)  # no chi: the additive family over a mod 6
     with pytest.raises(ValueError):
         VoronoiInstance(src, (1,), 7, chi=chi5)  # modulus mismatch
-    with pytest.raises(ValueError):
-        VoronoiInstance(src, (1,), 6, a=2)  # gcd(a, c) > 1
     with pytest.raises(ValueError):
         VoronoiInstance(src, (1, 2), 5, chi=chi5)  # degree-2 layers expected
     with pytest.raises(ValueError):
         VoronoiInstance(src, (0,), 5, chi=chi5)  # layer must be positive
     with pytest.raises(ValueError):
         VoronoiInstance(src, (1,), 5, chi=chi5, truncation=0)
-    inst = VoronoiInstance(src, (1,), 5, a=7)  # reduced mod c
-    assert inst.a == 2 and inst.abar == 3
+
+
+def test_family_and_character_instances_reach_only_their_side():
+    src = raw_table_source(3, seed=1)
+    family = VoronoiInstance(src, (2,), 5, truncation=X)
+    twist = VoronoiInstance(src, (2,), 5, chi=primitive_characters(5)[0], truncation=X)
+    with pytest.raises(ValueError):
+        lq_additive_coefficients(twist)
+    with pytest.raises(ValueError):
+        voronoi_rhs_coefficients(twist, S0)
+    with pytest.raises(ValueError):
+        h_coefficients(family)
+    with pytest.raises(ValueError):
+        a_n_coefficient(family, 2, S0, 1.0)
+
+
+def test_additive_family_rows():
+    # row a is A(q, n) e(a_bar n / c) read one scalar at a time; rows at the
+    # non-units of c = 6 are zero, in both families
+    c, q = 6, (2,)
+    src = raw_table_source(3, seed=5)
+    family = VoronoiInstance(src, q, c, truncation=X)
+    coefs = lq_additive_coefficients(family)
+    rhs = voronoi_rhs_coefficients(family, S0)
+    assert coefs.shape == (c, X + 1) and rhs.shape == (c, 2, X + 1)
+    units = [int(a) for a in unit_residues(c)]
+    for a in range(c):
+        if a not in units:
+            assert not np.any(coefs[a]) and not np.any(rhs[a]), a
+            continue
+        abar = pow(a, -1, c)
+        want = [0j] + [
+            src.coefficient((*reversed(q), n)) * np.exp(2j * np.pi * abar * n / c)
+            for n in range(1, X + 1)
+        ]
+        assert _maxdiff(coefs[a], want) / _scale(coefs[a]) < 1e-12, a
 
 
 def test_character_averaging_equivalence_both_directions():
@@ -82,12 +111,10 @@ def test_character_averaging_equivalence_both_directions():
     for deg, c, q, seed in ((3, 5, (2,), 11), (4, 6, (2, 3), 14)):
         src = raw_table_source(deg, seed=seed)
         units = [int(a) for a in unit_residues(c)]
-        add_coefs, r10, r01 = {}, {}, {}
-        for a in units:
-            inst_a = VoronoiInstance(src, q, c, a=a, truncation=X)
-            add_coefs[a] = lq_additive_coefficients(inst_a)
-            r10[a] = voronoi_rhs_coefficients(inst_a, S0, 1.0, 0.0)
-            r01[a] = voronoi_rhs_coefficients(inst_a, S0, 0.0, 1.0)
+        family = VoronoiInstance(src, q, c, truncation=X)
+        add_coefs = lq_additive_coefficients(family)
+        rhs = voronoi_rhs_coefficients(family, S0)
+        r10, r01 = rhs[:, 0], rhs[:, 1]
         chars = enumerate_characters(c)
         h_by_chi, g_by_chi = {}, {}
         for chi in chars:
