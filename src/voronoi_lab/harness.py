@@ -25,13 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .characters import (
-    conductor,
-    enumerate_characters,
-    induce,
-    primitive_characters,
-    principal,
-)
+from .characters import enumerate_characters, induce, primitive_characters
 from .exponential_sums import (
     _chain_moduli,
     average_kloosterman_closed_lemma34_table,
@@ -57,7 +51,7 @@ from .lfunctions import (
     gamma_pole,
     twisted_l_isobaric,
 )
-from .residues import divisor_count, euler_phi, primes_up_to, unit_residues
+from .residues import divisor_count, divisors, primes_up_to, unit_residues
 from .voronoi import (
     VoronoiInstance,
     a_n_coefficient,
@@ -593,67 +587,41 @@ def _gauss_units(ranges, tol, config):
 
     def closed_unit(chi, lemma, closed_row):
         def run():
-            recs = []
-            cstar = chi.modulus
+            cs = range(chi.modulus, c_max + 1, chi.modulus)
             m_arr = np.arange(1, m_max + 1)
-            for c in range(cstar, c_max + 1, cstar):
-                direct = gauss_sum_vector(chi, c)[m_arr % c]
-                closed = closed_row(chi, c, m_arr)
-                diff = direct - closed
-                rel = np.hypot(diff.real, diff.imag) / math.sqrt(c)
-                i = int(_worst_points(rel[None, :])[0])
-                recs.append(
-                    _rel_case(
-                        anchor,
-                        {"lemma": lemma, "chi": chi.label, "c": c, "m": int(m_arr[i])},
-                        direct[i],
-                        closed[i],
-                        rel[i],
-                        tol,
-                    )
-                )
-            return recs
+            shape = (len(cs), m_max)  # (0, m_max) when c* > c_max: no rows, no records
+            direct = np.reshape([gauss_sum_vector(chi, c)[m_arr % c] for c in cs], shape)
+            closed = np.reshape([closed_row(chi, c, m_arr) for c in cs], shape)
+            diff = direct - closed
+            rel = np.hypot(diff.real, diff.imag) / np.sqrt(np.array(cs, dtype=float))[:, None]
+            rows = [{"lemma": lemma, "chi": chi.label, "c": c} for c in cs]
+            return _worst_records(anchor, rows, direct, closed, rel, tol, lambda p: {"m": p + 1})
 
         return run
 
     def average_unit(chi):
         def run():
-            recs = []
             cstar = chi.modulus
             vv = chi.value_vector
             tau_val = tau(chi)
-            m_arr = np.arange(m_max + 1)
-            for n in range(1, n_max + 1):
-                lhs = np.zeros(m_max + 1, dtype=complex)
-                for d in range(1, n + 1):
-                    if n % d:
-                        continue
+            m_arr = np.arange(1, m_max + 1)
+            ns = range(1, n_max + 1)
+            lhs = np.zeros((n_max, m_max), dtype=complex)
+            rhs = np.zeros((n_max, m_max), dtype=complex)
+            for n, lhs_n, rhs_n in zip(ns, lhs, rhs):
+                for d in divisors(n):
                     chid = vv[d % cstar]
                     if chid == 0:
                         continue
                     mod = (n // d) * cstar
-                    lhs += chid * gauss_sum_vector(chi, mod)[m_arr % mod]
-                rhs = np.zeros(m_max + 1, dtype=complex)
+                    lhs_n += chid * gauss_sum_vector(chi, mod)[m_arr % mod]
                 mult = np.arange(n, m_max + 1, n)
-                if mult.size:
-                    rhs[mult] = tau_val * np.conj(vv[(mult // n) % cstar]) * n
-                # |rhs| is exactly sqrt(c*) n whenever nonzero, so this one
-                # scale covers the vanishing branch too.
-                scale = math.sqrt(cstar) * n
-                rel = np.abs(lhs - rhs) / scale
-                rel[0] = -1.0
-                m = int(np.argmax(rel))
-                recs.append(
-                    _rel_case(
-                        anchor,
-                        {"lemma": "2.5", "chi": chi.label, "n": n, "m": m},
-                        lhs[m],
-                        rhs[m],
-                        float(rel[m]),
-                        tol,
-                    )
-                )
-            return recs
+                rhs_n[mult - 1] = tau_val * np.conj(vv[(mult // n) % cstar]) * n
+            # |rhs| is exactly sqrt(c*) n whenever nonzero, so this one
+            # scale covers the vanishing branch too.
+            rel = np.abs(lhs - rhs) / (math.sqrt(cstar) * np.array(ns))[:, None]
+            rows = [{"lemma": "2.5", "chi": chi.label, "n": n} for n in ns]
+            return _worst_records(anchor, rows, lhs, rhs, rel, tol, lambda p: {"m": p + 1})
 
         return run
 
@@ -668,14 +636,26 @@ def _gauss_units(ranges, tol, config):
     return units
 
 
-def _worst_points(rel: np.ndarray) -> np.ndarray:
-    """Per row of rel[x, p], the index of its worst point.
+def _worst_records(anchor, rows, lhs, rhs, rel, tol, point) -> list[CaseRecord]:
+    """One record per row of rel[row, p], for the row's worst point p.
 
-    The first maximum in p order, as a scan keeping strictly larger values
-    would pick; a NaN anywhere in a row outranks every number, so the row's
-    record carries it and fails instead of passing or being skipped.
+    The worst point is the first maximum in p order, as a scan keeping
+    strictly larger values would pick; a NaN anywhere in a row outranks every
+    number, so the row's record carries it and fails instead of passing or
+    being skipped.  lhs and rhs broadcast to rel's shape; record i has the
+    parameters {**rows[i], **point(p)}.
     """
-    return np.argmax(rel, axis=1)
+    lhs = np.broadcast_to(lhs, rel.shape)
+    rhs = np.broadcast_to(rhs, rel.shape)
+    return [
+        _rel_case(anchor, {**row, **point(p)}, lhs[i, p], rhs[i, p], rel[i, p], tol)
+        for i, (row, p) in enumerate(zip(rows, np.argmax(rel, axis=1).tolist()))
+    ]
+
+
+def _row_peak(*arrays) -> np.ndarray:
+    """Per row, the largest |entry| over arrays, NaN ignored, floored at 1e-30; a column."""
+    return np.fmax(np.fmax.reduce(np.abs(np.hstack(arrays)), axis=1), 1e-30)[:, None]
 
 
 def _kloosterman_units(ranges, tol, config):
@@ -701,28 +681,16 @@ def _kloosterman_units(ranges, tol, config):
             scale = np.sqrt(np.prod(_chain_moduli(c, q, chains), axis=1))
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
-            worst = _worst_points(rel)
-            recs = []
-            for i, ch in enumerate(chars):
-                j, t = divmod(int(worst[i]), len(n_values))
-                recs.append(
-                    _rel_case(
-                        anchor,
-                        {
-                            "degree": n_deg,
-                            "c": c,
-                            "q": list(q),
-                            "chi": ch.label,
-                            "d": list(chains[j]),
-                            "n": n_values[t],
-                        },
-                        direct[i, j, t],
-                        closed[i, j, t],
-                        rel[i, worst[i]],
-                        tol,
-                    )
-                )
-            return recs
+            rows = [{"degree": n_deg, "c": c, "q": list(q), "chi": ch.label} for ch in chars]
+
+            def point(p):
+                j, t = divmod(p, len(n_values))
+                return {"d": list(chains[j]), "n": n_values[t]}
+
+            flat = (len(chars), -1)
+            return _worst_records(
+                anchor, rows, direct.reshape(flat), closed.reshape(flat), rel, tol, point
+            )
 
         return run
 
@@ -779,24 +747,12 @@ def _hecke_units(ranges, tol, config):
     def d3_unit():
         def run():
             src = isobaric_source(3, (0j, 0j, 0j), max(d3_max, 2))
-            worst = (-1.0, None)
-            for n in range(1, d3_max + 1):
-                want = divisor_count(3, n)
-                got = src.coefficient((n, 1))
-                rel = abs(got - want) / want
-                if rel > worst[0]:
-                    worst = (rel, (n, got, want))
-            n, lhs, rhs = worst[1]
-            return [
-                _rel_case(
-                    anchor,
-                    {"check": "d3", "n_max": d3_max, "n": n},
-                    lhs,
-                    rhs,
-                    worst[0],
-                    tol,
-                )
-            ]
+            ns = range(1, d3_max + 1)
+            got = np.array([[src.coefficient((n, 1)) for n in ns]])
+            want = np.array([[divisor_count(3, n) for n in ns]], dtype=float)
+            rel = np.abs(got - want) / want
+            rows = [{"check": "d3", "n_max": d3_max}]
+            return _worst_records(anchor, rows, got, want, rel, tol, lambda p: {"n": p + 1})
 
         return run
 
@@ -820,84 +776,51 @@ def _equivalence_units(ranges, tol, config):
     def unit(n_deg, c, q):
         def run():
             src = raw_table_source(n_deg, seed=_seed_int(config.seed, 303, n_deg, c, *q))
-            units_c = [int(a) for a in unit_residues(c)]
+            units_c = unit_residues(c)
             family = VoronoiInstance(src, q, c, truncation=x)
-            add_coefs = lq_additive_coefficients(family)
-            rhs = voronoi_rhs_coefficients(family, s)
+            add = lq_additive_coefficients(family)[units_c]
+            rhs = voronoi_rhs_coefficients(family, s)[units_c]
             r10, r01 = rhs[:, 0], rhs[:, 1]
-            basis_scale = max(
-                1e-30,
-                *(float(np.max(np.abs(r10[a]))) for a in units_c),
-                *(float(np.max(np.abs(r01[a]))) for a in units_c),
-            )
+            dual = _G_EVEN_PROBE * r10 + _G_ODD_PROBE * r01
             chars = enumerate_characters(c)
-            h_by_chi, g_by_chi = {}, {}
-            recs = []
-
-            def vec_case(direction, key, got, want, scale):
-                diff = np.abs(got - want)
-                idx = int(np.argmax(diff))
-                params = {"degree": n_deg, "c": c, "q": list(q), "direction": direction}
-                params.update(key)
-                params["worst_n"] = idx
-                recs.append(
-                    _rel_case(
-                        anchor, params, got[idx], want[idx], float(diff[idx]) / scale, tol
+            # vv[chi, a]: the character table on the units, so averaging over
+            # a is vv @ (rows by a), and the conjugate table maps back.
+            vv = np.stack([chi.value_vector[units_c] for chi in chars])
+            insts = [VoronoiInstance(src, q, c, chi=chi, truncation=x) for chi in chars]
+            h = np.stack([h_coefficients(inst) for inst in insts])
+            g = np.stack(
+                [
+                    g_coefficients(
+                        inst, s, parity_gamma(inst.chi_star, _G_EVEN_PROBE, _G_ODD_PROBE)
                     )
-                )
+                    for inst in insts
+                ]
+            )
+            w = np.array([(c / inst.cstar) ** (1 - 2 * s) for inst in insts])
+            wg = w[:, None] * g
+            odd = np.array([inst.chi_star.parity == -1 for inst in insts])[:, None]
+            head = {"degree": n_deg, "c": c, "q": list(q)}
+            by_chi = [{**head, "chi": chi.label} for chi in chars]
+            by_a = [{**head, "a": int(a)} for a in units_c]
 
-            for chi in chars:
-                inst_c = VoronoiInstance(src, q, c, chi=chi, truncation=x)
-                cstar = inst_c.cstar
-                avg = sum(chi.value_vector[a] * add_coefs[a] for a in units_c)
-                href = h_coefficients(inst_c)
-                h_by_chi[chi] = href
-                scale = max(1e-30, float(np.max(np.abs(href))), float(np.max(np.abs(avg))))
-                vec_case("forward-additive", {"chi": chi.label}, avg, href, scale)
+            def records(direction, rows, got, want, scale):
+                rows = [{**row, "direction": direction} for row in rows]
+                rel = np.abs(got - want) / scale
+                return _worst_records(anchor, rows, got, want, rel, tol, lambda k: {"worst_n": k})
 
-                avg_r = sum(
-                    chi.value_vector[a] * (_G_EVEN_PROBE * r10[a] + _G_ODD_PROBE * r01[a])
-                    for a in units_c
-                )
-                gref = g_coefficients(
-                    inst_c, s, parity_gamma(inst_c.chi_star, _G_EVEN_PROBE, _G_ODD_PROBE)
-                )
-                g_by_chi[chi] = gref
-                want = (c / cstar) ** (1 - 2 * s) * gref
-                scale = max(1e-30, float(np.max(np.abs(want))), float(np.max(np.abs(avg_r))))
-                vec_case("forward-dual", {"chi": chi.label}, avg_r, want, scale)
-
-                # The parity-mismatched Gamma slot must average to zero.
-                mis = (1.0, 0.0) if inst_c.chi_star.parity == -1 else (0.0, 1.0)
-                avg_z = sum(
-                    chi.value_vector[a] * (mis[0] * r10[a] + mis[1] * r01[a])
-                    for a in units_c
-                )
-                vec_case(
-                    "parity-zero", {"chi": chi.label}, avg_z, np.zeros_like(avg_z), basis_scale
-                )
-
-            phi_c = euler_phi(c)
-            cond = {chi: conductor(chi)[0] for chi in chars}
-            for a in units_c:
-                rec_a = (
-                    sum(np.conj(chi.value_vector[a]) * h_by_chi[chi] for chi in chars) / phi_c
-                )
-                scale = max(1e-30, float(np.max(np.abs(add_coefs[a]))))
-                vec_case("reverse-additive", {"a": a}, rec_a, add_coefs[a], scale)
-                rec_r = (
-                    sum(
-                        np.conj(chi.value_vector[a])
-                        * (c / cond[chi]) ** (1 - 2 * s)
-                        * g_by_chi[chi]
-                        for chi in chars
-                    )
-                    / phi_c
-                )
-                direct = _G_EVEN_PROBE * r10[a] + _G_ODD_PROBE * r01[a]
-                scale = max(1e-30, float(np.max(np.abs(direct))))
-                vec_case("reverse-dual", {"a": a}, rec_r, direct, scale)
-            return recs
+            fwd_add = vv @ add
+            fwd_dual = vv @ dual
+            # The parity-mismatched Gamma slot must average to zero.
+            mismatched = np.where(odd, vv @ r10, vv @ r01)
+            rev_add = np.conj(vv).T @ h / len(units_c)
+            rev_dual = (np.conj(vv).T * w) @ g / len(units_c)
+            return [
+                *records("forward-additive", by_chi, fwd_add, h, _row_peak(h, fwd_add)),
+                *records("forward-dual", by_chi, fwd_dual, wg, _row_peak(wg, fwd_dual)),
+                *records("parity-zero", by_chi, mismatched, 0.0, _row_peak(r10, r01).max()),
+                *records("reverse-additive", by_a, rev_add, add, _row_peak(add)),
+                *records("reverse-dual", by_a, rev_dual, dual, _row_peak(dual)),
+            ]
 
         return run
 
@@ -922,59 +845,35 @@ def _mobius_units(ranges, tol, config):
     def unit(n_deg, cstar, n):
         def run():
             src = raw_table_source(n_deg, seed=_seed_int(config.seed, 404, n_deg, cstar, n))
-            recs = []
+            rows, got, want = [], [], []
             for chi_star in primitive_characters(cstar):
                 chi_big = induce(chi_star, n * cstar)
                 for q in itertools.product(range(1, q_max + 1), repeat=n_deg - 2):
                     base = VoronoiInstance(src, q, cstar, chi=chi_star, truncation=x)
                     target = VoronoiInstance(src, q, n * cstar, chi=chi_big, truncation=x)
-
-                    got_h = mobius_collapse(
-                        lambda q2, n2: curly_h_coefficients(replace(base, q=q2), n2, s),
-                        q,
-                        n,
-                        s,
-                        chi_star,
-                    )
-                    want_h = h_coefficients(target) * complex(n) ** (2 * s - 1)
-                    got_g = mobius_collapse(
-                        lambda q2, n2: curly_g_coefficients(
-                            replace(base, q=q2), n2, s, _G_EVEN_PROBE
+                    head = {"degree": n_deg, "cstar": cstar, "chi": chi_star.label, "q": list(q)}
+                    for family, curly, want_f in (
+                        (
+                            "divisor-corrected-h",
+                            lambda q2, n2: curly_h_coefficients(replace(base, q=q2), n2, s),
+                            h_coefficients(target) * complex(n) ** (2 * s - 1),
                         ),
-                        q,
-                        n,
-                        s,
-                        chi_star,
-                    )
-                    want_g = g_coefficients(target, s, _G_EVEN_PROBE)
-                    for family, got, want in (
-                        ("divisor-corrected-h", got_h, want_h),
-                        ("divisor-corrected-g", got_g, want_g),
+                        (
+                            "divisor-corrected-g",
+                            lambda q2, n2: curly_g_coefficients(
+                                replace(base, q=q2), n2, s, _G_EVEN_PROBE
+                            ),
+                            g_coefficients(target, s, _G_EVEN_PROBE),
+                        ),
                     ):
-                        diff = np.abs(got - want)
-                        idx = int(np.argmax(diff))
-                        scale = max(
-                            1e-30, float(np.max(np.abs(want))), float(np.max(np.abs(got)))
-                        )
-                        recs.append(
-                            _rel_case(
-                                anchor,
-                                {
-                                    "family": family,
-                                    "degree": n_deg,
-                                    "cstar": cstar,
-                                    "chi": chi_star.label,
-                                    "q": list(q),
-                                    "n": n,
-                                    "worst_n": idx,
-                                },
-                                got[idx],
-                                want[idx],
-                                float(diff[idx]) / scale,
-                                tol,
-                            )
-                        )
-            return recs
+                        rows.append({**head, "n": n, "family": family})
+                        got.append(mobius_collapse(curly, q, n, s, chi_star))
+                        want.append(want_f)
+            if not rows:  # no primitive character of conductor cstar
+                return []
+            got, want = np.array(got), np.array(want)
+            rel = np.abs(got - want) / _row_peak(want, got)
+            return _worst_records(anchor, rows, got, want, rel, tol, lambda k: {"worst_n": k})
 
         return run
 
@@ -1047,29 +946,19 @@ def _voronoi_units(ranges, tol, config):
 
         return run
 
+    # twist -> (degree, shifts, conductor, q) of the probed instance
+    probes = {
+        "isobaric": (3, (1j, 0j, -1j), probe_cstar, (2,)),
+        "trivial": (3, (0j, 0j, 0j), 1, (1,)),
+        "degree-2": (2, (1j, -1j), probe_cstar, ()),
+    }
+
     def probe_unit(sz, wz, twist):
         def run():
-            if twist == "trivial":
-                src = source_for(3, (0j, 0j, 0j), 2 * x_probe)
-                inst = VoronoiInstance(
-                    src, (1,), 1, chi=principal(1), truncation=truncation
-                )
-                chi_label = principal(1).label
-                qz = [1]
-            elif twist == "degree-2":
-                src = source_for(2, (1j, -1j), 2 * x_probe)
-                chi_star = primitive_characters(probe_cstar)[0]
-                inst = VoronoiInstance(src, (), probe_cstar, chi=chi_star, truncation=truncation)
-                chi_label = chi_star.label
-                qz = []
-            else:
-                src = source_for(3, (1j, 0j, -1j), 2 * x_probe)
-                chi_star = primitive_characters(probe_cstar)[0]
-                inst = VoronoiInstance(
-                    src, (2,), probe_cstar, chi=chi_star, truncation=truncation
-                )
-                chi_label = chi_star.label
-                qz = [2]
+            n_deg, shifts, cstar, qz = probes[twist]
+            chi_star = primitive_characters(cstar)[0]
+            src = source_for(n_deg, shifts, 2 * x_probe)
+            inst = VoronoiInstance(src, qz, cstar, chi=chi_star, truncation=truncation)
             via_l, via_a = z_probe(inst, sz, wz, x_probe)
             bound = z_probe_bound(inst, sz, wz, x_probe)
             return [
@@ -1078,8 +967,8 @@ def _voronoi_units(ranges, tol, config):
                     {
                         "family": "z",
                         "twist": twist,
-                        "chi": chi_label,
-                        "q": qz,
+                        "chi": chi_star.label,
+                        "q": list(qz),
                         "s": sz,
                         "w": wz,
                         "x": x_probe,

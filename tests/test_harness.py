@@ -93,6 +93,28 @@ def test_kloosterman_reports_repeat_across_jobs_and_runs():
     assert reps[0].cases == 84 and reps[0].passed
 
 
+REPEAT_RANGES = {
+    "gauss-lemmas": {"cstar_max": 5, "c_max": 10, "m_max": 6, "n_max": 3},
+    "kloosterman-average": {"degrees": [3, 4], "c_max": 4, "q_max": 2, "n_values": [1, -3]},
+    "hecke": dict(SMALL_HECKE),
+    "equivalence": {"degrees": [3], "c_values": [4, 5, 6], "coefficients": 20},
+    "mobius": {"degrees": [3], "cstar_values": [3, 4], "n_values": [2], "modulus_max": 8},
+    "voronoi-core": {"truncation_y": 500, "x_probe": 500},
+    "lfunc": {"cstar_max": 5},
+}
+
+
+@pytest.mark.parametrize("suite", suite_names())
+def test_every_suite_repeats_across_runs_and_jobs(suite):
+    texts = [
+        run_suite(SweepConfig(suite=suite, ranges=dict(REPEAT_RANGES[suite]), jobs=jobs))
+        .to_canonical_json()
+        for jobs in (1, 1, 2)
+    ]
+    assert texts[0] == texts[1] == texts[2]
+    assert '"failures":0' in texts[0] and '"cases":0,' not in texts[0]
+
+
 def test_report_round_trip(tmp_path):
     rep = run_suite(SweepConfig(suite="hecke", ranges=dict(SMALL_HECKE), seed=1))
     path = tmp_path / "rep.json"
@@ -242,10 +264,68 @@ def test_kloosterman_empty_n_values_yield_zero_cases():
     assert rep.cases == 0 and rep.passed
 
 
-def test_worst_points_first_maximum_and_nan():
+def test_worst_records_first_maximum_and_nan():
     nan = float("nan")
     rel = np.array([[0.1, 0.3, 0.3], [0.2, nan, 0.9], [0.0, 0.0, 0.0], [0.5, 0.1, nan]])
-    assert harness._worst_points(rel).tolist() == [1, 1, 0, 2]
+    lhs = np.arange(12, dtype=complex).reshape(4, 3)
+    rows = [{"row": i} for i in range(4)]
+    recs = harness._worst_records("anchor", rows, lhs, 0.0, rel, 0.4, lambda p: {"p": p})
+    assert [r.parameters for r in recs] == [
+        {"row": i, "p": p} for i, p in enumerate([1, 1, 0, 2])
+    ]
+    assert [r.passed for r in recs] == [True, False, True, False]
+    assert [r.lhs for r in recs] == [1, 4, 6, 11] and all(r.rhs == 0 for r in recs)
+
+
+def test_d3_nan_point_fails_its_record(monkeypatch):
+    count = harness.divisor_count
+    monkeypatch.setattr(
+        harness, "divisor_count", lambda k, n: math.nan if n == 7 else count(k, n)
+    )
+    rep = run_suite(SweepConfig(suite="hecke", ranges={"draws": 0, "d3_check_max": 20}))
+    (rec,) = rep.records
+    assert rec.parameters == {"check": "d3", "n_max": 20, "n": 7}
+    assert not rec.passed and math.isnan(rec.rel_error)
+
+
+@pytest.mark.parametrize(
+    "suite, ranges, key",
+    [
+        (
+            "equivalence",
+            {"degrees": [3], "c_values": [5], "q_max": 2, "coefficients": 20},
+            ("direction", "forward-additive"),
+        ),
+        (
+            "mobius",
+            {"degrees": [3], "cstar_values": [5], "n_values": [2], "modulus_max": 10,
+             "q_max": 2, "coefficients": 20},
+            ("family", "divisor-corrected-h"),
+        ),
+    ],
+    ids=["equivalence", "mobius"],
+)
+def test_nan_h_coefficient_fails_its_record(monkeypatch, suite, ranges, key):
+    clean = run_suite(SweepConfig(suite=suite, ranges=dict(ranges)))
+    h = harness.h_coefficients
+
+    def poisoned(inst):
+        out = h(inst).copy()
+        if inst.chi_star.label == "5:1":
+            out[7] = complex(math.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(harness, "h_coefficients", poisoned)
+    rep = run_suite(SweepConfig(suite=suite, ranges=dict(ranges)))
+    assert clean.passed and rep.cases == clean.cases
+    hit = [
+        r for r in rep.records
+        if r.parameters[key[0]] == key[1] and r.parameters["chi"] == "5:1"
+    ]
+    assert len(hit) == 2  # one per q
+    for rec in hit:
+        assert not rec.passed and rec.parameters["worst_n"] == 7
+        assert math.isnan(rec.rel_error)
 
 
 def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
