@@ -257,7 +257,7 @@ def _chain_moduli(c: int, q, chains) -> np.ndarray:
     if c < 1:
         raise ValueError("c must be >= 1")
     try:
-        d = np.array(chains, dtype=np.int64).reshape(len(chains), k)
+        d = np.asarray(chains, dtype=np.int64).reshape(len(chains), k)
     except ValueError:
         raise ValueError("q and every d must have equal length") from None
     if any(x < 1 for x in q) or (d < 1).any():
@@ -298,67 +298,156 @@ def kloosterman_vector(n_values, c: int, q: tuple[int, ...], d: tuple[int, ...])
     return tail
 
 
+def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int, root: bool):
+    """The innermost layer of a chain, at the residues where the walk keeps L.
+
+    complex128[rows, len(n_values)]: entry [s, t] = sum over the units x mod
+    M_K of e(d_K x r_s / M_{K-1}) e(n_t x^-1 / M_K), M_K = q_K M_{K-1} / d_K,
+    from one kl_layer call.  r_s runs over every residue mod M_{K-1} at the
+    root and over the inverses of the units mod M_{K-1} below it.  q_k = 0
+    stands for a chain with no layer, whose table is e(r_s n_t / M_0).  The
+    table is kept in leaves under (n_values, M_{K-1}, q_K, d_K, root); the
+    caller has checked the chain, so nothing is checked again here.
+    """
+    key = (n_values, m_prev, q_k, d_k, root)
+    table = leaves.get(key)
+    if table is None:
+        m = q_k * m_prev // d_k if q_k else m_prev
+        r = np.array([n % m for n in n_values], dtype=np.int64)
+        table = roots_of_unity(m)[np.arange(m, dtype=np.int64)[:, None] * r[None, :] % m]
+        if q_k:
+            units = unit_residues(m)
+            table = kl_layer(
+                units, inverse_table(m)[units], d_k, m_prev, roots_of_unity(m_prev), table
+            )
+        if not root:
+            table = table[inverse_table(m_prev)[unit_residues(m_prev)]]
+        leaves[key] = table
+    return table
+
+
+def _stack_product(stack: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """out[p] = stack[p] @ w for every block p, as one product of the stacked rows.
+
+    Blocks of one row are multiplied one at a time instead (numpy's batched
+    matmul), so each keeps the bits of its own vector-matrix product, which
+    BLAS sums in another order than a matrix product.
+    """
+    if stack.shape[1] == 1:
+        np.matmul(stack, w, out=out)
+    else:
+        np.matmul(stack.reshape(-1, stack.shape[2]), w, out=out.reshape(-1, w.shape[1]))
+
+
 def average_kloosterman_direct_table(
-    c: int, q: tuple[int, ...], chains, n_values, rows
+    c: int, q: tuple[int, ...], chains, n_values, rows, leaves: dict | None = None
 ) -> np.ndarray:
     """Character averages (or any row averages) of the direct Kloosterman sums.
 
     complex128[n_rows, n_chains, n_n] for rows of shape [n_rows, c]: entry
     [x, j, t] = sum over a mod c of rows[x, a] Kl(a, n_values[t], c; q, chains[j]).
 
-    The prefix tree of the chains is walked once from the outermost layer.
-    L starts as rows, a function on Z/M_0; the edge d_i maps L to the function
-    on Z/M_i that is sum over r of L[r] e(d_i y r / M_{i-1}) at y^-1 for the
-    units y mod M_i and zero elsewhere, so chains sharing a prefix share its
-    left products.  At depth K-1 every leaf d_K is done in one matrix product
-    of L with the side-by-side kloosterman_vector tables of (M_{K-1}; q_K, d_K),
-    the chain's innermost layer, each built once per call.  For K = 0 and 1
-    the root is that node.
+    The prefix tree of the chains is walked from the outermost layer inward,
+    one depth at a time.  L starts as rows, a function on Z/M_0; the edge d_i
+    maps L to the function on Z/M_i that is sum over r of L[r] e(d_i y r /
+    M_{i-1}) at y^-1 for the units y mod M_i and zero elsewhere, so chains
+    sharing a prefix share its products.  The nodes of one depth with the same
+    modulus M keep L at the same residues, so their L blocks are stacked and
+    multiplied once per distinct d_i.  At depth K-1 (the root for K = 0 and
+    1) the stack of each M_{K-1} goes through one product with the side-by-side
+    _leaf_table tables of its leaves d_K, the chains' innermost layers.  Those
+    tables depend only on (n_values, M_{K-1}, q_K, d_K) and on whether the
+    node is the root, so a caller may pass one dict as `leaves` to every call
+    of a sweep; without it each call starts an empty one.
     """
     q = tuple(q)
     k = len(q)
-    _chain_moduli(c, q, chains)
+    n_chains = len(_chain_moduli(c, q, chains))  # checks every chain
     rows = np.asarray(rows, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != c:
         raise ValueError(f"rows must have shape [n_rows, {c}]")
     n_rows, n_n = rows.shape[0], len(n_values)
-    out = np.empty((n_rows, len(chains), n_n), dtype=np.complex128)
-    if not chains:
-        return out
-    leaves = {}  # (M_{K-1}, chain tail) -> innermost-layer table
+    if n_chains == 0:
+        return np.empty((n_rows, 0, n_n), dtype=np.complex128)
+    d = np.asarray(chains, dtype=np.int64).reshape(n_chains, k)
+    n_values = tuple(n_values)
+    if leaves is None:
+        leaves = {}
 
-    def leaf(m_prev, tail_d):
-        if (m_prev, tail_d) not in leaves:
-            leaves[m_prev, tail_d] = kloosterman_vector(n_values, m_prev, q[k - 1 :], tail_d)
-        return leaves[m_prev, tail_d]
+    # The nodes of one depth: chain j sits under node[j], node p has modulus
+    # node_mod[p], and stacks[M][node_row[p]] is its L, [n_rows, len(at)], at
+    # every residue mod c at the root and at inverse_table(M)[units mod M]
+    # below it.
+    chain_d = d.tolist()
+    node = [0] * n_chains
+    node_mod, node_row, stacks = [c], [0], {c: rows[None]}
+    for i in range(k - 1):
+        kids = {}  # (parent, d_{i+1}) -> child
+        for j, dj in enumerate(chain_d):
+            node[j] = kids.setdefault((node[j], dj[i]), len(kids))
+        runs = {}  # (parent modulus, d_{i+1}) -> [(parent row, child)], one product each
+        for (p, d_i), kid in kids.items():
+            runs.setdefault((node_mod[p], d_i), []).append((node_row[p], kid))
+        size = {}
+        for (m_prev, d_i), members in runs.items():
+            m = q[i] * m_prev // d_i
+            size[m] = size.get(m, 0) + len(members)
+        new_stacks = {
+            m: np.empty((n, n_rows, len(unit_residues(m))), dtype=np.complex128)
+            for m, n in size.items()
+        }
+        node_mod, node_row, fill = [0] * len(kids), [0] * len(kids), dict.fromkeys(size, 0)
+        for (m_prev, d_i), members in runs.items():
+            m = q[i] * m_prev // d_i
+            lo = fill[m]
+            fill[m] = lo + len(members)
+            if i == 0:
+                at = np.arange(c, dtype=np.int64)
+            else:
+                at = inverse_table(m_prev)[unit_residues(m_prev)]
+            base = (d_i % m_prev) * unit_residues(m) % m_prev
+            w = roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
+            members.sort()
+            src = stacks[m_prev]
+            if len(members) < len(src):
+                src = src[[row for row, _ in members]]
+            _stack_product(src, w, new_stacks[m][lo : lo + len(members)])
+            for row, (_, kid) in enumerate(members, lo):
+                node_mod[kid], node_row[kid] = m, row
+        stacks = new_stacks
 
-    # A node is (depth, M_depth, at, left, chain indices): column s of left is
-    # L at the residue at[s] mod M_depth, and L is zero at the residues not
-    # listed, so below the root only the units carry columns.
-    todo = [(0, c, np.arange(c, dtype=np.int64), rows, range(len(chains)))]
-    while todo:
-        depth, m_prev, at, left, idx = todo.pop()
-        groups = {}
-        if depth < k - 1:
-            for j in idx:
-                groups.setdefault(chains[j][depth], []).append(j)
-            for d_i, sub in groups.items():
-                m = q[depth] * m_prev // d_i
-                units = unit_residues(m)
-                base = (d_i % m_prev) * units % m_prev
-                nxt = left @ roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
-                todo.append((depth + 1, m, inverse_table(m)[units], nxt, sub))
-            continue
-        for j in idx:
-            groups.setdefault(tuple(chains[j][k - 1 :]), []).append(j)
-        block = np.concatenate([leaf(m_prev, tail_d) for tail_d in groups], axis=1)
-        res = (left @ block[at]).reshape(n_rows, len(groups), n_n)
-        cols, pos = [], []
-        for p, sub in enumerate(groups.values()):
-            cols += sub
-            pos += [p] * len(sub)
-        out[:, cols, :] = res[:, pos, :]
-    return out
+    # Depth K-1: one product per M_{K-1} with the tables of its leaves d_K
+    # side by side, [nodes, n_rows, leaves, n_n], all in one flat buffer.
+    q_k = q[-1] if k else 0
+    cols = {m: {} for m in stacks}  # M_{K-1} -> d_K -> column
+    place = []  # chain j: (M_{K-1}, row of its node, column of its leaf)
+    for j, dj in enumerate(chain_d):
+        p = node[j]
+        tails = cols[node_mod[p]]
+        place.append((node_mod[p], node_row[p], tails.setdefault(dj[-1] if k else 0, len(tails))))
+    parts, where, offset = [], {}, 0
+    for m_prev, stack in stacks.items():
+        block = np.concatenate(
+            [_leaf_table(leaves, n_values, m_prev, q_k, d_k, k <= 1) for d_k in cols[m_prev]],
+            axis=1,
+        )
+        res = np.empty((len(stack), n_rows, block.shape[1]), dtype=np.complex128)
+        _stack_product(stack, block, res)
+        parts.append(res.reshape(-1))
+        where[m_prev] = (offset, block.shape[1])
+        offset += res.size
+    # entry [x, j, t] sits at start[j] + x width[j] + t
+    start, width = [], []
+    for m_prev, row, col in place:
+        off, w = where[m_prev]
+        start.append(off + row * n_rows * w + col * n_n)
+        width.append(w)
+    idx = (
+        np.array(start)[None, :, None]
+        + np.arange(n_rows)[:, None, None] * np.array(width)[None, :, None]
+        + np.arange(n_n)
+    )
+    return np.concatenate(parts)[idx]
 
 
 def _lemma34_factors(c, q, chains, n_values, chars):
@@ -373,7 +462,7 @@ def _lemma34_factors(c, q, chains, n_values, chars):
     """
     k = len(q)
     mods = _chain_moduli(c, q, chains)
-    d = np.array(chains, dtype=np.int64).reshape(len(chains), k)
+    d = np.asarray(chains, dtype=np.int64).reshape(len(chains), k)
     # n enters only mod M_K; reducing by their lcm first keeps any int in int64
     lcm_k = math.lcm(*mods[:, k].tolist())
     n_arr = np.array([n % lcm_k for n in n_values], dtype=np.int64)

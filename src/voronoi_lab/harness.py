@@ -122,7 +122,7 @@ def _canonical(obj, out: list[str]) -> None:
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append("[%s,%s]" % (_float_repr(obj.real), _float_repr(obj.imag)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(obj if type(obj) is _Encoded else json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -143,6 +143,10 @@ def _canonical(obj, out: list[str]) -> None:
         out.append("}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+class _Encoded(str):
+    """Text canonical_json has already produced; it is written as it is."""
 
 
 def canonical_json(obj) -> str:
@@ -183,11 +187,24 @@ class CaseRecord:
     rel_error: float
     tolerance: float
     passed: bool
+    _parameters_json: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def parameters_json(self) -> str:
+        """canonical_json of the parameters: the record's sort key and its text in a report."""
+        text = self._parameters_json
+        if text is None:
+            text = canonical_json(self.parameters)
+            object.__setattr__(self, "_parameters_json", text)
+        return text
 
     def to_dict(self) -> dict:
+        return self._fields(_jsonable(self.parameters))
+
+    def _fields(self, parameters) -> dict:
         return {
             "anchor": self.anchor,
-            "parameters": _jsonable(self.parameters),
+            "parameters": parameters,
             "lhs": _pair(self.lhs),
             "rhs": _pair(self.rhs),
             "abs_error": float(self.abs_error),
@@ -282,6 +299,9 @@ class VerificationReport:
         return self.failures == 0
 
     def to_dict(self, include_timing: bool = False) -> dict:
+        return self._document(include_timing, [r.to_dict() for r in self.records])
+
+    def _document(self, include_timing: bool, records: list[dict]) -> dict:
         summary = {
             "cases": self.cases,
             "failures": self.failures,
@@ -292,7 +312,7 @@ class VerificationReport:
         return {
             "anchor": self.anchor,
             "config": _jsonable(self.config_echo),
-            "records": [r.to_dict() for r in self.records],
+            "records": records,
             "schema": self.schema,
             "suite": self.suite,
             "summary": summary,
@@ -301,8 +321,10 @@ class VerificationReport:
 
     def to_canonical_json(self, include_timing: bool = False) -> str:
         # Timing is excluded by default so identical sweeps emit identical
-        # bytes; pass include_timing=True for human-facing copies.
-        return canonical_json(self.to_dict(include_timing)) + "\n"
+        # bytes; pass include_timing=True for human-facing copies.  Each
+        # record's parameters go in as the text run_suite sorted them by.
+        records = [r._fields(_Encoded(r.parameters_json)) for r in self.records]
+        return canonical_json(self._document(include_timing, records)) + "\n"
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
@@ -667,17 +689,21 @@ def _kloosterman_units(ranges, tol, config):
     units = []
     if not n_values:  # no points, so no worst point to report
         return units
+    # The direct walk's innermost-layer tables, shared by every unit of this
+    # sweep and dropped with it.  Pool threads that race on a key each build
+    # the same table, so the store needs no lock.
+    leaves = {}
 
     def unit(n_deg, c, q):
         def run():
             chars = enumerate_characters(c)
             vv = np.stack([ch.value_vector for ch in chars])
-            chains = kloosterman_divisor_chains(c, q)
+            chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
             # Both routes give every (character, chain, n) of the unit in one
             # array: the closed one from Gauss sums, the direct one by one
             # walk of the chains' prefix tree against the value vectors.
             closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
-            direct = average_kloosterman_direct_table(c, q, chains, n_values, vv)
+            direct = average_kloosterman_direct_table(c, q, chains, n_values, vv, leaves)
             scale = np.sqrt(np.prod(_chain_moduli(c, q, chains), axis=1))
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
@@ -685,7 +711,7 @@ def _kloosterman_units(ranges, tol, config):
 
             def point(p):
                 j, t = divmod(p, len(n_values))
-                return {"d": list(chains[j]), "n": n_values[t]}
+                return {"d": chains[j].tolist(), "n": n_values[t]}
 
             flat = (len(chars), -1)
             return _worst_records(
@@ -1282,7 +1308,7 @@ def run_suite(config: SweepConfig) -> VerificationReport:
     else:
         chunks = [u() for u in units]
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: canonical_json(r.parameters))
+    records.sort(key=lambda r: r.parameters_json)
     # jobs is deliberately not echoed: worker count is scheduling only, so
     # reports from differently provisioned machines stay byte-comparable.
     echo = {

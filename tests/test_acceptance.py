@@ -54,15 +54,15 @@ def test_acceptance_2_gauss_divisor_average():
 
 def test_acceptance_3_kloosterman_average():
     rep = run_suite(SweepConfig(suite="kloosterman-average", ranges={}, tolerance=1e-8))
-    # degree 6: four Kloosterman layers, 81 q tuples times sum of phi(c) = 22 characters
+    # degree 6: four Kloosterman layers, 81 q tuples times sum of phi(c) = 46 characters
     rep_deg6 = run_suite(
         SweepConfig(
             suite="kloosterman-average",
-            ranges={"degrees": [6], "c_max": 8, "q_max": 3},
+            ranges={"degrees": [6], "c_max": 12, "q_max": 3},
             tolerance=1e-8,
         )
     )
-    assert rep_deg6.cases == 1782
+    assert rep_deg6.cases == 3726
     assert _line(3, "kloosterman-average", [rep, rep_deg6], 300)
 
 

@@ -248,6 +248,31 @@ def test_direct_table_against_nested_oracle():
                         assert err < 1e-12 * scale, (c, q, d, n)
 
 
+def test_direct_tables_sharing_one_leaf_store_against_nested_oracle():
+    # One store for every unit and two n lists, as a sweep shares it: a key
+    # that left out n_values, q_K, d_K or the root flag would hand a unit the
+    # leaf tables of another (c = 4, q = (2,) at the root and q = (2, 2) below
+    # it both reach M_{K-1} = 4 with q_K = 2).
+    leaves = {}
+    for n_values in (KL_N_VALUES, (3, -4, 7)):
+        for c in range(1, 7):
+            units = [int(a) for a in unit_residues(c)]
+            vv = np.stack([chi.value_vector for chi in enumerate_characters(c)])
+            for q in DIRECT_QS:
+                chains = kloosterman_divisor_chains(c, q)
+                table = average_kloosterman_direct_table(
+                    c, q, np.array(chains, dtype=np.int64), n_values, vv, leaves
+                )
+                for j, d in enumerate(chains):
+                    scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
+                    for t, n in enumerate(n_values):
+                        kl = [hyper_kloosterman(KloostermanSpec(a, n, c, q, d)) for a in units]
+                        want = vv[:, units] @ np.array(kl)
+                        err = np.abs(table[:, j, t] - want).max()
+                        assert err < 1e-12 * scale, (c, q, d, n)
+    assert leaves
+
+
 def test_direct_table_matches_per_chain_tables():
     # Rows with entries at the non-units too, and chains in reverse order with
     # one repeated, so the walk's grouping cannot lean on enumeration order.

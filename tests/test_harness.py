@@ -81,8 +81,9 @@ def test_parallel_scheduling_does_not_reorder():
 
 
 def test_kloosterman_reports_repeat_across_jobs_and_runs():
-    # Each unit walks its chains with tables local to the call, so neither a
-    # second run in this process nor two pool threads may change a byte.
+    # The units of one sweep share the direct walk's leaf tables, and each
+    # sweep starts its own store, so neither a second run in this process nor
+    # two pool threads filling one store may change a byte.
     cfg = {"degrees": [3, 4, 5], "c_max": 4, "q_max": 2, "n_values": [1, 2, -3]}
     reps = [
         run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(cfg), jobs=jobs))
@@ -113,6 +114,19 @@ def test_every_suite_repeats_across_runs_and_jobs(suite):
     ]
     assert texts[0] == texts[1] == texts[2]
     assert '"failures":0' in texts[0] and '"cases":0,' not in texts[0]
+
+
+def test_report_writes_each_records_parameters_as_its_sort_key():
+    # to_canonical_json reuses the encoding run_suite sorted by; the bytes must
+    # be those of encoding the to_dict() document afresh, for every value type
+    # a parameter dict may hold.
+    params = {"q": (2, np.int64(3)), "z": 1 - 0.5j, "s": 'a"\u00e9', "ok": np.bool_(True)}
+    rec = harness.CaseRecord("Eq. 1", {**params, "x": np.float64(0.1)}, 1j, 1j, 0.0, 0.0, 1.0, True)
+    rep = VerificationReport("hecke", "Eq. 1", [rec], {"seed": 1})
+    assert rec.parameters_json == canonical_json(rec.parameters)
+    assert rep.to_canonical_json() == canonical_json(rep.to_dict()) + "\n"
+    hecke = run_suite(SweepConfig(suite="hecke", ranges=dict(SMALL_HECKE), seed=1))
+    assert hecke.to_canonical_json() == canonical_json(hecke.to_dict()) + "\n"
 
 
 def test_report_round_trip(tmp_path):

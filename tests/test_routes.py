@@ -88,6 +88,7 @@ def test_closed_kloosterman_route_never_reaches_a_layered_sum():
         "kl_layer",
         "hyper_kloosterman",
         "average_kloosterman_direct_table",
+        "_leaf_table",
     }
     for node in _reachable("exponential_sums.py", "average_kloosterman_closed_lemma34_table"):
         refs = _names(node)
