@@ -143,15 +143,14 @@ class DirichletCharacter:
         return complex(roots_of_unity(m // g)[k // g])
 
     @cached_property
-    def value_vector(self) -> np.ndarray:
-        """Read-only complex128[modulus] of chi(u) for u = 0..modulus-1."""
+    def turn_table(self) -> np.ndarray:
+        """Read-only int64[modulus]: k with chi(u) = e(k/m) and 0 <= k < m, -1 off the units.
+
+        m is the group exponent, so the table holds the k of _turns for
+        every u = 0..modulus-1 at once.
+        """
         c = self.modulus
         m = self.group.exponent
-        roots = roots_of_unity(m)
-        if c == 1:
-            vec = np.ones(1, dtype=np.complex128)
-            vec.setflags(write=False)
-            return vec
         u = np.arange(c, dtype=np.int64)
         unit = np.gcd(u, c) == 1
         k_tot = np.zeros(c, dtype=np.int64)
@@ -159,7 +158,15 @@ class DirichletCharacter:
             if k:
                 step = k * (m // f.order)
                 k_tot[unit] += step * f.dlog[u[unit] % f.prime_power]
-        vec = np.where(unit, roots[k_tot % m], 0j)
+        table = np.where(unit, k_tot % m, -1)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def value_vector(self) -> np.ndarray:
+        """Read-only complex128[modulus] of chi(u) for u = 0..modulus-1."""
+        turns = self.turn_table
+        vec = np.where(turns >= 0, roots_of_unity(self.group.exponent)[turns], 0j)
         vec.setflags(write=False)
         return vec
 

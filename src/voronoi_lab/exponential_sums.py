@@ -18,9 +18,16 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import kl_layer
-from .characters import DirichletCharacter, enumerate_characters, induce
+from .characters import DirichletCharacter, enumerate_characters
 from .numeric import roots_of_unity, sum_error_bound
-from .residues import divisors, euler_phi, inverse_table, mobius, unit_residues
+from .residues import (
+    divisors,
+    euler_phi,
+    inverse_table,
+    mobius_sieve,
+    unit_group,
+    unit_residues,
+)
 
 
 def additive_char(x: Fraction | int) -> complex:
@@ -48,8 +55,22 @@ def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
     g(chi*, c, m) = sum over u mod c of chi(u) e(mu/c) is the unscaled inverse
     DFT of the induced character's value vector (zero off the units), so the
     whole vector is one FFT; per-entry rounding is covered by gauss_sum_error(c).
+
+    The value vector is read off chi*'s turn table, not built from induce:
+    chi*(u) = e(k/m*) with k = turn_table[u mod c*], and m* divides m_c, the
+    exponent of (Z/c)^x.  So at a unit u mod c the induced character is entry
+    k m_c/m* mod m_c of roots_of_unity(m_c), the entry its own value_vector
+    reads, and the vector has the same bits.
     """
-    vec = np.fft.ifft(induce(chi_star, c).value_vector, norm="forward")
+    cstar = chi_star.modulus
+    if c % cstar != 0:
+        raise ValueError(f"{cstar} does not divide {c}")
+    m = unit_group(c).exponent
+    units = unit_residues(c)
+    turns = chi_star.turn_table[units % cstar] * (m // chi_star.group.exponent) % m
+    values = np.zeros(c, dtype=np.complex128)
+    values[units] = roots_of_unity(m)[turns]
+    vec = np.fft.ifft(values, norm="forward")
     vec.setflags(write=False)
     return vec
 
@@ -86,87 +107,93 @@ def _as_complex(re, im) -> np.ndarray:
     return out
 
 
-def _closed_form_inputs(chi_star: DirichletCharacter, c: int, m_values):
-    """Shared set-up of the Lemma 2.2/2.3 rows.
+def _closed_form_inputs(chi_star: DirichletCharacter, cs, m_values):
+    """Shared set-up of the Lemma 2.2/2.3 rows of one chi*.
 
-    Returns (m, chi, chi_bar, tau): m_values reduced mod c as int64 (both
+    Returns (c, m, chi, chi_bar, tau): c the int64 array of cs; m_values
+    reduced mod each c as Python ints, int64[len(cs), len(m_values)] (both
     closed forms read m only through gcds with divisors of c and through
     (m/d) mod c* with c* | c/d, so the reduction changes no index); the (re,
     im) tables of chi*(r) and conj(chi*)(r) for r < c*, each read once
     through the exact scalar evaluation; and tau(chi*) as an (re, im) pair.
     """
-    _check_gauss_args(chi_star, c)
-    m = np.array([v % c for v in m_values], dtype=np.int64)
+    for modulus in cs:
+        _check_gauss_args(chi_star, modulus)
+    c = np.array(cs, dtype=np.int64)
+    m = (np.array(m_values, dtype=object)[None, :] % c[:, None]).astype(np.int64)
     tables = []
     for ch in (chi_star, chi_star.conjugate()):
         vals = np.array([ch(r) for r in range(chi_star.modulus)], dtype=np.complex128)
         tables.append((vals.real, vals.imag))
     t = tau(chi_star)
-    return m, tables[0], tables[1], (t.real, t.imag)
+    return c, m, tables[0], tables[1], (t.real, t.imag)
 
 
-def gauss_sum_closed_lemma22_row(chi_star: DirichletCharacter, c: int, m_values) -> np.ndarray:
-    """complex128 row of the Lemma 2.2 closed form at every m of m_values.
+def gauss_sum_closed_lemma22_rows(chi_star: DirichletCharacter, cs, m_values) -> np.ndarray:
+    """complex128[len(cs), len(m_values)] of the Lemma 2.2 closed form.
 
-    tau(chi*) * sum over d | (m, c/c*) of d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)).
-    The divisors d of c/c* are visited in ascending order and each term is
-    added at the m it divides, so every entry is summed in the order of the
+    Entry [i, j] is tau(chi*) * sum over d | (m, c/c*) of
+    d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)) at c = cs[i], m = m_values[j].
+    The divisors d are visited in ascending order and each term is added at
+    the (c, m) it divides, so every entry is summed in the order of the
     scalar loop over the divisors of (m, c/c*).
     """
-    m, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, c, m_values)
+    c, m, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, cs, m_values)
     cstar = chi_star.modulus
     ratio = c // cstar
-    acc_re = np.zeros(len(m))
-    acc_im = np.zeros(len(m))
-    for d in divisors(ratio):
-        mu = mobius(ratio // d)
-        if mu == 0:
-            continue
-        hit = m % d == 0
-        k = m[hit] // d % cstar
-        r = ratio // d % cstar
+    mu_table = mobius_sieve(int(ratio.max(initial=1))).astype(np.int64)
+    acc_re = np.zeros(m.shape)
+    acc_im = np.zeros(m.shape)
+    for d in sorted(set().union(*(divisors(x) for x in set(ratio.tolist())))):
+        mu = np.where(ratio % d == 0, mu_table[ratio // d], 0)
+        rows, cols = np.nonzero((mu != 0)[:, None] & (m % d == 0))
+        k = m[rows, cols] // d % cstar
+        r = ratio[rows] // d % cstar
         term = _product((cr[r], ci[r]), (br[k], bi[k]))
-        tr, ti = _product((float(mu * d), 0.0), term)
-        acc_re[hit] += tr
-        acc_im[hit] += ti
+        tr, ti = _product(((mu[rows] * d).astype(np.float64), 0.0), term)
+        acc_re[rows, cols] += tr
+        acc_im[rows, cols] += ti
     return _as_complex(*_product(tau_pair, (acc_re, acc_im)))
 
 
-def gauss_sum_closed_lemma23_row(chi_star: DirichletCharacter, c: int, m_values) -> np.ndarray:
-    """complex128 row of the Lemma 2.3 closed form at every a of m_values.
+def gauss_sum_closed_lemma23_rows(chi_star: DirichletCharacter, cs, m_values) -> np.ndarray:
+    """complex128[len(cs), len(m_values)] of the Lemma 2.3 closed form.
 
-    Zero unless c* | c/(c,a); otherwise
+    Entry [i, j] at c = cs[i], a = m_values[j] is zero unless c* | c/(c,a);
+    otherwise
     tau(chi*) phi(c)/phi(c/(c,a)) mu(c/(c* (c,a))) chi*(c/(c* (c,a))) conj(chi*)(a/(c,a)).
     """
-    a, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, c, m_values)
+    c, a, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, cs, m_values)
     cstar = chi_star.modulus
-    g = np.gcd(a, c)
-    cofactor = c // g
+    g = np.gcd(a, c[:, None])
+    cofactor = c[:, None] // g
     live = cofactor % cstar == 0
-    phi = np.zeros(c + 1, dtype=np.int64)
-    mu = np.zeros(c + 1, dtype=np.int64)
-    for d in divisors(c):
+    # every cofactor and c/(c* (c,a)) divides its c
+    top = int(c.max(initial=1))
+    phi = np.zeros(top + 1, dtype=np.int64)
+    for d in set().union(*(divisors(x) for x in set(c.tolist()))):
         phi[d] = euler_phi(d)
-        mu[d] = mobius(d)
+    mu = mobius_sieve(top).astype(np.int64)
+    rows = np.nonzero(live)[0]
     f, q = cofactor[live], cofactor[live] // cstar
-    scale = (euler_phi(c) // phi[f] * mu[q]).astype(np.float64)
+    scale = (phi[c[rows]] // phi[f] * mu[q]).astype(np.float64)
     k = a[live] // g[live] % cstar
     r = q % cstar
     term = _product((cr[r], ci[r]), (br[k], bi[k]))
     re, im = _product(tau_pair, _product((scale, 0.0), term))
-    out = np.zeros(len(a), dtype=np.complex128)
+    out = np.zeros(a.shape, dtype=np.complex128)
     out[live] = _as_complex(re, im)
     return out
 
 
 def gauss_sum_closed_lemma22(chi_star: DirichletCharacter, c: int, m: int) -> complex:
-    """Divisor-sum closed form of g(chi*, c, m); one point of gauss_sum_closed_lemma22_row."""
-    return complex(gauss_sum_closed_lemma22_row(chi_star, c, [m])[0])
+    """Divisor-sum closed form of g(chi*, c, m); one point of gauss_sum_closed_lemma22_rows."""
+    return complex(gauss_sum_closed_lemma22_rows(chi_star, [c], [m])[0, 0])
 
 
 def gauss_sum_closed_lemma23(chi_star: DirichletCharacter, c: int, m: int) -> complex:
-    """Vanishing/totient closed form of g(chi*, c, a); one point of gauss_sum_closed_lemma23_row."""
-    return complex(gauss_sum_closed_lemma23_row(chi_star, c, [m])[0])
+    """Vanishing/totient closed form of g(chi*, c, a); one point of gauss_sum_closed_lemma23_rows."""
+    return complex(gauss_sum_closed_lemma23_rows(chi_star, [c], [m])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +367,7 @@ def _stack_product(stack: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
 
 
 def average_kloosterman_direct_table(
-    c: int, q: tuple[int, ...], chains, n_values, rows, leaves: dict | None = None
+    c: int, q: tuple[int, ...], chains, n_values, rows, leaves: dict | None = None, mods=None
 ) -> np.ndarray:
     """Character averages (or any row averages) of the direct Kloosterman sums.
 
@@ -358,11 +385,15 @@ def average_kloosterman_direct_table(
     _leaf_table tables of its leaves d_K, the chains' innermost layers.  Those
     tables depend only on (n_values, M_{K-1}, q_K, d_K) and on whether the
     node is the root, so a caller may pass one dict as `leaves` to every call
-    of a sweep; without it each call starts an empty one.
+    of a sweep; without it each call starts an empty one.  A caller that has
+    _chain_moduli(c, q, chains) may pass it as `mods`, which skips the check
+    of the chains here.
     """
     q = tuple(q)
     k = len(q)
-    n_chains = len(_chain_moduli(c, q, chains))  # checks every chain
+    if mods is None:
+        mods = _chain_moduli(c, q, chains)  # checks every chain
+    n_chains = len(mods)
     rows = np.asarray(rows, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != c:
         raise ValueError(f"rows must have shape [n_rows, {c}]")
@@ -450,7 +481,7 @@ def average_kloosterman_direct_table(
     return np.concatenate(parts)[idx]
 
 
-def _lemma34_factors(c, q, chains, n_values, chars):
+def _lemma34_factors(c, q, chains, n_values, chars, mods):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
     Returns (factors, live): factor i is g(chi*, M_i, d_{i+1}) for
@@ -461,7 +492,6 @@ def _lemma34_factors(c, q, chains, n_values, chars):
     zero block that every other (chi*, M) points at.
     """
     k = len(q)
-    mods = _chain_moduli(c, q, chains)
     d = np.asarray(chains, dtype=np.int64).reshape(len(chains), k)
     # n enters only mod M_K; reducing by their lcm first keeps any int in int64
     lcm_k = math.lcm(*mods[:, k].tolist())
@@ -509,19 +539,23 @@ def _lemma34_product(factors, live) -> np.ndarray:
 
 
 def average_kloosterman_closed_lemma34_table(
-    c: int, q: tuple[int, ...], chains, n_values, chars=None
+    c: int, q: tuple[int, ...], chains, n_values, chars=None, mods=None
 ) -> np.ndarray:
     """Lemma 3.4 closed form for every character, divisor chain and n at once.
 
     complex128[n_chars, n_chains, n_n], characters in enumerate_characters(c)
     order unless `chars` (characters mod c) is given.  Entry [x, j, t] is
     average_kloosterman_closed_lemma34(chars[x], n_values[t], c, q, chains[j]).
+    `mods`, if given, is _chain_moduli(c, q, chains); otherwise it is computed
+    here, which checks the chains.
     """
     if chars is None:
         chars = enumerate_characters(c)
     elif any(chi.modulus != c for chi in chars):
         raise ValueError("chars must be characters mod c")
-    factors, live = _lemma34_factors(c, q, chains, n_values, chars)
+    if mods is None:
+        mods = _chain_moduli(c, q, chains)
+    factors, live = _lemma34_factors(c, q, chains, n_values, chars, mods)
     return _lemma34_product(factors, live)
 
 

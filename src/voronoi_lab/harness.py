@@ -30,8 +30,8 @@ from .exponential_sums import (
     _chain_moduli,
     average_kloosterman_closed_lemma34_table,
     average_kloosterman_direct_table,
-    gauss_sum_closed_lemma22_row,
-    gauss_sum_closed_lemma23_row,
+    gauss_sum_closed_lemma22_rows,
+    gauss_sum_closed_lemma23_rows,
     gauss_sum_vector,
     kloosterman_divisor_chains,
     tau,
@@ -51,7 +51,7 @@ from .lfunctions import (
     gamma_pole,
     twisted_l_isobaric,
 )
-from .residues import divisor_count, divisors, primes_up_to, unit_residues
+from .residues import divisor_count, primes_up_to, unit_residues
 from .voronoi import (
     VoronoiInstance,
     a_n_coefficient,
@@ -607,13 +607,13 @@ def _gauss_units(ranges, tol, config):
     anchor = _SUITES["gauss-lemmas"].anchor
     units = []
 
-    def closed_unit(chi, lemma, closed_row):
+    def closed_unit(chi, lemma, closed_rows):
         def run():
             cs = range(chi.modulus, c_max + 1, chi.modulus)
             m_arr = np.arange(1, m_max + 1)
             shape = (len(cs), m_max)  # (0, m_max) when c* > c_max: no rows, no records
             direct = np.reshape([gauss_sum_vector(chi, c)[m_arr % c] for c in cs], shape)
-            closed = np.reshape([closed_row(chi, c, m_arr) for c in cs], shape)
+            closed = closed_rows(chi, cs, m_arr)
             diff = direct - closed
             rel = np.hypot(diff.real, diff.imag) / np.sqrt(np.array(cs, dtype=float))[:, None]
             rows = [{"lemma": lemma, "chi": chi.label, "c": c} for c in cs]
@@ -628,17 +628,19 @@ def _gauss_units(ranges, tol, config):
             tau_val = tau(chi)
             m_arr = np.arange(1, m_max + 1)
             ns = range(1, n_max + 1)
+            # g(chi*, k c*, m) for every k <= n_max; one pass over d then adds
+            # chi*(d) g(chi*, (n/d) c*, m) to every multiple n of d, so each
+            # lhs[n] sums its divisors in ascending order.
+            gk = np.stack([gauss_sum_vector(chi, k * cstar)[m_arr % (k * cstar)] for k in ns])
             lhs = np.zeros((n_max, m_max), dtype=complex)
-            rhs = np.zeros((n_max, m_max), dtype=complex)
-            for n, lhs_n, rhs_n in zip(ns, lhs, rhs):
-                for d in divisors(n):
-                    chid = vv[d % cstar]
-                    if chid == 0:
-                        continue
-                    mod = (n // d) * cstar
-                    lhs_n += chid * gauss_sum_vector(chi, mod)[m_arr % mod]
-                mult = np.arange(n, m_max + 1, n)
-                rhs_n[mult - 1] = tau_val * np.conj(vv[(mult // n) % cstar]) * n
+            for d in ns:
+                chid = vv[d % cstar]
+                if chid != 0:
+                    lhs[d - 1 :: d] += chid * gk[: n_max // d]
+            n_col = np.array(ns)[:, None]
+            rhs = np.where(
+                m_arr % n_col == 0, tau_val * np.conj(vv[m_arr // n_col % cstar]) * n_col, 0j
+            )
             # |rhs| is exactly sqrt(c*) n whenever nonzero, so this one
             # scale covers the vanishing branch too.
             rel = np.abs(lhs - rhs) / (math.sqrt(cstar) * np.array(ns))[:, None]
@@ -650,9 +652,9 @@ def _gauss_units(ranges, tol, config):
     for cstar in range(1, cstar_max + 1):
         for chi in primitive_characters(cstar):
             if "2.2" in lemmas:
-                units.append(closed_unit(chi, "2.2", gauss_sum_closed_lemma22_row))
+                units.append(closed_unit(chi, "2.2", gauss_sum_closed_lemma22_rows))
             if "2.3" in lemmas:
-                units.append(closed_unit(chi, "2.3", gauss_sum_closed_lemma23_row))
+                units.append(closed_unit(chi, "2.3", gauss_sum_closed_lemma23_rows))
             if "2.5" in lemmas:
                 units.append(average_unit(chi))
     return units
@@ -702,9 +704,12 @@ def _kloosterman_units(ranges, tol, config):
             # Both routes give every (character, chain, n) of the unit in one
             # array: the closed one from Gauss sums, the direct one by one
             # walk of the chains' prefix tree against the value vectors.
-            closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
-            direct = average_kloosterman_direct_table(c, q, chains, n_values, vv, leaves)
-            scale = np.sqrt(np.prod(_chain_moduli(c, q, chains), axis=1))
+            mods = _chain_moduli(c, q, chains)  # checks every chain once
+            closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values, mods=mods)
+            direct = average_kloosterman_direct_table(
+                c, q, chains, n_values, vv, leaves, mods=mods
+            )
+            scale = np.sqrt(np.prod(mods, axis=1))
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
             rows = [{"degree": n_deg, "c": c, "q": list(q), "chi": ch.label} for ch in chars]

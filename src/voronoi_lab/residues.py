@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -207,7 +207,7 @@ class UnitGroup:
     def order(self) -> int:
         return euler_phi(self.modulus)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         """lcm of the factor orders (1 for c in {1, 2})."""
         return reduce(math.lcm, (f.order for f in self.factors), 1)

@@ -53,6 +53,21 @@ def test_values_match_fraction_reference_bit_for_bit():
                 ), (chi.label, n)
 
 
+def test_turn_table_matches_fraction_reference():
+    for c in range(1, 73):
+        m = enumerate_characters(c)[0].group.exponent
+        for chi in enumerate_characters(c):
+            table = chi.turn_table
+            assert table.dtype == np.int64 and table.shape == (c,)
+            assert not table.flags.writeable
+            for n in range(c):
+                frac, _ = _fraction_reference(chi, n)
+                want = -1 if frac is None else int(frac * m)
+                assert table[n] == want, (chi.label, n)
+            want_vv = np.where(table >= 0, roots_of_unity(m)[table], 0j)
+            assert chi.value_vector.tobytes() == want_vv.tobytes()
+
+
 def test_mod_five_orders():
     orders = sorted(ch.order for ch in enumerate_characters(5))
     assert orders == [1, 2, 4, 4]

@@ -15,9 +15,9 @@ from voronoi_lab.exponential_sums import (
     average_kloosterman_direct_table,
     gauss_sum,
     gauss_sum_closed_lemma22,
-    gauss_sum_closed_lemma22_row,
+    gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23,
-    gauss_sum_closed_lemma23_row,
+    gauss_sum_closed_lemma23_rows,
     gauss_sum_vector,
     hyper_kloosterman,
     kloosterman_divisor_chains,
@@ -32,6 +32,29 @@ def brute_gauss(chi_star, c, m):
     vv = induce(chi_star, c).value_vector
     roots = roots_of_unity(c)
     return complex(sum(vv[a] * roots[a * m % c] for a in range(c)))
+
+
+def test_gauss_sum_vector_is_bit_identical_to_the_induced_fft():
+    # gauss_sum_vector reads chi*'s turn table instead of building the induced
+    # character; it must give the FFT of the induced value vector bit for bit
+    count = 0
+    for cstar in range(1, 17):
+        for chi in primitive_characters(cstar):
+            for c in range(cstar, 161, cstar):
+                want = np.fft.ifft(induce(chi, c).value_vector, norm="forward")
+                got = gauss_sum_vector(chi, c)
+                assert np.array_equal(got, want), (chi.label, c)
+                assert got.tobytes() == want.tobytes(), (chi.label, c)  # signs of zero too
+                count += 1
+    assert count == 908  # 45 primitive chi*, c* = 1 and c = 1, 2 among them
+
+
+def test_gauss_sum_vector_rejects_a_modulus_c_star_does_not_divide():
+    chi5 = primitive_characters(5)[0]
+    for c in (1, 4, 12, 24):
+        with pytest.raises(ValueError, match="does not divide"):
+            gauss_sum_vector(chi5, c)
+    assert gauss_sum_vector(primitive_characters(1)[0], 1).tolist() == [1 + 0j]
 
 
 def test_gauss_sum_matches_brute():
@@ -52,14 +75,19 @@ def test_tau_modulus():
     assert abs(tau(principal(1)) - 1) < 1e-14
 
 
+def _family_at(rows_fn):
+    # the family over (c*, c): a bad c anywhere fails the whole call
+    return lambda chi, c, m_values: rows_fn(chi, [chi.modulus, c], m_values)
+
+
 def test_gauss_sum_argument_checks():
     chi3 = primitive_characters(3)[0]
     for f, m in (
         (gauss_sum, 1),
         (gauss_sum_closed_lemma22, 1),
         (gauss_sum_closed_lemma23, 1),
-        (gauss_sum_closed_lemma22_row, [1, 2]),
-        (gauss_sum_closed_lemma23_row, [1, 2]),
+        (_family_at(gauss_sum_closed_lemma22_rows), [1, 2]),
+        (_family_at(gauss_sum_closed_lemma23_rows), [1, 2]),
     ):
         with pytest.raises(ValueError, match="primitive"):
             f(principal(4), 8, m)  # conductor 1, so not primitive mod 4
@@ -114,49 +142,73 @@ def _lemma23_scalar_reference(chi_star, c, a):
     return tau(chi_star) * (scale * term)
 
 
+CLOSED_FAMILIES = (
+    (gauss_sum_closed_lemma22_rows, gauss_sum_closed_lemma22, _lemma22_scalar_reference),
+    (gauss_sum_closed_lemma23_rows, gauss_sum_closed_lemma23, _lemma23_scalar_reference),
+)
+
+
 def test_closed_rows_are_bit_identical_to_scalar_loops():
     m_values = list(range(-7, 71))
     zeros = entries = 0
     for cstar in range(1, 13):
         for chi in primitive_characters(cstar):
-            for c in range(cstar, 49, cstar):
-                rows = (
-                    (gauss_sum_closed_lemma22_row, gauss_sum_closed_lemma22, _lemma22_scalar_reference),
-                    (gauss_sum_closed_lemma23_row, gauss_sum_closed_lemma23, _lemma23_scalar_reference),
-                )
-                for row_fn, point_fn, reference in rows:
-                    row = row_fn(chi, c, m_values)
-                    assert row.dtype == np.complex128 and row.shape == (len(m_values),)
+            cs = range(cstar, 49, cstar)
+            for rows_fn, _, reference in CLOSED_FAMILIES:
+                rows = rows_fn(chi, cs, m_values)
+                assert rows.dtype == np.complex128 and rows.shape == (len(cs), len(m_values))
+                for c, row in zip(cs, rows):
                     for m, got in zip(m_values, row):
                         want = reference(chi, c, m)
-                        assert _bits(got) == _bits(want), (row_fn.__name__, chi.label, c, m)
-                        if m % 11 == 0:  # the scalar form is a one-point row
-                            assert _bits(point_fn(chi, c, m)) == _bits(want)
+                        assert _bits(got) == _bits(want), (rows_fn.__name__, chi.label, c, m)
                         entries += 1
                         zeros += want == 0
     assert 0 < zeros < entries
+
+
+def test_closed_families_equal_their_one_point_forms():
+    # a family row at (c, m) is the scalar form at (c, m): no entry depends
+    # on the other c or m of the call
+    m_values = list(range(-3, 31))
+    for cstar in range(1, 9):
+        for chi in primitive_characters(cstar):
+            cs = list(range(cstar, 41, cstar))[::-1]  # descending: order-free too
+            for rows_fn, point_fn, _ in CLOSED_FAMILIES:
+                rows = rows_fn(chi, cs, m_values)
+                for c, row in zip(cs, rows):
+                    for m, got in zip(m_values, row):
+                        want = point_fn(chi, c, m)
+                        assert got == want, (rows_fn.__name__, chi.label, c, m)
+                        assert _bits(got) == _bits(want), (rows_fn.__name__, chi.label, c, m)
+
+
+def test_closed_families_of_no_modulus_or_no_m():
+    chi = primitive_characters(5)[0]
+    for rows_fn, _, _ in CLOSED_FAMILIES:
+        assert rows_fn(chi, [], [1, 2, 3]).shape == (0, 3)
+        assert rows_fn(chi, [5, 10], []).shape == (2, 0)
 
 
 def test_closed_rows_match_brute_force():
     m_values = list(range(-7, 71))
     for cstar in range(1, 13):
         for chi in primitive_characters(cstar):
-            for c in range(cstar, 49, cstar):
-                want = [brute_gauss(chi, c, m) for m in m_values]
-                for row_fn in (gauss_sum_closed_lemma22_row, gauss_sum_closed_lemma23_row):
-                    err = np.abs(row_fn(chi, c, m_values) - np.array(want))
-                    assert err.max() < 1e-10 * math.sqrt(c), (row_fn.__name__, chi.label, c)
+            cs = range(cstar, 49, cstar)
+            want = np.array([[brute_gauss(chi, c, m) for m in m_values] for c in cs])
+            scale = np.sqrt(np.array(cs, dtype=float))[:, None]
+            for rows_fn, _, _ in CLOSED_FAMILIES:
+                err = np.abs(rows_fn(chi, cs, m_values) - want) / scale
+                assert err.max() < 1e-10, (rows_fn.__name__, chi.label)
 
 
 def test_closed_rows_take_m_beyond_int64():
     chi = primitive_characters(4)[0]
     big = [10**30 + 6, -(10**25) - 2, 2**63 + 4]
-    for row_fn, reference in (
-        (gauss_sum_closed_lemma22_row, _lemma22_scalar_reference),
-        (gauss_sum_closed_lemma23_row, _lemma23_scalar_reference),
-    ):
-        row = row_fn(chi, 24, big)
-        assert [_bits(z) for z in row] == [_bits(reference(chi, 24, m)) for m in big]
+    cs = [4, 12, 24]
+    for rows_fn, _, reference in CLOSED_FAMILIES:
+        rows = rows_fn(chi, cs, big)
+        for c, row in zip(cs, rows):
+            assert [_bits(z) for z in row] == [_bits(reference(chi, c, m)) for m in big]
 
 
 def test_closed_form_zero_branch():

@@ -3,11 +3,14 @@
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from voronoi_lab import cli, harness
+from voronoi_lab.characters import primitive_characters
+from voronoi_lab.exponential_sums import gauss_sum
 from voronoi_lab.harness import (
     ConfigError,
     SweepConfig,
@@ -19,6 +22,7 @@ from voronoi_lab.harness import (
     run_suite,
     suite_names,
 )
+from voronoi_lab.residues import divisors
 
 SMALL_HECKE = {"draws": 5, "d3_check_max": 200}
 EMPTYING_KEY = {
@@ -347,8 +351,8 @@ def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
     clean = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges)))
     table = harness.average_kloosterman_closed_lemma34_table
 
-    def poisoned(c, q, chains, n_values):
-        out = table(c, q, chains, n_values)
+    def poisoned(c, q, chains, n_values, **kwargs):
+        out = table(c, q, chains, n_values, **kwargs)
         if c == 5 and q == (2,):
             out[1, -1, 0] = complex(math.nan, 0.0)
         return out
@@ -379,29 +383,53 @@ def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
 def test_gauss_closed_nan_points_fail_their_record(monkeypatch):
     ranges = {"lemmas": ["2.2"], "cstar_max": 4, "c_max": 12, "m_max": 8}
     clean = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges)))
-    row = harness.gauss_sum_closed_lemma22_row
+    rows = harness.gauss_sum_closed_lemma22_rows
 
     def poisoned(at_m):
-        def closed_row(chi, c, m_values):
-            out = row(chi, c, m_values)
-            if chi.label == "3:1" and c == 6:
-                for i, m in enumerate(m_values):
+        def closed_rows(chi, cs, m_values):
+            out = rows(chi, cs, m_values)
+            if chi.label == "3:1":
+                i = list(cs).index(6)
+                for j, m in enumerate(m_values):
                     if at_m is None or m == at_m:
-                        out[i] = complex(math.nan, 0.0)
+                        out[i, j] = complex(math.nan, 0.0)
             return out
 
-        return closed_row
+        return closed_rows
 
     # one NaN point outranks every number in its row; a row NaN at every m
     # still yields a record (its first point), not a crash mid-sweep
     for at_m, want_m in ((5, 5), (None, 1)):
-        monkeypatch.setattr(harness, "gauss_sum_closed_lemma22_row", poisoned(at_m))
+        monkeypatch.setattr(harness, "gauss_sum_closed_lemma22_rows", poisoned(at_m))
         rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges)))
         assert rep.cases == clean.cases
         (bad,) = [r for r in rep.records if not r.passed]
         assert bad.parameters == {"lemma": "2.2", "chi": "3:1", "c": 6, "m": want_m}
         assert math.isnan(bad.rel_error) and math.isnan(rep.max_rel_error)
     assert clean.passed
+
+
+def test_lemma25_lhs_is_the_ascending_divisor_sum():
+    # The unit sweeps d once over every multiple n of d; each lhs[n] must
+    # still be the per-n sum over d | n in ascending order, bit for bit.  Each
+    # term is an array product over the m row, as numpy's complex array
+    # product may round differently from its scalar one; m_max 10 puts the
+    # rows off any SIMD width.
+    m_max = 10
+    ranges = {"lemmas": ["2.5"], "cstar_max": 7, "n_max": 12, "m_max": m_max}
+    rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=ranges))
+    chars = {chi.label: chi for c in range(1, 8) for chi in primitive_characters(c)}
+    assert rep.passed and rep.cases == len(chars) * 12
+    for rec in rep.records:
+        chi, n, m = chars[rec.parameters["chi"]], rec.parameters["n"], rec.parameters["m"]
+        want = np.zeros(m_max, dtype=complex)
+        for d in divisors(n):
+            chid = chi.value_vector[d % chi.modulus]
+            if chid != 0:
+                mod = n // d * chi.modulus
+                want += chid * np.array([gauss_sum(chi, mod, k) for k in range(1, m_max + 1)])
+        got = struct.pack("<2d", rec.lhs.real, rec.lhs.imag)
+        assert got == want[m - 1 : m].tobytes(), rec.parameters
 
 
 def test_config_files_toml_and_json_agree(tmp_path):

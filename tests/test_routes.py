@@ -113,9 +113,10 @@ def test_gauss_sum_side_never_reaches_the_additive_side():
 
 def test_closed_gauss_rows_read_characters_only_through_scalar_calls():
     # Lemma 2.2/2.3 rows are checked against gauss_sum_vector, the FFT of the
-    # induced value vector; the rows may use the FFT only for tau(chi*).
-    direct = {"value_vector", "induce", "gauss_sum_vector", "gauss_sum"}
-    for name in ("gauss_sum_closed_lemma22_row", "gauss_sum_closed_lemma23_row"):
+    # induced character's values read off chi*'s turn table; the rows may use
+    # the FFT only for tau(chi*).
+    direct = {"turn_table", "value_vector", "induce", "gauss_sum_vector", "gauss_sum"}
+    for name in ("gauss_sum_closed_lemma22_rows", "gauss_sum_closed_lemma23_rows"):
         for node in _reachable("exponential_sums.py", name, stop=frozenset({"tau"})):
             refs = _names(node)
             assert not refs & direct, (name, node.name, refs & direct)
