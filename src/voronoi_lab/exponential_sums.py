@@ -367,7 +367,7 @@ def _stack_product(stack: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
 
 
 def average_kloosterman_direct_table(
-    c: int, q: tuple[int, ...], chains, n_values, rows, leaves: dict | None = None, mods=None
+    c: int, q: tuple[int, ...], chains, n_values, rows, leaves: dict | None = None
 ) -> np.ndarray:
     """Character averages (or any row averages) of the direct Kloosterman sums.
 
@@ -385,14 +385,11 @@ def average_kloosterman_direct_table(
     _leaf_table tables of its leaves d_K, the chains' innermost layers.  Those
     tables depend only on (n_values, M_{K-1}, q_K, d_K) and on whether the
     node is the root, so a caller may pass one dict as `leaves` to every call
-    of a sweep; without it each call starts an empty one.  A caller that has
-    _chain_moduli(c, q, chains) may pass it as `mods`, which skips the check
-    of the chains here.
+    of a sweep; without it each call starts an empty one.
     """
     q = tuple(q)
     k = len(q)
-    if mods is None:
-        mods = _chain_moduli(c, q, chains)  # checks every chain
+    mods = _chain_moduli(c, q, chains)  # checks every chain
     n_chains = len(mods)
     rows = np.asarray(rows, dtype=np.complex128)
     if rows.ndim != 2 or rows.shape[1] != c:
@@ -546,8 +543,9 @@ def average_kloosterman_closed_lemma34_table(
     complex128[n_chars, n_chains, n_n], characters in enumerate_characters(c)
     order unless `chars` (characters mod c) is given.  Entry [x, j, t] is
     average_kloosterman_closed_lemma34(chars[x], n_values[t], c, q, chains[j]).
-    `mods`, if given, is _chain_moduli(c, q, chains); otherwise it is computed
-    here, which checks the chains.
+    `mods`, if given, is _chain_moduli(c, q, chains), of shape
+    [n_chains, len(q) + 1]; otherwise it is computed here, which checks the
+    chains.
     """
     if chars is None:
         chars = enumerate_characters(c)
@@ -555,6 +553,8 @@ def average_kloosterman_closed_lemma34_table(
         raise ValueError("chars must be characters mod c")
     if mods is None:
         mods = _chain_moduli(c, q, chains)
+    elif np.shape(mods) != (len(chains), len(q) + 1):
+        raise ValueError("mods must be _chain_moduli(c, q, chains)")
     factors, live = _lemma34_factors(c, q, chains, n_values, chars, mods)
     return _lemma34_product(factors, live)
 

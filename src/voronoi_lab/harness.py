@@ -704,11 +704,11 @@ def _kloosterman_units(ranges, tol, config):
             # Both routes give every (character, chain, n) of the unit in one
             # array: the closed one from Gauss sums, the direct one by one
             # walk of the chains' prefix tree against the value vectors.
-            mods = _chain_moduli(c, q, chains)  # checks every chain once
+            # The direct route is the reference, so it checks the chains
+            # itself instead of taking the moduli the closed route is given.
+            mods = _chain_moduli(c, q, chains)
             closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values, mods=mods)
-            direct = average_kloosterman_direct_table(
-                c, q, chains, n_values, vv, leaves, mods=mods
-            )
+            direct = average_kloosterman_direct_table(c, q, chains, n_values, vv, leaves)
             scale = np.sqrt(np.prod(mods, axis=1))
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)

@@ -9,6 +9,7 @@ import pytest
 from voronoi_lab.characters import enumerate_characters, induce, primitive_characters, principal
 from voronoi_lab.exponential_sums import (
     KloostermanSpec,
+    _chain_moduli,
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
@@ -154,13 +155,15 @@ def test_closed_rows_are_bit_identical_to_scalar_loops():
     for cstar in range(1, 13):
         for chi in primitive_characters(cstar):
             cs = range(cstar, 49, cstar)
-            for rows_fn, _, reference in CLOSED_FAMILIES:
+            for rows_fn, point_fn, reference in CLOSED_FAMILIES:
                 rows = rows_fn(chi, cs, m_values)
                 assert rows.dtype == np.complex128 and rows.shape == (len(cs), len(m_values))
                 for c, row in zip(cs, rows):
                     for m, got in zip(m_values, row):
                         want = reference(chi, c, m)
                         assert _bits(got) == _bits(want), (rows_fn.__name__, chi.label, c, m)
+                        if m % 11 == 0:  # the scalar form is a one-point family
+                            assert _bits(point_fn(chi, c, m)) == _bits(want)
                         entries += 1
                         zeros += want == 0
     assert 0 < zeros < entries
@@ -463,6 +466,20 @@ def test_lemma34_table_rejects_broken_chains():
         average_kloosterman_closed_lemma34_table(4, (2,), [(3,)], (1,))
     with pytest.raises(ValueError):
         average_kloosterman_closed_lemma34_table(4, (2,), [(1,)], (1,), enumerate_characters(5))
+
+
+def test_lemma34_table_with_given_moduli():
+    # the moduli a caller passes give the same bits; moduli of another chain
+    # list are refused instead of read
+    c, q = 6, (2, 3)
+    chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
+    mods = _chain_moduli(c, q, chains)
+    own = average_kloosterman_closed_lemma34_table(c, q, chains, (1, -2))
+    given = average_kloosterman_closed_lemma34_table(c, q, chains, (1, -2), mods=mods)
+    assert given.tobytes() == own.tobytes()
+    for bad in (mods[1:], mods[:, 1:]):
+        with pytest.raises(ValueError, match="mods must be"):
+            average_kloosterman_closed_lemma34_table(c, q, chains, (1,), mods=bad)
 
 
 def test_additive_char():
