@@ -206,7 +206,9 @@ class KloostermanSpec:
 
     The divisibility chain d_1 | q_1 c, d_2 | q_2 (q_1 c / d_1), ... is part
     of the object's meaning and is validated at construction, as is
-    gcd(a, c) = 1.
+    gcd(a, c) = 1.  It describes one term for the nested oracle
+    hyper_kloosterman; the walk kloosterman_vector checks its chains through
+    _chain_moduli instead.
     """
 
     a: int
@@ -304,39 +306,17 @@ def _chain_moduli(c: int, q, chains) -> np.ndarray:
     return mods
 
 
-def kloosterman_vector(n_values, c: int, q: tuple[int, ...], d: tuple[int, ...]) -> np.ndarray:
-    """table[a, t] = Kl(a, n_values[t], c; q, d) for a = 0..c-1 (junk at non-units).
-
-    Kl depends on n only through n mod M_K, so the innermost block is
-    e(x r_t / M_K) with r_t = n_t mod M_K reduced as a Python int (any n is
-    exact).  The K layers are then applied from the innermost variable
-    outward, each one matrix product over all columns, so the cost is a sum of
-    M_{i-1} * phi(M_i) * len(n_values) products instead of the nested count.
-    """
-    q, d = tuple(q), tuple(d)
-    mods = KloostermanSpec(1, 0, c, q, d).moduli  # validates the chain
-    m = mods[-1]
-    r = np.array([n % m for n in n_values], dtype=np.int64)
-    tail = roots_of_unity(m)[np.arange(m, dtype=np.int64)[:, None] * r[None, :] % m]
-    for i in range(len(q), 0, -1):
-        units = unit_residues(mods[i])
-        invs = inverse_table(mods[i])[units]
-        tail = kl_layer(units, invs, d[i - 1], mods[i - 1], roots_of_unity(mods[i - 1]), tail)
-    return tail
-
-
-def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int, root: bool):
+def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
     """The innermost layer of a chain, at the residues where the walk keeps L.
 
-    complex128[rows, len(n_values)]: entry [s, t] = sum over the units x mod
-    M_K of e(d_K x r_s / M_{K-1}) e(n_t x^-1 / M_K), M_K = q_K M_{K-1} / d_K,
-    from one kl_layer call.  r_s runs over every residue mod M_{K-1} at the
-    root and over the inverses of the units mod M_{K-1} below it.  q_k = 0
-    stands for a chain with no layer, whose table is e(r_s n_t / M_0).  The
-    table is kept in leaves under (n_values, M_{K-1}, q_K, d_K, root); the
-    caller has checked the chain, so nothing is checked again here.
+    complex128[phi(M_{K-1}), len(n_values)]: entry [s, t] = sum over the units
+    x mod M_K of e(d_K x r_s / M_{K-1}) e(n_t x^-1 / M_K), M_K = q_K M_{K-1} /
+    d_K, from one kl_layer call, with r_s the inverse of the s-th unit mod
+    M_{K-1}.  q_k = 0 stands for a chain with no layer, whose table is
+    e(r_s n_t / M_0).  The table is kept in leaves under (n_values, M_{K-1},
+    q_K, d_K); the caller has checked the chain, so nothing is checked again.
     """
-    key = (n_values, m_prev, q_k, d_k, root)
+    key = (n_values, m_prev, q_k, d_k)
     table = leaves.get(key)
     if table is None:
         m = q_k * m_prev // d_k if q_k else m_prev
@@ -347,54 +327,38 @@ def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int, 
             table = kl_layer(
                 units, inverse_table(m)[units], d_k, m_prev, roots_of_unity(m_prev), table
             )
-        if not root:
-            table = table[inverse_table(m_prev)[unit_residues(m_prev)]]
-        leaves[key] = table
+        table = leaves[key] = table[inverse_table(m_prev)[unit_residues(m_prev)]]
     return table
 
 
-def _stack_product(stack: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """out[p] = stack[p] @ w for every block p, as one product of the stacked rows.
-
-    Blocks of one row are multiplied one at a time instead (numpy's batched
-    matmul), so each keeps the bits of its own vector-matrix product, which
-    BLAS sums in another order than a matrix product.
-    """
-    if stack.shape[1] == 1:
-        np.matmul(stack, w, out=out)
-    else:
-        np.matmul(stack.reshape(-1, stack.shape[2]), w, out=out.reshape(-1, w.shape[1]))
-
-
-def average_kloosterman_direct_table(
-    c: int, q: tuple[int, ...], chains, n_values, rows, leaves: dict | None = None
+def kloosterman_vector(
+    n_values, c: int, q: tuple[int, ...], chains, leaves: dict | None = None
 ) -> np.ndarray:
-    """Character averages (or any row averages) of the direct Kloosterman sums.
+    """Direct hyper-Kloosterman sums of every unit, divisor chain and n at once.
 
-    complex128[n_rows, n_chains, n_n] for rows of shape [n_rows, c]: entry
-    [x, j, t] = sum over a mod c of rows[x, a] Kl(a, n_values[t], c; q, chains[j]).
+    complex128[phi(c), n_chains, n_n]: entry [i, j, t] = Kl(a, n_values[t], c;
+    q, chains[j]) at a = unit_residues(c)[i].  Kl depends on n only through n
+    mod M_K, reduced as a Python int, so any int n is exact.
 
     The prefix tree of the chains is walked from the outermost layer inward,
-    one depth at a time.  L starts as rows, a function on Z/M_0; the edge d_i
-    maps L to the function on Z/M_i that is sum over r of L[r] e(d_i y r /
-    M_{i-1}) at y^-1 for the units y mod M_i and zero elsewhere, so chains
-    sharing a prefix share its products.  The nodes of one depth with the same
-    modulus M keep L at the same residues, so their L blocks are stacked and
-    multiplied once per distinct d_i.  At depth K-1 (the root for K = 0 and
-    1) the stack of each M_{K-1} goes through one product with the side-by-side
-    _leaf_table tables of its leaves d_K, the chains' innermost layers.  Those
-    tables depend only on (n_values, M_{K-1}, q_K, d_K) and on whether the
-    node is the root, so a caller may pass one dict as `leaves` to every call
-    of a sweep; without it each call starts an empty one.
+    one depth at a time.  L starts as the identity on the units mod M_0; the
+    edge d_i maps L to the function on Z/M_i that is sum over r of L[r] e(d_i
+    y r / M_{i-1}) at y^-1 for the units y mod M_i and zero elsewhere, so
+    chains sharing a prefix share its products.  Every L is kept at the
+    inverses of the units mod its modulus, so the nodes of one depth with the
+    same modulus M keep L at the same residues: their L blocks are stacked and
+    multiplied once per distinct d_i.  At depth K-1 the stack of each M_{K-1}
+    goes through one product with the side-by-side _leaf_table tables of its
+    leaves d_K, the chains' innermost layers.  Those tables depend only on
+    (n_values, M_{K-1}, q_K, d_K), so a caller may pass one dict as `leaves`
+    to every call of a sweep; without it each call starts an empty one.
     """
     q = tuple(q)
     k = len(q)
     mods = _chain_moduli(c, q, chains)  # checks every chain
     n_chains = len(mods)
-    rows = np.asarray(rows, dtype=np.complex128)
-    if rows.ndim != 2 or rows.shape[1] != c:
-        raise ValueError(f"rows must have shape [n_rows, {c}]")
-    n_rows, n_n = rows.shape[0], len(n_values)
+    units = unit_residues(c)
+    n_rows, n_n = len(units), len(n_values)
     if n_chains == 0:
         return np.empty((n_rows, 0, n_n), dtype=np.complex128)
     d = np.asarray(chains, dtype=np.int64).reshape(n_chains, k)
@@ -403,12 +367,13 @@ def average_kloosterman_direct_table(
         leaves = {}
 
     # The nodes of one depth: chain j sits under node[j], node p has modulus
-    # node_mod[p], and stacks[M][node_row[p]] is its L, [n_rows, len(at)], at
-    # every residue mod c at the root and at inverse_table(M)[units mod M]
-    # below it.
+    # node_mod[p], and stacks[M][node_row[p]] is its L, [n_rows, phi(M)], at
+    # inverse_table(M)[unit_residues(M)]; row i of the root's L is 1 at a =
+    # units[i] and 0 elsewhere.
+    eye = (units[:, None] == inverse_table(c)[units][None, :]).astype(np.complex128)
     chain_d = d.tolist()
     node = [0] * n_chains
-    node_mod, node_row, stacks = [c], [0], {c: rows[None]}
+    node_mod, node_row, stacks = [c], [0], {c: eye[None]}
     for i in range(k - 1):
         kids = {}  # (parent, d_{i+1}) -> child
         for j, dj in enumerate(chain_d):
@@ -429,17 +394,15 @@ def average_kloosterman_direct_table(
             m = q[i] * m_prev // d_i
             lo = fill[m]
             fill[m] = lo + len(members)
-            if i == 0:
-                at = np.arange(c, dtype=np.int64)
-            else:
-                at = inverse_table(m_prev)[unit_residues(m_prev)]
+            at = inverse_table(m_prev)[unit_residues(m_prev)]
             base = (d_i % m_prev) * unit_residues(m) % m_prev
             w = roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
             members.sort()
             src = stacks[m_prev]
             if len(members) < len(src):
                 src = src[[row for row, _ in members]]
-            _stack_product(src, w, new_stacks[m][lo : lo + len(members)])
+            out = new_stacks[m][lo : lo + len(members)]
+            np.matmul(src.reshape(-1, src.shape[2]), w, out=out.reshape(-1, w.shape[1]))
             for row, (_, kid) in enumerate(members, lo):
                 node_mod[kid], node_row[kid] = m, row
         stacks = new_stacks
@@ -456,15 +419,12 @@ def average_kloosterman_direct_table(
     parts, where, offset = [], {}, 0
     for m_prev, stack in stacks.items():
         block = np.concatenate(
-            [_leaf_table(leaves, n_values, m_prev, q_k, d_k, k <= 1) for d_k in cols[m_prev]],
-            axis=1,
+            [_leaf_table(leaves, n_values, m_prev, q_k, d_k) for d_k in cols[m_prev]], axis=1
         )
-        res = np.empty((len(stack), n_rows, block.shape[1]), dtype=np.complex128)
-        _stack_product(stack, block, res)
-        parts.append(res.reshape(-1))
+        parts.append((stack.reshape(-1, stack.shape[2]) @ block).reshape(-1))
         where[m_prev] = (offset, block.shape[1])
-        offset += res.size
-    # entry [x, j, t] sits at start[j] + x width[j] + t
+        offset += parts[-1].size
+    # entry [i, j, t] sits at start[j] + i width[j] + t
     start, width = [], []
     for m_prev, row, col in place:
         off, w = where[m_prev]

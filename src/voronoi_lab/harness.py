@@ -29,11 +29,11 @@ from .characters import enumerate_characters, induce, primitive_characters
 from .exponential_sums import (
     _chain_moduli,
     average_kloosterman_closed_lemma34_table,
-    average_kloosterman_direct_table,
     gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23_rows,
     gauss_sum_vector,
     kloosterman_divisor_chains,
+    kloosterman_vector,
     tau,
 )
 from .hecke import (
@@ -699,16 +699,17 @@ def _kloosterman_units(ranges, tol, config):
     def unit(n_deg, c, q):
         def run():
             chars = enumerate_characters(c)
-            vv = np.stack([ch.value_vector for ch in chars])
+            vv = np.stack([ch.value_vector[unit_residues(c)] for ch in chars])
             chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
             # Both routes give every (character, chain, n) of the unit in one
-            # array: the closed one from Gauss sums, the direct one by one
-            # walk of the chains' prefix tree against the value vectors.
+            # array: the closed one from Gauss sums, the direct one as the
+            # character average of one walk of the chains' prefix tree.
             # The direct route is the reference, so it checks the chains
             # itself instead of taking the moduli the closed route is given.
             mods = _chain_moduli(c, q, chains)
             closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values, mods=mods)
-            direct = average_kloosterman_direct_table(c, q, chains, n_values, vv, leaves)
+            kl = kloosterman_vector(n_values, c, q, chains, leaves)
+            direct = (vv @ kl.reshape(len(kl), -1)).reshape(closed.shape)
             scale = np.sqrt(np.prod(mods, axis=1))
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)

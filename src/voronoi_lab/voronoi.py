@@ -158,12 +158,13 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s) -> np.ndarray:
     units = unit_residues(c)
     acc = np.zeros((len(units), 2, x + 1), dtype=complex)
     n_range = range(1, x + 1)
-    for d_vec in kloosterman_divisor_chains(c, inst.q):
+    chains = kloosterman_divisor_chains(c, inst.q)
+    table = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, chains)
+    for d_vec, kl in zip(chains, table.transpose(1, 0, 2)):
         weight = 1 + 0j
         for i, di in enumerate(d_vec, start=1):
             weight *= di ** ((n_deg - i) * s) / di
         row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
-        kl = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, d_vec)[units]
         w_row = weight * row[1:]
         for j, (half_diff, half_sum) in enumerate(_GAMMA_PARTS):
             acc[:, j, 1:] += w_row * (half_diff * kl[:, :x] + half_sum * kl[:, x:])

@@ -77,8 +77,13 @@ def test_acceptance_5_equivalence_and_collapse():
     rep_big = run_suite(
         SweepConfig(suite="equivalence", ranges={"c_values": list(range(2, 25))}, tolerance=1e-10)
     )
+    # degree 5: three Kloosterman layers, 27 q tuples over the default moduli
+    rep_deg5 = run_suite(
+        SweepConfig(suite="equivalence", ranges={"degrees": [5]}, tolerance=1e-10)
+    )
+    assert rep_deg5.cases == 6075
     rep_m = run_suite(SweepConfig(suite="mobius", ranges={}, tolerance=1e-10))
-    assert _line(5, "equivalence-and-collapse", [rep_e, rep_big, rep_m], 120)
+    assert _line(5, "equivalence-and-collapse", [rep_e, rep_big, rep_deg5, rep_m], 120)
 
 
 def test_acceptance_6_side_by_side_series():

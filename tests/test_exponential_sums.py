@@ -13,7 +13,6 @@ from voronoi_lab.exponential_sums import (
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
-    average_kloosterman_direct_table,
     gauss_sum,
     gauss_sum_closed_lemma22,
     gauss_sum_closed_lemma22_rows,
@@ -253,109 +252,98 @@ def test_average_gauss_identity():
 
 KL_N_VALUES = (1, 2, 5, 0, -3, 2**63 + 5)
 
-
-def _assert_table_matches_nested(c, q, n_values):
-    """One table call per chain against the nested oracle, column by column."""
-    for d in kloosterman_divisor_chains(c, q):
-        table = kloosterman_vector(n_values, c, q, d)
-        assert table.shape == (c, len(n_values))
-        for t, n in enumerate(n_values):
-            for a in unit_residues(c):
-                want = hyper_kloosterman(KloostermanSpec(int(a), n, c, q, d))
-                assert abs(table[a, t] - want) < 1e-9, (c, q, d, n, int(a))
-
-
-def test_kloosterman_vector_matches_naive():
-    for c, q in ((7, ()), (3, (2,)), (4, (2, 2)), (5, (1,)), (6, (3, 2))):
-        _assert_table_matches_nested(c, q, KL_N_VALUES)
-
-
-def test_kloosterman_negative_n():
-    _assert_table_matches_nested(5, (2,), KL_N_VALUES + tuple(-n for n in KL_N_VALUES))
-
-
 # K = 0, 1, 2 and 3, with chains that branch at every layer
 DIRECT_QS = ((), (2,), (3,), (1, 2), (2, 2), (1, 2, 1), (2, 1, 2))
 
 
+def _scale(c, q, d):
+    return math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
+
+
+def _assert_walk_matches_nested(c, q, n_values, leaves=None):
+    """One walk over every chain of (c, q) against the nested oracle, entry by entry.
+
+    The oracle sums the nested layers itself: no layered tables and no Gauss
+    sums.  Also checks the character averages the kloosterman-average suite
+    forms from the walk (value vectors on the units times the table) against
+    averages of the oracle.
+    """
+    units = [int(a) for a in unit_residues(c)]
+    chains = kloosterman_divisor_chains(c, q)
+    table = kloosterman_vector(n_values, c, q, np.array(chains, dtype=np.int64), leaves)
+    assert table.shape == (len(units), len(chains), len(n_values))
+    vv = np.stack([chi.value_vector[units] for chi in enumerate_characters(c)])
+    for j, d in enumerate(chains):
+        scale = _scale(c, q, d)
+        for t, n in enumerate(n_values):
+            kl = np.array([hyper_kloosterman(KloostermanSpec(a, n, c, q, d)) for a in units])
+            assert np.abs(table[:, j, t] - kl).max() < 1e-12 * scale, (c, q, d, n)
+            assert np.abs(vv @ table[:, j, t] - vv @ kl).max() < 1e-12 * scale, (c, q, d, n)
+    return table
+
+
+def test_kloosterman_vector_matches_naive():
+    for c, q in ((7, ()), (3, (2,)), (4, (2, 2)), (5, (1,)), (6, (3, 2))):
+        _assert_walk_matches_nested(c, q, KL_N_VALUES)
+
+
+def test_kloosterman_negative_n():
+    _assert_walk_matches_nested(5, (2,), KL_N_VALUES + tuple(-n for n in KL_N_VALUES))
+
+
 def test_direct_table_against_nested_oracle():
-    # Sum over the units a of rows[x, a] times the nested hyper_kloosterman:
-    # no layered tables and no Gauss sums.
-    rng = np.random.default_rng(11)
     for c in range(1, 7):
-        units = [int(a) for a in unit_residues(c)]
-        vv = np.stack([chi.value_vector for chi in enumerate_characters(c)])
-        rand = np.zeros((2, c), dtype=np.complex128)
-        rand[:, units] = rng.uniform(-1, 1, (2, len(units))) + 1j * rng.uniform(
-            -1, 1, (2, len(units))
-        )
         for q in DIRECT_QS:
-            chains = list(kloosterman_divisor_chains(c, q))
-            for rows in (vv, rand):
-                table = average_kloosterman_direct_table(c, q, chains, KL_N_VALUES, rows)
-                assert table.shape == (len(rows), len(chains), len(KL_N_VALUES))
-                for j, d in enumerate(chains):
-                    scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
-                    for t, n in enumerate(KL_N_VALUES):
-                        kl = [hyper_kloosterman(KloostermanSpec(a, n, c, q, d)) for a in units]
-                        want = rows[:, units] @ np.array(kl)
-                        err = np.abs(table[:, j, t] - want).max()
-                        assert err < 1e-12 * scale, (c, q, d, n)
+            _assert_walk_matches_nested(c, q, KL_N_VALUES)
 
 
 def test_direct_tables_sharing_one_leaf_store_against_nested_oracle():
     # One store for every unit and two n lists, as a sweep shares it: a key
-    # that left out n_values, q_K, d_K or the root flag would hand a unit the
-    # leaf tables of another (c = 4, q = (2,) at the root and q = (2, 2) below
-    # it both reach M_{K-1} = 4 with q_K = 2).
+    # that left out n_values, q_K or d_K would hand a unit the leaf tables of
+    # another.  c = 4 with q = (2,) and q = (2, 2) both reach M_{K-1} = 4 with
+    # q_K = 2, at the root and one layer below it, and share those leaves.
     leaves = {}
     for n_values in (KL_N_VALUES, (3, -4, 7)):
         for c in range(1, 7):
-            units = [int(a) for a in unit_residues(c)]
-            vv = np.stack([chi.value_vector for chi in enumerate_characters(c)])
             for q in DIRECT_QS:
-                chains = kloosterman_divisor_chains(c, q)
-                table = average_kloosterman_direct_table(
-                    c, q, np.array(chains, dtype=np.int64), n_values, vv, leaves
-                )
-                for j, d in enumerate(chains):
-                    scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
-                    for t, n in enumerate(n_values):
-                        kl = [hyper_kloosterman(KloostermanSpec(a, n, c, q, d)) for a in units]
-                        want = vv[:, units] @ np.array(kl)
-                        err = np.abs(table[:, j, t] - want).max()
-                        assert err < 1e-12 * scale, (c, q, d, n)
-    assert leaves
+                table = _assert_walk_matches_nested(c, q, n_values, leaves)
+                own = kloosterman_vector(n_values, c, q, kloosterman_divisor_chains(c, q))
+                assert table.tobytes() == own.tobytes(), (c, q)
+    assert (KL_N_VALUES, 4, 2, 2) in leaves
 
 
 def test_direct_table_matches_per_chain_tables():
-    # Rows with entries at the non-units too, and chains in reverse order with
-    # one repeated, so the walk's grouping cannot lean on enumeration order.
-    rng = np.random.default_rng(12)
+    # Chains in reverse order with one repeated, so the walk's grouping cannot
+    # lean on enumeration order; each column block against a one-chain walk.
+    # Every other chain of that list leaves some nodes of a depth without a
+    # child under a given d_i, so the walk multiplies a subset of its stack;
+    # that needs two nodes of one modulus below depth 1, so K = 4 is added.
     for c in range(1, 7):
-        rows = rng.uniform(-1, 1, (3, c)) + 1j * rng.uniform(-1, 1, (3, c))
-        for q in DIRECT_QS:
+        for q in DIRECT_QS + ((2, 1, 2, 1),):
             chains = list(kloosterman_divisor_chains(c, q))[::-1]
             chains.append(chains[0])
-            table = average_kloosterman_direct_table(c, q, chains, KL_N_VALUES, rows)
+            table = kloosterman_vector(KL_N_VALUES, c, q, chains)
+            assert table.shape == (euler_phi(c), len(chains), len(KL_N_VALUES))
+            half = kloosterman_vector(KL_N_VALUES, c, q, chains[::2])
             for j, d in enumerate(chains):
-                scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
-                want = rows @ kloosterman_vector(KL_N_VALUES, c, q, d)
-                assert np.abs(table[:, j, :] - want).max() < 1e-12 * scale, (c, q, d)
+                want = kloosterman_vector(KL_N_VALUES, c, q, [d])[:, 0]
+                assert np.abs(table[:, j] - want).max() < 1e-12 * _scale(c, q, d), (c, q, d)
+                if j % 2 == 0:
+                    err = np.abs(half[:, j // 2] - want).max()
+                    assert err < 1e-12 * _scale(c, q, d), (c, q, d)
 
 
 def test_direct_table_rejects_broken_chains():
-    rows = np.ones((1, 4))
     with pytest.raises(ValueError, match="d_1 = 3: must divide 8"):
-        average_kloosterman_direct_table(4, (2,), [(1,), (3,)], (1,), rows)
+        kloosterman_vector((1,), 4, (2,), [(1,), (3,)])
     with pytest.raises(ValueError, match="d_2 = 5: must divide 8"):
-        average_kloosterman_direct_table(4, (2, 2), [(2, 2), (2, 5)], (1,), rows)
+        kloosterman_vector((1,), 4, (2, 2), [(2, 2), (2, 5)])
     with pytest.raises(ValueError):
-        average_kloosterman_direct_table(4, (2,), [(1, 1)], (1,), rows)
+        kloosterman_vector((1,), 4, (2,), [(1, 1)])
     with pytest.raises(ValueError):
-        average_kloosterman_direct_table(4, (2,), [(0,)], (1,), rows)
-    with pytest.raises(ValueError, match="rows"):
-        average_kloosterman_direct_table(4, (2,), [(1,)], (1,), np.ones((1, 5)))
+        kloosterman_vector((1,), 4, (2,), [(0,)])
+    with pytest.raises(ValueError):
+        kloosterman_vector((1,), 0, (), [()])
 
 
 def test_kloosterman_spec_validation():
@@ -365,8 +353,6 @@ def test_kloosterman_spec_validation():
         KloostermanSpec(1, 1, 4, (2,), (3,))  # 3 does not divide q_1 c
     with pytest.raises(ValueError):
         KloostermanSpec(1, 1, 0, (2,), (1,))
-    with pytest.raises(ValueError):
-        kloosterman_vector((1, 2), 4, (2,), (3,))  # the table checks its chain too
 
 
 def test_divisor_chains_count():
@@ -382,15 +368,16 @@ def test_average_kloosterman_closed_form_small():
     for c, q in ((3, (2,)), (4, (1, 2)), (5, (2,))):
         chars = enumerate_characters(c)
         units = unit_residues(c)
-        for d in kloosterman_divisor_chains(c, q):
+        chains = kloosterman_divisor_chains(c, q)
+        table = kloosterman_vector((1, 2), c, q, chains)
+        for j, d in enumerate(chains):
             mods = [c]
             for qi, di in zip(q, d):
                 mods.append(qi * mods[-1] // di)
             scale = math.sqrt(math.prod(mods))
-            table = kloosterman_vector((1, 2), c, q, d)
             for t, n in enumerate((1, 2)):
                 for chi in chars:
-                    avg = sum(chi.value_vector[a] * table[a, t] for a in units)
+                    avg = sum(chi.value_vector[a] * table[i, j, t] for i, a in enumerate(units))
                     closed = average_kloosterman_closed_lemma34(chi, n, c, q, d)
                     assert abs(avg - closed) < 1e-9 * scale, (c, q, d, n, chi.label)
 

@@ -2,9 +2,10 @@
 
 a_n reads A one scalar at a time through CoefficientSource.coefficient; b_n
 reads sieved rows through CoefficientSource.coefficient_row.  The direct
-Kloosterman route (the layered table, the prefix-tree walk over it and the
-additive family) sums the layers itself; the closed route and the H and G
-series are built from Gauss sums and never sum a layer.  The Lemma 2.2/2.3
+Kloosterman route (the prefix-tree walk and the additive family built on it)
+sums the layers itself, and shares no code with the nested hyper_kloosterman
+oracle its tests check it against; the closed route and the H and G series
+are built from Gauss sums and never sum a layer.  The Lemma 2.2/2.3
 closed rows read characters by exact scalar calls, not through the value
 vectors the FFT Gauss sums use.  A green record is evidence about the identity
 only while neither side reaches the other's code, so each route is checked
@@ -72,7 +73,6 @@ def test_direct_kloosterman_route_never_reaches_a_gauss_sum():
     gauss = {"gauss_sum", "gauss_sum_vector", "tau", "_strengthened_chains"}
     for module, name in (
         ("exponential_sums.py", "kloosterman_vector"),
-        ("exponential_sums.py", "average_kloosterman_direct_table"),
         ("voronoi.py", "voronoi_rhs_coefficients"),
         ("voronoi.py", "lq_additive_coefficients"),
     ):
@@ -82,12 +82,18 @@ def test_direct_kloosterman_route_never_reaches_a_gauss_sum():
             assert not [r for r in refs if "lemma34" in r], (name, node.name)
 
 
+def test_direct_kloosterman_route_never_reaches_its_nested_oracle():
+    oracle = {"KloostermanSpec", "hyper_kloosterman"}
+    for node in _reachable("exponential_sums.py", "kloosterman_vector"):
+        refs = _names(node)
+        assert not refs & oracle, (node.name, refs & oracle)
+
+
 def test_closed_kloosterman_route_never_reaches_a_layered_sum():
     direct = {
         "kloosterman_vector",
         "kl_layer",
         "hyper_kloosterman",
-        "average_kloosterman_direct_table",
         "_leaf_table",
     }
     for node in _reachable("exponential_sums.py", "average_kloosterman_closed_lemma34_table"):

@@ -14,7 +14,12 @@ from voronoi_lab.characters import (
     primitive_characters,
     principal,
 )
-from voronoi_lab.exponential_sums import tau
+from voronoi_lab.exponential_sums import (
+    KloostermanSpec,
+    hyper_kloosterman,
+    kloosterman_divisor_chains,
+    tau,
+)
 from voronoi_lab.hecke import isobaric_source, random_satake_source, raw_table_source
 from voronoi_lab.lfunctions import (
     GammaFactorSpec,
@@ -102,6 +107,42 @@ def test_additive_family_rows():
             for n in range(1, X + 1)
         ]
         assert _maxdiff(coefs[a], want) / _scale(coefs[a]) < 1e-12, a
+
+
+@pytest.mark.parametrize(
+    "q", [(1,), (2,), (3,), (1, 2), (2, 1), (2, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2)], ids=str
+)
+def test_rhs_coefficients_against_nested_oracle(q):
+    # The docstring formula term by term: scalar A reads, the nested
+    # hyper_kloosterman and Python complex powers, so nothing is shared with
+    # the walk or the coefficient rows.  Entry 0 and the rows at non-units
+    # are zero.
+    n_deg, x = len(q) + 2, 4
+    for c in range(1, 7):
+        src = raw_table_source(n_deg, seed=c)
+        rhs = voronoi_rhs_coefficients(VoronoiInstance(src, q, c, truncation=x), S0)
+        assert rhs.shape == (c, 2, x + 1)
+        units = [int(a) for a in unit_residues(c)]
+        assert not np.any(np.delete(rhs, units, axis=0)), c
+        assert not np.any(rhs[:, :, 0]), c
+        glob = c ** (1 - n_deg * S0)
+        for i, qi in enumerate(q, start=1):
+            glob /= qi ** ((n_deg - 1 - i) * S0)
+        for a in units:
+            want = np.zeros((2, x + 1), dtype=complex)
+            for d in kloosterman_divisor_chains(c, q):
+                weight = glob / math.prod(d)
+                for i, di in enumerate(d, start=1):
+                    weight *= di ** ((n_deg - i) * S0)
+                for n in range(1, x + 1):
+                    a_n = src.coefficient((n, *reversed(d)))
+                    plus, minus = (
+                        hyper_kloosterman(KloostermanSpec(a, m, c, q, d)) for m in (n, -n)
+                    )
+                    # (G+, G-) = (1, 0) and (0, 1)
+                    want[0, n] += weight * a_n * (plus + minus) / 2
+                    want[1, n] += weight * a_n * (minus - plus) / 2
+            assert _maxdiff(rhs[a], want) / _scale(want) < 1e-12, (c, a)
 
 
 def test_character_averaging_equivalence_both_directions():
