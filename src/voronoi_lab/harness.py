@@ -804,6 +804,7 @@ def _equivalence_units(ranges, tol, config):
     s = _as_complex(ranges["s"], "ranges.s")
     anchor = _SUITES["equivalence"].anchor
     units = []
+    leaves = {}  # every unit reads the n columns +-1..x: one leaf store per sweep
 
     def unit(n_deg, c, q):
         def run():
@@ -811,7 +812,7 @@ def _equivalence_units(ranges, tol, config):
             units_c = unit_residues(c)
             family = VoronoiInstance(src, q, c, truncation=x)
             add = lq_additive_coefficients(family)[units_c]
-            rhs = voronoi_rhs_coefficients(family, s)[units_c]
+            rhs = voronoi_rhs_coefficients(family, s, leaves)[units_c]
             r10, r01 = rhs[:, 0], rhs[:, 1]
             dual = _G_EVEN_PROBE * r10 + _G_ODD_PROBE * r01
             chars = enumerate_characters(c)
@@ -933,28 +934,28 @@ def _voronoi_units(ranges, tol, config):
     units = []
     truncation = 50  # outer length X of each instance; a_n, b_n and z_probe do not read it
 
+    # One source per (degree, shifts), built once the units are known, with
+    # the largest prime bound any of them needs: rows and blocks share its caches.
+    bounds: dict = {}
     sources: dict = {}
 
-    def source_for(n_deg, shifts, bound):
-        key = (n_deg, shifts, bound)
-        if key not in sources:
-            sources[key] = isobaric_source(n_deg, shifts, bound)
-        return sources[key]
-
     def side_by_side_unit(n_deg, shifts, cstar, qs):
+        bounds[n_deg, shifts] = max(bounds.get((n_deg, shifts), 0), 2 * y + 10)
+
         def run():
-            src = source_for(n_deg, shifts, 2 * y + 10)
+            src = sources[n_deg, shifts]
             chi_star = primitive_characters(cstar)[0]
             delta = 0 if chi_star.parity == 1 else 1
             gval = g_pm_eval(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
             pref = gval * tau(chi_star) ** n_deg * cstar ** (-n_deg * s)
             lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
+            weights = {}  # b_n's powers, shared by every (q, n) of the unit
             recs = []
             for q in qs:
                 inst = VoronoiInstance(src, q, cstar, chi=chi_star, truncation=truncation)
                 for n in n_values:
                     a_val = a_n_coefficient(inst, n, s, lval)
-                    b_val = b_n_coefficient(inst, n, s, pref, y)
+                    b_val = b_n_coefficient(inst, n, s, pref, y, weights)
                     tail = b_n_tail_bound(inst, n, s, pref, y)
                     allowance = tail + tol * max(abs(a_val), abs(b_val))
                     recs.append(
@@ -986,10 +987,12 @@ def _voronoi_units(ranges, tol, config):
     }
 
     def probe_unit(sz, wz, twist):
+        n_deg, shifts, cstar, qz = probes[twist]
+        bounds[n_deg, shifts] = max(bounds.get((n_deg, shifts), 0), 2 * x_probe)
+
         def run():
-            n_deg, shifts, cstar, qz = probes[twist]
             chi_star = primitive_characters(cstar)[0]
-            src = source_for(n_deg, shifts, 2 * x_probe)
+            src = sources[n_deg, shifts]
             inst = VoronoiInstance(src, qz, cstar, chi=chi_star, truncation=truncation)
             via_l, via_a = z_probe(inst, sz, wz, x_probe)
             bound = z_probe_bound(inst, sz, wz, x_probe)
@@ -1030,6 +1033,8 @@ def _voronoi_units(ranges, tol, config):
             if 2 * wz - 2 * sz + 1 > 1.05:
                 units.append(probe_unit(sz, wz, "trivial"))
                 units.append(probe_unit(sz, wz, "degree-2"))
+    for (n_deg, shifts), bound in bounds.items():
+        sources[n_deg, shifts] = isobaric_source(n_deg, shifts, bound)
     return units
 
 

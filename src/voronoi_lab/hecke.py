@@ -79,6 +79,75 @@ def schur(k: tuple[int, ...], x: tuple[complex, ...]) -> complex:
     return _det_fraction_free(mat)
 
 
+def _mul(ar, ai, br, bi):
+    """Complex product on split real/imaginary float64 parts, as CPython forms it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """schur(kvecs[b], x[b]) for every b, bit for bit, in one batched elimination.
+
+    kvecs is int[B, rows] and x complex128[B, N].  _hvec and _det_fraction_free
+    run on split float64 real/imaginary arrays, one operation at a time in
+    CPython's own order: products as _mul, quotients by Smith's branches as in
+    CPython's complex division, the pivot the first maximum of np.hypot (abs),
+    a zero pivot giving 0j and the sign applied as the product (sign + 0j) z.
+    numpy's complex ufuncs and np.linalg.det round differently.
+    """
+    nb, rows = kvecs.shape
+    out = np.ones(nb, dtype=complex)
+    if rows == 0 or nb == 0:
+        return out
+    lam = np.cumsum(kvecs[:, ::-1], axis=1)[:, ::-1]
+    kmax = int(lam[:, 0].max()) + rows
+    hr = np.zeros((kmax + 1, nb))
+    hi = np.zeros((kmax + 1, nb))
+    hr[0] = 1.0
+    for xr, xi in zip(x.real.T, x.imag.T):
+        for k in range(1, kmax + 1):
+            pr, pi = _mul(xr, xi, hr[k - 1], hi[k - 1])
+            hr[k] += pr
+            hi[k] += pi
+    idx = lam[:, :, None] - np.arange(rows)[None, :, None] + np.arange(rows)[None, None, :]
+    cols = np.arange(nb)[:, None, None]
+    inside = idx >= 0
+    ar = np.where(inside, hr[np.maximum(idx, 0), cols], 0.0)
+    ai = np.where(inside, hi[np.maximum(idx, 0), cols], 0.0)
+    blocks = np.arange(nb)
+    sign = np.ones(nb)
+    dead = np.zeros(nb, dtype=bool)
+    prev_r, prev_i = np.ones(nb), np.zeros(nb)
+    with np.errstate(all="ignore"):  # dead blocks divide by 0; their result is 0j
+        for k in range(rows - 1):
+            size = np.hypot(ar[:, k:, k], ai[:, k:, k])
+            piv = k + np.argmax(size, axis=1)
+            dead |= size.max(axis=1) == 0.0
+            swap = piv != k
+            for a in (ar, ai):
+                a[blocks, k], a[blocks, piv] = a[blocks, piv], a[blocks, k]
+            sign[swap] = -sign[swap]
+            t1r, t1i = _mul(
+                ar[:, k + 1 :, k + 1 :], ai[:, k + 1 :, k + 1 :],
+                ar[:, k, k, None, None], ai[:, k, k, None, None],
+            )
+            t2r, t2i = _mul(
+                ar[:, k + 1 :, k, None], ai[:, k + 1 :, k, None],
+                ar[:, k, None, k + 1 :], ai[:, k, None, k + 1 :],
+            )
+            nr, ni = t1r - t2r, t1i - t2i
+            br, bi = prev_r[:, None, None], prev_i[:, None, None]
+            real_side = np.abs(br) >= np.abs(bi)
+            ratio = np.where(real_side, bi / br, br / bi)
+            denom = np.where(real_side, br + bi * ratio, br * ratio + bi)
+            ar[:, k + 1 :, k + 1 :] = np.where(real_side, nr + ni * ratio, nr * ratio + ni) / denom
+            ai[:, k + 1 :, k + 1 :] = np.where(real_side, ni - nr * ratio, ni * ratio - nr) / denom
+            prev_r, prev_i = ar[:, k, k].copy(), ai[:, k, k].copy()
+    zr, zi = ar[:, -1, -1], ai[:, -1, -1]
+    out.real, out.imag = _mul(sign, 0.0, zr, zi)
+    out[dead] = 0j
+    return out
+
+
 def schur_bialternant(k: tuple[int, ...], x: tuple[complex, ...]) -> complex:
     """Ratio-of-alternants oracle: det(x_i^(lambda_j + N - j)) / det(x_i^(N - j)).
 
@@ -256,39 +325,65 @@ class CoefficientSource:
         except ValueError:
             return complex(math.nan, math.nan)
 
+    def _slot_blocks(self, pos: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+        """Block (p, k in slot pos, 0 elsewhere) for each pair, NaN where it cannot be formed.
+
+        Satake-backed sources evaluate all of them in one _schur_batch, bit for
+        bit the scalar schur; a prime without parameters gives NaN, as
+        _block_or_nan does.  Raw tables go through _block_or_nan.
+        """
+        def kvec(k: int) -> tuple[int, ...]:
+            evec = [0] * (self.degree - 1)
+            evec[pos] = k
+            return tuple(reversed(evec))
+
+        if self.satake is None:
+            return np.array([self._block_or_nan(p, kvec(k)) for p, k in pairs], dtype=complex)
+        alphas = self.satake.alphas
+        ones = (1 + 0j,) * self.degree
+        kvecs = np.zeros((len(pairs), self.degree - 1), dtype=np.int64)
+        kvecs[:, self.degree - 2 - pos] = [k for _, k in pairs]
+        x = np.array([alphas.get(p, ones) for p, _ in pairs], dtype=complex).reshape(-1, self.degree)
+        out = _schur_batch(kvecs, x)
+        out[[p not in alphas for p, _ in pairs]] = complex(math.nan, math.nan)
+        return out
+
     def _base_row(self, pos: int, x: int) -> np.ndarray:
         """A with slot pos equal to e and every other slot 1, e = 0..x (entry 0 is 0).
 
         One sieve: each prime p <= sqrt(x) writes its blocks into the multiples
         of p, exact valuation last; every larger prime divides its multiples
         once, so those are written for all of them at once, one cofactor j at
-        a time.  Blocks multiply in ascending prime order, as in coefficient.
+        a time.  Blocks multiply in ascending prime order, as in coefficient;
+        they come from one _slot_blocks call.
         """
         key = ("base", pos, x)
         row = self._row_cache.get(key)
         if row is not None:
             return row
-
-        def block(p: int, k: int) -> complex:
-            evec = [0] * (self.degree - 1)
-            evec[pos] = k
-            return self._block_or_nan(p, tuple(reversed(evec)))
-
         row = np.ones(x + 1, dtype=complex)
         row[0] = 0
         primes = np.array(primes_up_to(x), dtype=np.int64)
         split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
+        # every block the sieve reads, in its order: (p, k) with p^k <= x
+        pairs = []
         for p in primes[:split].tolist():
-            factor = np.full(x // p, block(p, 1))
             pk, k = p, 1
+            while pk <= x:
+                pairs.append((p, k))
+                pk, k = pk * p, k + 1
+        pairs += [(p, 1) for p in primes[split:].tolist()]
+        blocks = iter(self._slot_blocks(pos, pairs).tolist())
+        for p in primes[:split].tolist():
+            factor = np.full(x // p, next(blocks))
+            pk = p
             while pk * p <= x:
-                k += 1
-                factor[pk - 1 :: pk] = block(p, k)
+                factor[pk - 1 :: pk] = next(blocks)
                 pk *= p
             row[p::p] *= factor
         big = primes[split:]
         if big.size:
-            b1 = np.array([block(p, 1) for p in big.tolist()])
+            b1 = np.array(list(blocks))
             for j in range(1, x // int(big[0]) + 1):
                 stop = int(np.searchsorted(big, x // j, side="right"))
                 row[j * big[:stop]] *= b1[:stop]
@@ -358,7 +453,11 @@ class CoefficientSource:
 
 
 def _block_from_table(src: CoefficientSource, p: int, kvec: tuple[int, ...]) -> complex:
-    """Raw-table prime block: m with p^k at the positions kvec prescribes."""
+    """Raw-table prime block: m with p^k at the positions kvec prescribes.
+
+    A seeded draw is not written back into src._table, which holds only the
+    caller's explicit entries; _block caches it.
+    """
     m = tuple(p**e for e in reversed(kvec))
     if m in src._table:
         return src._table[m]
@@ -366,9 +465,7 @@ def _block_from_table(src: CoefficientSource, p: int, kvec: tuple[int, ...]) -> 
         return 1 + 0j
     if src.seed is None:
         raise ValueError(f"raw table has no entry for {m}")
-    val = _hash_unit(src.seed, src.degree, m)
-    src._table[m] = val
-    return val
+    return _hash_unit(src.seed, src.degree, m)
 
 
 def random_satake_source(degree: int, prime_bound: int, seed: int) -> CoefficientSource:

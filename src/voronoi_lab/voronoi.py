@@ -138,7 +138,7 @@ def lq_additive_coefficients(inst: VoronoiInstance) -> np.ndarray:
 _GAMMA_PARTS = ((0.5 + 0j, 0.5 + 0j), (-0.5 + 0j, 0.5 + 0j))
 
 
-def voronoi_rhs_coefficients(inst: VoronoiInstance, s) -> np.ndarray:
+def voronoi_rhs_coefficients(inst: VoronoiInstance, s, leaves: dict | None = None) -> np.ndarray:
     """Per-coefficient dual side of the additive identity, basis n^{-(1-s)}.
 
     complex128[c, 2, X+1]: [a, 0] is the G+ part and [a, 1] the G- part of
@@ -148,6 +148,8 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s) -> np.ndarray:
     summed over the plain divisor chains d_1 | q_1 c, d_2 | q_2 q_1 c / d_1, ...
     with the layer powers d_i^{(N-i)s} / (d_1...d_{N-2}) and the global factor
     c^{1-Ns} / (q_1^{(N-2)s} ... q_{N-2}^s).  Rows at non-units are zero.
+    ``leaves`` is kloosterman_vector's caller-owned leaf store; units of one
+    sweep with the same truncation can share it.
     """
     _require_additive(inst)
     s = complex(s)
@@ -159,7 +161,7 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s) -> np.ndarray:
     acc = np.zeros((len(units), 2, x + 1), dtype=complex)
     n_range = range(1, x + 1)
     chains = kloosterman_divisor_chains(c, inst.q)
-    table = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, chains)
+    table = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, chains, leaves)
     for d_vec, kl in zip(chains, table.transpose(1, 0, 2)):
         weight = 1 + 0j
         for i, di in enumerate(d_vec, start=1):
@@ -406,7 +408,9 @@ def _b_n_layers(inst: VoronoiInstance, n: int):
         yield math.prod(e_rest), free_ratio, mid, e_rest[0] * n
 
 
-def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> complex:
+def b_n_coefficient(
+    inst: VoronoiInstance, n: int, s, prefactor, y: int, weights: dict | None = None
+) -> complex:
     """Coefficient b_n(s) of the dual-side n^{-2w} expansion, inner sum to Y.
 
     ``prefactor`` is G(s) tau(chi*)^N c*^{-Ns} supplied externally.  For
@@ -418,31 +422,40 @@ def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> comp
         prefactor / tau(chi*) * sum_{h<=Y} A(h) h^{s-1} g(chi*, n c*, h);
     one Gauss-sum factor moves inside the h-sum there, so the external
     prefactor convention stays uniform across degrees.
+
+    ``weights`` is an optional caller-owned store of the n-independent powers
+    (e_1...e_{N-1})^{s-1}: key (e_1...e_{N-2}, s, y), value the float64 power
+    over e_{N-1} = 1..Y (degree 2 reads key (1, s, y)).  A store shared by the
+    calls of one unit builds each array once.
     """
     _require_character(inst)
     s = complex(s)
     chi_star = inst.chi_star
     cstar = chi_star.modulus
     n_deg = inst.degree
+    if weights is None:
+        weights = {}
+    e_free = np.arange(1, y + 1, dtype=np.int64)
+
+    def power(prod_rest: int) -> np.ndarray:
+        key = (prod_rest, s, y)
+        if key not in weights:
+            weights[key] = (prod_rest * e_free).astype(np.float64) ** (s - 1)
+        return weights[key]
+
     if n_deg == 2:
         gvec = gauss_sum_vector(chi_star, n * cstar)
         row = inst.source.coefficient_row((), (), y)
-        h_arr = np.arange(y + 1, dtype=np.float64)
-        h_arr[0] = 1.0
-        weights = h_arr ** (s - 1)
         idx = np.arange(y + 1) % (n * cstar)
-        inner = complex(np.sum(row[1:] * weights[1:] * gvec[idx][1:]))
+        inner = complex(np.sum(row[1:] * power(1) * gvec[idx][1:]))
         return complex(prefactor) / tau(chi_star) * inner
     vv_bar = chi_star.value_vector.conjugate()
-    e_free = np.arange(1, y + 1, dtype=np.int64)
     acc = 0j
     for prod_rest, free_ratio, mid, last in _b_n_layers(inst, n):
         row = inst.source.coefficient_row((), mid + (last,), y, scale=free_ratio)[1:]
-        prod_e = prod_rest * e_free
-        v = vv_bar[prod_e % cstar]
+        v = vv_bar[(prod_rest * e_free) % cstar]
         keep = v != 0
-        weights = prod_e[keep].astype(np.float64) ** (s - 1)
-        acc += complex(np.sum(v[keep] * weights * row[keep]))
+        acc += complex(np.sum(v[keep] * power(prod_rest)[keep] * row[keep]))
     return complex(prefactor) * n**s * acc
 
 

@@ -77,6 +77,23 @@ def test_run_suite_deterministic_bytes(tmp_path):
     assert r1.passed and r1.cases > 0
 
 
+def test_voronoi_core_builds_one_source_per_shift_set(monkeypatch):
+    # the side-by-side units and the z probes need different prime bounds
+    # for the same (degree, shifts); one source with the larger bound serves both
+    calls = []
+    build = harness.isobaric_source
+
+    def counted(n_deg, shifts, bound):
+        calls.append((n_deg, shifts, bound))
+        return build(n_deg, shifts, bound)
+
+    monkeypatch.setattr(harness, "isobaric_source", counted)
+    rep = run_suite(SweepConfig(suite="voronoi-core"))
+    assert rep.passed and rep.cases == 79
+    assert len(calls) == 3
+    assert len({(n_deg, shifts) for n_deg, shifts, _ in calls}) == 3
+
+
 def test_parallel_scheduling_does_not_reorder():
     cfg = {"degrees": [3], "c_values": [4, 5, 6], "coefficients": 20}
     a = run_suite(SweepConfig(suite="equivalence", ranges=dict(cfg), seed=7))

@@ -1,5 +1,6 @@
 """Schur evaluation and Hecke-multiplicative coefficient sources."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from voronoi_lab.hecke import (
     SatakeParams,
+    _schur_batch,
     isobaric_params,
     isobaric_source,
     random_satake,
@@ -18,7 +20,7 @@ from voronoi_lab.hecke import (
     schur_bialternant,
     verify_hecke_relations,
 )
-from voronoi_lab.residues import divisor_count
+from voronoi_lab.residues import divisor_count, primes_up_to
 
 
 def _unit_circle_points(rng, deg):
@@ -240,3 +242,78 @@ def test_coefficient_row_validation():
         src.coefficient_row((), (1,), 10, scale=0)
     with pytest.raises(ValueError):
         src.coefficient_row((), (1,), 60)  # primes beyond the parameter table, as coefficient
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _satake_sources_by_degree():
+    # every Satake kind at degrees 2-6; zero shifts give pivot ties (equal
+    # |h| in one column) and blocks whose elimination cancels exactly
+    bound = 200
+    for deg in range(2, 7):
+        yield random_satake_source(deg, bound, 60 + deg)
+        yield isobaric_source(deg, tuple(1j * (deg - 1 - 2 * i) for i in range(deg)), bound)
+        yield isobaric_source(deg, (0j,) * deg, bound)
+    yield rankin_selberg_source(random_satake(2, bound, 44), random_satake(2, bound, 45))
+    yield rankin_selberg_source(random_satake(2, bound, 46), random_satake(3, bound, 47))
+    yield rankin_selberg_source(isobaric_params(2, (0j, 0j), bound), isobaric_params(3, (0j,) * 3, bound))
+
+
+@pytest.mark.parametrize(
+    "src", list(_satake_sources_by_degree()), ids=lambda s: f"{s.kind}-{s.degree}"
+)
+def test_batched_base_row_blocks_are_bit_equal_to_scalar_schur(src):
+    # the blocks one base row reads, (p, k) with p^k <= x in each slot, and
+    # then every exponent vector with entries <= 2 at a few primes
+    x = 200
+    slots = src.degree - 1
+    for pos in range(slots):
+        pairs = [(p, k) for p in primes_up_to(x) for k in range(1, 9) if p**k <= x]
+        got = src._slot_blocks(pos, pairs).tolist()
+        for (p, k), value in zip(pairs, got):
+            kvec = [0] * slots
+            kvec[slots - 1 - pos] = k
+            assert _hex(value) == _hex(schur(tuple(kvec), src.satake.alphas_at(p))), (pos, p, k)
+    kvecs = list(itertools.product(range(3), repeat=slots))
+    for p in (2, 3, 197):
+        alphas = src.satake.alphas_at(p)
+        got = _schur_batch(np.array(kvecs), np.array([alphas] * len(kvecs))).tolist()
+        for kvec, value in zip(kvecs, got):
+            assert _hex(value) == _hex(schur(kvec, alphas)), (p, kvec)
+
+
+def test_batched_schur_zero_pivot_gives_0j_like_the_scalar():
+    # h_1(1, -1, 0, 0) = 0 exactly, so lambda = (1, 0, 0) has an all-zero
+    # first column and the scalar elimination stops at its first pivot
+    x = (1 + 0j, -1 + 0j, 0j, 0j)
+    kvecs = list(itertools.product(range(3), repeat=3))
+    got = _schur_batch(np.array(kvecs), np.array([x] * len(kvecs))).tolist()
+    assert _hex(got[kvecs.index((1, 0, 0))]) == _hex(0j)
+    for kvec, value in zip(kvecs, got):
+        assert _hex(value) == _hex(schur(kvec, x)), kvec
+
+
+def test_missing_prime_raises_through_the_row_with_the_scalar_message():
+    src = random_satake_source(3, 50, 1)
+    with pytest.raises(ValueError) as scalar_err:
+        random_satake_source(3, 50, 1).coefficient((53, 1))
+    with pytest.raises(ValueError) as row_err:
+        src.coefficient_row((), (1,), 60)
+    assert str(row_err.value) == str(scalar_err.value) == "prime 53 not populated in SatakeParams"
+    # the batch marks the missing prime NaN; the present ones stay finite
+    blocks = src._slot_blocks(0, [(47, 1), (53, 1), (2, 5)])
+    assert np.isnan(blocks[1]) and np.all(np.isfinite(blocks[[0, 2]]))
+
+
+def test_raw_table_rows_leave_only_explicit_entries_in_the_table():
+    # seeded draws are cached as blocks, not written into the explicit
+    # table, which coefficient_row scans for overrides on every call
+    explicit = {(1, 6): 9 + 9j, (4, 1): -1 + 0j}
+    src = raw_table_source(3, table=dict(explicit), seed=29)
+    for prefix, suffix, scale in (((1,), (), 1), ((), (1,), 1), ((), (12,), 2), ((4,), (), 3)):
+        src.coefficient_row(prefix, suffix, 200, scale=scale)
+    src.coefficient((8, 27))
+    assert src._table == explicit
+    assert src.coefficient_row((1,), (), 6)[6] == 9 + 9j

@@ -1,7 +1,8 @@
 """Route independence: the two sides of each identity read through different code.
 
 a_n reads A one scalar at a time through CoefficientSource.coefficient; b_n
-reads sieved rows through CoefficientSource.coefficient_row.  The direct
+reads sieved rows through CoefficientSource.coefficient_row, whose base rows
+take their Schur blocks from one batched elimination, not the scalar schur.  The direct
 Kloosterman route (the prefix-tree walk and the additive family built on it)
 sums the layers itself, and shares no code with the nested hyper_kloosterman
 oracle its tests check it against; the closed route and the H and G series
@@ -67,6 +68,12 @@ def test_b_n_never_makes_a_scalar_coefficient_read():
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
         }
         assert not calls & {"coefficient", "dual_coefficient"}, fn.name
+
+
+def test_batched_schur_never_reaches_the_scalar_schur():
+    # the batch is checked bit for bit against schur, so it must not call it
+    for fn in _reachable("hecke.py", "_schur_batch"):
+        assert not _names(fn) & {"schur", "_hvec", "_det_fraction_free"}, fn.name
 
 
 def test_direct_kloosterman_route_never_reaches_a_gauss_sum():

@@ -307,6 +307,43 @@ def test_b_n_matches_the_scalar_loop(shifts, qs):
                 assert abs(got - want) <= 1e-13 * abs(want), (cstar, q, n)
 
 
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize(
+    "shifts, qs",
+    [
+        ((1j, -1j), ((),)),
+        ((1j, 0j, -1j), ((1,), (2,), (6,))),
+        ((1j, 0j, 0j, -1j), ((2, 1), (1, 2), (2, 3))),
+    ],
+    ids=["gl2", "gl3", "gl4"],
+)
+def test_b_n_with_a_shared_weight_store_is_bit_equal(shifts, qs):
+    y, s = 700, -1.5 + 0.5j
+    src = isobaric_source(len(shifts), shifts, 2 * y + 10)
+    weights = {}
+    for cstar in (4, 5):
+        chi = primitive_characters(cstar)[-1]
+        for q in qs:
+            inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+            for n in (1, 2, 6, 7):
+                shared = b_n_coefficient(inst, n, s, 1.0, y, weights)
+                assert _hex(shared) == _hex(b_n_coefficient(inst, n, s, 1.0, y)), (cstar, q, n)
+    assert weights and all(key[1:] == (s, y) for key in weights)
+
+
+def test_rhs_with_a_shared_leaf_store_is_bit_equal_across_units():
+    leaves = {}
+    for n_deg, c, q in ((3, 12, (2,)), (3, 8, (3,)), (4, 6, (2, 2))):
+        inst = VoronoiInstance(raw_table_source(n_deg, seed=c), q, c, truncation=20)
+        shared = voronoi_rhs_coefficients(inst, S0, leaves)
+        alone = voronoi_rhs_coefficients(inst, S0)
+        assert shared.tobytes() == alone.tobytes(), (n_deg, c, q)
+    assert leaves
+
+
 def test_tail_bound_shrinks_and_rejects_raw_tables():
     shifts = (0j, 0j, 0j)
     src = isobaric_source(3, shifts, 100)
