@@ -207,8 +207,8 @@ class KloostermanSpec:
     The divisibility chain d_1 | q_1 c, d_2 | q_2 (q_1 c / d_1), ... is part
     of the object's meaning and is validated at construction, as is
     gcd(a, c) = 1.  It describes one term for the nested oracle
-    hyper_kloosterman; the walk kloosterman_vector checks its chains through
-    _chain_moduli instead.
+    hyper_kloosterman; the walk kloosterman_vector builds every chain of its
+    (c, q) itself, so it has none to check.
     """
 
     a: int
@@ -314,7 +314,7 @@ def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
     d_K, from one kl_layer call, with r_s the inverse of the s-th unit mod
     M_{K-1}.  q_k = 0 stands for a chain with no layer, whose table is
     e(r_s n_t / M_0).  The table is kept in leaves under (n_values, M_{K-1},
-    q_K, d_K); the caller has checked the chain, so nothing is checked again.
+    q_K, d_K); the walk builds its chains from (c, q), so nothing is checked.
     """
     key = (n_values, m_prev, q_k, d_k)
     table = leaves.get(key)
@@ -331,111 +331,83 @@ def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
     return table
 
 
+def _first_children(ranks: dict, edges: dict) -> np.ndarray:
+    """[r]: rank of the first child of the prefix of rank r; [-1]: number of children.
+
+    ranks[M] ranks a depth's prefixes of modulus M; edges[M] is the d below each.
+    """
+    counts = np.zeros(sum(len(r) for r in ranks.values()) + 1, dtype=np.int64)
+    for m, r in ranks.items():
+        counts[1:][r] = len(edges[m])
+    return counts.cumsum()
+
+
 def kloosterman_vector(
-    n_values, c: int, q: tuple[int, ...], chains, leaves: dict | None = None
+    n_values, c: int, q: tuple[int, ...], leaves: dict | None = None
 ) -> np.ndarray:
     """Direct hyper-Kloosterman sums of every unit, divisor chain and n at once.
 
-    complex128[phi(c), n_chains, n_n]: entry [i, j, t] = Kl(a, n_values[t], c;
-    q, chains[j]) at a = unit_residues(c)[i].  Kl depends on n only through n
-    mod M_K, reduced as a Python int, so any int n is exact.
+    complex128[phi(c), n_chains, n_n]: [i, j, t] = Kl(a, n_values[t], c; q, d)
+    at a = unit_residues(c)[i], d = kloosterman_divisor_chains(c, q)[j].  Kl
+    reads n only mod M_K, reduced as a Python int, so any int n is exact.
 
-    The prefix tree of the chains is walked from the outermost layer inward,
-    one depth at a time.  L starts as the identity on the units mod M_0; the
-    edge d_i maps L to the function on Z/M_i that is sum over r of L[r] e(d_i
-    y r / M_{i-1}) at y^-1 for the units y mod M_i and zero elsewhere, so
-    chains sharing a prefix share its products.  Every L is kept at the
-    inverses of the units mod its modulus, so the nodes of one depth with the
-    same modulus M keep L at the same residues: their L blocks are stacked and
-    multiplied once per distinct d_i.  At depth K-1 the stack of each M_{K-1}
-    goes through one product with the side-by-side _leaf_table tables of its
-    leaves d_K, the chains' innermost layers.  Those tables depend only on
-    (n_values, M_{K-1}, q_K, d_K), so a caller may pass one dict as `leaves`
-    to every call of a sweep; without it each call starts an empty one.
+    The chains of (c, q) are walked as a prefix tree from the outermost layer
+    inward, one depth at a time.  L starts as the identity on the units mod
+    M_0; the edge d_i maps L to the function on Z/M_i that is sum over r of
+    L[r] e(d_i y r / M_{i-1}) at y^-1 for the units y mod M_i and zero
+    elsewhere.  Every L is kept at the inverses of the units mod its modulus,
+    and the children of a prefix of modulus M are the d | q_i M in ascending
+    order, so the prefixes of one depth with the same modulus share their
+    edges: their L blocks are stacked and multiplied once per d.  At depth
+    K-1 the stack of each M_{K-1} goes through one product with the
+    side-by-side _leaf_table tables of its leaves d_K, the chains' innermost
+    layers, written to the output at the chains' lexicographic ranks.  Those
+    tables depend only on (n_values, M_{K-1}, q_K, d_K), so a caller may pass
+    one dict as `leaves` to every call of a sweep; without it each call
+    starts an empty one.
     """
     q = tuple(q)
-    k = len(q)
-    mods = _chain_moduli(c, q, chains)  # checks every chain
-    n_chains = len(mods)
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    if any(x < 1 for x in q):
+        raise ValueError("q entries must be positive")
     units = unit_residues(c)
-    n_rows, n_n = len(units), len(n_values)
-    if n_chains == 0:
-        return np.empty((n_rows, 0, n_n), dtype=np.complex128)
-    d = np.asarray(chains, dtype=np.int64).reshape(n_chains, k)
-    n_values = tuple(n_values)
+    n_rows, n_n, n_values = len(units), len(n_values), tuple(n_values)
     if leaves is None:
         leaves = {}
 
-    # The nodes of one depth: chain j sits under node[j], node p has modulus
-    # node_mod[p], and stacks[M][node_row[p]] is its L, [n_rows, phi(M)], at
-    # inverse_table(M)[unit_residues(M)]; row i of the root's L is 1 at a =
-    # units[i] and 0 elsewhere.
+    # stacks[M] is the L of every prefix of modulus M at this depth,
+    # [prefixes, n_rows, phi(M)] at inverse_table(M)[unit_residues(M)], and
+    # ranks[M] their ranks; row i of the root's L is 1 at a = units[i].
     eye = (units[:, None] == inverse_table(c)[units][None, :]).astype(np.complex128)
-    chain_d = d.tolist()
-    node = [0] * n_chains
-    node_mod, node_row, stacks = [c], [0], {c: eye[None]}
-    for i in range(k - 1):
-        kids = {}  # (parent, d_{i+1}) -> child
-        for j, dj in enumerate(chain_d):
-            node[j] = kids.setdefault((node[j], dj[i]), len(kids))
-        runs = {}  # (parent modulus, d_{i+1}) -> [(parent row, child)], one product each
-        for (p, d_i), kid in kids.items():
-            runs.setdefault((node_mod[p], d_i), []).append((node_row[p], kid))
-        size = {}
-        for (m_prev, d_i), members in runs.items():
-            m = q[i] * m_prev // d_i
-            size[m] = size.get(m, 0) + len(members)
-        new_stacks = {
-            m: np.empty((n, n_rows, len(unit_residues(m))), dtype=np.complex128)
-            for m, n in size.items()
-        }
-        node_mod, node_row, fill = [0] * len(kids), [0] * len(kids), dict.fromkeys(size, 0)
-        for (m_prev, d_i), members in runs.items():
-            m = q[i] * m_prev // d_i
-            lo = fill[m]
-            fill[m] = lo + len(members)
+    stacks, ranks = {c: eye[None]}, {c: np.zeros(1, dtype=np.int64)}
+    for qi in q[:-1]:
+        edges = {m: divisors(qi * m) for m in stacks}
+        first = _first_children(ranks, edges)
+        parts = {}  # child modulus -> [(L block, ranks)]
+        for m_prev, src in stacks.items():
             at = inverse_table(m_prev)[unit_residues(m_prev)]
-            base = (d_i % m_prev) * unit_residues(m) % m_prev
-            w = roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
-            members.sort()
-            src = stacks[m_prev]
-            if len(members) < len(src):
-                src = src[[row for row, _ in members]]
-            out = new_stacks[m][lo : lo + len(members)]
-            np.matmul(src.reshape(-1, src.shape[2]), w, out=out.reshape(-1, w.shape[1]))
-            for row, (_, kid) in enumerate(members, lo):
-                node_mod[kid], node_row[kid] = m, row
-        stacks = new_stacks
+            kid = first[ranks[m_prev]]  # rank of each prefix's first child
+            for k, d_i in enumerate(edges[m_prev]):
+                m = qi * m_prev // d_i
+                base = (d_i % m_prev) * unit_residues(m) % m_prev
+                w = roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
+                block = (src.reshape(-1, src.shape[2]) @ w).reshape(len(src), n_rows, w.shape[1])
+                parts.setdefault(m, []).append((block, kid + k))
+        stacks = {m: np.concatenate([b for b, _ in p]) for m, p in parts.items()}
+        ranks = {m: np.concatenate([r for _, r in p]) for m, p in parts.items()}
 
-    # Depth K-1: one product per M_{K-1} with the tables of its leaves d_K
-    # side by side, [nodes, n_rows, leaves, n_n], all in one flat buffer.
-    q_k = q[-1] if k else 0
-    cols = {m: {} for m in stacks}  # M_{K-1} -> d_K -> column
-    place = []  # chain j: (M_{K-1}, row of its node, column of its leaf)
-    for j, dj in enumerate(chain_d):
-        p = node[j]
-        tails = cols[node_mod[p]]
-        place.append((node_mod[p], node_row[p], tails.setdefault(dj[-1] if k else 0, len(tails))))
-    parts, where, offset = [], {}, 0
+    q_k = q[-1] if q else 0  # 0: a chain with no layer has one leaf
+    edges = {m: divisors(q_k * m) if q else (0,) for m in stacks}
+    first = _first_children(ranks, edges)
+    out = np.empty((n_rows, first[-1], n_n), dtype=np.complex128)
     for m_prev, stack in stacks.items():
-        block = np.concatenate(
-            [_leaf_table(leaves, n_values, m_prev, q_k, d_k) for d_k in cols[m_prev]], axis=1
-        )
-        parts.append((stack.reshape(-1, stack.shape[2]) @ block).reshape(-1))
-        where[m_prev] = (offset, block.shape[1])
-        offset += parts[-1].size
-    # entry [i, j, t] sits at start[j] + i width[j] + t
-    start, width = [], []
-    for m_prev, row, col in place:
-        off, w = where[m_prev]
-        start.append(off + row * n_rows * w + col * n_n)
-        width.append(w)
-    idx = (
-        np.array(start)[None, :, None]
-        + np.arange(n_rows)[:, None, None] * np.array(width)[None, :, None]
-        + np.arange(n_n)
-    )
-    return np.concatenate(parts)[idx]
+        tails = edges[m_prev]
+        block = np.concatenate([_leaf_table(leaves, n_values, m_prev, q_k, d) for d in tails], 1)
+        prod = stack.reshape(-1, stack.shape[2]) @ block
+        prod = prod.reshape(len(stack), n_rows, len(tails), n_n)
+        out[:, first[ranks[m_prev]][:, None] + np.arange(len(tails))] = prod.transpose(1, 0, 2, 3)
+    return out
 
 
 def _lemma34_factors(c, q, chains, n_values, chars, mods):
@@ -496,25 +468,20 @@ def _lemma34_product(factors, live) -> np.ndarray:
 
 
 def average_kloosterman_closed_lemma34_table(
-    c: int, q: tuple[int, ...], chains, n_values, chars=None, mods=None
+    c: int, q: tuple[int, ...], chains, n_values, chars=None
 ) -> np.ndarray:
     """Lemma 3.4 closed form for every character, divisor chain and n at once.
 
     complex128[n_chars, n_chains, n_n], characters in enumerate_characters(c)
     order unless `chars` (characters mod c) is given.  Entry [x, j, t] is
     average_kloosterman_closed_lemma34(chars[x], n_values[t], c, q, chains[j]).
-    `mods`, if given, is _chain_moduli(c, q, chains), of shape
-    [n_chains, len(q) + 1]; otherwise it is computed here, which checks the
-    chains.
+    The chains are checked through _chain_moduli.
     """
     if chars is None:
         chars = enumerate_characters(c)
     elif any(chi.modulus != c for chi in chars):
         raise ValueError("chars must be characters mod c")
-    if mods is None:
-        mods = _chain_moduli(c, q, chains)
-    elif np.shape(mods) != (len(chains), len(q) + 1):
-        raise ValueError("mods must be _chain_moduli(c, q, chains)")
+    mods = _chain_moduli(c, q, chains)
     factors, live = _lemma34_factors(c, q, chains, n_values, chars, mods)
     return _lemma34_product(factors, live)
 

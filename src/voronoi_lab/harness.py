@@ -702,15 +702,12 @@ def _kloosterman_units(ranges, tol, config):
             vv = np.stack([ch.value_vector[unit_residues(c)] for ch in chars])
             chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
             # Both routes give every (character, chain, n) of the unit in one
-            # array: the closed one from Gauss sums, the direct one as the
-            # character average of one walk of the chains' prefix tree.
-            # The direct route is the reference, so it checks the chains
-            # itself instead of taking the moduli the closed route is given.
-            mods = _chain_moduli(c, q, chains)
-            closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values, mods=mods)
-            kl = kloosterman_vector(n_values, c, q, chains, leaves)
+            # array: the closed one from Gauss sums over the chains it checks,
+            # the direct one as the character average of one walk of (c, q).
+            closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
+            kl = kloosterman_vector(n_values, c, q, leaves)
             direct = (vv @ kl.reshape(len(kl), -1)).reshape(closed.shape)
-            scale = np.sqrt(np.prod(mods, axis=1))
+            scale = np.sqrt(np.prod(_chain_moduli(c, q, chains), axis=1))
             diff = direct - closed
             rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
             rows = [{"degree": n_deg, "c": c, "q": list(q), "chi": ch.label} for ch in chars]
@@ -1038,6 +1035,40 @@ def _voronoi_units(ranges, tol, config):
     return units
 
 
+def _gamma_pole_deltas(s, shift_sets) -> list[int]:
+    """The parities delta at which G(s) for lambda = -shifts has a Gamma argument on a pole."""
+    return [
+        delta
+        for delta in (0, 1)
+        if any(
+            gamma_pole(z) is not None
+            for shifts in shift_sets
+            for pair in g_pm_arguments(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
+            for z in pair
+        )
+    ]
+
+
+def _check_voronoi_poles(ranges) -> None:
+    """Reject an s at which a gl3 or gl2 unit's g_pm_eval would refuse to evaluate.
+
+    A unit's G has lambda = -shifts and its twist's parity; the twist is the
+    first primitive character of its conductor.
+    """
+    s = _as_complex(ranges["s"], "ranges.s")
+    deltas = {0 if primitive_characters(c)[0].parity == 1 else 1 for c in ranges["cstar_values"]}
+    for family in ("gl3", "gl2"):
+        key = f"{family}_shift_sets"
+        shift_sets = [_as_shift_set(v, f"ranges.{key}") for v in ranges[key]]
+        hit = deltas.intersection(_gamma_pole_deltas(s, shift_sets))
+        if hit and family in ranges["families"]:
+            kind = "even" if min(hit) == 0 else "odd"
+            raise ConfigError(
+                f"ranges.s: s = {ranges['s']} puts a Gamma factor of a {family} unit "
+                f"with an {kind} twist within 1e-6 of a pole"
+            )
+
+
 def _check_lfunc_poles(ranges) -> None:
     """Reject an s at which g_pm_eval or dirichlet_l would refuse to evaluate.
 
@@ -1057,14 +1088,7 @@ def _check_lfunc_poles(ranges) -> None:
                 f"ranges.s_values: s = {value} puts an L-value argument within 1e-6 "
                 f"of 1 without being exactly 1"
             )
-        for delta in (0, 1):
-            if not any(
-                gamma_pole(z) is not None
-                for shifts in shift_sets
-                for pair in g_pm_arguments(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
-                for z in pair
-            ):
-                continue
+        for delta in _gamma_pole_deltas(s, shift_sets):
             parity = 1 if delta == 0 else -1
             if any(
                 chi.parity == parity
@@ -1265,6 +1289,7 @@ for _spec in (
             # conductor 1 would put the probe's L-value on the zeta pole
             "probe_cstar": _check_conductors(_check_int(2)),
         },
+        _check_voronoi_poles,
     ),
     _SuiteSpec(
         "lfunc",

@@ -148,8 +148,8 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s, leaves: dict | None = Non
     summed over the plain divisor chains d_1 | q_1 c, d_2 | q_2 q_1 c / d_1, ...
     with the layer powers d_i^{(N-i)s} / (d_1...d_{N-2}) and the global factor
     c^{1-Ns} / (q_1^{(N-2)s} ... q_{N-2}^s).  Rows at non-units are zero.
-    ``leaves`` is kloosterman_vector's caller-owned leaf store; units of one
-    sweep with the same truncation can share it.
+    The kloosterman_vector walk's columns follow kloosterman_divisor_chains;
+    ``leaves`` is its caller-owned store, shared by units with one truncation.
     """
     _require_additive(inst)
     s = complex(s)
@@ -161,7 +161,7 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s, leaves: dict | None = Non
     acc = np.zeros((len(units), 2, x + 1), dtype=complex)
     n_range = range(1, x + 1)
     chains = kloosterman_divisor_chains(c, inst.q)
-    table = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, chains, leaves)
+    table = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, leaves)
     for d_vec, kl in zip(chains, table.transpose(1, 0, 2)):
         weight = 1 + 0j
         for i, di in enumerate(d_vec, start=1):
@@ -460,13 +460,18 @@ def b_n_coefficient(
 
 
 @lru_cache(maxsize=64)
+def _rankin_grid(t: float) -> tuple:
+    """(u, zeta(u)) at the points u of _rankin_tail's minimum, shared by every k."""
+    return tuple((u, hurwitz_zeta(float(u), 1).real) for u in np.linspace(1.04, t - 0.01, 160))
+
+
+@lru_cache(maxsize=64)
 def _rankin_tail(k: int, t: float, y: int) -> float:
     """Rigorous bound on sum_{m>Y} d_k(m) m^{-t}: min over u of Y^{u-t} zeta(u)^k."""
     if t <= 1.05:
         raise ValueError("tail exponent too close to the divergence line to certify")
     best = math.inf
-    for u in np.linspace(1.04, t - 0.01, 160):
-        zeta_u = hurwitz_zeta(float(u), 1).real
+    for u, zeta_u in _rankin_grid(t):
         best = min(best, y ** (u - t) * zeta_u**k)
     return best
 

@@ -9,7 +9,6 @@ import pytest
 from voronoi_lab.characters import enumerate_characters, induce, primitive_characters, principal
 from voronoi_lab.exponential_sums import (
     KloostermanSpec,
-    _chain_moduli,
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
@@ -252,8 +251,9 @@ def test_average_gauss_identity():
 
 KL_N_VALUES = (1, 2, 5, 0, -3, 2**63 + 5)
 
-# K = 0, 1, 2 and 3, with chains that branch at every layer
-DIRECT_QS = ((), (2,), (3,), (1, 2), (2, 2), (1, 2, 1), (2, 1, 2))
+# K = 0, 1, 2, 3 and 4, with chains that branch at every layer; at K = 4
+# the walk stacks prefixes of one modulus below depth 1
+DIRECT_QS = ((), (2,), (3,), (1, 2), (2, 2), (1, 2, 1), (2, 1, 2), (2, 1, 2, 1))
 
 
 def _scale(c, q, d):
@@ -270,7 +270,7 @@ def _assert_walk_matches_nested(c, q, n_values, leaves=None):
     """
     units = [int(a) for a in unit_residues(c)]
     chains = kloosterman_divisor_chains(c, q)
-    table = kloosterman_vector(n_values, c, q, np.array(chains, dtype=np.int64), leaves)
+    table = kloosterman_vector(n_values, c, q, leaves)
     assert table.shape == (len(units), len(chains), len(n_values))
     vv = np.stack([chi.value_vector[units] for chi in enumerate_characters(c)])
     for j, d in enumerate(chains):
@@ -298,52 +298,27 @@ def test_direct_table_against_nested_oracle():
 
 
 def test_direct_tables_sharing_one_leaf_store_against_nested_oracle():
-    # One store for every unit and two n lists, as a sweep shares it: a key
-    # that left out n_values, q_K or d_K would hand a unit the leaf tables of
-    # another.  c = 4 with q = (2,) and q = (2, 2) both reach M_{K-1} = 4 with
-    # q_K = 2, at the root and one layer below it, and share those leaves.
+    # One store for every unit and three n lists (one empty), as a sweep
+    # shares it: a key that left out n_values, q_K or d_K would hand a unit
+    # the leaf tables of another.  c = 4 with q = (2,) and q = (2, 2) both
+    # reach M_{K-1} = 4 with q_K = 2, at the root and one layer below it, and
+    # share those leaves.
     leaves = {}
-    for n_values in (KL_N_VALUES, (3, -4, 7)):
+    for n_values in (KL_N_VALUES, (3, -4, 7), ()):
         for c in range(1, 7):
             for q in DIRECT_QS:
                 table = _assert_walk_matches_nested(c, q, n_values, leaves)
-                own = kloosterman_vector(n_values, c, q, kloosterman_divisor_chains(c, q))
+                own = kloosterman_vector(n_values, c, q)
                 assert table.tobytes() == own.tobytes(), (c, q)
     assert (KL_N_VALUES, 4, 2, 2) in leaves
 
 
-def test_direct_table_matches_per_chain_tables():
-    # Chains in reverse order with one repeated, so the walk's grouping cannot
-    # lean on enumeration order; each column block against a one-chain walk.
-    # Every other chain of that list leaves some nodes of a depth without a
-    # child under a given d_i, so the walk multiplies a subset of its stack;
-    # that needs two nodes of one modulus below depth 1, so K = 4 is added.
-    for c in range(1, 7):
-        for q in DIRECT_QS + ((2, 1, 2, 1),):
-            chains = list(kloosterman_divisor_chains(c, q))[::-1]
-            chains.append(chains[0])
-            table = kloosterman_vector(KL_N_VALUES, c, q, chains)
-            assert table.shape == (euler_phi(c), len(chains), len(KL_N_VALUES))
-            half = kloosterman_vector(KL_N_VALUES, c, q, chains[::2])
-            for j, d in enumerate(chains):
-                want = kloosterman_vector(KL_N_VALUES, c, q, [d])[:, 0]
-                assert np.abs(table[:, j] - want).max() < 1e-12 * _scale(c, q, d), (c, q, d)
-                if j % 2 == 0:
-                    err = np.abs(half[:, j // 2] - want).max()
-                    assert err < 1e-12 * _scale(c, q, d), (c, q, d)
-
-
 def test_direct_table_rejects_broken_chains():
-    with pytest.raises(ValueError, match="d_1 = 3: must divide 8"):
-        kloosterman_vector((1,), 4, (2,), [(1,), (3,)])
-    with pytest.raises(ValueError, match="d_2 = 5: must divide 8"):
-        kloosterman_vector((1,), 4, (2, 2), [(2, 2), (2, 5)])
-    with pytest.raises(ValueError):
-        kloosterman_vector((1,), 4, (2,), [(1, 1)])
-    with pytest.raises(ValueError):
-        kloosterman_vector((1,), 4, (2,), [(0,)])
-    with pytest.raises(ValueError):
-        kloosterman_vector((1,), 0, (), [()])
+    # the walk builds every chain from (c, q), so only c and q can be broken
+    with pytest.raises(ValueError, match="c must be >= 1"):
+        kloosterman_vector((1,), 0, ())
+    with pytest.raises(ValueError, match="q entries must be positive"):
+        kloosterman_vector((1,), 4, (2, 0))
 
 
 def test_kloosterman_spec_validation():
@@ -369,7 +344,7 @@ def test_average_kloosterman_closed_form_small():
         chars = enumerate_characters(c)
         units = unit_residues(c)
         chains = kloosterman_divisor_chains(c, q)
-        table = kloosterman_vector((1, 2), c, q, chains)
+        table = kloosterman_vector((1, 2), c, q)
         for j, d in enumerate(chains):
             mods = [c]
             for qi, di in zip(q, d):
@@ -453,20 +428,6 @@ def test_lemma34_table_rejects_broken_chains():
         average_kloosterman_closed_lemma34_table(4, (2,), [(3,)], (1,))
     with pytest.raises(ValueError):
         average_kloosterman_closed_lemma34_table(4, (2,), [(1,)], (1,), enumerate_characters(5))
-
-
-def test_lemma34_table_with_given_moduli():
-    # the moduli a caller passes give the same bits; moduli of another chain
-    # list are refused instead of read
-    c, q = 6, (2, 3)
-    chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
-    mods = _chain_moduli(c, q, chains)
-    own = average_kloosterman_closed_lemma34_table(c, q, chains, (1, -2))
-    given = average_kloosterman_closed_lemma34_table(c, q, chains, (1, -2), mods=mods)
-    assert given.tobytes() == own.tobytes()
-    for bad in (mods[1:], mods[:, 1:]):
-        with pytest.raises(ValueError, match="mods must be"):
-            average_kloosterman_closed_lemma34_table(c, q, chains, (1,), mods=bad)
 
 
 def test_additive_char():

@@ -547,6 +547,27 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["--config", str(half), "--out", str(tmp_path / "half_report.json")]) == 0
 
 
+def test_voronoi_core_rejects_s_at_a_gamma_pole(tmp_path, capsys):
+    # Conductors 1 and 12 have an even primitive character, and zero shifts
+    # put the even G's denominator Gamma argument s/2 on its pole at -1; the
+    # sweep used to stop there with exit 3.
+    for ranges in (
+        {"s": [-2, 0], "cstar_values": [12]},
+        {"s": [-2, 0], "cstar_values": [1]},
+        {"s": -2, "cstar_values": [1], "families": ["gl2"], "gl2_shift_sets": [[0, 0]]},
+    ):
+        config = tmp_path / "pole.json"
+        config.write_text(json.dumps({"suite": "voronoi-core", "ranges": ranges}))
+        assert cli.main(["--config", str(config)]) == 2, ranges
+        assert "ranges.s" in capsys.readouterr().err
+    # odd twists only, or no family that evaluates G: nothing sits on a pole
+    for ranges in (
+        {"s": -2, "cstar_values": [3, 4]},
+        {"s": -2, "cstar_values": [12], "families": ["gl2", "z"]},
+    ):
+        SweepConfig(suite="voronoi-core", ranges=ranges).validate()
+
+
 def test_report_from_dict_rejects_tampered_summary(tmp_path):
     rep = run_suite(SweepConfig(suite="hecke", ranges=dict(SMALL_HECKE), seed=2))
     doc = rep.to_dict()

@@ -10,10 +10,12 @@ are built from Gauss sums and never sum a layer.  The Lemma 2.2/2.3
 closed rows read characters by exact scalar calls, not through the value
 vectors the FFT Gauss sums use.  A green record is evidence about the identity
 only while neither side reaches the other's code, so each route is checked
-here on the source of its module, following calls into the module's own
-functions and classes."""
+here on the package source, following the names it mentions into its own
+module's functions and classes and, through "from .other import", into
+those of sibling modules."""
 
 import ast
+import functools
 from pathlib import Path
 
 import voronoi_lab
@@ -21,38 +23,80 @@ import voronoi_lab
 PACKAGE = Path(voronoi_lab.__file__).parent
 
 
-def _definitions(module: str) -> dict[str, ast.AST]:
+@functools.cache
+def _module(module: str) -> tuple[dict[str, ast.AST], dict[str, tuple[str, str]]]:
+    """The module-level functions and classes of module, and its sibling imports.
+
+    The imports map each name bound by a module-level "from .other import x"
+    to ("other.py", "x").
+    """
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    return {
+    defs = {
         node.name: node
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
+    imports = {
+        alias.asname or alias.name: (node.module + ".py", alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    return defs, imports
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    """Names node mentions outside annotations, which are types, not calls."""
+    skip = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.returns is not None:
+            skip.update(map(id, ast.walk(n.returns)))
+        elif isinstance(n, ast.arg) and n.annotation is not None:
+            skip.update(map(id, ast.walk(n.annotation)))
+        elif isinstance(n, ast.AnnAssign):
+            skip.update(map(id, ast.walk(n.annotation)))
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and id(n) not in skip}
+
+
+def _resolve(module: str, name: str) -> tuple[str, str] | None:
+    """(module, name) of the package definition that name means in module, if any."""
+    defs, imports = _module(module)
+    if name in defs:
+        return module, name
+    if name in imports:
+        return _resolve(*imports[name])
+    return None
 
 
 def _reachable(module: str, name: str, stop: frozenset[str] = frozenset()) -> list[ast.AST]:
-    """name and every module-level function or class of module it mentions, transitively.
+    """name and every package function or class it mentions, transitively.
 
-    Names in stop may be mentioned but are not followed.
+    A mentioned name is followed into the module-level definition of the same
+    module, or through a "from .other import" into the sibling module that
+    defines it.  Names in stop may be mentioned but are not followed.
     """
-    defs = _definitions(module)
-    seen, todo = {}, [name]
+    seen, todo = {}, [_resolve(module, name)]
     while todo:
-        node = defs[todo.pop()]
-        if node.name in seen:
+        key = todo.pop()
+        if key is None or key in seen:
             continue
-        seen[node.name] = node
-        todo += [
-            n.id
-            for n in ast.walk(node)
-            if isinstance(n, ast.Name) and n.id in defs and n.id not in stop
-        ]
+        node = seen[key] = _module(key[0])[0][key[1]]
+        todo += [_resolve(key[0], n) for n in _mentions(node) if n not in stop]
     return list(seen.values())
 
 
 def _names(node: ast.AST) -> set[str]:
     refs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
     return refs | {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def test_route_walk_follows_sibling_imports_but_not_annotations():
+    # the guards below are only as wide as this walk: the additive side must
+    # be followed into the walk's own module and its kernel, while a type in
+    # an annotation (VoronoiInstance, DirichletCharacter) is not a call
+    reached = {node.name for node in _reachable("voronoi.py", "voronoi_rhs_coefficients")}
+    assert {"kloosterman_vector", "_leaf_table", "kl_layer", "unit_residues"} <= reached
+    assert not reached & {"VoronoiInstance", "DirichletCharacter"}
 
 
 def test_a_n_never_reads_a_coefficient_row():

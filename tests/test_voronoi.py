@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from voronoi_lab import voronoi
 from voronoi_lab.characters import (
     conductor,
     enumerate_characters,
@@ -357,6 +358,26 @@ def test_tail_bound_shrinks_and_rejects_raw_tables():
     raw = VoronoiInstance(raw_table_source(3, seed=1), (1,), 3, chi=chi, truncation=X)
     with pytest.raises(ValueError):
         b_n_tail_bound(raw, 2, s, pref, 500)
+
+
+def test_rankin_tail_reads_one_zeta_grid_per_t(monkeypatch):
+    # zeta(u) on the minimum's grid depends on t only: degrees 2 and 3 at one
+    # t share 160 evaluations, and each bound is the minimum of Y^(u-t) zeta(u)^k
+    # over the grid, in the grid's order
+    real = voronoi.hurwitz_zeta
+    calls = []
+    monkeypatch.setattr(voronoi, "hurwitz_zeta", lambda u, a: calls.append(u) or real(u, a))
+    voronoi._rankin_grid.cache_clear()
+    voronoi._rankin_tail.cache_clear()
+    t, y = 2.37, 4321
+    for k in (2, 3):
+        best = math.inf
+        for u in np.linspace(1.04, t - 0.01, 160):
+            best = min(best, y ** (u - t) * real(float(u), 1).real ** k)
+        assert voronoi._rankin_tail(k, t, y) == best
+    assert len(calls) == 160
+    with pytest.raises(ValueError):
+        voronoi._rankin_tail(2, 1.05, y)
 
 
 # GL(3) with one layer, and GL(2), whose probe has a second Mobius layer
