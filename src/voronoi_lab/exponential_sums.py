@@ -274,36 +274,15 @@ def hyper_kloosterman(spec: KloostermanSpec) -> complex:
     return complex(layer(1, spec.a % spec.c))
 
 
-def _chain_moduli(c: int, q, chains) -> np.ndarray:
-    """int64[n_chains, K+1] of the moduli (M_0, ..., M_K) of every chain.
+def _chain_moduli(c: int, q, chains: np.ndarray) -> np.ndarray:
+    """int64[n_chains, K+1] of the moduli M_i = c q_1...q_i / (d_1...d_i) of every chain.
 
-    The divisibility chain d_i | q_i M_{i-1} of every chain is checked in one
-    array test; the error names the first broken d_i of the first broken
-    chain, as KloostermanSpec does.
+    chains is int64[n_chains, K], the chains of kloosterman_divisor_chains(c,
+    q), so every quotient is exact.
     """
-    q = tuple(q)
-    k = len(q)
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    try:
-        d = np.asarray(chains, dtype=np.int64).reshape(len(chains), k)
-    except ValueError:
-        raise ValueError("q and every d must have equal length") from None
-    if any(x < 1 for x in q) or (d < 1).any():
-        raise ValueError("q and d entries must be positive")
-    mods = np.empty((len(chains), k + 1), dtype=np.int64)
-    mods[:, 0] = c
-    num = np.empty((len(chains), k), dtype=np.int64)
-    for i in range(k):
-        num[:, i] = q[i] * mods[:, i]
-        mods[:, i + 1] = num[:, i] // d[:, i]
-    broken = num % d != 0
-    if broken.any():
-        j, i = divmod(int(np.argmax(broken)), k)
-        raise ValueError(
-            f"divisibility chain broken at d_{i + 1} = {d[j, i]}: must divide {num[j, i]}"
-        )
-    return mods
+    ratio = np.ones((len(chains), len(q) + 1), dtype=np.int64)
+    np.cumprod(chains, axis=1, out=ratio[:, 1:])
+    return c * np.cumprod((1,) + tuple(q)) // ratio
 
 
 def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
@@ -410,18 +389,17 @@ def kloosterman_vector(
     return out
 
 
-def _lemma34_factors(c, q, chains, n_values, chars, mods):
+def _lemma34_factors(chains, n_values, chars, mods):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
-    Returns (factors, live): factor i is g(chi*, M_i, d_{i+1}) for
+    chains is int64[n_chains, K] and mods their _chain_moduli.  Returns (factors, live): factor i is g(chi*, M_i, d_{i+1}) for
     i < K and g(chi*, M_K, n) for i = K, each complex128 and broadcastable to
     [n_chars, n_chains, n_n]; live[x, j] is True when c* | M_i for every
     i >= 1 of chain j.  Factors are gathered from one flat table holding the
     gauss_sum_vector row of each (chi*, M) that a live chain reaches, after a
     zero block that every other (chi*, M) points at.
     """
-    k = len(q)
-    d = np.asarray(chains, dtype=np.int64).reshape(len(chains), k)
+    k = chains.shape[1]
     # n enters only mod M_K; reducing by their lcm first keeps any int in int64
     lcm_k = math.lcm(*mods[:, k].tolist())
     n_arr = np.array([n % lcm_k for n in n_values], dtype=np.int64)
@@ -446,7 +424,7 @@ def _lemma34_factors(c, q, chains, n_values, chars, mods):
 
     factors = []
     for i in range(k):
-        idx = offsets[:, mod_idx[:, i]] + d[:, i] % mods[:, i]
+        idx = offsets[:, mod_idx[:, i]] + chains[:, i] % mods[:, i]
         factors.append(table[idx][:, :, None])
     idx = offsets[:, mod_idx[:, k], None] + n_arr[None, :] % mods[:, k, None]
     factors.append(table[idx])
@@ -467,22 +445,17 @@ def _lemma34_product(factors, live) -> np.ndarray:
     return np.where(live[:, :, None], _as_complex(*acc), 0j)
 
 
-def average_kloosterman_closed_lemma34_table(
-    c: int, q: tuple[int, ...], chains, n_values, chars=None
-) -> np.ndarray:
+def average_kloosterman_closed_lemma34_table(c: int, q: tuple[int, ...], n_values) -> np.ndarray:
     """Lemma 3.4 closed form for every character, divisor chain and n at once.
 
-    complex128[n_chars, n_chains, n_n], characters in enumerate_characters(c)
-    order unless `chars` (characters mod c) is given.  Entry [x, j, t] is
+    complex128[n_chars, n_chains, n_n] over enumerate_characters(c) and
+    kloosterman_divisor_chains(c, q): entry [x, j, t] is
     average_kloosterman_closed_lemma34(chars[x], n_values[t], c, q, chains[j]).
-    The chains are checked through _chain_moduli.
     """
-    if chars is None:
-        chars = enumerate_characters(c)
-    elif any(chi.modulus != c for chi in chars):
-        raise ValueError("chars must be characters mod c")
+    q = tuple(q)
+    chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
     mods = _chain_moduli(c, q, chains)
-    factors, live = _lemma34_factors(c, q, chains, n_values, chars, mods)
+    factors, live = _lemma34_factors(chains, n_values, enumerate_characters(c), mods)
     return _lemma34_product(factors, live)
 
 
@@ -493,13 +466,16 @@ def average_kloosterman_closed_lemma34(
 
     Zero unless d_i c* divides q_i M_{i-1} for every i (equivalently c* | M_i
     for i >= 1); otherwise the product g(chi*, M_0, d_1) g(chi*, M_1, d_2)
-    ... g(chi*, M_{K-1}, d_K) g(chi*, M_K, n).  One point of
+    ... g(chi*, M_{K-1}, d_K) g(chi*, M_K, n).  One entry of
     average_kloosterman_closed_lemma34_table.
     """
     if chi.modulus != c:
         raise ValueError("chi must be a character mod c")
-    table = average_kloosterman_closed_lemma34_table(c, q, [tuple(d)], [n], (chi,))
-    return complex(table[0, 0, 0])
+    chains = kloosterman_divisor_chains(c, q)
+    if tuple(d) not in chains:
+        raise ValueError(f"d = {tuple(d)} is not a divisor chain of c = {c}, q = {tuple(q)}")
+    table = average_kloosterman_closed_lemma34_table(c, q, [n])
+    return complex(table[enumerate_characters(c).index(chi), chains.index(tuple(d)), 0])
 
 
 def kloosterman_divisor_chains(c: int, q: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -508,6 +484,10 @@ def kloosterman_divisor_chains(c: int, q: tuple[int, ...]) -> list[tuple[int, ..
     Built one layer at a time; each prefix is extended by the divisors of
     q_i M_{i-1} in ascending order, so the list is in lexicographic order.
     """
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    if any(x < 1 for x in q):
+        raise ValueError("q entries must be positive")
     level = [((), c)]
     for qi in q:
         level = [(prefix + (d,), qi * m // d) for prefix, m in level for d in divisors(qi * m)]

@@ -374,6 +374,8 @@ class SweepConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        if not isinstance(self.suite, str):
+            raise ConfigError("suite: expected a suite name")
         if self.suite not in _SUITES:
             raise ConfigError(
                 f"suite: unknown suite {self.suite!r}; expected one of "
@@ -426,9 +428,10 @@ class SweepConfig:
                 )
         if "suite" not in mapping:
             raise ConfigError(f"{source}: missing required key 'suite'")
+        ranges = mapping.get("ranges", {})
         config = cls(
             suite=mapping["suite"],
-            ranges=dict(mapping.get("ranges", {})),
+            ranges=dict(ranges) if isinstance(ranges, dict) else ranges,
             seed=mapping.get("seed", 0),
             tolerance=mapping.get("tolerance"),
             precision=mapping.get("precision"),
@@ -472,7 +475,13 @@ def _seed_int(config_seed: int, *parts: int) -> int:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float (not a bool) that is a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _as_complex(value, label: str) -> complex:
@@ -480,7 +489,7 @@ def _as_complex(value, label: str) -> complex:
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
-    raise ConfigError(f"{label}: expected a number or a [re, im] pair")
+    raise ConfigError(f"{label}: expected a finite number or a [re, im] pair of finite numbers")
 
 
 def _as_int_list(value, label: str) -> list[int]:
@@ -565,7 +574,7 @@ def _check_re_below(bound: float):
 
 def _check_real_pair(value, label: str) -> None:
     if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))):
-        raise ConfigError(f"{label}: expected an [s, w] pair of real numbers")
+        raise ConfigError(f"{label}: expected an [s, w] pair of finite real numbers")
 
 
 def _as_shift_set(value, label: str) -> tuple[complex, ...]:
@@ -702,9 +711,9 @@ def _kloosterman_units(ranges, tol, config):
             vv = np.stack([ch.value_vector[unit_residues(c)] for ch in chars])
             chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
             # Both routes give every (character, chain, n) of the unit in one
-            # array: the closed one from Gauss sums over the chains it checks,
+            # array: the closed one from Gauss sums over the chains of (c, q),
             # the direct one as the character average of one walk of (c, q).
-            closed = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
+            closed = average_kloosterman_closed_lemma34_table(c, q, n_values)
             kl = kloosterman_vector(n_values, c, q, leaves)
             direct = (vv @ kl.reshape(len(kl), -1)).reshape(closed.shape)
             scale = np.sqrt(np.prod(_chain_moduli(c, q, chains), axis=1))
@@ -976,15 +985,8 @@ def _voronoi_units(ranges, tol, config):
 
         return run
 
-    # twist -> (degree, shifts, conductor, q) of the probed instance
-    probes = {
-        "isobaric": (3, (1j, 0j, -1j), probe_cstar, (2,)),
-        "trivial": (3, (0j, 0j, 0j), 1, (1,)),
-        "degree-2": (2, (1j, -1j), probe_cstar, ()),
-    }
-
-    def probe_unit(sz, wz, twist):
-        n_deg, shifts, cstar, qz = probes[twist]
+    def probe_unit(sz, wz, twist, probe):
+        n_deg, shifts, cstar, qz = probe
         bounds[n_deg, shifts] = max(bounds.get((n_deg, shifts), 0), 2 * x_probe)
 
         def run():
@@ -1023,16 +1025,29 @@ def _voronoi_units(ranges, tol, config):
                 units.append(side_by_side_unit(2, shifts, cstar, [()]))
     if "z" in families:
         for sz, wz in probe_points:
-            units.append(probe_unit(sz, wz, "isobaric"))
-            # The remainder bound anchors on an L-value at 2w - 2s + 1; keep
-            # the trivial twist and the degree-2 branch off the edge of the
-            # zeta pole.
-            if 2 * wz - 2 * sz + 1 > 1.05:
-                units.append(probe_unit(sz, wz, "trivial"))
-                units.append(probe_unit(sz, wz, "degree-2"))
+            for twist, probe in _z_probes(sz, wz, probe_cstar).items():
+                units.append(probe_unit(sz, wz, twist, probe))
     for (n_deg, shifts), bound in bounds.items():
         sources[n_deg, shifts] = isobaric_source(n_deg, shifts, bound)
     return units
+
+
+def _z_probes(sz: float, wz: float, probe_cstar: int) -> dict:
+    """twist -> (degree, shifts, conductor, q) of each instance probed at (s, w).
+
+    The remainder bound anchors on an L-value at 2w - 2s + 1; the trivial
+    twist and the degree-2 branch are kept off the edge of the zeta pole.
+    """
+    probes = {"isobaric": (3, (1j, 0j, -1j), probe_cstar, (2,))}
+    if 2 * wz - 2 * sz + 1 > 1.05:
+        probes["trivial"] = (3, (0j, 0j, 0j), 1, (1,))
+        probes["degree-2"] = (2, (1j, -1j), probe_cstar, ())
+    return probes
+
+
+def _on_l_pole(z: complex, principal: bool = False) -> bool:
+    """Whether dirichlet_l refuses z: within 1e-6 of 1, and not exactly 1 unless principal."""
+    return abs(z - 1.0) < 1e-6 and (principal or z != 1.0)
 
 
 def _gamma_pole_deltas(s, shift_sets) -> list[int]:
@@ -1050,10 +1065,13 @@ def _gamma_pole_deltas(s, shift_sets) -> list[int]:
 
 
 def _check_voronoi_poles(ranges) -> None:
-    """Reject an s at which a gl3 or gl2 unit's g_pm_eval would refuse to evaluate.
+    """Reject an s at which a gl3 or gl2 unit's g_pm_eval would refuse to evaluate,
+    and a probe point at which a z unit's dirichlet_l would.
 
     A unit's G has lambda = -shifts and its twist's parity; the twist is the
-    first primitive character of its conductor.
+    first primitive character of its conductor.  A z unit reads L(s + s_i),
+    L(2w - 2s + 1) and, at degree 2, L(2w) of its twist, which is principal
+    only for the trivial twist.
     """
     s = _as_complex(ranges["s"], "ranges.s")
     deltas = {0 if primitive_characters(c)[0].parity == 1 else 1 for c in ranges["cstar_values"]}
@@ -1067,6 +1085,21 @@ def _check_voronoi_poles(ranges) -> None:
                 f"ranges.s: s = {ranges['s']} puts a Gamma factor of a {family} unit "
                 f"with an {kind} twist within 1e-6 of a pole"
             )
+    if "z" not in ranges["families"]:
+        return
+    for point in ranges["probe_points"]:
+        sz, wz = float(point[0]), float(point[1])
+        for twist, (n_deg, shifts, cstar, _) in _z_probes(sz, wz, ranges["probe_cstar"]).items():
+            # the same complex operations as z_probe and z_probe_bound
+            s, w = complex(sz), complex(wz)
+            l_args = [s + sh for sh in shifts] + [2 * w - 2 * s + 1]
+            if n_deg == 2:
+                l_args.append(2 * w)
+            if any(_on_l_pole(z, principal=cstar == 1) for z in l_args):
+                raise ConfigError(
+                    f"ranges.probe_points: [s, w] = {list(point)} puts an L-value argument "
+                    f"of the {twist} probe on or within 1e-6 of the pole at 1"
+                )
 
 
 def _check_lfunc_poles(ranges) -> None:
@@ -1083,7 +1116,7 @@ def _check_lfunc_poles(ranges) -> None:
         s = _as_complex(value, "ranges.s_values")
         # the same float operations as functional_equation_check's two requests
         l_args = [z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)]
-        if any(abs(z - 1.0) < 1e-6 and z != 1.0 for z in l_args):
+        if any(_on_l_pole(z) for z in l_args):
             raise ConfigError(
                 f"ranges.s_values: s = {value} puts an L-value argument within 1e-6 "
                 f"of 1 without being exactly 1"

@@ -3,8 +3,9 @@
 A coefficient source produces A(m_1, ..., m_{N-1}) for a degree-N form.  For
 Satake-backed sources each prime-power block is a Schur polynomial in that
 prime's parameters and blocks multiply across coprime parts, so the Hecke
-relations hold by construction; raw tables bypass the Schur structure
-entirely and serve identities that are pure finite arithmetic.
+relations hold by construction.  A raw table is its seed: each prime-power
+block is a deterministic draw keyed by the seed and the index, with no Schur
+structure, and serves identities that are pure finite arithmetic.
 
 Index orientation (which end of the exponent tuple pairs with the standard
 L-function) is an empirically pinned convention, not a formula quoted from a
@@ -25,8 +26,6 @@ from typing import Mapping
 import numpy as np
 
 from .residues import divisors, factorize, primes_up_to, valuation
-
-_DET_TOL = 1e-12
 
 
 def _hvec(x: tuple[complex, ...], kmax: int) -> list[complex]:
@@ -243,10 +242,11 @@ class CoefficientSource:
     """Fourier coefficients A(m_1,...,m_{N-1}) of a degree-N symbol.
 
     kind is one of "random-satake", "isobaric", "rankin-selberg" (all backed
-    by SatakeParams and Schur blocks) or "raw-table" (explicit values,
-    optionally extended by seeded deterministic draws per prime block).
-    Memo dictionaries are only ever inserted into (atomic in CPython), so
-    concurrent readers are safe.
+    by SatakeParams and Schur blocks) or "raw-table" (one seeded deterministic
+    draw per prime block, multiplied across coprime parts).  A Satake-backed
+    read at a prime the parameters do not cover raises.  Memo dictionaries
+    are only ever inserted into (atomic in CPython), so concurrent readers
+    are safe.
     """
 
     def __init__(
@@ -254,7 +254,6 @@ class CoefficientSource:
         kind: str,
         degree: int,
         satake: SatakeParams | None = None,
-        table: Mapping[tuple[int, ...], complex] | None = None,
         seed: int | None = None,
     ):
         if degree < 2:
@@ -265,8 +264,8 @@ class CoefficientSource:
         elif kind == "raw-table":
             if satake is not None:
                 raise ValueError("raw-table sources have no SatakeParams")
-            if table is None and seed is None:
-                raise ValueError("raw-table needs explicit values, a seed, or both")
+            if seed is None:
+                raise ValueError("raw-table needs a seed")
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self.kind = kind
@@ -276,7 +275,6 @@ class CoefficientSource:
         # filled in by isobaric_source; lets downstream series evaluators
         # recover the L-function factorization without re-deriving shifts
         self.isobaric_shifts: tuple[complex, ...] | None = None
-        self._table = dict(table or {})
         self._memo: dict[tuple[int, ...], complex] = {}
         self._blocks: dict[tuple[int, tuple[int, ...]], complex] = {}
         self._row_cache: dict[tuple, object] = {}
@@ -289,8 +287,11 @@ class CoefficientSource:
         if hit is None:
             if self.satake is not None:
                 hit = schur(kvec, self.satake.alphas_at(p))
+            elif any(kvec):
+                # raw table: a draw keyed by m, with p^k at the positions kvec prescribes
+                hit = _hash_unit(self.seed, self.degree, tuple(p**e for e in reversed(kvec)))
             else:
-                hit = _block_from_table(self, p, kvec)
+                hit = 1 + 0j
             self._blocks[key] = hit
         return hit
 
@@ -304,9 +305,6 @@ class CoefficientSource:
         hit = self._memo.get(m)
         if hit is not None:
             return hit
-        if self.kind == "raw-table" and m in self._table:
-            self._memo[m] = self._table[m]
-            return self._table[m]
         out = 1 + 0j
         support: dict[int, list[int]] = {}
         for pos, v in enumerate(m):
@@ -318,19 +316,12 @@ class CoefficientSource:
         self._memo[m] = out
         return out
 
-    def _block_or_nan(self, p: int, kvec: tuple[int, ...]) -> complex:
-        """_block, with NaN for a block that cannot be formed (coefficient_row re-reads those)."""
-        try:
-            return self._block(p, kvec)
-        except ValueError:
-            return complex(math.nan, math.nan)
-
     def _slot_blocks(self, pos: int, pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Block (p, k in slot pos, 0 elsewhere) for each pair, NaN where it cannot be formed.
+        """Block (p, k in slot pos, 0 elsewhere) for each pair.
 
         Satake-backed sources evaluate all of them in one _schur_batch, bit for
-        bit the scalar schur; a prime without parameters gives NaN, as
-        _block_or_nan does.  Raw tables go through _block_or_nan.
+        bit the scalar schur, and raise as alphas_at does for a prime without
+        parameters.  Raw tables go through _block.
         """
         def kvec(k: int) -> tuple[int, ...]:
             evec = [0] * (self.degree - 1)
@@ -338,15 +329,11 @@ class CoefficientSource:
             return tuple(reversed(evec))
 
         if self.satake is None:
-            return np.array([self._block_or_nan(p, kvec(k)) for p, k in pairs], dtype=complex)
-        alphas = self.satake.alphas
-        ones = (1 + 0j,) * self.degree
+            return np.array([self._block(p, kvec(k)) for p, k in pairs], dtype=complex)
         kvecs = np.zeros((len(pairs), self.degree - 1), dtype=np.int64)
         kvecs[:, self.degree - 2 - pos] = [k for _, k in pairs]
-        x = np.array([alphas.get(p, ones) for p, _ in pairs], dtype=complex).reshape(-1, self.degree)
-        out = _schur_batch(kvecs, x)
-        out[[p not in alphas for p, _ in pairs]] = complex(math.nan, math.nan)
-        return out
+        x = np.array([self.satake.alphas_at(p) for p, _ in pairs], dtype=complex)
+        return _schur_batch(kvecs, x.reshape(-1, self.degree))
 
     def _base_row(self, pos: int, x: int) -> np.ndarray:
         """A with slot pos equal to e and every other slot 1, e = 0..x (entry 0 is 0).
@@ -399,9 +386,9 @@ class CoefficientSource:
         The same values as coefficient, built with array operations: split e into
         its part over the primes of the fixed slots and of scale, and the rest
         e'.  The entry is the base row (_base_row) at e' times one block per
-        fixed prime.  A raw table's explicit entries override the product, as
-        in coefficient, and an entry whose blocks cannot be formed is re-read
-        through coefficient, which raises the same error.
+        fixed prime.  A block that cannot be formed (a prime the Satake
+        parameters do not cover) raises while the row is built, with the error
+        coefficient raises.
         """
         key = (tuple(prefix), tuple(suffix), x, scale)
         row = self._row_cache.get(key)
@@ -431,18 +418,11 @@ class CoefficientSource:
             for k in range(int(val.max()) + 1):
                 evec = list(exps)
                 evec[pos] += k
-                table.append(self._block_or_nan(p, tuple(reversed(evec))))
+                table.append(self._block(p, tuple(reversed(evec))))
             factor *= np.array(table)[val]
             rest //= p**val
         row = self._base_row(pos, x)[rest] * factor
         row[0] = 0
-        if self.kind == "raw-table":
-            for m, value in tuple(self._table.items()):
-                if len(m) == len(fixed) and m[:pos] == prefix and m[pos + 1 :] == suffix:
-                    if m[pos] % scale == 0 and m[pos] // scale <= x:
-                        row[m[pos] // scale] = value
-        for bad in np.flatnonzero(np.isnan(row)).tolist():
-            row[bad] = self.coefficient(prefix + (scale * bad,) + suffix)
         row.flags.writeable = False
         self._row_cache[key] = row
         return row
@@ -450,22 +430,6 @@ class CoefficientSource:
     def dual_coefficient(self, m: tuple[int, ...]) -> complex:
         """B(m) = A with the index tuple reversed."""
         return self.coefficient(tuple(reversed(m)))
-
-
-def _block_from_table(src: CoefficientSource, p: int, kvec: tuple[int, ...]) -> complex:
-    """Raw-table prime block: m with p^k at the positions kvec prescribes.
-
-    A seeded draw is not written back into src._table, which holds only the
-    caller's explicit entries; _block caches it.
-    """
-    m = tuple(p**e for e in reversed(kvec))
-    if m in src._table:
-        return src._table[m]
-    if all(e == 0 for e in kvec):
-        return 1 + 0j
-    if src.seed is None:
-        raise ValueError(f"raw table has no entry for {m}")
-    return _hash_unit(src.seed, src.degree, m)
 
 
 def random_satake_source(degree: int, prime_bound: int, seed: int) -> CoefficientSource:
@@ -490,12 +454,8 @@ def rankin_selberg_source(f1: SatakeParams, f2: SatakeParams) -> CoefficientSour
     )
 
 
-def raw_table_source(
-    degree: int,
-    table: Mapping[tuple[int, ...], complex] | None = None,
-    seed: int | None = None,
-) -> CoefficientSource:
-    return CoefficientSource("raw-table", degree, table=table, seed=seed)
+def raw_table_source(degree: int, seed: int) -> CoefficientSource:
+    return CoefficientSource("raw-table", degree, seed=seed)
 
 
 def verify_hecke_relations(

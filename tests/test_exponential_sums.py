@@ -17,6 +17,7 @@ from voronoi_lab.exponential_sums import (
     gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23,
     gauss_sum_closed_lemma23_rows,
+    gauss_sum_error,
     gauss_sum_vector,
     hyper_kloosterman,
     kloosterman_divisor_chains,
@@ -378,7 +379,7 @@ def test_lemma34_table_is_bit_identical_to_scalar_products():
         chars = enumerate_characters(c)
         for q in qs:
             chains = list(kloosterman_divisor_chains(c, q))
-            table = average_kloosterman_closed_lemma34_table(c, q, chains, n_values)
+            table = average_kloosterman_closed_lemma34_table(c, q, n_values)
             assert table.shape == (len(chars), len(chains), len(n_values))
             for x, chi in enumerate(chars):
                 for j, d in enumerate(chains):
@@ -400,7 +401,7 @@ def test_lemma34_table_against_nested_oracle():
         units = [int(a) for a in unit_residues(c)]
         for q in ((), (1,), (2,), (3,), (1, 2), (2, 2)):
             chains = list(kloosterman_divisor_chains(c, q))
-            table = average_kloosterman_closed_lemma34_table(c, q, chains, (1, 2))
+            table = average_kloosterman_closed_lemma34_table(c, q, (1, 2))
             for j, d in enumerate(chains):
                 scale = math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
                 for t, n in enumerate((1, 2)):
@@ -416,7 +417,7 @@ def test_lemma34_table_takes_n_beyond_int64():
     c, q = 6, (2, 3)
     chains = list(kloosterman_divisor_chains(c, q))
     big = (10**30 + 7, -(10**25) - 1)
-    table = average_kloosterman_closed_lemma34_table(c, q, chains, big)
+    table = average_kloosterman_closed_lemma34_table(c, q, big)
     for x, chi in enumerate(enumerate_characters(c)):
         for j, d in enumerate(chains):
             for t, n in enumerate(big):
@@ -424,10 +425,72 @@ def test_lemma34_table_takes_n_beyond_int64():
 
 
 def test_lemma34_table_rejects_broken_chains():
-    with pytest.raises(ValueError, match="d_1 = 3: must divide 8"):
-        average_kloosterman_closed_lemma34_table(4, (2,), [(3,)], (1,))
-    with pytest.raises(ValueError):
-        average_kloosterman_closed_lemma34_table(4, (2,), [(1,)], (1,), enumerate_characters(5))
+    # the table builds its chains and characters from (c, q); the scalar
+    # names one chain and one character, and both must belong to (c, q)
+    chi4 = enumerate_characters(4)[0]
+    with pytest.raises(ValueError, match=r"d = \(3,\) is not a divisor chain"):
+        average_kloosterman_closed_lemma34(chi4, 1, 4, (2,), (3,))
+    with pytest.raises(ValueError, match="chi must be a character mod c"):
+        average_kloosterman_closed_lemma34(enumerate_characters(5)[1], 1, 4, (2,), (1,))
+    with pytest.raises(ValueError, match="c must be >= 1"):
+        average_kloosterman_closed_lemma34_table(0, (2,), (1,))
+    with pytest.raises(ValueError, match="q entries must be positive"):
+        average_kloosterman_closed_lemma34_table(4, (2, 0), (1,))
+
+
+def _ramanujan_sum(sympy, c, m):
+    """c_c(m) = sum over d | (c, m) of mu(c/d) d, in exact integers."""
+    return sum(sympy.mobius(c // d) * d for d in sympy.divisors(math.gcd(c, m)))
+
+
+def _exact_character_sum(sympy, chi, weight):
+    """sum over the units t mod c of chi(t) weight(t), as an exact integer.
+
+    chi(t) = e(k/m) with k/m the exact value_fraction(t) and m the group
+    exponent, so the sum is a polynomial in e(1/m) with integer
+    coefficients.  It is reduced mod the m-th cyclotomic polynomial, and
+    the test fails unless the remainder is a constant.
+    """
+    x = sympy.symbols("x")
+    m = chi.group.exponent
+    poly = 0
+    for t in range(chi.modulus):
+        turn = chi.value_fraction(t)
+        if turn is not None:
+            poly += weight(t) * x ** int(turn * m)
+    remainder = sympy.Poly(sympy.rem(sympy.expand(poly), sympy.cyclotomic_poly(m, x), x), x)
+    assert remainder.degree() <= 0, (chi.label, remainder)
+    return int(remainder.as_expr())
+
+
+def test_tau_norm_and_product_against_exact_integers():
+    # With a = t b, |tau(chi)|^2 = sum_t chi(t) c_c(t - 1) and
+    # tau(chi) tau(conj chi) = sum_t chi(t) c_c(t + 1), Ramanujan sums c_c;
+    # both are evaluated exactly and must equal c* and chi(-1) c*.  The FFT
+    # tau is then checked against those integers.
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for cstar in range(1, 41):
+        err = 4 * math.sqrt(cstar) * gauss_sum_error(cstar) + gauss_sum_error(cstar) ** 2
+        for chi in primitive_characters(cstar):
+            sign = 1 if chi.value_fraction(-1) == 0 else -1
+            norm = _exact_character_sum(sympy, chi, lambda t: _ramanujan_sum(sympy, cstar, t - 1))
+            product = _exact_character_sum(sympy, chi, lambda t: _ramanujan_sum(sympy, cstar, t + 1))
+            assert (norm, product) == (cstar, sign * cstar), chi.label
+            t = tau(chi)
+            assert abs(abs(t) ** 2 - cstar) <= err, chi.label
+            assert abs(t * tau(chi.conjugate()) - sign * cstar) <= err, chi.label
+            checked += 1
+    assert checked == 285
+
+
+def test_trivial_gauss_sums_are_ramanujan_sums():
+    sympy = pytest.importorskip("sympy")
+    trivial = primitive_characters(1)[0]
+    for c in range(1, 61):
+        vec = gauss_sum_vector(trivial, c)
+        want = np.array([_ramanujan_sum(sympy, c, m) for m in range(c)], dtype=np.float64)
+        assert np.abs(vec - want).max() <= gauss_sum_error(c), c
 
 
 def test_additive_char():

@@ -368,8 +368,8 @@ def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
     clean = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges)))
     table = harness.average_kloosterman_closed_lemma34_table
 
-    def poisoned(c, q, chains, n_values, **kwargs):
-        out = table(c, q, chains, n_values, **kwargs)
+    def poisoned(c, q, n_values):
+        out = table(c, q, n_values)
         if c == 5 and q == (2,):
             out[1, -1, 0] = complex(math.nan, 0.0)
         return out
@@ -536,12 +536,29 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         # odd twists only: no Gamma pole, but an L argument 1 +- 1e-7 that dirichlet_l rejects
         ("lfunc", {"s_values": [1.0000001], "cstar_min": 3, "cstar_max": 4}, "ranges.s_values"),
         ("lfunc", {"s_values": [-1e-7], "cstar_min": 3, "cstar_max": 4}, "ranges.s_values"),
+        # these ended in a traceback (exit 1, which means a failed check), in
+        # exit 3, or in a sweep of NaN failures
+        ("hecke", "abc", "ranges"),
+        ("hecke", 5, "ranges"),
+        ("hecke", None, "ranges"),
+        (["hecke"], {}, "suite"),
+        ("voronoi-core", {"s": [-1.5, math.inf]}, "ranges.s"),
+        ("voronoi-core", {"probe_points": [[2.5, math.inf]]}, "ranges.probe_points"),
+        ("voronoi-core", {"probe_points": [[math.nan, 3.0]]}, "ranges.probe_points"),
+        ("equivalence", {"s": [math.inf, 0]}, "ranges.s"),
+        ("mobius", {"s": -math.inf}, "ranges.s"),
+        ("lfunc", {"s_values": [10**400]}, "ranges.s_values"),  # beyond the float range
+        # a z probe on an L-value pole: the trivial twist's zeta(s)^3 at s = 1,
+        # the degree-2 L(2w, chi*) and the isobaric L(s, chi*) next to 1
+        ("voronoi-core", {"families": ["z"], "probe_points": [[1.0, 3.0]]}, "ranges.probe_points"),
+        ("voronoi-core", {"families": ["z"], "probe_points": [[0.0, 0.5000001]]}, "ranges.probe_points"),
+        ("voronoi-core", {"families": ["z"], "probe_points": [[1.0000001, 4.0]]}, "ranges.probe_points"),
     )
     for suite, ranges, field in probes:
         bad_range = tmp_path / "bad_range.json"
         bad_range.write_text(json.dumps({"suite": suite, "ranges": ranges}))
         assert cli.main(["--config", str(bad_range)]) == 2, (suite, ranges)
-        assert field in capsys.readouterr().err
+        assert f"config error: {field}:" in capsys.readouterr().err, (suite, ranges)
     half = tmp_path / "half.json"
     half.write_text(json.dumps({"suite": "lfunc", "ranges": {"s_values": [0.5], "cstar_max": 5}}))
     assert cli.main(["--config", str(half), "--out", str(tmp_path / "half_report.json")]) == 0
@@ -566,6 +583,15 @@ def test_voronoi_core_rejects_s_at_a_gamma_pole(tmp_path, capsys):
         {"s": -2, "cstar_values": [12], "families": ["gl2", "z"]},
     ):
         SweepConfig(suite="voronoi-core", ranges=ranges).validate()
+
+
+def test_z_probes_next_to_an_l_pole_still_run():
+    # a nonprincipal L exactly at 1 is evaluated, a trivial twist off the
+    # edge is not built, and no z family means no probe
+    ranges = {"families": ["z"], "probe_points": [[1.0, 0.4], [3.0, 3.0], [0.0, 0.5]], "x_probe": 300}
+    rep = run_suite(SweepConfig(suite="voronoi-core", ranges=ranges))
+    assert rep.cases == 5 and rep.passed
+    SweepConfig(suite="voronoi-core", ranges={"families": ["gl2"], "probe_points": [[1.0, 3.0]]}).validate()
 
 
 def test_report_from_dict_rejects_tampered_summary(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from voronoi_lab.hecke import (
+    CoefficientSource,
     SatakeParams,
     _schur_batch,
     isobaric_params,
@@ -152,8 +153,9 @@ def test_raw_table_deterministic_and_exportable():
     again = raw_table_source(3, seed=17)
     for m in [(1, 1), (2, 1), (2, 3), (7, 4), (5, 9)]:
         assert again.coefficient(m) == src.coefficient(m)
-    with pytest.raises(ValueError):
-        raw_table_source(3, table={(1, 1): 1 + 0j}).coefficient((2, 2))
+    # a raw table is its seed
+    with pytest.raises(ValueError, match="raw-table needs a seed"):
+        CoefficientSource("raw-table", 3)
 
 
 def test_source_kinds_and_index_validation():
@@ -215,21 +217,6 @@ def test_coefficient_row_on_raw_tables():
     row = raw_table_source(3, seed=23).coefficient_row((), (12,), 300, scale=2)
     want = _scalar_row(raw_table_source(3, seed=23), (), (12,), 300, 2)
     np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
-    # an explicit composite entry overrides the multiplicative product
-    table = {(1, 2): 2 + 0j, (1, 3): 3j, (1, 4): -1 + 0j, (1, 5): 0.5 + 0j, (1, 6): 9 + 9j}
-    src = raw_table_source(3, table=dict(table))
-    row = src.coefficient_row((1,), (), 6)
-    assert list(row) == [0, 1, 2, 3j, -1, 0.5, 9 + 9j]
-    assert src.coefficient((1, 6)) == 9 + 9j
-    # a missing entry raises what the scalar read raises
-    with pytest.raises(ValueError) as scalar_err:
-        raw_table_source(3, table=dict(table)).coefficient((1, 7))
-    with pytest.raises(ValueError) as row_err:
-        raw_table_source(3, table=dict(table)).coefficient_row((1,), (), 7)
-    assert str(row_err.value) == str(scalar_err.value)
-    # a row whose every entry is an explicit full tuple needs no prime block
-    src = raw_table_source(3, table={(6, 1): 1j, (6, 2): -2 + 0j})
-    assert list(src.coefficient_row((6,), (), 2)) == [0, 1j, -2]
 
 
 def test_coefficient_row_validation():
@@ -302,18 +289,7 @@ def test_missing_prime_raises_through_the_row_with_the_scalar_message():
     with pytest.raises(ValueError) as row_err:
         src.coefficient_row((), (1,), 60)
     assert str(row_err.value) == str(scalar_err.value) == "prime 53 not populated in SatakeParams"
-    # the batch marks the missing prime NaN; the present ones stay finite
-    blocks = src._slot_blocks(0, [(47, 1), (53, 1), (2, 5)])
-    assert np.isnan(blocks[1]) and np.all(np.isfinite(blocks[[0, 2]]))
-
-
-def test_raw_table_rows_leave_only_explicit_entries_in_the_table():
-    # seeded draws are cached as blocks, not written into the explicit
-    # table, which coefficient_row scans for overrides on every call
-    explicit = {(1, 6): 9 + 9j, (4, 1): -1 + 0j}
-    src = raw_table_source(3, table=dict(explicit), seed=29)
-    for prefix, suffix, scale in (((1,), (), 1), ((), (1,), 1), ((), (12,), 2), ((4,), (), 3)):
-        src.coefficient_row(prefix, suffix, 200, scale=scale)
-    src.coefficient((8, 27))
-    assert src._table == explicit
-    assert src.coefficient_row((1,), (), 6)[6] == 9 + 9j
+    # the batch raises the same error while it gathers the parameters
+    with pytest.raises(ValueError) as batch_err:
+        src._slot_blocks(0, [(47, 1), (53, 1), (2, 5)])
+    assert str(batch_err.value) == str(scalar_err.value)

@@ -2,7 +2,8 @@
 
 a_n reads A one scalar at a time through CoefficientSource.coefficient; b_n
 reads sieved rows through CoefficientSource.coefficient_row, whose base rows
-take their Schur blocks from one batched elimination, not the scalar schur.  The direct
+take their Schur blocks from one batched elimination, not the scalar schur,
+and no row entry is a scalar coefficient read.  The direct
 Kloosterman route (the prefix-tree walk and the additive family built on it)
 sums the layers itself, and shares no code with the nested hyper_kloosterman
 oracle its tests check it against; the closed route and the H and G series
@@ -104,14 +105,27 @@ def test_a_n_never_reads_a_coefficient_row():
         assert not _names(fn) & {"coefficient_row", "_coefficient_row"}, fn.name
 
 
+def _method_calls(node: ast.AST) -> set[str]:
+    """The attribute names node calls, as in x.name(...)."""
+    return {
+        n.func.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    }
+
+
 def test_b_n_never_makes_a_scalar_coefficient_read():
     for fn in _reachable("voronoi.py", "b_n_coefficient"):
-        calls = {
-            n.func.attr
-            for n in ast.walk(fn)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-        }
-        assert not calls & {"coefficient", "dual_coefficient"}, fn.name
+        assert not _method_calls(fn) & {"coefficient", "dual_coefficient"}, fn.name
+
+
+def test_coefficient_rows_never_make_a_scalar_coefficient_read():
+    # the row tests compare every row with scalar coefficient reads, so no
+    # row entry may be one
+    source = _module("hecke.py")[0]["CoefficientSource"]
+    methods = {n.name: n for n in source.body if isinstance(n, ast.FunctionDef)}
+    for name in ("coefficient_row", "_base_row", "_slot_blocks"):
+        assert not _method_calls(methods[name]) & {"coefficient", "dual_coefficient"}, name
 
 
 def test_batched_schur_never_reaches_the_scalar_schur():
