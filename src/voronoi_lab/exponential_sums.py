@@ -10,6 +10,7 @@ them is ever substituted for the direct summation it is checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -274,15 +275,59 @@ def hyper_kloosterman(spec: KloostermanSpec) -> complex:
     return complex(layer(1, spec.a % spec.c))
 
 
-def _chain_moduli(c: int, q, chains: np.ndarray) -> np.ndarray:
+def _layers(q) -> tuple[tuple[int, ...], ...]:
+    """The layers of q as tuples of choices; an int entry is a layer with one choice."""
+    layers = tuple((int(x),) if isinstance(x, (int, np.integer)) else tuple(map(int, x)) for x in q)
+    if any(not layer for layer in layers):
+        raise ValueError("q layers must not be empty")
+    if any(x < 1 for layer in layers for x in layer):
+        raise ValueError("q entries must be positive")
+    return layers
+
+
+def _layer_chains(c: int, q):
+    """The chains of both Lemma 3.4 routes' columns, each with its own q'.
+
+    q' runs over itertools.product of the layers of q in lexicographic order,
+    and the chains of each q' are kloosterman_divisor_chains(c, q'), one
+    block after another.  Returns (blocks, qs, chains): chains and qs are
+    read-only int64[n_chains, K], each chain and its q', and blocks lists
+    (q', slice of its columns).  The last few results are kept, so a unit
+    that reads its chains next to its closed table builds them once.
+    """
+    return _chains_of_layers(c, _layers(q))
+
+
+@lru_cache(maxsize=4)
+def _chains_of_layers(c: int, layers: tuple[tuple[int, ...], ...]):
+    blocks, parts = [], []
+    for qq in itertools.product(*layers):
+        part = kloosterman_divisor_chains(c, qq)
+        blocks.append((qq, slice(len(parts), len(parts) + len(part))))
+        parts += part
+    chains = np.array(parts, dtype=np.int64)
+    sizes = [b.stop - b.start for _, b in blocks]
+    qs = np.repeat(np.array([qq for qq, _ in blocks], dtype=np.int64), sizes, axis=0)
+    chains.flags.writeable = qs.flags.writeable = False
+    return tuple(blocks), qs, chains
+
+
+def _chain_moduli(c: int, qs: np.ndarray, chains: np.ndarray) -> np.ndarray:
     """int64[n_chains, K+1] of the moduli M_i = c q_1...q_i / (d_1...d_i) of every chain.
 
-    chains is int64[n_chains, K], the chains of kloosterman_divisor_chains(c,
-    q), so every quotient is exact.
+    chains and qs are int64[n_chains, K], each chain and its q, as
+    _layer_chains gives them, so every quotient is exact.
     """
-    ratio = np.ones((len(chains), len(q) + 1), dtype=np.int64)
+    ratio = np.ones((len(chains), chains.shape[1] + 1), dtype=np.int64)
     np.cumprod(chains, axis=1, out=ratio[:, 1:])
-    return c * np.cumprod((1,) + tuple(q)) // ratio
+    qprod = np.ones_like(ratio)
+    np.cumprod(qs, axis=1, out=qprod[:, 1:])
+    return c * qprod // ratio
+
+
+def _children(q_i: int, m: int) -> tuple[int, ...]:
+    """The d below a prefix of modulus m in a layer q_i; q_i = 0 is a chain's one leaf."""
+    return divisors(q_i * m) if q_i else (0,)
 
 
 def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
@@ -310,46 +355,59 @@ def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
     return table
 
 
-def _first_children(ranks: dict, edges: dict) -> np.ndarray:
-    """[r]: rank of the first child of the prefix of rank r; [-1]: number of children.
+def _first_children(ranks: dict, groups: np.ndarray, layer: tuple[int, ...]):
+    """Ranks of the first children of a depth's prefixes, and the next depth's groups.
 
-    ranks[M] ranks a depth's prefixes of modulus M; edges[M] is the d below each.
+    A depth's prefixes are ranked by (q_1..q_i, d_1..d_i) in lexicographic
+    order; groups[g] is the rank of the first prefix of the g-th q_1..q_i and
+    groups[-1] their number.  ranks[M] ranks the prefixes of modulus M.
+    Returns (first, groups'): first[j, r] is the rank of the first child of
+    prefix r through q_{i+1} = layer[j], and groups' is groups for the
+    children, whose q-prefixes are (q_1..q_i, layer[j]) in (g, j) order.
     """
-    counts = np.zeros(sum(len(r) for r in ranks.values()) + 1, dtype=np.int64)
+    # before[j, r]: the children through layer[j] of the prefixes ranked below r
+    before = np.zeros((len(layer), groups[-1] + 1), dtype=np.int64)
     for m, r in ranks.items():
-        counts[1:][r] = len(edges[m])
-    return counts.cumsum()
+        before[:, r + 1] = np.array([len(_children(q_i, m)) for q_i in layer])[:, None]
+    np.cumsum(before, axis=1, out=before)
+    at = before[:, groups]
+    kids = np.zeros(at.size - len(layer) + 1, dtype=np.int64)
+    np.cumsum((at[:, 1:] - at[:, :-1]).T, out=kids[1:])  # child groups in (g, j) order
+    # each child group's first rank, less the children ranked below its parents' group
+    base = kids[:-1].reshape(-1, len(layer)).T - at[:, :-1]
+    return before[:, :-1] + base.repeat(groups[1:] - groups[:-1], axis=1), kids
 
 
-def kloosterman_vector(
-    n_values, c: int, q: tuple[int, ...], leaves: dict | None = None
-) -> np.ndarray:
+def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.ndarray:
     """Direct hyper-Kloosterman sums of every unit, divisor chain and n at once.
 
-    complex128[phi(c), n_chains, n_n]: [i, j, t] = Kl(a, n_values[t], c; q, d)
-    at a = unit_residues(c)[i], d = kloosterman_divisor_chains(c, q)[j].  Kl
-    reads n only mod M_K, reduced as a Python int, so any int n is exact.
+    complex128[phi(c), n_chains, n_n]: [i, j, t] = Kl(a, n_values[t], c; q', d)
+    at a = unit_residues(c)[i], with (q', d) the j-th chain: q is a sequence
+    of layers, each an int or a tuple of ints, its choices for that layer,
+    and the chains are those of kloosterman_divisor_chains(c, q') for q' over
+    itertools.product of the layers in lexicographic order, one block after
+    another.  An all-int q is the chains of kloosterman_divisor_chains(c, q).
+    Kl reads n only mod M_K, reduced as a Python int, so any int n is exact.
 
-    The chains of (c, q) are walked as a prefix tree from the outermost layer
-    inward, one depth at a time.  L starts as the identity on the units mod
-    M_0; the edge d_i maps L to the function on Z/M_i that is sum over r of
-    L[r] e(d_i y r / M_{i-1}) at y^-1 for the units y mod M_i and zero
-    elsewhere.  Every L is kept at the inverses of the units mod its modulus,
-    and the children of a prefix of modulus M are the d | q_i M in ascending
-    order, so the prefixes of one depth with the same modulus share their
-    edges: their L blocks are stacked and multiplied once per d.  At depth
-    K-1 the stack of each M_{K-1} goes through one product with the
-    side-by-side _leaf_table tables of its leaves d_K, the chains' innermost
-    layers, written to the output at the chains' lexicographic ranks.  Those
-    tables depend only on (n_values, M_{K-1}, q_K, d_K), so a caller may pass
-    one dict as `leaves` to every call of a sweep; without it each call
-    starts an empty one.
+    The chains are walked as a prefix tree from the outermost layer inward,
+    one depth at a time, along edges (q_i, d_i).  L starts as the identity
+    on the units mod M_0; the edge maps L to the function on Z/M_i, M_i =
+    q_i M_{i-1} / d_i, that is sum over r of L[r] e(d_i y r / M_{i-1}) at
+    y^-1 for the units y mod M_i and zero elsewhere.  Every L is kept at the
+    inverses of the units mod its modulus, and the children of a prefix of
+    modulus M through q_i are the d | q_i M in ascending order, so the
+    prefixes of one depth with the same modulus share their edges: their L
+    blocks are stacked and multiplied once per edge.  At depth K-1 the stack
+    of each M_{K-1} goes through one product with the side-by-side
+    _leaf_table tables of its leaves (q_K, d_K), the chains' innermost
+    layers, written to the output at the chains' columns.  Those tables
+    depend only on (n_values, M_{K-1}, q_K, d_K), so a caller may pass one
+    dict as `leaves` to every call of a sweep; without it each call starts an
+    empty one.
     """
-    q = tuple(q)
+    layers = _layers(q)
     if c < 1:
         raise ValueError("c must be >= 1")
-    if any(x < 1 for x in q):
-        raise ValueError("q entries must be positive")
     units = unit_residues(c)
     n_rows, n_n, n_values = len(units), len(n_values), tuple(n_values)
     if leaves is None:
@@ -360,32 +418,36 @@ def kloosterman_vector(
     # ranks[M] their ranks; row i of the root's L is 1 at a = units[i].
     eye = (units[:, None] == inverse_table(c)[units][None, :]).astype(np.complex128)
     stacks, ranks = {c: eye[None]}, {c: np.zeros(1, dtype=np.int64)}
-    for qi in q[:-1]:
-        edges = {m: divisors(qi * m) for m in stacks}
-        first = _first_children(ranks, edges)
+    groups = np.array([0, 1], dtype=np.int64)
+    for layer in layers[:-1]:
+        first, groups = _first_children(ranks, groups, layer)
         parts = {}  # child modulus -> [(L block, ranks)]
         for m_prev, src in stacks.items():
             at = inverse_table(m_prev)[unit_residues(m_prev)]
-            kid = first[ranks[m_prev]]  # rank of each prefix's first child
-            for k, d_i in enumerate(edges[m_prev]):
-                m = qi * m_prev // d_i
-                base = (d_i % m_prev) * unit_residues(m) % m_prev
-                w = roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
-                block = (src.reshape(-1, src.shape[2]) @ w).reshape(len(src), n_rows, w.shape[1])
-                parts.setdefault(m, []).append((block, kid + k))
+            flat = src.reshape(-1, src.shape[2])
+            for j, qi in enumerate(layer):
+                kid = first[j, ranks[m_prev]]  # rank of each prefix's first child
+                for k, d_i in enumerate(divisors(qi * m_prev)):
+                    m = qi * m_prev // d_i
+                    base = (d_i % m_prev) * unit_residues(m) % m_prev
+                    w = roots_of_unity(m_prev)[at[:, None] * base[None, :] % m_prev]
+                    block = (flat @ w).reshape(len(src), n_rows, w.shape[1])
+                    parts.setdefault(m, []).append((block, kid + k))
         stacks = {m: np.concatenate([b for b, _ in p]) for m, p in parts.items()}
         ranks = {m: np.concatenate([r for _, r in p]) for m, p in parts.items()}
 
-    q_k = q[-1] if q else 0  # 0: a chain with no layer has one leaf
-    edges = {m: divisors(q_k * m) if q else (0,) for m in stacks}
-    first = _first_children(ranks, edges)
-    out = np.empty((n_rows, first[-1], n_n), dtype=np.complex128)
+    last = layers[-1] if layers else (0,)  # q_K = 0: a chain with no layer has one leaf
+    first, groups = _first_children(ranks, groups, last)
+    out = np.empty((n_rows, groups[-1], n_n), dtype=np.complex128)
     for m_prev, stack in stacks.items():
-        tails = edges[m_prev]
-        block = np.concatenate([_leaf_table(leaves, n_values, m_prev, q_k, d) for d in tails], 1)
-        prod = stack.reshape(-1, stack.shape[2]) @ block
+        tails, cols = [], []  # each leaf (q_K, d_K), and each prefix's leaf columns
+        for j, q_k in enumerate(last):
+            ds = _children(q_k, m_prev)
+            tails += [_leaf_table(leaves, n_values, m_prev, q_k, d) for d in ds]
+            cols.append(first[j, ranks[m_prev]][:, None] + np.arange(len(ds)))
+        prod = stack.reshape(-1, stack.shape[2]) @ np.concatenate(tails, 1)
         prod = prod.reshape(len(stack), n_rows, len(tails), n_n)
-        out[:, first[ranks[m_prev]][:, None] + np.arange(len(tails))] = prod.transpose(1, 0, 2, 3)
+        out[:, np.concatenate(cols, 1)] = prod.transpose(1, 0, 2, 3)
     return out
 
 
@@ -445,16 +507,20 @@ def _lemma34_product(factors, live) -> np.ndarray:
     return np.where(live[:, :, None], _as_complex(*acc), 0j)
 
 
-def average_kloosterman_closed_lemma34_table(c: int, q: tuple[int, ...], n_values) -> np.ndarray:
+def average_kloosterman_closed_lemma34_table(c: int, q, n_values) -> np.ndarray:
     """Lemma 3.4 closed form for every character, divisor chain and n at once.
 
-    complex128[n_chars, n_chains, n_n] over enumerate_characters(c) and
-    kloosterman_divisor_chains(c, q): entry [x, j, t] is
-    average_kloosterman_closed_lemma34(chars[x], n_values[t], c, q, chains[j]).
+    complex128[n_chars, n_chains, n_n] over enumerate_characters(c) and the
+    chains of kloosterman_vector's columns: q is a sequence of layers, each an
+    int or a tuple of ints, and the columns are kloosterman_divisor_chains(c,
+    q') for q' over itertools.product of the layers, one block after another.
+    Entry [x, j, t] is average_kloosterman_closed_lemma34(chars[x],
+    n_values[t], c, q', chains[j]).  Every chain carries its own q' into one
+    moduli array, and the factors and their product are elementwise, so an
+    entry has the same bits in a batched table as in the table of its q'.
     """
-    q = tuple(q)
-    chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
-    mods = _chain_moduli(c, q, chains)
+    _, qs, chains = _layer_chains(c, q)
+    mods = _chain_moduli(c, qs, chains)
     factors, live = _lemma34_factors(chains, n_values, enumerate_characters(c), mods)
     return _lemma34_product(factors, live)
 

@@ -28,11 +28,11 @@ from . import __version__
 from .characters import enumerate_characters, induce, primitive_characters
 from .exponential_sums import (
     _chain_moduli,
+    _layer_chains,
     average_kloosterman_closed_lemma34_table,
     gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23_rows,
     gauss_sum_vector,
-    kloosterman_divisor_chains,
     kloosterman_vector,
     tau,
 )
@@ -160,6 +160,25 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
+# Parameter dicts of plain str keys and str, int or list-of-int values encode
+# to the same text through the standard encoder, in one C-accelerated pass.
+_PLAIN_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _plain_parameters(parameters: dict) -> bool:
+    """True when every key is a str and every value a str, an int or a list of ints.
+
+    Types are matched exactly: bool, numpy scalars and str subclasses are not plain.
+    """
+    for key, value in parameters.items():
+        t = type(value)
+        if type(key) is not str or not (
+            t is str or t is int or (t is list and all(type(x) is int for x in value))
+        ):
+            return False
+    return True
+
+
 def _pair(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
@@ -194,7 +213,11 @@ class CaseRecord:
         """canonical_json of the parameters: the record's sort key and its text in a report."""
         text = self._parameters_json
         if text is None:
-            text = canonical_json(self.parameters)
+            params = self.parameters
+            if _plain_parameters(params):
+                text = _PLAIN_ENCODER.encode(params)
+            else:
+                text = canonical_json(params)
             object.__setattr__(self, "_parameters_json", text)
         return text
 
@@ -709,33 +732,45 @@ def _kloosterman_units(ranges, tol, config):
         def run():
             chars = enumerate_characters(c)
             vv = np.stack([ch.value_vector[unit_residues(c)] for ch in chars])
-            chains = np.array(kloosterman_divisor_chains(c, q), dtype=np.int64)
+            blocks, qs, chains = _layer_chains(c, q)
             # Both routes give every (character, chain, n) of the unit in one
-            # array: the closed one from Gauss sums over the chains of (c, q),
-            # the direct one as the character average of one walk of (c, q).
+            # array, the chains of each q' one block after another: the
+            # closed one from Gauss sums, the direct one as the character
+            # average of one walk of (c, q).
             closed = average_kloosterman_closed_lemma34_table(c, q, n_values)
             kl = kloosterman_vector(n_values, c, q, leaves)
             direct = (vv @ kl.reshape(len(kl), -1)).reshape(closed.shape)
-            scale = np.sqrt(np.prod(_chain_moduli(c, q, chains), axis=1))
+            scale = np.sqrt(np.prod(_chain_moduli(c, qs, chains), axis=1))
             diff = direct - closed
-            rel = (np.hypot(diff.real, diff.imag) / scale[None, :, None]).reshape(len(chars), -1)
-            rows = [{"degree": n_deg, "c": c, "q": list(q), "chi": ch.label} for ch in chars]
-
-            def point(p):
-                j, t = divmod(p, len(n_values))
-                return {"d": chains[j].tolist(), "n": n_values[t]}
-
+            rel = np.hypot(diff.real, diff.imag) / scale[None, :, None]
             flat = (len(chars), -1)
-            return _worst_records(
-                anchor, rows, direct.reshape(flat), closed.reshape(flat), rel, tol, point
-            )
+            records = []
+            for qq, cols in blocks:
+                rows = [{"degree": n_deg, "c": c, "q": list(qq), "chi": ch.label} for ch in chars]
+
+                def point(p, block=chains[cols]):
+                    j, t = divmod(p, len(n_values))
+                    return {"d": block[j].tolist(), "n": n_values[t]}
+
+                records += _worst_records(
+                    anchor,
+                    rows,
+                    direct[:, cols].reshape(flat),
+                    closed[:, cols].reshape(flat),
+                    rel[:, cols].reshape(flat),
+                    tol,
+                    point,
+                )
+            return records
 
         return run
 
+    # a unit is (degree, c, q_1..q_{K-1}), batched over every last layer q_K
     for n_deg in degrees:
         for c in range(1, c_max + 1):
-            for q in itertools.product(range(1, q_max + 1), repeat=n_deg - 2):
-                units.append(unit(n_deg, c, q))
+            last = (tuple(range(1, q_max + 1)),) if n_deg > 2 else ()
+            for q in itertools.product(range(1, q_max + 1), repeat=max(n_deg - 3, 0)):
+                units.append(unit(n_deg, c, q + last))
     return units
 
 

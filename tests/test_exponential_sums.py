@@ -1,5 +1,6 @@
 """Gauss and hyper-Kloosterman sums: brute-force oracles and closed forms."""
 
+import itertools
 import math
 import struct
 
@@ -500,3 +501,84 @@ def test_additive_char():
     assert abs(additive_char(Fraction(1, 2)) + 1) < 1e-12
     assert abs(additive_char(Fraction(1, 4)) - 1j) < 1e-12
     assert abs(additive_char(Fraction(7, 3)) - additive_char(Fraction(1, 3))) < 1e-12
+
+
+def _deg5_box_units():
+    """The (c, q) units of kloosterman-average at degrees 3-5, c_max 5, q_max 3."""
+    last = (1, 2, 3)
+    for k in (1, 2, 3):
+        for c in range(1, 6):
+            for head in itertools.product(last, repeat=k - 1):
+                yield c, head + (last,)
+
+
+def _blocks(c, q):
+    """(q', columns of q') over q' in itertools.product of q's layers."""
+    start = 0
+    for qq in itertools.product(*((x,) if isinstance(x, int) else x for x in q)):
+        n = len(kloosterman_divisor_chains(c, qq))
+        yield qq, slice(start, start + n)
+        start += n
+
+
+def test_batched_closed_table_blocks_are_bit_identical_to_their_own_tables():
+    n_values = (1, 2, 5)
+    for c, q in _deg5_box_units():
+        table = average_kloosterman_closed_lemma34_table(c, q, n_values)
+        blocks = list(_blocks(c, q))
+        assert table.shape[1] == blocks[-1][1].stop
+        for qq, cols in blocks:
+            own = average_kloosterman_closed_lemma34_table(c, qq, n_values)
+            assert table[:, cols].tobytes() == own.tobytes(), (c, qq)
+
+
+def test_batched_walk_blocks_match_their_own_walks():
+    n_values = (1, 2, 5)
+    leaves, worst = {}, 0.0
+    for c, q in _deg5_box_units():
+        table = kloosterman_vector(n_values, c, q, leaves)
+        blocks = list(_blocks(c, q))
+        assert table.shape[1] == blocks[-1][1].stop
+        for qq, cols in blocks:
+            own = kloosterman_vector(n_values, c, qq, leaves)
+            worst = max(worst, np.abs(table[:, cols] - own).max())
+    assert worst < 1e-14
+
+
+@pytest.mark.parametrize(
+    "c, q",
+    [(4, ((1, 2, 3),)), (6, (2, (1, 3))), (5, ((1, 2), 2)), (4, ((2, 1), (1, 2), 1))],
+)
+def test_batched_columns_against_nested_oracle(c, q):
+    # every layer may carry several q, including the outer ones and a layer
+    # whose choices are not in ascending order
+    n_values = (1, -3)
+    units = [int(a) for a in unit_residues(c)]
+    walk = kloosterman_vector(n_values, c, q)
+    closed = average_kloosterman_closed_lemma34_table(c, q, n_values)
+    vv = np.stack([chi.value_vector[units] for chi in enumerate_characters(c)])
+    for qq, cols in _blocks(c, q):
+        chains = kloosterman_divisor_chains(c, qq)
+        assert len(chains) == cols.stop - cols.start
+        own_closed = average_kloosterman_closed_lemma34_table(c, qq, n_values)
+        assert closed[:, cols].tobytes() == own_closed.tobytes(), qq
+        for j in sorted({0, len(chains) // 2, len(chains) - 1}):
+            d = chains[j]
+            scale = _scale(c, qq, d)
+            for t, n in enumerate(n_values):
+                kl = np.array([hyper_kloosterman(KloostermanSpec(a, n, c, qq, d)) for a in units])
+                assert np.abs(walk[:, cols.start + j, t] - kl).max() < 1e-12 * scale, (qq, d, n)
+                avg = vv @ kl
+                assert np.abs(closed[:, cols.start + j, t] - avg).max() < 1e-9 * scale
+
+
+def test_batched_layers_reject_bad_entries():
+    for q in (((1, 0),), (2, (3, 0)), ((0,), 2)):
+        with pytest.raises(ValueError, match="q entries must be positive"):
+            kloosterman_vector((1,), 4, q)
+        with pytest.raises(ValueError, match="q entries must be positive"):
+            average_kloosterman_closed_lemma34_table(4, q, (1,))
+    with pytest.raises(ValueError, match="q layers must not be empty"):
+        kloosterman_vector((1,), 4, (2, ()))
+    with pytest.raises(ValueError, match="q layers must not be empty"):
+        average_kloosterman_closed_lemma34_table(4, ((),), (1,))

@@ -1,5 +1,6 @@
 """Sweep harness: determinism, canonical reports, config handling, CLI."""
 
+import hashlib
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from voronoi_lab import cli, harness
 from voronoi_lab.characters import primitive_characters
-from voronoi_lab.exponential_sums import gauss_sum
+from voronoi_lab.exponential_sums import gauss_sum, kloosterman_divisor_chains
 from voronoi_lab.harness import (
     ConfigError,
     SweepConfig,
@@ -115,6 +116,23 @@ def test_kloosterman_reports_repeat_across_jobs_and_runs():
     assert reps[0].cases == 84 and reps[0].passed
 
 
+@pytest.mark.parametrize(
+    "ranges, digest",
+    [
+        ({"degrees": [2], "c_max": 6}, "0168b010633439d9"),
+        ({"degrees": [2, 3, 4, 5], "c_max": 8, "q_max": 1}, "2f966b5a9586d0f3"),
+    ],
+    ids=["degree-2", "q_max-1"],
+)
+def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, digest):
+    # degree 2 has no layer to batch and q_max 1 gives the last layer one
+    # choice, so every unit is a single (c, q') block; both reports are
+    # pinned at seed 1
+    rep = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges), seed=1))
+    assert rep.passed and rep.cases > 0
+    assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
+
+
 REPEAT_RANGES = {
     "gauss-lemmas": {"cstar_max": 5, "c_max": 10, "m_max": 6, "n_max": 3},
     "kloosterman-average": {"degrees": [3, 4], "c_max": 4, "q_max": 2, "n_values": [1, -3]},
@@ -148,6 +166,39 @@ def test_report_writes_each_records_parameters_as_its_sort_key():
     assert rep.to_canonical_json() == canonical_json(rep.to_dict()) + "\n"
     hecke = run_suite(SweepConfig(suite="hecke", ranges=dict(SMALL_HECKE), seed=1))
     assert hecke.to_canonical_json() == canonical_json(hecke.to_dict()) + "\n"
+
+
+def test_plain_parameter_encoder_matches_canonical_json():
+    # parameters_json encodes plain dicts with the standard encoder and the
+    # rest with canonical_json; on every record of a small box of each suite
+    # both must give the same text
+    plain = other = 0
+    for suite in suite_names():
+        rep = run_suite(SweepConfig(suite=suite, ranges=dict(REPEAT_RANGES[suite]), seed=1))
+        assert rep.records, suite
+        for rec in rep.records:
+            want = canonical_json(rec.parameters)
+            assert rec.parameters_json == want, suite
+            if harness._plain_parameters(rec.parameters):
+                assert harness._PLAIN_ENCODER.encode(rec.parameters) == want, suite
+                plain += 1
+            else:
+                other += 1
+    assert plain and other
+    for params in (
+        {"b": True},
+        {"q": [1, True]},
+        {"x": 0.5},
+        {"z": 1j},
+        {"n": np.int64(3)},
+        {"q": [1, np.int64(2)]},
+        {"q": (1, 2)},
+        {"d": {"a": 1}},
+        {"s": harness._Encoded("[1]")},
+    ):
+        assert not harness._plain_parameters(params), params
+        rec = harness.CaseRecord("Eq. 1", params, 0j, 0j, 0.0, 0.0, 1.0, True)
+        assert rec.parameters_json == canonical_json(params)
 
 
 def test_report_round_trip(tmp_path):
@@ -369,9 +420,13 @@ def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
     table = harness.average_kloosterman_closed_lemma34_table
 
     def poisoned(c, q, n_values):
+        # a unit's table holds the blocks of q = (1,) and (2,) side by side;
+        # poison the last chain of the (c = 5, q = (2,)) block
         out = table(c, q, n_values)
-        if c == 5 and q == (2,):
-            out[1, -1, 0] = complex(math.nan, 0.0)
+        if c == 5:
+            assert q == ((1, 2),)
+            first, second = (len(kloosterman_divisor_chains(5, (qq,))) for qq in (1, 2))
+            out[1, first + second - 1, 0] = complex(math.nan, 0.0)
         return out
 
     monkeypatch.setattr(harness, "average_kloosterman_closed_lemma34_table", poisoned)
