@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import ifft
 
 from ._kernels import kl_layer
 from .characters import DirichletCharacter, enumerate_characters
@@ -71,7 +72,7 @@ def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
     turns = chi_star.turn_table[units % cstar] * (m // chi_star.group.exponent) % m
     values = np.zeros(c, dtype=np.complex128)
     values[units] = roots_of_unity(m)[turns]
-    vec = np.fft.ifft(values, norm="forward")
+    vec = ifft(values, norm="forward")
     vec.setflags(write=False)
     return vec
 

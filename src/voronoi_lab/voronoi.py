@@ -522,7 +522,9 @@ def _quotient_convolution(w: np.ndarray, t: np.ndarray, x: int) -> np.ndarray:
     """
     m = np.arange(1, x + 1)
     out = np.zeros(x + 1, dtype=np.result_type(w, t))
-    for y in np.unique(x // m):
+    # each out[y] is independent, so set order moves no bits (and np.unique
+    # would import numpy.ma on its first call)
+    for y in set((x // m).tolist()):
         out[y] = np.sum(w[1 : y + 1] * t[y // m[:y]])
     return out
 

@@ -1,15 +1,28 @@
-"""Source hygiene: no module keeps an import it never uses, and no private
+"""Source hygiene: no module keeps an import it never uses, no private
 (single-underscore) function, class, method or module-level name outlives
-its last use."""
+its last use, the package imports exactly its declared dependencies, and no
+sweep loads scipy or imports a module mid-sweep."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import voronoi_lab
 
-MODULES = sorted(Path(voronoi_lab.__file__).parent.glob("*.py"))
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    import tomli as tomllib
+
+PACKAGE = Path(voronoi_lab.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -94,3 +107,57 @@ def test_every_private_name_is_used_in_the_package():
         if name not in used
     )
     assert not unused, f"private names defined but never used: {unused}"
+
+
+def test_imports_match_the_declared_dependencies():
+    # every non-stdlib module imported anywhere in the package, at top level
+    # or inside a function, is a declared dependency, and every dependency is
+    # imported somewhere
+    imported = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {PACKAGE.name}
+    requirements = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_") for req in requirements}
+    assert third_party == declared
+
+
+# one tiny box per suite; the first three run straight after the harness import
+TINY_BOXES = {
+    "gauss-lemmas": {"cstar_max": 5, "c_max": 10, "m_max": 6, "n_max": 3},
+    "kloosterman-average": {"degrees": [3], "c_max": 4, "q_max": 2},
+    "voronoi-core": {"truncation_y": 200, "x_probe": 200},
+    "hecke": {"draws": 5, "d3_check_max": 200},
+    "equivalence": {"degrees": [3], "c_values": [4, 5], "coefficients": 20},
+    "mobius": {"degrees": [3], "cstar_values": [3], "n_values": [2], "modulus_max": 8},
+    "lfunc": {"cstar_max": 4},
+}
+
+_SWEEP_SCRIPT = """
+import json, sys
+from voronoi_lab.harness import SweepConfig, run_suite
+added = {}
+for suite, ranges in json.loads(sys.argv[1]).items():
+    before = set(sys.modules)
+    report = run_suite(SweepConfig(suite=suite, ranges=ranges, seed=1))
+    assert report.cases and report.passed, suite
+    added[suite] = sorted(set(sys.modules) - before)
+print(json.dumps({"added": added, "loaded": sorted(sys.modules)}))
+"""
+
+
+def test_sweeps_load_no_scipy_and_import_nothing_mid_sweep():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_SCRIPT, json.dumps(TINY_BOXES)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert not [name for name in out["loaded"] if name.split(".")[0] == "scipy"]
+    for suite in ("gauss-lemmas", "kloosterman-average", "voronoi-core"):
+        assert out["added"][suite] == [], suite

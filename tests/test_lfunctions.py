@@ -1,5 +1,6 @@
 """Hurwitz zeta, Dirichlet L-values, gamma ratios, functional equation."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,10 +8,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from voronoi_lab import lfunctions
 from voronoi_lab.characters import induce, primitive_characters, principal
+from voronoi_lab.harness import SweepConfig, run_suite
 from voronoi_lab.lfunctions import (
     GammaFactorSpec,
     LValueRequest,
+    _digamma,
+    _loggamma,
     bernoulli_number,
     dirichlet_l,
     functional_equation_check,
@@ -128,6 +133,56 @@ def test_log_gamma():
     assert abs(log_gamma(3.5 + 2j) - complex(mp.loggamma(mp.mpc(3.5, 2)))) < 1e-12
     with pytest.raises(ValueError):
         log_gamma(-3 + 1e-8j)
+
+
+def _loggamma_error(z: complex) -> float:
+    """|_loggamma(z) - log Gamma(z)| against 200-bit mpmath.
+
+    The imaginary parts are compared as they are, not mod 2 pi, so a result
+    off the principal branch fails.
+    """
+    with mp.workprec(200):
+        return abs(complex(mp.mpc(_loggamma(z)) - mp.loggamma(mp.mpc(z))))
+
+
+def test_loggamma_grid_on_the_principal_branch():
+    rng = np.random.default_rng(19)
+    grid = rng.uniform(-6, 12, 20_000) + 1j * rng.uniform(-12, 12, 20_000)
+    assert max(_loggamma_error(complex(z)) for z in grid) <= 1e-13
+
+
+def test_loggamma_next_to_the_poles():
+    # sin(pi z) in the reflection must keep its relative accuracy here; the
+    # naive cmath.sin(math.pi * z) is off by about 5e-10 next to -1 .. -6
+    points = []
+    for pole in range(0, -7, -1):
+        for radius in (1e-6, 1e-5, 1e-4, 1e-3):
+            points += [pole - radius, pole + radius]
+            points += [pole + radius * cmath.exp(2j * math.pi * (k + 0.5) / 16) for k in range(16)]
+    assert max(_loggamma_error(complex(z)) for z in points) <= 1e-13
+
+
+def test_loggamma_at_every_default_sweep_argument(monkeypatch):
+    seen = set()
+
+    def recording(z):
+        seen.add(z)
+        return _loggamma(z)
+
+    monkeypatch.setattr(lfunctions, "_loggamma", recording)
+    for suite in ("lfunc", "voronoi-core"):
+        run_suite(SweepConfig(suite=suite, seed=1))
+    # the g_pm_eval pairs of both suites, left of 0 included
+    assert seen and min(z.real for z in seen) < 0
+    assert max(_loggamma_error(z) for z in seen) <= 1e-13
+
+
+def test_digamma_at_rationals():
+    with mp.workprec(200):
+        for c in range(1, 65):
+            for r in range(1, c + 1):
+                exact = mp.digamma(mp.mpf(r) / c)
+                assert abs(float((_digamma(r / c) - exact) / exact)) <= 1e-14, (r, c)
 
 
 def test_g_pm_classical_ratios():
