@@ -10,6 +10,8 @@ import pytest
 from voronoi_lab.characters import enumerate_characters, induce, primitive_characters, principal
 from voronoi_lab.exponential_sums import (
     KloostermanSpec,
+    _chain_moduli,
+    _layer_chains,
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
@@ -332,13 +334,77 @@ def test_kloosterman_spec_validation():
         KloostermanSpec(1, 1, 0, (2,), (1,))
 
 
+CHAIN_LAYERS = (
+    (),
+    (1,),
+    (3,),
+    ((2, 1),),
+    ((3, 1, 2),),
+    (2, 2),
+    ((2, 1), (1, 3)),
+    (3, (2, 1)),
+    (1, 2, 3),
+    ((3, 1), 2, (2, 1)),
+    (2, 1, 3, 2),
+    ((2, 1), 3, 1, (3, 1)),
+)
+
+
+def _brute_chains(c, qq):
+    """The chains of (c, q') by filtering every tuple of divisors of c q_1...q_i.
+
+    Returns [(d, (M_0, ..., M_K))] sorted by d; shares no code with the
+    package's divisor lists.
+    """
+    cands = []
+    for i in range(len(qq)):
+        n = c * math.prod(qq[: i + 1])
+        cands.append([x for x in range(1, n + 1) if n % x == 0])
+    out = []
+    for d in itertools.product(*cands):
+        mods = [c]
+        for qi, di in zip(qq, d):
+            if qi * mods[-1] % di:
+                break
+            mods.append(qi * mods[-1] // di)
+        else:
+            out.append((d, tuple(mods)))
+    return sorted(out)
+
+
+def _chain_views(c, q):
+    """(blocks, qs, chains, moduli) of the chains both Lemma 3.4 routes read."""
+    blocks, qs, chains = _layer_chains(c, q)
+    return blocks, qs, chains, _chain_moduli(c, qs, chains)
+
+
 def test_divisor_chains_count():
-    # c = 4, q = (2, 2): d_1 | 8 (4 choices), then d_2 | 2*8/d_1
-    chains = list(kloosterman_divisor_chains(4, (2, 2)))
-    assert len(chains) == 14
-    assert len(set(chains)) == 14
-    for d1, d2 in chains:
-        assert 8 % d1 == 0 and (2 * (8 // d1)) % d2 == 0
+    # q' in itertools.product order of the layers (choices in their given
+    # order, not sorted), the chains of each q' in lexicographic d order
+    for q in CHAIN_LAYERS:
+        layers = [(x,) if isinstance(x, int) else x for x in q]
+        for c in range(1, 13):
+            blocks, qs, chains, moduli = _chain_views(c, q)
+            want_blocks, want_qs, want_chains, want_moduli = [], [], [], []
+            for qq in itertools.product(*layers):
+                part = _brute_chains(c, qq)
+                start = len(want_chains)
+                want_blocks.append((qq, slice(start, start + len(part))))
+                want_qs += [qq] * len(part)
+                want_chains += [d for d, _ in part]
+                want_moduli += [mods for _, mods in part]
+                assert kloosterman_divisor_chains(c, qq) == [d for d, _ in part], (c, qq)
+            assert list(blocks) == want_blocks, (c, q)
+            k = len(layers)
+            for got, want, width in (
+                (qs, want_qs, k),
+                (chains, want_chains, k),
+                (moduli, want_moduli, k + 1),
+            ):
+                assert got.dtype == np.int64 and got.shape == (len(want), width), (c, q)
+                assert got.tolist() == [list(x) for x in want], (c, q)
+            if all(isinstance(x, int) for x in q):
+                assert kloosterman_divisor_chains(c, q) == want_chains, (c, q)
 
 
 def test_average_kloosterman_closed_form_small():

@@ -133,6 +133,33 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "suite, ranges, cases, digest",
+    [
+        (
+            "kloosterman-average",
+            {"degrees": [3, 4, 5], "c_max": 5, "q_max": 3},
+            390,
+            "925b1f4d7985b5ec",
+        ),
+        (
+            "equivalence",
+            {"degrees": [3, 4, 5], "c_values": [6, 8, 12], "q_max": 2, "coefficients": 20},
+            700,
+            "664605dd2aa82bed",
+        ),
+    ],
+    ids=["kloosterman-deg5", "equivalence-deg5"],
+)
+def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
+    # batched last layers (kloosterman-average) and the additive dual side
+    # (equivalence) both read every divisor chain of their units; both
+    # reports are pinned at seed 1
+    rep = run_suite(SweepConfig(suite=suite, ranges=dict(ranges), seed=1))
+    assert rep.passed and rep.cases == cases
+    assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
+
+
 REPEAT_RANGES = {
     "gauss-lemmas": {"cstar_max": 5, "c_max": 10, "m_max": 6, "n_max": 3},
     "kloosterman-average": {"degrees": [3, 4], "c_max": 4, "q_max": 2, "n_values": [1, -3]},
