@@ -10,7 +10,6 @@ them is ever substituted for the direct summation it is checked against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,8 +208,8 @@ class KloostermanSpec:
     The divisibility chain d_1 | q_1 c, d_2 | q_2 (q_1 c / d_1), ... is part
     of the object's meaning and is validated at construction, as is
     gcd(a, c) = 1.  It describes one term for the nested oracle
-    hyper_kloosterman; the walk kloosterman_vector builds every chain of its
-    (c, q) itself, so it has none to check.
+    hyper_kloosterman; the walk kloosterman_vector reads every chain of its
+    (c, q) from _chain_tree, so it has none to check.
     """
 
     a: int
@@ -286,49 +285,72 @@ def _layers(q) -> tuple[tuple[int, ...], ...]:
     return layers
 
 
-def _layer_chains(c: int, q):
-    """The chains of both Lemma 3.4 routes' columns, each with its own q'.
-
-    q' runs over itertools.product of the layers of q in lexicographic order,
-    and the chains of each q' are kloosterman_divisor_chains(c, q'), one
-    block after another.  Returns (blocks, qs, chains): chains and qs are
-    read-only int64[n_chains, K], each chain and its q', and blocks lists
-    (q', slice of its columns).  The last few results are kept, so a unit
-    that reads its chains next to its closed table builds them once.
-    """
-    return _chains_of_layers(c, _layers(q))
+@dataclass(frozen=True)
+class _ChainTree:
+    first: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[tuple[int, ...], slice], ...]
+    chains: np.ndarray
+    moduli: np.ndarray
 
 
 @lru_cache(maxsize=4)
-def _chains_of_layers(c: int, layers: tuple[tuple[int, ...], ...]):
-    blocks, parts = [], []
-    for qq in itertools.product(*layers):
-        part = kloosterman_divisor_chains(c, qq)
-        blocks.append((qq, slice(len(parts), len(parts) + len(part))))
-        parts += part
-    chains = np.array(parts, dtype=np.int64)
-    sizes = [b.stop - b.start for _, b in blocks]
-    qs = np.repeat(np.array([qq for qq, _ in blocks], dtype=np.int64), sizes, axis=0)
-    chains.flags.writeable = qs.flags.writeable = False
-    return tuple(blocks), qs, chains
+def _chain_tree(c: int, layers: tuple[tuple[int, ...], ...]) -> _ChainTree:
+    """Every divisor chain of c through the layers, as one tree.
 
+    layers is _layers(q): each layer a tuple of its choices.  A node at depth
+    i is a prefix (q_1..q_i; d_1..d_i), q_j a choice of layer j and
+    d_j | q_j M_{j-1}, with M_0 = c and M_j = q_j M_{j-1} / d_j.  The nodes of
+    a depth are ranked in lexicographic (q_1..q_i, d_1..d_i) order, a choice
+    ranking by its place in its layer.  So the children of a node through a
+    choice q_{i+1}, its extensions by the d | q_{i+1} M_i in ascending order,
+    hold consecutive ranks, and the leaves at depth K, the chains, are those
+    of each q' of itertools.product(*layers) one block after another, each
+    block in lexicographic d order.  Every direct and closed Kloosterman
+    column and every chain of the additive dual side is numbered this way.
 
-def _chain_moduli(c: int, qs: np.ndarray, chains: np.ndarray) -> np.ndarray:
-    """int64[n_chains, K+1] of the moduli M_i = c q_1...q_i / (d_1...d_i) of every chain.
-
-    chains and qs are int64[n_chains, K], each chain and its q, as
-    _layer_chains gives them, so every quotient is exact.
+    first[i][j, r] is the rank of the first child of the r-th node of depth i
+    through layers[i][j], recorded as the children are appended.  blocks
+    lists (q', slice of its chains).  chains is int64[n_chains, K], each
+    chain's d, and moduli is int64[n_chains, K+1], its M_0..M_K, both
+    gathered along the parent pointers.  Every array is read-only, and the
+    last few trees are kept, so the readers of one unit build it once.
     """
-    ratio = np.ones((len(chains), chains.shape[1] + 1), dtype=np.int64)
-    np.cumprod(chains, axis=1, out=ratio[:, 1:])
-    qprod = np.ones_like(ratio)
-    np.cumprod(qs, axis=1, out=qprod[:, 1:])
-    return c * qprod // ratio
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    prefixes, starts = [()], [0, 1]  # each q-prefix of a depth and its first rank
+    mods = [c]  # M of each node of the depth
+    levels, first = [], []  # parent, d and M of every node below the root
+    for layer in layers:
+        kids = np.empty((len(layer), len(mods)), dtype=np.int64)
+        parent, qm, dv, kid_prefixes, kid_starts = [], [], [], [], [0]  # qm: q_{i+1} M_i
+        for prefix, lo, hi in zip(prefixes, starts, starts[1:]):
+            for j, qi in enumerate(layer):
+                for r in range(lo, hi):
+                    kids[j, r] = len(dv)
+                    ds = divisors(qi * mods[r])
+                    dv += ds
+                    parent += [r] * len(ds)
+                    qm += [qi * mods[r]] * len(ds)
+                kid_prefixes.append(prefix + (qi,))
+                kid_starts.append(len(dv))
+        parent, dv = np.array(parent, dtype=np.int64), np.array(dv, dtype=np.int64)
+        m = np.array(qm, dtype=np.int64) // dv
+        levels.append((parent, dv, m))
+        first.append(kids)
+        prefixes, starts, mods = kid_prefixes, kid_starts, m.tolist()
 
-
-def _children(q_i: int, m: int) -> tuple[int, ...]:
-    """The d below a prefix of modulus m in a layer q_i; q_i = 0 is a chain's one leaf."""
-    return divisors(q_i * m) if q_i else (0,)
+    n, k = len(mods), len(layers)
+    chains = np.empty((n, k), dtype=np.int64)
+    moduli = np.full((n, k + 1), c, dtype=np.int64)
+    node = np.arange(n)
+    for i in range(k, 0, -1):
+        parent, dv, m = levels[i - 1]
+        chains[:, i - 1], moduli[:, i] = dv[node], m[node]
+        node = parent[node]
+    for arr in (*first, chains, moduli):
+        arr.flags.writeable = False
+    blocks = tuple((p, slice(lo, hi)) for p, lo, hi in zip(prefixes, starts, starts[1:]))
+    return _ChainTree(tuple(first), blocks, chains, moduli)
 
 
 def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
@@ -339,7 +361,7 @@ def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
     d_K, from one kl_layer call, with r_s the inverse of the s-th unit mod
     M_{K-1}.  q_k = 0 stands for a chain with no layer, whose table is
     e(r_s n_t / M_0).  The table is kept in leaves under (n_values, M_{K-1},
-    q_K, d_K); the walk builds its chains from (c, q), so nothing is checked.
+    q_K, d_K); the walk reads its chains from _chain_tree, so nothing is checked.
     """
     key = (n_values, m_prev, q_k, d_k)
     table = leaves.get(key)
@@ -356,78 +378,50 @@ def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
     return table
 
 
-def _first_children(ranks: dict, groups: np.ndarray, layer: tuple[int, ...]):
-    """Ranks of the first children of a depth's prefixes, and the next depth's groups.
-
-    A depth's prefixes are ranked by (q_1..q_i, d_1..d_i) in lexicographic
-    order; groups[g] is the rank of the first prefix of the g-th q_1..q_i and
-    groups[-1] their number.  ranks[M] ranks the prefixes of modulus M.
-    Returns (first, groups'): first[j, r] is the rank of the first child of
-    prefix r through q_{i+1} = layer[j], and groups' is groups for the
-    children, whose q-prefixes are (q_1..q_i, layer[j]) in (g, j) order.
-    """
-    # before[j, r]: the children through layer[j] of the prefixes ranked below r
-    before = np.zeros((len(layer), groups[-1] + 1), dtype=np.int64)
-    for m, r in ranks.items():
-        before[:, r + 1] = np.array([len(_children(q_i, m)) for q_i in layer])[:, None]
-    np.cumsum(before, axis=1, out=before)
-    at = before[:, groups]
-    kids = np.zeros(at.size - len(layer) + 1, dtype=np.int64)
-    np.cumsum((at[:, 1:] - at[:, :-1]).T, out=kids[1:])  # child groups in (g, j) order
-    # each child group's first rank, less the children ranked below its parents' group
-    base = kids[:-1].reshape(-1, len(layer)).T - at[:, :-1]
-    return before[:, :-1] + base.repeat(groups[1:] - groups[:-1], axis=1), kids
-
-
 def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.ndarray:
     """Direct hyper-Kloosterman sums of every unit, divisor chain and n at once.
 
     complex128[phi(c), n_chains, n_n]: [i, j, t] = Kl(a, n_values[t], c; q', d)
-    at a = unit_residues(c)[i], with (q', d) the j-th chain: q is a sequence
-    of layers, each an int or a tuple of ints, its choices for that layer,
-    and the chains are those of kloosterman_divisor_chains(c, q') for q' over
-    itertools.product of the layers in lexicographic order, one block after
-    another.  An all-int q is the chains of kloosterman_divisor_chains(c, q).
+    at a = unit_residues(c)[i], with (q', d) the j-th chain of _chain_tree:
+    q is a sequence of layers, each an int or a tuple of ints, its choices for
+    that layer.  An all-int q is the chains of kloosterman_divisor_chains(c, q).
     Kl reads n only mod M_K, reduced as a Python int, so any int n is exact.
 
-    The chains are walked as a prefix tree from the outermost layer inward,
-    one depth at a time, along edges (q_i, d_i).  L starts as the identity
-    on the units mod M_0; the edge maps L to the function on Z/M_i, M_i =
-    q_i M_{i-1} / d_i, that is sum over r of L[r] e(d_i y r / M_{i-1}) at
-    y^-1 for the units y mod M_i and zero elsewhere.  Every L is kept at the
-    inverses of the units mod its modulus, and the children of a prefix of
-    modulus M through q_i are the d | q_i M in ascending order, so the
-    prefixes of one depth with the same modulus share their edges: their L
-    blocks are stacked and multiplied once per edge.  At depth K-1 the stack
-    of each M_{K-1} goes through one product with the side-by-side
-    _leaf_table tables of its leaves (q_K, d_K), the chains' innermost
-    layers, written to the output at the chains' columns.  Those tables
-    depend only on (n_values, M_{K-1}, q_K, d_K), so a caller may pass one
-    dict as `leaves` to every call of a sweep; without it each call starts an
-    empty one.
+    The walk goes down the chain tree one depth at a time.  L starts as the
+    identity on the units mod M_0; the edge (q_i, d_i) maps L to the function
+    on Z/M_i, M_i = q_i M_{i-1} / d_i, that is sum over r of L[r] e(d_i y r /
+    M_{i-1}) at y^-1 for the units y mod M_i and zero elsewhere.  Every L is
+    kept at the inverses of the units mod its modulus, so the nodes of one
+    depth with the same modulus share their edges: their L blocks are stacked
+    and multiplied once per edge.  At depth K-1 the stack of each M_{K-1} goes
+    through one product with the side-by-side _leaf_table tables of its
+    leaves (q_K, d_K), the chains' innermost layers.  Those tables depend only
+    on (n_values, M_{K-1}, q_K, d_K), so a caller may pass one dict as
+    `leaves` to every call of a sweep; without it each call starts an empty
+    one.
     """
     layers = _layers(q)
-    if c < 1:
-        raise ValueError("c must be >= 1")
+    tree = _chain_tree(c, layers)
     units = unit_residues(c)
     n_rows, n_n, n_values = len(units), len(n_values), tuple(n_values)
     if leaves is None:
         leaves = {}
-
-    # stacks[M] is the L of every prefix of modulus M at this depth,
-    # [prefixes, n_rows, phi(M)] at inverse_table(M)[unit_residues(M)], and
-    # ranks[M] their ranks; row i of the root's L is 1 at a = units[i].
+    # row i of the root's L is 1 at a = units[i]
     eye = (units[:, None] == inverse_table(c)[units][None, :]).astype(np.complex128)
+    if not layers:  # the root is the one chain; its table is e(a n / c)
+        return (eye @ _leaf_table(leaves, n_values, c, 0, 0))[:, None]
+
+    # stacks[M] is the L of every node of modulus M at this depth,
+    # [nodes, n_rows, phi(M)] at inverse_table(M)[unit_residues(M)], and
+    # ranks[M] their ranks in the tree
     stacks, ranks = {c: eye[None]}, {c: np.zeros(1, dtype=np.int64)}
-    groups = np.array([0, 1], dtype=np.int64)
-    for layer in layers[:-1]:
-        first, groups = _first_children(ranks, groups, layer)
+    for layer, first in zip(layers[:-1], tree.first):
         parts = {}  # child modulus -> [(L block, ranks)]
         for m_prev, src in stacks.items():
             at = inverse_table(m_prev)[unit_residues(m_prev)]
             flat = src.reshape(-1, src.shape[2])
             for j, qi in enumerate(layer):
-                kid = first[j, ranks[m_prev]]  # rank of each prefix's first child
+                kid = first[j, ranks[m_prev]]
                 for k, d_i in enumerate(divisors(qi * m_prev)):
                     m = qi * m_prev // d_i
                     base = (d_i % m_prev) * unit_residues(m) % m_prev
@@ -437,13 +431,12 @@ def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.nd
         stacks = {m: np.concatenate([b for b, _ in p]) for m, p in parts.items()}
         ranks = {m: np.concatenate([r for _, r in p]) for m, p in parts.items()}
 
-    last = layers[-1] if layers else (0,)  # q_K = 0: a chain with no layer has one leaf
-    first, groups = _first_children(ranks, groups, last)
-    out = np.empty((n_rows, groups[-1], n_n), dtype=np.complex128)
+    first = tree.first[-1]
+    out = np.empty((n_rows, len(tree.chains), n_n), dtype=np.complex128)
     for m_prev, stack in stacks.items():
-        tails, cols = [], []  # each leaf (q_K, d_K), and each prefix's leaf columns
-        for j, q_k in enumerate(last):
-            ds = _children(q_k, m_prev)
+        tails, cols = [], []  # each leaf (q_K, d_K), and each node's leaf columns
+        for j, q_k in enumerate(layers[-1]):
+            ds = divisors(q_k * m_prev)
             tails += [_leaf_table(leaves, n_values, m_prev, q_k, d) for d in ds]
             cols.append(first[j, ranks[m_prev]][:, None] + np.arange(len(ds)))
         prod = stack.reshape(-1, stack.shape[2]) @ np.concatenate(tails, 1)
@@ -455,7 +448,8 @@ def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.nd
 def _lemma34_factors(chains, n_values, chars, mods):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
-    chains is int64[n_chains, K] and mods their _chain_moduli.  Returns (factors, live): factor i is g(chi*, M_i, d_{i+1}) for
+    chains is int64[n_chains, K] and mods int64[n_chains, K+1], their moduli
+    M_0..M_K.  Returns (factors, live): factor i is g(chi*, M_i, d_{i+1}) for
     i < K and g(chi*, M_K, n) for i = K, each complex128 and broadcastable to
     [n_chars, n_chains, n_n]; live[x, j] is True when c* | M_i for every
     i >= 1 of chain j.  Factors are gathered from one flat table holding the
@@ -512,17 +506,15 @@ def average_kloosterman_closed_lemma34_table(c: int, q, n_values) -> np.ndarray:
     """Lemma 3.4 closed form for every character, divisor chain and n at once.
 
     complex128[n_chars, n_chains, n_n] over enumerate_characters(c) and the
-    chains of kloosterman_vector's columns: q is a sequence of layers, each an
-    int or a tuple of ints, and the columns are kloosterman_divisor_chains(c,
-    q') for q' over itertools.product of the layers, one block after another.
-    Entry [x, j, t] is average_kloosterman_closed_lemma34(chars[x],
-    n_values[t], c, q', chains[j]).  Every chain carries its own q' into one
-    moduli array, and the factors and their product are elementwise, so an
-    entry has the same bits in a batched table as in the table of its q'.
+    chains of _chain_tree, kloosterman_vector's columns: q is a sequence of
+    layers, each an int or a tuple of ints.  Entry [x, j, t] is
+    average_kloosterman_closed_lemma34(chars[x], n_values[t], c, q', chains[j]).
+    Every chain carries its own moduli, and the factors and their product are
+    elementwise, so an entry has the same bits in a batched table as in the
+    table of its q'.
     """
-    _, qs, chains = _layer_chains(c, q)
-    mods = _chain_moduli(c, qs, chains)
-    factors, live = _lemma34_factors(chains, n_values, enumerate_characters(c), mods)
+    tree = _chain_tree(c, _layers(q))
+    factors, live = _lemma34_factors(tree.chains, n_values, enumerate_characters(c), tree.moduli)
     return _lemma34_product(factors, live)
 
 
@@ -548,14 +540,8 @@ def average_kloosterman_closed_lemma34(
 def kloosterman_divisor_chains(c: int, q: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every d tuple satisfying the divisibility chain for (c, q), d_i | q_i M_{i-1}.
 
-    Built one layer at a time; each prefix is extended by the divisors of
-    q_i M_{i-1} in ascending order, so the list is in lexicographic order.
+    The chains of _chain_tree, in lexicographic order, as tuples of Python
+    ints: voronoi_rhs_coefficients takes its chain weights' powers of them,
+    and numpy's powers would round differently.
     """
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    if any(x < 1 for x in q):
-        raise ValueError("q entries must be positive")
-    level = [((), c)]
-    for qi in q:
-        level = [(prefix + (d,), qi * m // d) for prefix, m in level for d in divisors(qi * m)]
-    return [prefix for prefix, _ in level]
+    return list(map(tuple, _chain_tree(c, _layers(q)).chains.tolist()))

@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .characters import enumerate_characters, induce, primitive_characters
 from .exponential_sums import (
-    _chain_moduli,
-    _layer_chains,
+    _chain_tree,
+    _layers,
     average_kloosterman_closed_lemma34_table,
     gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23_rows,
@@ -732,7 +732,7 @@ def _kloosterman_units(ranges, tol, config):
         def run():
             chars = enumerate_characters(c)
             vv = np.stack([ch.value_vector[unit_residues(c)] for ch in chars])
-            blocks, qs, chains = _layer_chains(c, q)
+            tree = _chain_tree(c, _layers(q))
             # Both routes give every (character, chain, n) of the unit in one
             # array, the chains of each q' one block after another: the
             # closed one from Gauss sums, the direct one as the character
@@ -740,15 +740,15 @@ def _kloosterman_units(ranges, tol, config):
             closed = average_kloosterman_closed_lemma34_table(c, q, n_values)
             kl = kloosterman_vector(n_values, c, q, leaves)
             direct = (vv @ kl.reshape(len(kl), -1)).reshape(closed.shape)
-            scale = np.sqrt(np.prod(_chain_moduli(c, qs, chains), axis=1))
+            scale = np.sqrt(np.prod(tree.moduli, axis=1))
             diff = direct - closed
             rel = np.hypot(diff.real, diff.imag) / scale[None, :, None]
             flat = (len(chars), -1)
             records = []
-            for qq, cols in blocks:
+            for qq, cols in tree.blocks:
                 rows = [{"degree": n_deg, "c": c, "q": list(qq), "chi": ch.label} for ch in chars]
 
-                def point(p, block=chains[cols]):
+                def point(p, block=tree.chains[cols]):
                     j, t = divmod(p, len(n_values))
                     return {"d": block[j].tolist(), "n": n_values[t]}
 

@@ -10,8 +10,8 @@ import pytest
 from voronoi_lab.characters import enumerate_characters, induce, primitive_characters, principal
 from voronoi_lab.exponential_sums import (
     KloostermanSpec,
-    _chain_moduli,
-    _layer_chains,
+    _chain_tree,
+    _layers,
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
@@ -323,6 +323,10 @@ def test_direct_table_rejects_broken_chains():
         kloosterman_vector((1,), 0, ())
     with pytest.raises(ValueError, match="q entries must be positive"):
         kloosterman_vector((1,), 4, (2, 0))
+    with pytest.raises(ValueError, match="c must be >= 1"):
+        kloosterman_divisor_chains(0, (2,))
+    with pytest.raises(ValueError, match="q entries must be positive"):
+        kloosterman_divisor_chains(4, (2, 0))
 
 
 def test_kloosterman_spec_validation():
@@ -372,39 +376,54 @@ def _brute_chains(c, qq):
     return sorted(out)
 
 
-def _chain_views(c, q):
-    """(blocks, qs, chains, moduli) of the chains both Lemma 3.4 routes read."""
-    blocks, qs, chains = _layer_chains(c, q)
-    return blocks, qs, chains, _chain_moduli(c, qs, chains)
+def _brute_levels(c, layers):
+    """Each depth's nodes [(q', d, moduli)] and their q' blocks, in the tree's order.
+
+    The nodes of depth i are the chains of each q' of the first i layers, in
+    itertools.product order, one block after another.
+    """
+    levels = []
+    for i in range(len(layers) + 1):
+        nodes, blocks = [], []
+        for qq in itertools.product(*layers[:i]):
+            part = _brute_chains(c, qq)
+            blocks.append((qq, slice(len(nodes), len(nodes) + len(part))))
+            nodes += [(qq, d, mods) for d, mods in part]
+        levels.append((nodes, blocks))
+    return levels
 
 
 def test_divisor_chains_count():
     # q' in itertools.product order of the layers (choices in their given
-    # order, not sorted), the chains of each q' in lexicographic d order
+    # order, not sorted), the chains of each q' in lexicographic d order; the
+    # nodes of each depth are ranked the same way, and a node's children
+    # through a choice start at its extension by d = 1
     for q in CHAIN_LAYERS:
         layers = [(x,) if isinstance(x, int) else x for x in q]
+        k = len(layers)
         for c in range(1, 13):
-            blocks, qs, chains, moduli = _chain_views(c, q)
-            want_blocks, want_qs, want_chains, want_moduli = [], [], [], []
-            for qq in itertools.product(*layers):
-                part = _brute_chains(c, qq)
-                start = len(want_chains)
-                want_blocks.append((qq, slice(start, start + len(part))))
-                want_qs += [qq] * len(part)
-                want_chains += [d for d, _ in part]
-                want_moduli += [mods for _, mods in part]
-                assert kloosterman_divisor_chains(c, qq) == [d for d, _ in part], (c, qq)
-            assert list(blocks) == want_blocks, (c, q)
-            k = len(layers)
+            tree = _chain_tree(c, _layers(q))
+            levels = _brute_levels(c, layers)
+            for i, first in enumerate(tree.first):
+                rank = {(qq, d): r for r, (qq, d, _) in enumerate(levels[i + 1][0])}
+                parents = levels[i][0]
+                want = [[rank[qq + (qi,), d + (1,)] for qq, d, _ in parents] for qi in layers[i]]
+                assert first.tolist() == want, (c, q, i)
+            leaves, blocks = levels[k]
+            assert list(tree.blocks) == blocks, (c, q)
             for got, want, width in (
-                (qs, want_qs, k),
-                (chains, want_chains, k),
-                (moduli, want_moduli, k + 1),
+                (tree.chains, [d for _, d, _ in leaves], k),
+                (tree.moduli, [mods for _, _, mods in leaves], k + 1),
             ):
                 assert got.dtype == np.int64 and got.shape == (len(want), width), (c, q)
                 assert got.tolist() == [list(x) for x in want], (c, q)
+                assert not got.flags.writeable
+            assert not any(first.flags.writeable for first in tree.first)
+            for qq, cols in blocks:
+                want = [d for _, d, _ in leaves[cols]]
+                assert kloosterman_divisor_chains(c, qq) == want, (c, qq)
             if all(isinstance(x, int) for x in q):
-                assert kloosterman_divisor_chains(c, q) == want_chains, (c, q)
+                assert kloosterman_divisor_chains(c, q) == [d for _, d, _ in leaves], (c, q)
 
 
 def test_average_kloosterman_closed_form_small():
