@@ -160,6 +160,23 @@ def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize(
+    "ranges, cases, digest",
+    [
+        ({"cstar_max": 16, "c_max": 64}, 2496, "8890a38a64c0dca5"),
+        ({}, 5962, "533083478f9cdb63"),
+    ],
+    ids=["gauss-records", "defaults"],
+)
+def test_gauss_lemma_reports_keep_their_bytes(ranges, cases, digest):
+    # Lemma 2.2 and 2.3 rows against the FFT Gauss sums, and the Lemma 2.5
+    # divisor average, for every primitive character up to cstar_max; both
+    # reports are pinned at seed 1
+    rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges), seed=1))
+    assert rep.passed and rep.cases == cases
+    assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
+
+
 REPEAT_RANGES = {
     "gauss-lemmas": {"cstar_max": 5, "c_max": 10, "m_max": 6, "n_max": 3},
     "kloosterman-average": {"degrees": [3, 4], "c_max": 4, "q_max": 2, "n_values": [1, -3]},
