@@ -1,7 +1,7 @@
 """Gauss sums, Kloosterman and hyper-Kloosterman sums, and their closed forms.
 
 Everything here is a finite sum over reduced residues, evaluated in float64
-from shared root-of-unity tables, or by one FFT for a Gauss-sum vector.  The
+from shared root-of-unity tables, or by one FFT for a table of Gauss sums.  The
 closed forms (divisor-sum and vanishing expressions for non-primitive Gauss
 sums, the Gauss-sum product for character-averaged hyper-Kloosterman sums)
 are kept as separate entry points so sweeps can compare both routes; none of
@@ -19,14 +19,14 @@ import numpy as np
 from numpy.fft import ifft
 
 from ._kernels import kl_layer
-from .characters import DirichletCharacter, enumerate_characters
+from .characters import DirichletCharacter, enumerate_characters, primitive_characters
 from .numeric import roots_of_unity, sum_error_bound
 from .residues import (
+    carmichael,
     divisors,
     euler_phi,
     inverse_table,
     mobius_sieve,
-    unit_group,
     unit_residues,
 )
 
@@ -50,30 +50,44 @@ def _check_gauss_args(chi_star: DirichletCharacter, c: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
-    """Read-only complex128[c] of g(chi*, c, m) for m = 0..c-1.
+def gauss_sum_rows(cstar: int, c: int) -> np.ndarray:
+    """Read-only complex128[len(primitive_characters(cstar)), c] of g(chi*, c, m).
 
-    g(chi*, c, m) = sum over u mod c of chi(u) e(mu/c) is the unscaled inverse
-    DFT of the induced character's value vector (zero off the units), so the
-    whole vector is one FFT; per-entry rounding is covered by gauss_sum_error(c).
+    Row i holds g(chi*, c, m) for m = 0..c-1 at the i-th primitive character
+    chi* of conductor cstar.  g(chi*, c, m) = sum over u mod c of chi(u)
+    e(mu/c) is the unscaled inverse DFT of the induced character's value
+    vector (zero off the units), so the table is one FFT along its rows;
+    per-entry rounding is covered by gauss_sum_error(c).
 
-    The value vector is read off chi*'s turn table, not built from induce:
-    chi*(u) = e(k/m*) with k = turn_table[u mod c*], and m* divides m_c, the
-    exponent of (Z/c)^x.  So at a unit u mod c the induced character is entry
-    k m_c/m* mod m_c of roots_of_unity(m_c), the entry its own value_vector
-    reads, and the vector has the same bits.
+    The value vectors are read off the turn tables, not built from induce:
+    chi*(u) = e(k/m*) with k = turn_table[u mod c*] and m* = lambda(c*),
+    which divides m_c = lambda(c).  So at a unit u mod c the induced character
+    is entry k m_c/m* mod m_c of roots_of_unity(m_c), the entry its own
+    value_vector reads, and every row has the bits of the induced FFT.
     """
+    if c < 1 or c % cstar != 0:
+        raise ValueError(f"{cstar} does not divide {c}")
+    chars = primitive_characters(cstar)
+    m = carmichael(c)
+    units = unit_residues(c)
+    # [len(chars), c*], also when c* = 2 mod 4 leaves no character
+    turns = np.array([chi.turn_table for chi in chars], dtype=np.int64).reshape(len(chars), cstar)
+    values = np.zeros((len(chars), c), dtype=np.complex128)
+    values[:, units] = roots_of_unity(m)[turns[:, units % cstar] * (m // carmichael(cstar)) % m]
+    rows = ifft(values, norm="forward", axis=-1)
+    rows.setflags(write=False)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
+    """Read-only complex128[c] of g(chi*, c, m) for m = 0..c-1: chi*'s row of gauss_sum_rows."""
     cstar = chi_star.modulus
     if c % cstar != 0:
         raise ValueError(f"{cstar} does not divide {c}")
-    m = unit_group(c).exponent
-    units = unit_residues(c)
-    turns = chi_star.turn_table[units % cstar] * (m // chi_star.group.exponent) % m
-    values = np.zeros(c, dtype=np.complex128)
-    values[units] = roots_of_unity(m)[turns]
-    vec = ifft(values, norm="forward")
-    vec.setflags(write=False)
-    return vec
+    if not chi_star.is_primitive:
+        raise ValueError("chi_star must be primitive")
+    return gauss_sum_rows(cstar, c)[primitive_characters(cstar).index(chi_star)]
 
 
 def gauss_sum_error(c: int) -> float:
@@ -108,64 +122,72 @@ def _as_complex(re, im) -> np.ndarray:
     return out
 
 
-def _closed_form_inputs(chi_star: DirichletCharacter, cs, m_values):
-    """Shared set-up of the Lemma 2.2/2.3 rows of one chi*.
+def _closed_form_inputs(chars, cs, m_values):
+    """Shared set-up of the Lemma 2.2/2.3 rows of the primitive characters chars.
 
-    Returns (c, m, chi, chi_bar, tau): c the int64 array of cs; m_values
-    reduced mod each c as Python ints, int64[len(cs), len(m_values)] (both
-    closed forms read m only through gcds with divisors of c and through
-    (m/d) mod c* with c* | c/d, so the reduction changes no index); the (re,
-    im) tables of chi*(r) and conj(chi*)(r) for r < c*, each read once
-    through the exact scalar evaluation; and tau(chi*) as an (re, im) pair.
+    Returns (cstar, c, m, chi, chi_bar, tau): cstar the one conductor of
+    chars; c the int64 array of cs; m_values reduced mod each c as Python
+    ints, int64[len(cs), len(m_values)] (both closed forms read m only
+    through gcds with divisors of c and through (m/d) mod c* with c* | c/d,
+    so the reduction changes no index); the (re, im) tables
+    float64[len(chars), c*] of chi*(r) and conj(chi*)(r) for r < c*, each
+    entry read once through the exact scalar evaluation; and the (re, im)
+    parts of tau(chi*), float64[len(chars)].
     """
-    for modulus in cs:
-        _check_gauss_args(chi_star, modulus)
+    chars = tuple(chars)
+    if not chars or any(chi.modulus != chars[0].modulus for chi in chars):
+        raise ValueError("need a nonempty tuple of characters of one conductor")
+    for chi in chars:
+        for modulus in cs:
+            _check_gauss_args(chi, modulus)
+    cstar = chars[0].modulus
     c = np.array(cs, dtype=np.int64)
     m = (np.array(m_values, dtype=object)[None, :] % c[:, None]).astype(np.int64)
     tables = []
-    for ch in (chi_star, chi_star.conjugate()):
-        vals = np.array([ch(r) for r in range(chi_star.modulus)], dtype=np.complex128)
+    for group in (chars, [chi.conjugate() for chi in chars]):
+        vals = np.array([[ch(r) for r in range(cstar)] for ch in group], dtype=np.complex128)
         tables.append((vals.real, vals.imag))
-    t = tau(chi_star)
-    return c, m, tables[0], tables[1], (t.real, t.imag)
+    t = np.array([tau(chi) for chi in chars])
+    return cstar, c, m, tables[0], tables[1], (t.real, t.imag)
 
 
-def gauss_sum_closed_lemma22_rows(chi_star: DirichletCharacter, cs, m_values) -> np.ndarray:
-    """complex128[len(cs), len(m_values)] of the Lemma 2.2 closed form.
+def gauss_sum_closed_lemma22_rows(chars, cs, m_values) -> np.ndarray:
+    """complex128[len(chars), len(cs), len(m_values)] of the Lemma 2.2 closed form.
 
-    Entry [i, j] is tau(chi*) * sum over d | (m, c/c*) of
-    d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)) at c = cs[i], m = m_values[j].
-    The divisors d are visited in ascending order and each term is added at
-    the (c, m) it divides, so every entry is summed in the order of the
-    scalar loop over the divisors of (m, c/c*).
+    chars is a tuple of primitive characters of one conductor c*.  Entry
+    [x, i, j] is tau(chi*) * sum over d | (m, c/c*) of
+    d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)) at chi* = chars[x],
+    c = cs[i], m = m_values[j].  The divisors d are visited in ascending
+    order and each term is added at the (c, m) it divides, so every entry is
+    summed in the order of the scalar loop over the divisors of (m, c/c*).
     """
-    c, m, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, cs, m_values)
-    cstar = chi_star.modulus
+    cstar, c, m, (cr, ci), (br, bi), (tr, ti) = _closed_form_inputs(chars, cs, m_values)
     ratio = c // cstar
     mu_table = mobius_sieve(int(ratio.max(initial=1))).astype(np.int64)
-    acc_re = np.zeros(m.shape)
-    acc_im = np.zeros(m.shape)
+    acc_re = np.zeros((len(tr), *m.shape))
+    acc_im = np.zeros((len(tr), *m.shape))
     for d in sorted(set().union(*(divisors(x) for x in set(ratio.tolist())))):
         mu = np.where(ratio % d == 0, mu_table[ratio // d], 0)
         rows, cols = np.nonzero((mu != 0)[:, None] & (m % d == 0))
         k = m[rows, cols] // d % cstar
         r = ratio[rows] // d % cstar
-        term = _product((cr[r], ci[r]), (br[k], bi[k]))
-        tr, ti = _product(((mu[rows] * d).astype(np.float64), 0.0), term)
-        acc_re[rows, cols] += tr
-        acc_im[rows, cols] += ti
+        term = _product((cr[:, r], ci[:, r]), (br[:, k], bi[:, k]))
+        re, im = _product(((mu[rows] * d).astype(np.float64), 0.0), term)
+        acc_re[:, rows, cols] += re
+        acc_im[:, rows, cols] += im
+    tau_pair = tr[:, None, None], ti[:, None, None]
     return _as_complex(*_product(tau_pair, (acc_re, acc_im)))
 
 
-def gauss_sum_closed_lemma23_rows(chi_star: DirichletCharacter, cs, m_values) -> np.ndarray:
-    """complex128[len(cs), len(m_values)] of the Lemma 2.3 closed form.
+def gauss_sum_closed_lemma23_rows(chars, cs, m_values) -> np.ndarray:
+    """complex128[len(chars), len(cs), len(m_values)] of the Lemma 2.3 closed form.
 
-    Entry [i, j] at c = cs[i], a = m_values[j] is zero unless c* | c/(c,a);
-    otherwise
+    chars is a tuple of primitive characters of one conductor c*.  Entry
+    [x, i, j] at chi* = chars[x], c = cs[i], a = m_values[j] is zero unless
+    c* | c/(c,a); otherwise
     tau(chi*) phi(c)/phi(c/(c,a)) mu(c/(c* (c,a))) chi*(c/(c* (c,a))) conj(chi*)(a/(c,a)).
     """
-    c, a, (cr, ci), (br, bi), tau_pair = _closed_form_inputs(chi_star, cs, m_values)
-    cstar = chi_star.modulus
+    cstar, c, a, (cr, ci), (br, bi), (tr, ti) = _closed_form_inputs(chars, cs, m_values)
     g = np.gcd(a, c[:, None])
     cofactor = c[:, None] // g
     live = cofactor % cstar == 0
@@ -180,21 +202,21 @@ def gauss_sum_closed_lemma23_rows(chi_star: DirichletCharacter, cs, m_values) ->
     scale = (phi[c[rows]] // phi[f] * mu[q]).astype(np.float64)
     k = a[live] // g[live] % cstar
     r = q % cstar
-    term = _product((cr[r], ci[r]), (br[k], bi[k]))
-    re, im = _product(tau_pair, _product((scale, 0.0), term))
-    out = np.zeros(a.shape, dtype=np.complex128)
-    out[live] = _as_complex(re, im)
+    term = _product((cr[:, r], ci[:, r]), (br[:, k], bi[:, k]))
+    re, im = _product((tr[:, None], ti[:, None]), _product((scale, 0.0), term))
+    out = np.zeros((len(tr), *a.shape), dtype=np.complex128)
+    out[:, live] = _as_complex(re, im)
     return out
 
 
 def gauss_sum_closed_lemma22(chi_star: DirichletCharacter, c: int, m: int) -> complex:
     """Divisor-sum closed form of g(chi*, c, m); one point of gauss_sum_closed_lemma22_rows."""
-    return complex(gauss_sum_closed_lemma22_rows(chi_star, [c], [m])[0, 0])
+    return complex(gauss_sum_closed_lemma22_rows((chi_star,), [c], [m])[0, 0, 0])
 
 
 def gauss_sum_closed_lemma23(chi_star: DirichletCharacter, c: int, m: int) -> complex:
     """Vanishing/totient closed form of g(chi*, c, a); one point of gauss_sum_closed_lemma23_rows."""
-    return complex(gauss_sum_closed_lemma23_rows(chi_star, [c], [m])[0, 0])
+    return complex(gauss_sum_closed_lemma23_rows((chi_star,), [c], [m])[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .exponential_sums import (
     average_kloosterman_closed_lemma34_table,
     gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23_rows,
-    gauss_sum_vector,
+    gauss_sum_rows,
     kloosterman_vector,
     tau,
 )
@@ -639,56 +639,63 @@ def _gauss_units(ranges, tol, config):
     anchor = _SUITES["gauss-lemmas"].anchor
     units = []
 
-    def closed_unit(chi, lemma, closed_rows):
+    def closed_unit(cstar, lemma, closed_rows):
         def run():
-            cs = range(chi.modulus, c_max + 1, chi.modulus)
+            chars = primitive_characters(cstar)
+            cs = range(cstar, c_max + 1, cstar)  # empty when c* > c_max: no rows, no records
             m_arr = np.arange(1, m_max + 1)
-            shape = (len(cs), m_max)  # (0, m_max) when c* > c_max: no rows, no records
-            direct = np.reshape([gauss_sum_vector(chi, c)[m_arr % c] for c in cs], shape)
-            closed = closed_rows(chi, cs, m_arr)
+            direct = np.empty((len(chars), len(cs), m_max), dtype=complex)
+            for i, c in enumerate(cs):
+                direct[:, i] = gauss_sum_rows(cstar, c)[:, m_arr % c]
+            closed = closed_rows(chars, cs, m_arr)
             diff = direct - closed
             rel = np.hypot(diff.real, diff.imag) / np.sqrt(np.array(cs, dtype=float))[:, None]
-            rows = [{"lemma": lemma, "chi": chi.label, "c": c} for c in cs]
-            return _worst_records(anchor, rows, direct, closed, rel, tol, lambda p: {"m": p + 1})
+            rows = [{"lemma": lemma, "chi": chi.label, "c": c} for chi in chars for c in cs]
+            flat = (a.reshape(-1, m_max) for a in (direct, closed, rel))
+            return _worst_records(anchor, rows, *flat, tol, lambda p: {"m": p + 1})
 
         return run
 
-    def average_unit(chi):
+    def average_unit(cstar):
         def run():
-            cstar = chi.modulus
-            vv = chi.value_vector
-            tau_val = tau(chi)
+            chars = primitive_characters(cstar)
+            vv = np.array([chi.value_vector for chi in chars])
+            tau_val = np.array([tau(chi) for chi in chars])[:, None, None]
             m_arr = np.arange(1, m_max + 1)
             ns = range(1, n_max + 1)
-            # g(chi*, k c*, m) for every k <= n_max; one pass over d then adds
-            # chi*(d) g(chi*, (n/d) c*, m) to every multiple n of d, so each
-            # lhs[n] sums its divisors in ascending order.
-            gk = np.stack([gauss_sum_vector(chi, k * cstar)[m_arr % (k * cstar)] for k in ns])
-            lhs = np.zeros((n_max, m_max), dtype=complex)
+            # g(chi*, k c*, m) for every chi* and k <= n_max; one pass over d
+            # then adds chi*(d) g(chi*, (n/d) c*, m) to every multiple n of d,
+            # so each lhs[n] sums its divisors in ascending order.  chi*(d) is
+            # zero exactly when (d, c*) > 1, and those d add nothing.
+            gk = np.stack([gauss_sum_rows(cstar, k * cstar)[:, m_arr % (k * cstar)] for k in ns], 1)
+            lhs = np.zeros((len(chars), n_max, m_max), dtype=complex)
             for d in ns:
-                chid = vv[d % cstar]
-                if chid != 0:
-                    lhs[d - 1 :: d] += chid * gk[: n_max // d]
+                if math.gcd(d, cstar) == 1:
+                    lhs[:, d - 1 :: d] += vv[:, d % cstar, None, None] * gk[:, : n_max // d]
             n_col = np.array(ns)[:, None]
             rhs = np.where(
-                m_arr % n_col == 0, tau_val * np.conj(vv[m_arr // n_col % cstar]) * n_col, 0j
+                m_arr % n_col == 0, tau_val * np.conj(vv[:, m_arr // n_col % cstar]) * n_col, 0j
             )
             # |rhs| is exactly sqrt(c*) n whenever nonzero, so this one
             # scale covers the vanishing branch too.
             rel = np.abs(lhs - rhs) / (math.sqrt(cstar) * np.array(ns))[:, None]
-            rows = [{"lemma": "2.5", "chi": chi.label, "n": n} for n in ns]
-            return _worst_records(anchor, rows, lhs, rhs, rel, tol, lambda p: {"m": p + 1})
+            rows = [{"lemma": "2.5", "chi": chi.label, "n": n} for chi in chars for n in ns]
+            flat = (a.reshape(-1, m_max) for a in (lhs, rhs, rel))
+            return _worst_records(anchor, rows, *flat, tol, lambda p: {"m": p + 1})
 
         return run
 
+    # one unit per (c*, lemma) over every primitive chi* of conductor c*;
+    # records stay one per (chi*, c) or (chi*, n)
     for cstar in range(1, cstar_max + 1):
-        for chi in primitive_characters(cstar):
-            if "2.2" in lemmas:
-                units.append(closed_unit(chi, "2.2", gauss_sum_closed_lemma22_rows))
-            if "2.3" in lemmas:
-                units.append(closed_unit(chi, "2.3", gauss_sum_closed_lemma23_rows))
-            if "2.5" in lemmas:
-                units.append(average_unit(chi))
+        if not primitive_characters(cstar):  # c* = 2 mod 4
+            continue
+        if "2.2" in lemmas:
+            units.append(closed_unit(cstar, "2.2", gauss_sum_closed_lemma22_rows))
+        if "2.3" in lemmas:
+            units.append(closed_unit(cstar, "2.3", gauss_sum_closed_lemma23_rows))
+        if "2.5" in lemmas:
+            units.append(average_unit(cstar))
     return units
 
 

@@ -44,6 +44,17 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def carmichael(n: int) -> int:
+    """lambda(n), the exponent of (Z/n)^x: unit_group(n).exponent without building the group."""
+    lam = 1
+    for p, e in factorize(n):
+        if p > 2:
+            lam = math.lcm(lam, (p - 1) * p ** (e - 1))
+        elif e > 1:  # <-1> x <5> for e >= 3, order 2^(e-2); cyclic of order 2 for e = 2
+            lam = math.lcm(lam, 1 << max(e - 2, 1))
+    return lam
+
+
 def mobius(n: int) -> int:
     mu = 1
     for _, e in factorize(n):

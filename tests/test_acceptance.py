@@ -46,9 +46,18 @@ def test_acceptance_2_gauss_divisor_average():
     rep = run_suite(
         SweepConfig(suite="gauss-lemmas", ranges={"lemmas": ["2.5"]}, tolerance=1e-9)
     )
-    ok = _line(2, "gauss-divisor-average", [rep], 10)
+    # twice the default n and conductors: Gauss sums at moduli up to 80 c*
+    rep_big = run_suite(
+        SweepConfig(
+            suite="gauss-lemmas",
+            ranges={"lemmas": ["2.5"], "cstar_max": 32, "n_max": 80, "m_max": 120},
+            tolerance=1e-9,
+        )
+    )
+    assert rep_big.cases == 16400
+    ok = _line(2, "gauss-divisor-average", [rep, rep_big], 10)
     # the vanishing branch must be exercised and hold at the same tolerance
-    zero_branch = [r for r in rep.records if r.rhs == 0]
+    zero_branch = [r for r in rep.records + rep_big.records if r.rhs == 0]
     assert ok and zero_branch and all(r.passed for r in zero_branch)
 
 

@@ -21,6 +21,7 @@ from voronoi_lab.exponential_sums import (
     gauss_sum_closed_lemma23,
     gauss_sum_closed_lemma23_rows,
     gauss_sum_error,
+    gauss_sum_rows,
     gauss_sum_vector,
     hyper_kloosterman,
     kloosterman_divisor_chains,
@@ -28,7 +29,14 @@ from voronoi_lab.exponential_sums import (
     tau,
 )
 from voronoi_lab.numeric import roots_of_unity
-from voronoi_lab.residues import divisors, euler_phi, mobius, unit_residues
+from voronoi_lab.residues import (
+    carmichael,
+    divisors,
+    euler_phi,
+    mobius,
+    unit_group,
+    unit_residues,
+)
 
 
 def brute_gauss(chi_star, c, m):
@@ -38,18 +46,29 @@ def brute_gauss(chi_star, c, m):
 
 
 def test_gauss_sum_vector_is_bit_identical_to_the_induced_fft():
-    # gauss_sum_vector reads chi*'s turn table instead of building the induced
-    # character; it must give the FFT of the induced value vector bit for bit
+    # gauss_sum_rows reads the turn tables instead of building the induced
+    # characters, and transforms every primitive chi* of a conductor in one
+    # FFT; each row must be the 1-D FFT of the induced value vector bit for
+    # bit, and gauss_sum_vector must be that row
     count = 0
     for cstar in range(1, 17):
-        for chi in primitive_characters(cstar):
-            for c in range(cstar, 161, cstar):
+        chars = primitive_characters(cstar)
+        for c in range(cstar, 161, cstar):
+            table = gauss_sum_rows(cstar, c)
+            assert table.shape == (len(chars), c) and not table.flags.writeable
+            for chi, got in zip(chars, table):
                 want = np.fft.ifft(induce(chi, c).value_vector, norm="forward")
-                got = gauss_sum_vector(chi, c)
                 assert np.array_equal(got, want), (chi.label, c)
                 assert got.tobytes() == want.tobytes(), (chi.label, c)  # signs of zero too
+                assert gauss_sum_vector(chi, c).tobytes() == want.tobytes(), (chi.label, c)
                 count += 1
     assert count == 908  # 45 primitive chi*, c* = 1 and c = 1, 2 among them
+
+
+def test_carmichael_is_the_unit_group_exponent():
+    assert [carmichael(c) for c in range(1, 2001)] == [
+        unit_group(c).exponent for c in range(1, 2001)
+    ]
 
 
 def test_gauss_sum_vector_rejects_a_modulus_c_star_does_not_divide():
@@ -57,7 +76,16 @@ def test_gauss_sum_vector_rejects_a_modulus_c_star_does_not_divide():
     for c in (1, 4, 12, 24):
         with pytest.raises(ValueError, match="does not divide"):
             gauss_sum_vector(chi5, c)
+        with pytest.raises(ValueError, match="does not divide"):
+            gauss_sum_rows(5, c)
     assert gauss_sum_vector(primitive_characters(1)[0], 1).tolist() == [1 + 0j]
+    assert gauss_sum_rows(6, 12).shape == (0, 12)  # no primitive character of conductor 6
+
+
+def test_gauss_sum_vector_rejects_a_non_primitive_character():
+    for chi in (principal(4), induce(primitive_characters(3)[0], 12)):
+        with pytest.raises(ValueError, match="primitive"):
+            gauss_sum_vector(chi, 24)
 
 
 def test_gauss_sum_matches_brute():
@@ -80,7 +108,7 @@ def test_tau_modulus():
 
 def _family_at(rows_fn):
     # the family over (c*, c): a bad c anywhere fails the whole call
-    return lambda chi, c, m_values: rows_fn(chi, [chi.modulus, c], m_values)
+    return lambda chi, c, m_values: rows_fn((chi,), [chi.modulus, c], m_values)
 
 
 def test_gauss_sum_argument_checks():
@@ -98,6 +126,16 @@ def test_gauss_sum_argument_checks():
             f(chi3, 4, m)
         with pytest.raises(ValueError, match="must divide"):
             f(chi3, 0, m)
+
+
+def test_closed_families_take_characters_of_one_conductor():
+    chi3, chi4 = primitive_characters(3)[0], primitive_characters(4)[0]
+    for rows_fn, _, _ in CLOSED_FAMILIES:
+        for chars in ((), (chi3, chi4)):
+            with pytest.raises(ValueError, match="one conductor"):
+                rows_fn(chars, [12], [1, 2])
+        with pytest.raises(ValueError, match="primitive"):
+            rows_fn((chi4, principal(4)), [4, 8], [1, 2])
 
 
 def test_closed_forms_match_direct_small_box():
@@ -152,14 +190,19 @@ CLOSED_FAMILIES = (
 
 
 def test_closed_rows_are_bit_identical_to_scalar_loops():
+    # one call covers every primitive character of a conductor
     m_values = list(range(-7, 71))
     zeros = entries = 0
     for cstar in range(1, 13):
-        for chi in primitive_characters(cstar):
-            cs = range(cstar, 49, cstar)
-            for rows_fn, point_fn, reference in CLOSED_FAMILIES:
-                rows = rows_fn(chi, cs, m_values)
-                assert rows.dtype == np.complex128 and rows.shape == (len(cs), len(m_values))
+        chars = primitive_characters(cstar)
+        cs = range(cstar, 49, cstar)
+        for rows_fn, point_fn, reference in CLOSED_FAMILIES:
+            if not chars:  # c* = 2 mod 4
+                continue
+            table = rows_fn(chars, cs, m_values)
+            shape = (len(chars), len(cs), len(m_values))
+            assert table.dtype == np.complex128 and table.shape == shape
+            for chi, rows in zip(chars, table):
                 for c, row in zip(cs, rows):
                     for m, got in zip(m_values, row):
                         want = reference(chi, c, m)
@@ -172,14 +215,16 @@ def test_closed_rows_are_bit_identical_to_scalar_loops():
 
 
 def test_closed_families_equal_their_one_point_forms():
-    # a family row at (c, m) is the scalar form at (c, m): no entry depends
-    # on the other c or m of the call
+    # a family entry at (chi*, c, m) is the scalar form at (chi*, c, m): no
+    # entry depends on the other characters, c or m of the call
     m_values = list(range(-3, 31))
     for cstar in range(1, 9):
-        for chi in primitive_characters(cstar):
-            cs = list(range(cstar, 41, cstar))[::-1]  # descending: order-free too
-            for rows_fn, point_fn, _ in CLOSED_FAMILIES:
-                rows = rows_fn(chi, cs, m_values)
+        chars = primitive_characters(cstar)[::-1]  # reversed: order-free too
+        cs = list(range(cstar, 41, cstar))[::-1]  # descending: order-free too
+        for rows_fn, point_fn, _ in CLOSED_FAMILIES:
+            if not chars:  # c* = 2 mod 4
+                continue
+            for chi, rows in zip(chars, rows_fn(chars, cs, m_values)):
                 for c, row in zip(cs, rows):
                     for m, got in zip(m_values, row):
                         want = point_fn(chi, c, m)
@@ -190,20 +235,22 @@ def test_closed_families_equal_their_one_point_forms():
 def test_closed_families_of_no_modulus_or_no_m():
     chi = primitive_characters(5)[0]
     for rows_fn, _, _ in CLOSED_FAMILIES:
-        assert rows_fn(chi, [], [1, 2, 3]).shape == (0, 3)
-        assert rows_fn(chi, [5, 10], []).shape == (2, 0)
+        assert rows_fn((chi,), [], [1, 2, 3]).shape == (1, 0, 3)
+        assert rows_fn((chi,), [5, 10], []).shape == (1, 2, 0)
 
 
 def test_closed_rows_match_brute_force():
     m_values = list(range(-7, 71))
     for cstar in range(1, 13):
-        for chi in primitive_characters(cstar):
-            cs = range(cstar, 49, cstar)
-            want = np.array([[brute_gauss(chi, c, m) for m in m_values] for c in cs])
-            scale = np.sqrt(np.array(cs, dtype=float))[:, None]
-            for rows_fn, _, _ in CLOSED_FAMILIES:
-                err = np.abs(rows_fn(chi, cs, m_values) - want) / scale
-                assert err.max() < 1e-10, (rows_fn.__name__, chi.label)
+        chars = primitive_characters(cstar)
+        if not chars:  # c* = 2 mod 4
+            continue
+        cs = range(cstar, 49, cstar)
+        want = np.array([[[brute_gauss(chi, c, m) for m in m_values] for c in cs] for chi in chars])
+        scale = np.sqrt(np.array(cs, dtype=float))[:, None]
+        for rows_fn, _, _ in CLOSED_FAMILIES:
+            err = np.abs(rows_fn(chars, cs, m_values) - want) / scale
+            assert err.max() < 1e-10, (rows_fn.__name__, cstar)
 
 
 def test_closed_rows_take_m_beyond_int64():
@@ -211,7 +258,7 @@ def test_closed_rows_take_m_beyond_int64():
     big = [10**30 + 6, -(10**25) - 2, 2**63 + 4]
     cs = [4, 12, 24]
     for rows_fn, _, reference in CLOSED_FAMILIES:
-        rows = rows_fn(chi, cs, big)
+        (rows,) = rows_fn((chi,), cs, big)
         for c, row in zip(cs, rows):
             assert [_bits(z) for z in row] == [_bits(reference(chi, c, m)) for m in big]
 

@@ -502,13 +502,14 @@ def test_gauss_closed_nan_points_fail_their_record(monkeypatch):
     rows = harness.gauss_sum_closed_lemma22_rows
 
     def poisoned(at_m):
-        def closed_rows(chi, cs, m_values):
-            out = rows(chi, cs, m_values)
-            if chi.label == "3:1":
-                i = list(cs).index(6)
+        def closed_rows(chars, cs, m_values):
+            out = rows(chars, cs, m_values)
+            labels = [chi.label for chi in chars]
+            if "3:1" in labels:
+                x, i = labels.index("3:1"), list(cs).index(6)
                 for j, m in enumerate(m_values):
                     if at_m is None or m == at_m:
-                        out[i, j] = complex(math.nan, 0.0)
+                        out[x, i, j] = complex(math.nan, 0.0)
             return out
 
         return closed_rows

@@ -135,7 +135,7 @@ def test_batched_schur_never_reaches_the_scalar_schur():
 
 
 def test_direct_kloosterman_route_never_reaches_a_gauss_sum():
-    gauss = {"gauss_sum", "gauss_sum_vector", "tau", "_strengthened_chains"}
+    gauss = {"gauss_sum", "gauss_sum_vector", "gauss_sum_rows", "tau", "_strengthened_chains"}
     for module, name in (
         ("exponential_sums.py", "kloosterman_vector"),
         ("voronoi.py", "voronoi_rhs_coefficients"),
@@ -183,10 +183,18 @@ def test_gauss_sum_side_never_reaches_the_additive_side():
 
 
 def test_closed_gauss_rows_read_characters_only_through_scalar_calls():
-    # Lemma 2.2/2.3 rows are checked against gauss_sum_vector, the FFT of the
-    # induced character's values read off chi*'s turn table; the rows may use
-    # the FFT only for tau(chi*).
-    direct = {"turn_table", "value_vector", "induce", "gauss_sum_vector", "gauss_sum"}
+    # Lemma 2.2/2.3 rows are checked against gauss_sum_rows, the FFT of the
+    # induced characters' values read off the turn tables at m_c = lambda(c);
+    # the rows may use the FFT only for tau(chi*).
+    direct = {
+        "turn_table",
+        "value_vector",
+        "induce",
+        "gauss_sum_rows",
+        "gauss_sum_vector",
+        "gauss_sum",
+        "carmichael",
+    }
     for name in ("gauss_sum_closed_lemma22_rows", "gauss_sum_closed_lemma23_rows"):
         for node in _reachable("exponential_sums.py", name, stop=frozenset({"tau"})):
             refs = _names(node)
