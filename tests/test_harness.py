@@ -148,13 +148,31 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
             700,
             "664605dd2aa82bed",
         ),
+        ("kloosterman-average", {}, 3864, "2a4dafec8be373ab"),
+        ("hecke", {}, 401, "e11a4f470681d952"),
+        ("equivalence", {}, 2700, "473d04c75c2d485a"),
+        ("mobius", {}, 192, "e2395b7b7945f0dd"),
+        ("voronoi-core", {}, 79, "09c41e8e22da2f5c"),
+        ("lfunc", {}, 156, "60e7b77c72bbbd6a"),
+        ("voronoi-core", {"truncation_y": 5000, "x_probe": 5000}, 79, "d87355c21608d54b"),
     ],
-    ids=["kloosterman-deg5", "equivalence-deg5"],
+    ids=[
+        "kloosterman-deg5",
+        "equivalence-deg5",
+        "kloosterman-average-defaults",
+        "hecke-defaults",
+        "equivalence-defaults",
+        "mobius-defaults",
+        "voronoi-core-defaults",
+        "lfunc-defaults",
+        "voronoi-series",
+    ],
 )
 def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
     # batched last layers (kloosterman-average) and the additive dual side
-    # (equivalence) both read every divisor chain of their units; both
-    # reports are pinned at seed 1
+    # (equivalence) both read every divisor chain of their units; with them
+    # the default box of every suite but gauss-lemmas (pinned below) and the
+    # voronoi-series box are pinned at seed 1
     rep = run_suite(SweepConfig(suite=suite, ranges=dict(ranges), seed=1))
     assert rep.passed and rep.cases == cases
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
@@ -175,6 +193,22 @@ def test_gauss_lemma_reports_keep_their_bytes(ranges, cases, digest):
     rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges), seed=1))
     assert rep.passed and rep.cases == cases
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
+
+
+def test_config_echo_keeps_the_ranges_as_given():
+    # The report echoes each range as the config gave it, not as the sweep
+    # reads it: a real s is not written as a [re, im] pair, and shift sets
+    # stay lists of integer imaginary parts.
+    box = {"degrees": [3], "c_values": [4], "q_max": 1, "coefficients": 5, "s": 0.5}
+    text = run_suite(SweepConfig(suite="equivalence", ranges=dict(box))).to_canonical_json()
+    echo = json.loads(text)["config"]["ranges"]
+    assert echo == {**harness._SUITES["equivalence"].defaults, **box}
+    assert '"q_max":1,"s":0.5},' in text
+    box = {"families": ["gl2"], "truncation_y": 20, "n_values": [1], "cstar_values": [3]}
+    text = run_suite(SweepConfig(suite="voronoi-core", ranges=dict(box))).to_canonical_json()
+    echo = json.loads(text)["config"]["ranges"]
+    assert echo == {**harness._SUITES["voronoi-core"].defaults, **box}
+    assert '"gl2_shift_sets":[[1,-1]],"gl3_shift_sets":[[0,0,0],[1,0,-1]],' in text
 
 
 REPEAT_RANGES = {
