@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voronoi_lab import cli, harness
 from voronoi_lab.characters import primitive_characters
@@ -421,6 +423,32 @@ def test_range_validation_beyond_kloosterman():
     ]
     for suite, ranges in good:
         SweepConfig(suite=suite, ranges=ranges).validate()
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats()  # NaN and both infinities included
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize(
+    "suite, key",
+    [(suite, key) for suite in suite_names() for key in harness._SUITES[suite].defaults],
+)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_json_range_value_validates_or_raises_config_error(suite, key, value):
+    # whatever a config file holds for one range, validation either accepts
+    # it or names the problem; it never fails with another exception
+    try:
+        SweepConfig(suite=suite, ranges={key: value}).validate()
+    except ConfigError:
+        pass
 
 
 def test_kloosterman_empty_n_values_yield_zero_cases():
