@@ -53,16 +53,9 @@ def main(argv=None) -> int:
         else:
             raise ConfigError("either --suite or --config is required")
         # Flags override file values.
-        if args.suite:
-            config.suite = args.suite
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.tolerance is not None:
-            config.tolerance = args.tolerance
-        if args.precision is not None:
-            config.precision = args.precision
-        if args.jobs is not None:
-            config.jobs = args.jobs
+        for name in ("suite", "seed", "tolerance", "precision", "jobs"):
+            if getattr(args, name) is not None:
+                setattr(config, name, getattr(args, name))
         config.validate()
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -396,7 +396,8 @@ class SweepConfig:
     precision: int | None = None
     jobs: int = 1
 
-    def validate(self) -> None:
+    def validate(self) -> dict:
+        """Check every field; return the suite's effective ranges, each parsed once."""
         if not isinstance(self.suite, str):
             raise ConfigError("suite: expected a suite name")
         if self.suite not in _SUITES:
@@ -406,60 +407,41 @@ class SweepConfig:
             )
         if not isinstance(self.ranges, dict):
             raise ConfigError("ranges: expected a table of range overrides")
-        allowed = _SUITES[self.suite].defaults
+        spec = _SUITES[self.suite]
         for key in self.ranges:
-            if key not in allowed:
+            if key not in spec.ranges:
                 raise ConfigError(
                     f"ranges.{key}: unknown range for suite {self.suite!r}; "
-                    f"known ranges: " + ", ".join(sorted(allowed))
+                    f"known ranges: " + ", ".join(sorted(spec.ranges))
                 )
-        spec = _SUITES[self.suite]
-        for key, check in spec.range_checks.items():
-            if key in self.ranges:
-                check(self.ranges[key], f"ranges.{key}")
-        if spec.joint_check is not None:
-            spec.joint_check({**spec.defaults, **self.ranges})
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError("seed: expected an integer")
-        if not 0 <= self.seed <= _UINT64_MAX:
-            raise ConfigError("seed: must fit in an unsigned 64-bit integer")
+        _int(0, _UINT64_MAX)(self.seed, "seed")
         if self.tolerance is not None:
             if not isinstance(self.tolerance, (int, float)) or isinstance(self.tolerance, bool):
                 raise ConfigError("tolerance: expected a number")
             if not self.tolerance > 0 or math.isinf(self.tolerance):
                 raise ConfigError("tolerance: must be finite and positive")
         if self.precision is not None:
-            if not isinstance(self.precision, int) or isinstance(self.precision, bool):
-                raise ConfigError("precision: expected an integer (bits)")
-            if self.precision < 24:
-                raise ConfigError("precision: below 24 bits is not meaningful")
-        if not isinstance(self.jobs, int) or isinstance(self.jobs, bool):
-            raise ConfigError("jobs: expected an integer")
-        if self.jobs < 1:
-            raise ConfigError("jobs: must be at least 1")
+            _int(24)(self.precision, "precision")  # bits
+        _int(1)(self.jobs, "jobs")
+        parsed = {
+            key: parse(self.ranges.get(key, default), f"ranges.{key}")
+            for key, (default, parse) in spec.ranges.items()
+        }
+        if spec.joint_check is not None:
+            spec.joint_check(parsed, self)
+        return parsed
 
     @classmethod
     def from_mapping(cls, mapping: dict, source: str = "config") -> "SweepConfig":
         if not isinstance(mapping, dict):
             raise ConfigError(f"{source}: expected a table at the top level")
-        known = {"suite", "ranges", "seed", "tolerance", "precision", "jobs"}
+        known = sorted(f.name for f in fields(cls))
         for key in mapping:
             if key not in known:
-                raise ConfigError(
-                    f"{source}: unknown key {key!r}; expected "
-                    + ", ".join(sorted(known))
-                )
+                raise ConfigError(f"{source}: unknown key {key!r}; expected " + ", ".join(known))
         if "suite" not in mapping:
             raise ConfigError(f"{source}: missing required key 'suite'")
-        ranges = mapping.get("ranges", {})
-        config = cls(
-            suite=mapping["suite"],
-            ranges=dict(ranges) if isinstance(ranges, dict) else ranges,
-            seed=mapping.get("seed", 0),
-            tolerance=mapping.get("tolerance"),
-            precision=mapping.get("precision"),
-            jobs=mapping.get("jobs", 1),
-        )
+        config = cls(**mapping)
         config.validate()
         return config
 
@@ -497,6 +479,10 @@ def _seed_int(config_seed: int, *parts: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# Range parsers.  Each parse(value, label) returns the value a builder reads,
+# or raises ConfigError naming label.
+
+
 def _is_real(value) -> bool:
     """An int or float (not a bool) that is a finite float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -507,7 +493,7 @@ def _is_real(value) -> bool:
         return False
 
 
-def _as_complex(value, label: str) -> complex:
+def _complex(value, label: str) -> complex:
     if _is_real(value):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value)):
@@ -515,94 +501,95 @@ def _as_complex(value, label: str) -> complex:
     raise ConfigError(f"{label}: expected a finite number or a [re, im] pair of finite numbers")
 
 
-def _as_int_list(value, label: str) -> list[int]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{label}: expected a list of integers")
-    out = []
-    for v in value:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(f"{label}: expected a list of integers")
-        out.append(v)
-    return out
-
-
-def _check_int(minimum: int):
-    def check(value, label: str) -> None:
+def _int(minimum: int, maximum: float = math.inf):
+    def parse(value, label: str) -> int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigError(f"{label}: expected an integer")
         if value < minimum:
             raise ConfigError(f"{label}: must be at least {minimum}")
+        if value > maximum:
+            raise ConfigError(f"{label}: must be at most {maximum}")
+        return value
 
-    return check
+    return parse
 
 
-def _check_int_list(minimum: int | None = None):
-    def check(value, label: str) -> None:
-        values = _as_int_list(value, label)
-        if minimum is not None and any(v < minimum for v in values):
+def _ints(minimum: int | None = None):
+    def parse(value, label: str) -> tuple[int, ...]:
+        if not isinstance(value, (list, tuple)) or any(
+            not isinstance(v, int) or isinstance(v, bool) for v in value
+        ):
+            raise ConfigError(f"{label}: expected a list of integers")
+        if minimum is not None and any(v < minimum for v in value):
             raise ConfigError(f"{label}: entries must be at least {minimum}")
+        return tuple(value)
 
-    return check
+    return parse
 
 
-def _check_conductors(check):
-    """check, then reject conductors that are 2 mod 4: they have no primitive character."""
+def _conductors(parse):
+    """parse, then reject conductors that are 2 mod 4: they have no primitive character."""
 
-    def run(value, label: str) -> None:
-        check(value, label)
-        if any(v % 4 == 2 for v in (value if isinstance(value, (list, tuple)) else [value])):
+    def run(value, label: str):
+        out = parse(value, label)
+        if any(v % 4 == 2 for v in (out if isinstance(out, tuple) else (out,))):
             raise ConfigError(f"{label}: conductors that are 2 mod 4 have no primitive character")
+        return out
 
     return run
 
 
-def _check_length(check, length: int):
-    """check, then require exactly length entries."""
+def _length(parse, length: int):
+    """parse, then require exactly length entries."""
 
-    def run(value, label: str) -> None:
-        check(value, label)
-        if len(value) != length:
+    def run(value, label: str):
+        out = parse(value, label)
+        if len(out) != length:
             raise ConfigError(f"{label}: each entry must have length {length}")
+        return out
 
     return run
 
 
-def _check_each(entry, what: str):
-    """A list whose every entry passes entry(value, label)."""
+def _each(entry, what: str):
+    """A list whose every entry entry(value, label) parses."""
 
-    def check(value, label: str) -> None:
+    def parse(value, label: str) -> list:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{label}: expected a list of {what}")
-        for v in value:
-            entry(v, label)
+        return [entry(v, label) for v in value]
 
-    return check
+    return parse
 
 
-def _check_choice(allowed: tuple[str, ...]):
-    def check(value, label: str) -> None:
+def _choices(allowed: tuple[str, ...], what: str):
+    def choice(value, label: str) -> str:
         if value not in allowed:
             raise ConfigError(f"{label}: {value!r} is not one of " + ", ".join(allowed))
+        return value
 
-    return check
+    return _each(choice, what)
 
 
-def _check_re_below(bound: float):
-    def check(value, label: str) -> None:
-        if not _as_complex(value, label).real < bound:
+def _re_below(bound: float):
+    def parse(value, label: str) -> complex:
+        z = _complex(value, label)
+        if not z.real < bound:
             raise ConfigError(f"{label}: real part must be below {bound}")
+        return z
 
-    return check
+    return parse
 
 
-def _check_real_pair(value, label: str) -> None:
+def _real_pair(value, label: str) -> tuple[float, float]:
     if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))):
         raise ConfigError(f"{label}: expected an [s, w] pair of finite real numbers")
+    return float(value[0]), float(value[1])
 
 
-def _as_shift_set(value, label: str) -> tuple[complex, ...]:
-    # Shifts are stored as integer imaginary parts; they must sum to zero.
-    parts = _as_int_list(value, label)
+def _shift_set(value, label: str) -> tuple[complex, ...]:
+    # Shifts are given as integer imaginary parts; they must sum to zero.
+    parts = _ints()(value, label)
     if not parts:
         raise ConfigError(f"{label}: expected a nonempty list of integer imaginary parts")
     if sum(parts) != 0:
@@ -618,16 +605,27 @@ def _as_shift_set(value, label: str) -> tuple[complex, ...]:
 
 @dataclass(frozen=True)
 class _SuiteSpec:
+    """One suite: what it checks, and one table of its sweep ranges.
+
+    ``ranges`` maps each range name to ``(default, parse)``.  SweepConfig.validate()
+    runs parse(value, "ranges.<name>") once on every effective value (the
+    override, else the default) and hands the parsed table to ``joint_check``
+    (parsed ranges, config), which rejects combinations the sweep could not
+    evaluate, and then ``builder`` (parsed ranges, tolerance, config), which
+    returns the unit callables.  The report echoes the ranges as given.
+    """
+
     name: str
     anchor: str
     description: str
-    defaults: dict
+    ranges: dict
     default_tolerance: float
-    builder: object  # (ranges, tolerance, config) -> list[callable]
-    # range name -> check(value, label) raising ConfigError; run on overrides
-    range_checks: dict = field(default_factory=dict)
-    # check(ranges) raising ConfigError, run on the effective ranges after range_checks
+    builder: object
     joint_check: object = None
+
+    @property
+    def defaults(self) -> dict:
+        return {key: default for key, (default, _) in self.ranges.items()}
 
 
 def _gauss_units(ranges, tol, config):
@@ -849,7 +847,7 @@ def _equivalence_units(ranges, tol, config):
     c_values = ranges["c_values"]
     q_max = ranges["q_max"]
     x = ranges["coefficients"]
-    s = _as_complex(ranges["s"], "ranges.s")
+    s = ranges["s"]
     anchor = _SUITES["equivalence"].anchor
     units = []
     leaves = {}  # every unit reads the n columns +-1..x: one leaf store per sweep
@@ -919,7 +917,7 @@ def _mobius_units(ranges, tol, config):
     modulus_max = ranges["modulus_max"]
     q_max = ranges["q_max"]
     x = ranges["coefficients"]
-    s = _as_complex(ranges["s"], "ranges.s")
+    s = ranges["s"]
     anchor = _SUITES["mobius"].anchor
     units = []
 
@@ -968,15 +966,11 @@ def _mobius_units(ranges, tol, config):
 
 def _voronoi_units(ranges, tol, config):
     families = ranges["families"]
-    s = _as_complex(ranges["s"], "ranges.s")
+    s = ranges["s"]
     y = ranges["truncation_y"]
     n_values = ranges["n_values"]
     cstar_values = ranges["cstar_values"]
-    q_values = [tuple(q) for q in ranges["q_values"]]
-    gl3_shift_sets = [_as_shift_set(v, "ranges.gl3_shift_sets") for v in ranges["gl3_shift_sets"]]
-    gl2_shift_sets = [_as_shift_set(v, "ranges.gl2_shift_sets") for v in ranges["gl2_shift_sets"]]
     x_probe = ranges["x_probe"]
-    probe_points = [(float(p[0]), float(p[1])) for p in ranges["probe_points"]]
     probe_cstar = ranges["probe_cstar"]
     anchor = _SUITES["voronoi-core"].anchor
     units = []
@@ -1058,15 +1052,15 @@ def _voronoi_units(ranges, tol, config):
         return run
 
     if "gl3" in families:
-        for shifts in gl3_shift_sets:
+        for shifts in ranges["gl3_shift_sets"]:
             for cstar in cstar_values:
-                units.append(side_by_side_unit(3, shifts, cstar, q_values))
+                units.append(side_by_side_unit(3, shifts, cstar, ranges["q_values"]))
     if "gl2" in families:
-        for shifts in gl2_shift_sets:
+        for shifts in ranges["gl2_shift_sets"]:
             for cstar in cstar_values:
                 units.append(side_by_side_unit(2, shifts, cstar, [()]))
     if "z" in families:
-        for sz, wz in probe_points:
+        for sz, wz in ranges["probe_points"]:
             for twist, probe in _z_probes(sz, wz, probe_cstar).items():
                 units.append(probe_unit(sz, wz, twist, probe))
     for (n_deg, shifts), bound in bounds.items():
@@ -1106,7 +1100,7 @@ def _gamma_pole_deltas(s, shift_sets) -> list[int]:
     ]
 
 
-def _check_voronoi_poles(ranges) -> None:
+def _check_voronoi_poles(ranges, config) -> None:
     """Reject an s at which a gl3 or gl2 unit's g_pm_eval would refuse to evaluate,
     and a probe point at which a z unit's dirichlet_l would.
 
@@ -1115,22 +1109,19 @@ def _check_voronoi_poles(ranges) -> None:
     L(2w - 2s + 1) and, at degree 2, L(2w) of its twist, which is principal
     only for the trivial twist.
     """
-    s = _as_complex(ranges["s"], "ranges.s")
+    s = ranges["s"]
     deltas = {0 if primitive_characters(c)[0].parity == 1 else 1 for c in ranges["cstar_values"]}
     for family in ("gl3", "gl2"):
-        key = f"{family}_shift_sets"
-        shift_sets = [_as_shift_set(v, f"ranges.{key}") for v in ranges[key]]
-        hit = deltas.intersection(_gamma_pole_deltas(s, shift_sets))
+        hit = deltas.intersection(_gamma_pole_deltas(s, ranges[f"{family}_shift_sets"]))
         if hit and family in ranges["families"]:
             kind = "even" if min(hit) == 0 else "odd"
             raise ConfigError(
-                f"ranges.s: s = {ranges['s']} puts a Gamma factor of a {family} unit "
+                f"ranges.s: s = {s} puts a Gamma factor of a {family} unit "
                 f"with an {kind} twist within 1e-6 of a pole"
             )
     if "z" not in ranges["families"]:
         return
-    for point in ranges["probe_points"]:
-        sz, wz = float(point[0]), float(point[1])
+    for sz, wz in ranges["probe_points"]:
         for twist, (n_deg, shifts, cstar, _) in _z_probes(sz, wz, ranges["probe_cstar"]).items():
             # the same complex operations as z_probe and z_probe_bound
             s, w = complex(sz), complex(wz)
@@ -1139,12 +1130,12 @@ def _check_voronoi_poles(ranges) -> None:
                 l_args.append(2 * w)
             if any(_on_l_pole(z, principal=cstar == 1) for z in l_args):
                 raise ConfigError(
-                    f"ranges.probe_points: [s, w] = {list(point)} puts an L-value argument "
+                    f"ranges.probe_points: [s, w] = {[sz, wz]} puts an L-value argument "
                     f"of the {twist} probe on or within 1e-6 of the pole at 1"
                 )
 
 
-def _check_lfunc_poles(ranges) -> None:
+def _check_lfunc_poles(ranges, config) -> None:
     """Reject an s at which g_pm_eval or dirichlet_l would refuse to evaluate.
 
     The Gamma arguments depend on s, the shift set and the parity delta of the
@@ -1153,14 +1144,13 @@ def _check_lfunc_poles(ranges) -> None:
     s + s_i and 1 - s - s_i; dirichlet_l evaluates a nonprincipal L exactly at
     1 but rejects any point within 1e-6 of 1 that is not on it.
     """
-    shift_sets = [_as_shift_set(v, "ranges.shift_sets") for v in ranges["shift_sets"]]
-    for value in ranges["s_values"]:
-        s = _as_complex(value, "ranges.s_values")
+    shift_sets = ranges["shift_sets"]
+    for s in ranges["s_values"]:
         # the same float operations as functional_equation_check's two requests
         l_args = [z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)]
         if any(_on_l_pole(z) for z in l_args):
             raise ConfigError(
-                f"ranges.s_values: s = {value} puts an L-value argument within 1e-6 "
+                f"ranges.s_values: s = {s} puts an L-value argument within 1e-6 "
                 f"of 1 without being exactly 1"
             )
         for delta in _gamma_pole_deltas(s, shift_sets):
@@ -1172,16 +1162,16 @@ def _check_lfunc_poles(ranges) -> None:
             ):
                 kind = "even" if delta == 0 else "odd"
                 raise ConfigError(
-                    f"ranges.s_values: s = {value} puts a Gamma factor of the {kind} "
+                    f"ranges.s_values: s = {s} puts a Gamma factor of the {kind} "
                     f"functional equation within 1e-6 of a pole"
                 )
 
 
 def _lfunc_units(ranges, tol, config):
-    shift_sets = [_as_shift_set(v, "ranges.shift_sets") for v in ranges["shift_sets"]]
+    shift_sets = ranges["shift_sets"]
     cstar_min = ranges["cstar_min"]
     cstar_max = ranges["cstar_max"]
-    s_values = [_as_complex(v, "ranges.s_values") for v in ranges["s_values"]]
+    s_values = ranges["s_values"]
     anchor = _SUITES["lfunc"].anchor
     units = []
 
@@ -1227,33 +1217,28 @@ for _spec in (
         "Gauss sums at non-primitive moduli against their closed forms, and "
         "the divisor-sum average against tau(chi*) n",
         {
-            "lemmas": ["2.2", "2.3", "2.5"],
-            "cstar_max": 24,
-            "c_max": 96,
-            "m_max": 60,
-            "n_max": 40,
+            "lemmas": (["2.2", "2.3", "2.5"], _choices(("2.2", "2.3", "2.5"), "lemma labels")),
+            "cstar_max": (24, _int(1)),
+            "c_max": (96, _int(1)),
+            "m_max": (60, _int(1)),
+            "n_max": (40, _int(1)),
         },
         1e-9,
         _gauss_units,
-        {
-            "lemmas": _check_each(_check_choice(("2.2", "2.3", "2.5")), "lemma labels"),
-            **{key: _check_int(1) for key in ("cstar_max", "c_max", "m_max", "n_max")},
-        },
     ),
     _SuiteSpec(
         "kloosterman-average",
         "Lemma 3.4",
         "character-averaged hyper-Kloosterman sums against the Gauss-sum "
         "product closed form, vanishing branch included",
-        {"degrees": [3, 4, 5], "c_max": 12, "q_max": 4, "n_values": [1, 2, 5]},
+        {
+            "degrees": ([3, 4, 5], _ints(2)),
+            "c_max": (12, _int(1)),
+            "q_max": (4, _int(1)),
+            "n_values": ([1, 2, 5], _ints()),
+        },
         1e-8,
         _kloosterman_units,
-        {
-            "degrees": _check_int_list(2),
-            "c_max": _check_int(1),
-            "q_max": _check_int(1),
-            "n_values": _check_int_list(),
-        },
     ),
     _SuiteSpec(
         "hecke",
@@ -1262,21 +1247,14 @@ for _spec in (
         "unitary draws, and the ternary divisor check for the trivial "
         "isobaric source",
         {
-            "degrees": [3, 4],
-            "prime_max": 7,
-            "exponent_max": 3,
-            "draws": 100,
-            "d3_check_max": 10000,
+            "degrees": ([3, 4], _ints(2)),
+            "prime_max": (7, _int(2)),
+            "exponent_max": (3, _int(1)),
+            "draws": (100, _int(0)),
+            "d3_check_max": (10000, _int(0)),
         },
         1e-10,
         _hecke_units,
-        {
-            "degrees": _check_int_list(2),
-            "prime_max": _check_int(2),
-            "exponent_max": _check_int(1),
-            "draws": _check_int(0),
-            "d3_check_max": _check_int(0),
-        },
     ),
     _SuiteSpec(
         "equivalence",
@@ -1285,21 +1263,14 @@ for _spec in (
         "coefficient vectors, forward and reverse, with parity-mismatch "
         "vanishing",
         {
-            "degrees": [3, 4],
-            "c_values": [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
-            "q_max": 3,
-            "coefficients": 50,
-            "s": [0.35, -0.6],
+            "degrees": ([3, 4], _ints(2)),
+            "c_values": ([2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], _ints(1)),
+            "q_max": (3, _int(1)),
+            "coefficients": (50, _int(1)),
+            "s": ([0.35, -0.6], _complex),
         },
         1e-10,
         _equivalence_units,
-        {
-            "degrees": _check_int_list(2),
-            "c_values": _check_int_list(1),
-            "q_max": _check_int(1),
-            "coefficients": _check_int(1),
-            "s": _as_complex,
-        },
     ),
     _SuiteSpec(
         "mobius",
@@ -1307,25 +1278,16 @@ for _spec in (
         "Mobius inversion collapsing the divisor-corrected series back to a "
         "single larger modulus",
         {
-            "degrees": [3, 4],
-            "cstar_values": [3, 4, 5],
-            "n_values": [2, 3, 4],
-            "modulus_max": 12,
-            "q_max": 3,
-            "coefficients": 50,
-            "s": [0.35, -0.6],
+            "degrees": ([3, 4], _ints(2)),
+            "cstar_values": ([3, 4, 5], _ints(1)),
+            "n_values": ([2, 3, 4], _ints(1)),
+            "modulus_max": (12, _int(1)),
+            "q_max": (3, _int(1)),
+            "coefficients": (50, _int(1)),
+            "s": ([0.35, -0.6], _complex),
         },
         1e-10,
         _mobius_units,
-        {
-            "degrees": _check_int_list(2),
-            "cstar_values": _check_int_list(1),
-            "n_values": _check_int_list(1),
-            "modulus_max": _check_int(1),
-            "q_max": _check_int(1),
-            "coefficients": _check_int(1),
-            "s": _as_complex,
-        },
     ),
     _SuiteSpec(
         "voronoi-core",
@@ -1334,36 +1296,26 @@ for _spec in (
         "the double-series rearrangement probe; tolerances are absolute "
         "allowances (tail + rel cushion, or the certified probe bound)",
         {
-            "families": ["gl3", "gl2", "z"],
-            "s": [-1.5, 0.0],
-            "truncation_y": 10000,
-            "n_values": [1, 2, 3, 7, 10],
-            "cstar_values": [3, 4, 5],
-            "q_values": [[1], [2]],
-            "gl3_shift_sets": [[0, 0, 0], [1, 0, -1]],
-            "gl2_shift_sets": [[1, -1]],
-            "x_probe": 10000,
-            "probe_points": [[2.5, 4.0], [3.0, 3.0]],
-            "probe_cstar": 5,
+            "families": (["gl3", "gl2", "z"], _choices(("gl3", "gl2", "z"), "family names")),
+            # the certified tail needs 1 - Re s > 1.05
+            "s": ([-1.5, 0.0], _re_below(-0.05)),
+            "truncation_y": (10000, _int(1)),
+            "n_values": ([1, 2, 3, 7, 10], _ints(1)),
+            "cstar_values": ([3, 4, 5], _conductors(_ints(1))),
+            # one layer size per GL(3) comparison
+            "q_values": ([[1], [2]], _each(_length(_ints(1), 1), "integer lists")),
+            "gl3_shift_sets": (
+                [[0, 0, 0], [1, 0, -1]],
+                _each(_length(_shift_set, 3), "shift sets"),
+            ),
+            "gl2_shift_sets": ([[1, -1]], _each(_length(_shift_set, 2), "shift sets")),
+            "x_probe": (10000, _int(1)),
+            "probe_points": ([[2.5, 4.0], [3.0, 3.0]], _each(_real_pair, "[s, w] pairs")),
+            # conductor 1 would put the probe's L-value on the zeta pole
+            "probe_cstar": (5, _conductors(_int(2))),
         },
         1e-6,
         _voronoi_units,
-        {
-            "families": _check_each(_check_choice(("gl3", "gl2", "z")), "family names"),
-            # the certified tail needs 1 - Re s > 1.05
-            "s": _check_re_below(-0.05),
-            "truncation_y": _check_int(1),
-            "n_values": _check_int_list(1),
-            "cstar_values": _check_conductors(_check_int_list(1)),
-            # one layer size per GL(3) comparison
-            "q_values": _check_each(_check_length(_check_int_list(1), 1), "integer lists"),
-            "gl3_shift_sets": _check_each(_check_length(_as_shift_set, 3), "shift sets"),
-            "gl2_shift_sets": _check_each(_check_length(_as_shift_set, 2), "shift sets"),
-            "x_probe": _check_int(1),
-            "probe_points": _check_each(_check_real_pair, "[s, w] pairs"),
-            # conductor 1 would put the probe's L-value on the zeta pole
-            "probe_cstar": _check_conductors(_check_int(2)),
-        },
         _check_voronoi_poles,
     ),
     _SuiteSpec(
@@ -1372,20 +1324,17 @@ for _spec in (
         "functional equation of isobaric twists against the Gamma-ratio and "
         "Gauss-sum prefactor",
         {
-            "shift_sets": [[0, 0, 0], [1, 0, -1]],
-            "cstar_min": 3,
-            "cstar_max": 12,
-            "s_values": [[-1.5, 0.0], [-0.5, 0.0], [0.25, 2.0]],
+            "shift_sets": ([[0, 0, 0], [1, 0, -1]], _each(_shift_set, "shift sets")),
+            # conductor 1 (the trivial character) is outside the primitive-twist regime
+            "cstar_min": (3, _int(2)),
+            "cstar_max": (12, _int(2)),
+            "s_values": (
+                [[-1.5, 0.0], [-0.5, 0.0], [0.25, 2.0]],
+                _each(_complex, "numbers or [re, im] pairs"),
+            ),
         },
         1e-9,
         _lfunc_units,
-        {
-            "shift_sets": _check_each(_as_shift_set, "shift sets"),
-            # conductor 1 (the trivial character) is outside the primitive-twist regime
-            "cstar_min": _check_int(2),
-            "cstar_max": _check_int(2),
-            "s_values": _check_each(_as_complex, "numbers or [re, im] pairs"),
-        },
         _check_lfunc_poles,
     ),
 ):
@@ -1406,10 +1355,8 @@ def list_suites() -> str:
 
 def run_suite(config: SweepConfig) -> VerificationReport:
     """Execute one suite; deterministic given (config, seed, precision)."""
-    config.validate()
+    ranges = config.validate()
     spec = _SUITES[config.suite]
-    ranges = dict(spec.defaults)
-    ranges.update(config.ranges)
     tol = spec.default_tolerance if config.tolerance is None else float(config.tolerance)
     start = time.perf_counter()
     units = spec.builder(ranges, tol, config)
@@ -1424,7 +1371,7 @@ def run_suite(config: SweepConfig) -> VerificationReport:
     # reports from differently provisioned machines stay byte-comparable.
     echo = {
         "precision": config.precision,
-        "ranges": ranges,
+        "ranges": {**spec.defaults, **config.ranges},
         "seed": config.seed,
         "suite": config.suite,
         "tolerance": config.tolerance,
