@@ -45,6 +45,7 @@ from .hecke import (
 from .lfunctions import (
     GammaFactorSpec,
     LValueRequest,
+    dirichlet_l_refusal,
     functional_equation_check,
     g_pm_arguments,
     g_pm_eval,
@@ -1081,11 +1082,6 @@ def _z_probes(sz: float, wz: float, probe_cstar: int) -> dict:
     return probes
 
 
-def _on_l_pole(z: complex, principal: bool = False) -> bool:
-    """Whether dirichlet_l refuses z: within 1e-6 of 1, and not exactly 1 unless principal."""
-    return abs(z - 1.0) < 1e-6 and (principal or z != 1.0)
-
-
 def _gamma_pole_deltas(s, shift_sets) -> list[int]:
     """The parities delta at which G(s) for lambda = -shifts has a Gamma argument on a pole."""
     return [
@@ -1101,19 +1097,31 @@ def _gamma_pole_deltas(s, shift_sets) -> list[int]:
 
 
 def _check_voronoi_poles(ranges, config) -> None:
-    """Reject an s at which a gl3 or gl2 unit's g_pm_eval would refuse to evaluate,
-    and a probe point at which a z unit's dirichlet_l would.
+    """Reject an s at which a gl3 or gl2 unit's dirichlet_l or g_pm_eval would
+    refuse to evaluate, and a probe point at which a z unit's dirichlet_l would.
 
-    A unit's G has lambda = -shifts and its twist's parity; the twist is the
-    first primitive character of its conductor.  A z unit reads L(s + s_i),
-    L(2w - 2s + 1) and, at degree 2, L(2w) of its twist, which is principal
-    only for the trivial twist.
+    A gl unit reads L(s + s_i) of its twist, the first primitive character of
+    its conductor, and G with lambda = -shifts and that twist's parity.  A z
+    unit reads L(s + s_i), L(2w - 2s + 1) and, at degree 2, L(2w) of its
+    twist, which is principal only for the trivial twist.
     """
     s = ranges["s"]
-    deltas = {0 if primitive_characters(c)[0].parity == 1 else 1 for c in ranges["cstar_values"]}
     for family in ("gl3", "gl2"):
-        hit = deltas.intersection(_gamma_pole_deltas(s, ranges[f"{family}_shift_sets"]))
-        if hit and family in ranges["families"]:
+        if family not in ranges["families"]:
+            continue
+        shift_sets = ranges[f"{family}_shift_sets"]
+        for cstar in ranges["cstar_values"]:
+            for z in (s + sh for shifts in shift_sets for sh in shifts):
+                refusal = dirichlet_l_refusal(z, cstar, cstar == 1)
+                if refusal is not None:
+                    raise ConfigError(
+                        f"ranges.s: s = {s} gives a {family} unit of conductor {cstar} "
+                        f"the L-value argument {z} ({refusal})"
+                    )
+        poles = _gamma_pole_deltas(s, shift_sets)
+        # the twists' parities are only looked up when a Gamma factor is on a pole
+        hit = poles and {_parity_delta(c) for c in ranges["cstar_values"]}.intersection(poles)
+        if hit:
             kind = "even" if min(hit) == 0 else "odd"
             raise ConfigError(
                 f"ranges.s: s = {s} puts a Gamma factor of a {family} unit "
@@ -1128,11 +1136,18 @@ def _check_voronoi_poles(ranges, config) -> None:
             l_args = [s + sh for sh in shifts] + [2 * w - 2 * s + 1]
             if n_deg == 2:
                 l_args.append(2 * w)
-            if any(_on_l_pole(z, principal=cstar == 1) for z in l_args):
-                raise ConfigError(
-                    f"ranges.probe_points: [s, w] = {[sz, wz]} puts an L-value argument "
-                    f"of the {twist} probe on or within 1e-6 of the pole at 1"
-                )
+            for z in l_args:
+                refusal = dirichlet_l_refusal(z, cstar, cstar == 1)
+                if refusal is not None:
+                    raise ConfigError(
+                        f"ranges.probe_points: [s, w] = {[sz, wz]} gives the {twist} probe "
+                        f"the L-value argument {z} ({refusal})"
+                    )
+
+
+def _parity_delta(cstar: int) -> int:
+    """delta of the first primitive character of conductor cstar: 0 if even, 1 if odd."""
+    return 0 if primitive_characters(cstar)[0].parity == 1 else 1
 
 
 def _check_lfunc_poles(ranges, config) -> None:
@@ -1141,18 +1156,24 @@ def _check_lfunc_poles(ranges, config) -> None:
     The Gamma arguments depend on s, the shift set and the parity delta of the
     twist, so a Gamma pole only matters when a primitive character of that
     parity has a conductor in [cstar_min, cstar_max].  The L-values sit at
-    s + s_i and 1 - s - s_i; dirichlet_l evaluates a nonprincipal L exactly at
-    1 but rejects any point within 1e-6 of 1 that is not on it.
+    s + s_i and 1 - s - s_i.  dirichlet_l refuses no more at a smaller
+    modulus, so the largest conductor in range that has primitive characters
+    (is not 2 mod 4) stands for all; with none in range only the band around
+    1 can refuse.
     """
     shift_sets = ranges["shift_sets"]
+    top = ranges["cstar_max"] - (ranges["cstar_max"] % 4 == 2)
+    if top < ranges["cstar_min"]:
+        top = 1
     for s in ranges["s_values"]:
         # the same float operations as functional_equation_check's two requests
-        l_args = [z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)]
-        if any(_on_l_pole(z) for z in l_args):
-            raise ConfigError(
-                f"ranges.s_values: s = {s} puts an L-value argument within 1e-6 "
-                f"of 1 without being exactly 1"
-            )
+        for z in (z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)):
+            refusal = dirichlet_l_refusal(z, top, False, config.precision)
+            if refusal is not None:
+                raise ConfigError(
+                    f"ranges.s_values: s = {s} gives the L-value argument {z} "
+                    f"at conductor {top} ({refusal})"
+                )
         for delta in _gamma_pole_deltas(s, shift_sets):
             parity = 1 if delta == 0 else -1
             if any(

@@ -34,6 +34,7 @@ __all__ = [
     "LValueRequest",
     "bernoulli_number",
     "dirichlet_l",
+    "dirichlet_l_refusal",
     "functional_equation_check",
     "g_pm_arguments",
     "g_pm_eval",
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-6
+# Largest shift denominator the reflection formula takes: left of Re(s) = -0.25
+# it sums that many Euler-Maclaurin evaluations.
+_REFLECT_MAX_Q = 4096
 # Euler-Maclaurin depth: B_2 .. B_40 correction terms
 _EM_ORDER = 20
 
@@ -207,7 +211,7 @@ def hurwitz_zeta(s, a, precision: int | None = None) -> complex:
     Direct Euler-Maclaurin for Re(s) >= -0.25.  Further left the main sum
     loses digits to cancellation, so the rational-shift reflection formula is
     used instead; a must then be a Fraction (or a float that IS one exactly)
-    with denominator <= 4096.  Every shift this package produces is r/c with
+    with denominator <= _REFLECT_MAX_Q (4096).  Every shift this package produces is r/c with
     c at desk scale, so the restriction is invisible in practice.
     """
     s = complex(s)
@@ -225,10 +229,10 @@ def hurwitz_zeta(s, a, precision: int | None = None) -> complex:
         return complex(Fraction(-1, n + 1) * _bernoulli_poly(n + 1, a))
     if s.real >= -0.25:
         return _hurwitz_em(s, a.numerator / a.denominator)
-    if a.denominator > 4096:
+    if a.denominator > _REFLECT_MAX_Q:
         raise ValueError(
             "hurwitz_zeta: Re(s) < -0.25 requires a rational shift with "
-            "denominator <= 4096 (reflection formula)"
+            f"denominator <= {_REFLECT_MAX_Q} (reflection formula)"
         )
     return _hurwitz_reflect(s, a)
 
@@ -284,6 +288,37 @@ def _dirichlet_l_mp(s: complex, chi: DirichletCharacter, precision: int) -> comp
         return complex(mp.power(c, -mp.mpc(s)) * acc)
 
 
+def dirichlet_l_refusal(
+    s, modulus: int, principal: bool, precision: int | None = None
+) -> str | None:
+    """The message dirichlet_l raises at s for a character mod modulus, or None.
+
+    It refuses s within 1e-6 of 1 (the pole of a principal character; a
+    nonprincipal one is evaluated exactly at 1 and nowhere else in that band),
+    and, in double precision, Re(s) < -0.25 for a modulus above 4096, whose
+    Hurwitz shifts r/modulus are past the reflection formula; exact
+    non-positive integers take the Bernoulli formula at any modulus.  The
+    refusal only grows with the modulus.
+    """
+    s = complex(s)
+    if abs(s - 1.0) < _POLE_TOL:
+        if principal:
+            return "dirichlet_l: pole at s = 1 (principal character)"
+        if s != 1.0:
+            return "dirichlet_l: evaluate exactly at s = 1 or more than 1e-6 away"
+    elif (
+        precision is None
+        and s.real < -0.25
+        and modulus > _REFLECT_MAX_Q
+        and not (s.imag == 0 and s.real.is_integer())
+    ):
+        return (
+            f"dirichlet_l: Re(s) < -0.25 needs a modulus <= {_REFLECT_MAX_Q} "
+            "(reflection formula)"
+        )
+    return None
+
+
 def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> complex:
     """L(s, chi) = c^{-s} sum_{r mod c} chi(r) zeta(s, r/c), all s by continuation.
 
@@ -293,17 +328,14 @@ def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> com
     at s = 1 and are evaluated there through the digamma formula
     L(1, chi) = -(1/c) sum chi(r) psi(r/c); points within 1e-6 of s = 1 but not
     exactly on it are rejected (the Hurwitz terms are individually singular).
+    dirichlet_l_refusal states every point it refuses.
     """
     s = complex(s)
     c = chi.modulus
-    principal = chi.conductor == 1
-    if abs(s - 1.0) < _POLE_TOL:
-        if principal:
-            raise ValueError("dirichlet_l: pole at s = 1 (principal character)")
-        if s != 1.0:
-            raise ValueError(
-                "dirichlet_l: evaluate exactly at s = 1 or more than 1e-6 away"
-            )
+    refusal = dirichlet_l_refusal(s, c, chi.conductor == 1, precision)
+    if refusal is not None:
+        raise ValueError(refusal)
+    if s == 1.0:
         return _l_at_one(chi, precision)
     if precision is not None:
         return _dirichlet_l_mp(s, chi, precision)

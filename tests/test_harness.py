@@ -420,9 +420,16 @@ def test_range_validation_beyond_kloosterman():
         # factors are finite at s = 0 and s = 1
         ("lfunc", {"s_values": [0, 1], "cstar_min": 3, "cstar_max": 4}),
         ("lfunc", {"s_values": [0.5, [0, 1e-3]]}),
+        # the isobaric probe's L-values sit at 3 + s_i and exactly 1: no reflection
+        ("voronoi-core", {"families": ["z"], "probe_points": [[3.0, 3.0]], "x_probe": 10,
+                          "probe_cstar": 4099}),
+        ("lfunc", {"cstar_max": 4096, "s_values": [-1.5], "shift_sets": [[0]]}),
     ]
     for suite, ranges in good:
         SweepConfig(suite=suite, ranges=ranges).validate()
+    # with a working precision the L-values go through mpmath, which has no reflection limit
+    big = {"cstar_min": 4099, "cstar_max": 4099, "s_values": [-1.5], "shift_sets": [[0]]}
+    SweepConfig(suite="lfunc", ranges=big, precision=64).validate()
 
 
 JSON_VALUES = st.recursive(
@@ -715,6 +722,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         ("voronoi-core", {"families": ["z"], "probe_points": [[1.0, 3.0]]}, "ranges.probe_points"),
         ("voronoi-core", {"families": ["z"], "probe_points": [[0.0, 0.5000001]]}, "ranges.probe_points"),
         ("voronoi-core", {"families": ["z"], "probe_points": [[1.0000001, 4.0]]}, "ranges.probe_points"),
+        # an L-value left of Re s = -0.25 at a conductor above 4096, past the
+        # reflection formula: these stopped the sweep with exit 3
+        ("lfunc", {"cstar_min": 4099, "cstar_max": 4099, "s_values": [-1.5], "shift_sets": [[0]]},
+         "ranges.s_values"),
+        ("voronoi-core", {"families": ["gl2"], "s": -1.5, "truncation_y": 10, "n_values": [1],
+                          "cstar_values": [4099]}, "ranges.s"),
+        ("voronoi-core", {"families": ["z"], "probe_points": [[-0.5, 0.0]], "x_probe": 10,
+                          "probe_cstar": 4099}, "ranges.probe_points"),
+        # 4098 has no primitive character, so 4097 stands for the range
+        ("lfunc", {"cstar_max": 4098, "s_values": [-1.5], "shift_sets": [[0]]}, "ranges.s_values"),
     )
     for suite, ranges, field in probes:
         bad_range = tmp_path / "bad_range.json"

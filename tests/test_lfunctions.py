@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from voronoi_lab.lfunctions import (
     _loggamma,
     bernoulli_number,
     dirichlet_l,
+    dirichlet_l_refusal,
     functional_equation_check,
     g_pm_eval,
     hurwitz_zeta,
@@ -127,6 +129,35 @@ def test_dirichlet_l_imprimitive_euler_factors():
 def test_dirichlet_l_principal_pole():
     with pytest.raises(ValueError):
         dirichlet_l(1, principal(6))
+
+
+def test_dirichlet_l_raises_exactly_its_refusal():
+    # config validation reads the same rule: where dirichlet_l_refusal names a
+    # message dirichlet_l raises it, and where it gives None dirichlet_l evaluates
+    chi_4099 = primitive_characters(4099)[1]
+    for s, chi, want in (
+        (1, principal(6), "pole at s = 1"),
+        (1 + 1e-7, CHI4, "exactly at s = 1"),
+        (1 - 1e-7j, CHI4, "exactly at s = 1"),
+        (-1.5 + 2j, chi_4099, "reflection formula"),
+        (1, CHI4, None),
+        (-1.5, CHI4, None),
+        (-2, chi_4099, None),  # exact non-positive integers take the Bernoulli formula
+    ):
+        refusal = dirichlet_l_refusal(s, chi.modulus, chi.conductor == 1)
+        if want is None:
+            assert refusal is None, s
+            assert cmath.isfinite(dirichlet_l(s, chi)), s
+        else:
+            assert want in refusal, s
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                dirichlet_l(s, chi)
+    # the reflection limit: a modulus above 4096 left of Re s = -0.25, in double precision only
+    assert dirichlet_l_refusal(-1.5, 4096, False) is None
+    assert dirichlet_l_refusal(-0.25, 4097, False) is None
+    assert dirichlet_l_refusal(-0.2500001, 4097, False) is not None
+    assert dirichlet_l_refusal(-1.5, 4097, False, precision=64) is None
+    assert dirichlet_l_refusal(1 + 1e-7, 4097, False, precision=64) is not None
 
 
 def test_log_gamma():
