@@ -655,6 +655,12 @@ def _gauss_units(ranges, tol, config):
 
         return run
 
+    def average_rows(cstar, c):
+        # a table at c <= c_max is shared with the closed units, so it is
+        # read from the cache; a larger one serves one Lemma 2.5 unit only
+        # and is built uncached, so it is freed with that unit
+        return gauss_sum_rows(cstar, c) if c <= c_max else gauss_sum_rows.__wrapped__(cstar, c)
+
     def average_unit(cstar):
         def run():
             chars = primitive_characters(cstar)
@@ -666,7 +672,7 @@ def _gauss_units(ranges, tol, config):
             # then adds chi*(d) g(chi*, (n/d) c*, m) to every multiple n of d,
             # so each lhs[n] sums its divisors in ascending order.  chi*(d) is
             # zero exactly when (d, c*) > 1, and those d add nothing.
-            gk = np.stack([gauss_sum_rows(cstar, k * cstar)[:, m_arr % (k * cstar)] for k in ns], 1)
+            gk = np.stack([average_rows(cstar, k * cstar)[:, m_arr % (k * cstar)] for k in ns], 1)
             lhs = np.zeros((len(chars), n_max, m_max), dtype=complex)
             for d in ns:
                 if math.gcd(d, cstar) == 1:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from voronoi_lab import cli, harness
 from voronoi_lab.characters import primitive_characters
-from voronoi_lab.exponential_sums import gauss_sum, kloosterman_divisor_chains
+from voronoi_lab.exponential_sums import gauss_sum, gauss_sum_rows, kloosterman_divisor_chains
 from voronoi_lab.harness import (
     ConfigError,
     SweepConfig,
@@ -616,6 +616,23 @@ def test_lemma25_lhs_is_the_ascending_divisor_sum():
                 want += chid * np.array([gauss_sum(chi, mod, k) for k in range(1, m_max + 1)])
         got = struct.pack("<2d", rec.lhs.real, rec.lhs.imag)
         assert got == want[m - 1 : m].tobytes(), rec.parameters
+
+
+def test_lemma25_tables_past_c_max_are_freed_with_their_unit():
+    # a table at k c* > c_max serves one Lemma 2.5 unit only, so it is not
+    # cached; those at k c* <= c_max are shared with the closed units
+    gauss_sum_rows.cache_clear()
+    ranges = {"lemmas": ["2.5"], "cstar_max": 7, "c_max": 20, "n_max": 12, "m_max": 10}
+    rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=ranges))
+    shared = [
+        k * cstar
+        for cstar in range(1, 8)
+        if primitive_characters(cstar)
+        for k in range(1, 13)
+        if k * cstar <= 20
+    ]
+    assert rep.passed and rep.cases == 11 * 12  # 11 primitive characters up to conductor 7
+    assert gauss_sum_rows.cache_info().currsize == len(shared)
 
 
 def test_config_files_toml_and_json_agree(tmp_path):
