@@ -1168,12 +1168,14 @@ def _check_lfunc_poles(ranges, config) -> None:
     1 can refuse.
     """
     shift_sets = ranges["shift_sets"]
-    top = ranges["cstar_max"] - (ranges["cstar_max"] % 4 == 2)
+    cstar_max = ranges["cstar_max"]
+    top = cstar_max - 1 if cstar_max % 4 == 2 else cstar_max
     if top < ranges["cstar_min"]:
         top = 1
     for s in ranges["s_values"]:
         # the same float operations as functional_equation_check's two requests
-        for z in (z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)):
+        l_args = [z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)]
+        for z in l_args:
             refusal = dirichlet_l_refusal(z, top, False, config.precision)
             if refusal is not None:
                 raise ConfigError(

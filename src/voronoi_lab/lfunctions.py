@@ -211,8 +211,9 @@ def hurwitz_zeta(s, a, precision: int | None = None) -> complex:
     Direct Euler-Maclaurin for Re(s) >= -0.25.  Further left the main sum
     loses digits to cancellation, so the rational-shift reflection formula is
     used instead; a must then be a Fraction (or a float that IS one exactly)
-    with denominator <= _REFLECT_MAX_Q (4096).  Every shift this package produces is r/c with
-    c at desk scale, so the restriction is invisible in practice.
+    with denominator <= _REFLECT_MAX_Q (4096).  Every shift this package
+    produces is r/c with c at desk scale, so the restriction is invisible in
+    practice; dirichlet_l_refusal names the conductors past it.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_TOL:
