@@ -185,13 +185,26 @@ def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
     [
         ({"cstar_max": 16, "c_max": 64}, 2496, "8890a38a64c0dca5"),
         ({}, 5962, "533083478f9cdb63"),
+        ({"lemmas": ["2.3"], "cstar_max": 12, "c_max": 40}, 168, "f1e9b8843b6931e8"),
+        (
+            {"lemmas": ["2.5"], "cstar_max": 12, "c_max": 20, "n_max": 12, "m_max": 10},
+            324,
+            "2c7f997bdcdd655b",
+        ),
+        (
+            {"lemmas": ["2.2", "2.5"], "cstar_max": 20, "c_max": 12, "n_max": 6, "m_max": 15},
+            526,
+            "11fbe3956fc609b8",
+        ),
     ],
-    ids=["gauss-records", "defaults"],
+    ids=["gauss-records", "defaults", "lemma23-only", "lemma25-across-c_max", "cstar-past-c_max"],
 )
 def test_gauss_lemma_reports_keep_their_bytes(ranges, cases, digest):
     # Lemma 2.2 and 2.3 rows against the FFT Gauss sums, and the Lemma 2.5
-    # divisor average, for every primitive character up to cstar_max; both
-    # reports are pinned at seed 1
+    # divisor average, for every primitive character up to cstar_max; the
+    # last three boxes select one closed lemma only, put k c* on both sides
+    # of c_max for Lemma 2.5, and give conductors past c_max with Lemma 2.5
+    # records only.  Every report is pinned at seed 1
     rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges), seed=1))
     assert rep.passed and rep.cases == cases
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest

@@ -17,6 +17,7 @@ from voronoi_lab.characters import (
 )
 from voronoi_lab.exponential_sums import (
     KloostermanSpec,
+    gauss_sum,
     hyper_kloosterman,
     kloosterman_divisor_chains,
     tau,
@@ -436,3 +437,49 @@ def test_unitary_coefficients_inside_divisor_envelope():
         for m2 in range(1, 21):
             envelope = divisor_count(3, m1) * divisor_count(3, m2)
             assert abs(src.coefficient((m1, m2))) <= envelope + 1e-9
+
+
+def _g_coefficients_nested(inst, s, g_value):
+    # g_coefficients as a recursive walk over the strengthened chains
+    # d_i c* | q_i M_{i-1}, dropping a subtree at its first zero Gauss sum
+    s = complex(s)
+    chi_star = inst.chi_star
+    cstar = chi_star.modulus
+    n_deg, c, x = inst.degree, inst.c, inst.truncation
+
+    def chains(i, m_prev, d_prefix, g_acc):
+        if i == len(inst.q):
+            yield d_prefix, m_prev, g_acc
+            return
+        total = inst.q[i] * m_prev
+        if total % cstar:
+            return
+        for d in divisors(total // cstar):
+            g_val = gauss_sum(chi_star, m_prev, d)
+            if g_val != 0:
+                yield from chains(i + 1, total // d, d_prefix + (d,), g_acc * g_val)
+
+    pref = complex(g_value) * chi_star.parity / (c ** (n_deg * s - 1) * (c / cstar) ** (1 - 2 * s))
+    qpow = 1 + 0j
+    for i, qi in enumerate(inst.q, start=1):
+        qpow *= qi ** (-(n_deg - 1 - i) * s)
+    out = np.zeros(x + 1, dtype=complex)
+    for d_vec, m_last, weight in chains(0, c, (), 1 + 0j):
+        for i, di in enumerate(d_vec, start=1):
+            weight *= di ** ((n_deg - i) * s) / di
+        row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
+        g_tail = np.array([gauss_sum(chi_star, m_last, k) for k in range(m_last)])
+        out += weight * row * g_tail[np.arange(x + 1) % m_last]
+    return out * (pref * qpow)
+
+
+def test_g_coefficients_match_the_nested_chain_walk_bit_for_bit():
+    for n_deg in (3, 4, 5):
+        src = raw_table_source(n_deg, seed=n_deg)
+        for c in range(1, 13):
+            for q in itertools.product((1, 2), repeat=n_deg - 2):
+                for chi in enumerate_characters(c):
+                    inst = VoronoiInstance(src, q, c, chi=chi, truncation=20)
+                    got = g_coefficients(inst, S0, GP)
+                    want = _g_coefficients_nested(inst, S0, GP)
+                    assert got.tobytes() == want.tobytes(), (n_deg, c, q, chi.label)
