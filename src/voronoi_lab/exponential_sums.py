@@ -49,9 +49,8 @@ def _check_gauss_args(chi_star: DirichletCharacter, c: int) -> None:
         raise ValueError(f"conductor {chi_star.modulus} must divide c = {c}")
 
 
-@lru_cache(maxsize=None)
 def gauss_sum_rows(cstar: int, c: int) -> np.ndarray:
-    """Read-only complex128[len(primitive_characters(cstar)), c] of g(chi*, c, m).
+    """Read-only complex128[len(primitive_characters(cstar)), c] of g(chi*, c, m), uncached.
 
     Row i holds g(chi*, c, m) for m = 0..c-1 at the i-th primitive character
     chi* of conductor cstar.  g(chi*, c, m) = sum over u mod c of chi(u)
@@ -81,13 +80,19 @@ def gauss_sum_rows(cstar: int, c: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
-    """Read-only complex128[c] of g(chi*, c, m) for m = 0..c-1: chi*'s row of gauss_sum_rows."""
+    """Read-only complex128[c] of g(chi*, c, m) for m = 0..c-1: chi*'s row of gauss_sum_rows.
+
+    The cache keeps a copy of the row, not a view, so it holds no row of
+    another character.
+    """
     cstar = chi_star.modulus
     if c % cstar != 0:
         raise ValueError(f"{cstar} does not divide {c}")
     if not chi_star.is_primitive:
         raise ValueError("chi_star must be primitive")
-    return gauss_sum_rows(cstar, c)[primitive_characters(cstar).index(chi_star)]
+    row = gauss_sum_rows(cstar, c)[primitive_characters(cstar).index(chi_star)].copy()
+    row.setflags(write=False)
+    return row
 
 
 def gauss_sum_error(c: int) -> float:

@@ -636,43 +636,45 @@ def _gauss_units(ranges, tol, config):
     m_max = ranges["m_max"]
     n_max = ranges["n_max"]
     anchor = _SUITES["gauss-lemmas"].anchor
-    units = []
+    closed_rows = {"2.2": gauss_sum_closed_lemma22_rows, "2.3": gauss_sum_closed_lemma23_rows}
+    closed = [(lemma, closed_rows[lemma]) for lemma in ("2.2", "2.3") if lemma in lemmas]
 
-    def closed_unit(cstar, lemma, closed_rows):
+    def unit(cstar):
         def run():
             chars = primitive_characters(cstar)
-            cs = range(cstar, c_max + 1, cstar)  # empty when c* > c_max: no rows, no records
             m_arr = np.arange(1, m_max + 1)
+            # the closed lemmas read the tables at c = k c* <= c_max (none
+            # when c* > c_max), Lemma 2.5 those at k <= n_max; each table
+            # g(chi*, k c*, .) is built once, gathered at m and dropped
+            cs = range(cstar, c_max + 1, cstar) if closed else ()
+            ns = range(1, n_max + 1) if "2.5" in lemmas else ()
             direct = np.empty((len(chars), len(cs), m_max), dtype=complex)
-            for i, c in enumerate(cs):
-                direct[:, i] = gauss_sum_rows(cstar, c)[:, m_arr % c]
-            closed = closed_rows(chars, cs, m_arr)
-            diff = direct - closed
-            rel = np.hypot(diff.real, diff.imag) / np.sqrt(np.array(cs, dtype=float))[:, None]
-            rows = [{"lemma": lemma, "chi": chi.label, "c": c} for chi in chars for c in cs]
-            flat = (a.reshape(-1, m_max) for a in (direct, closed, rel))
-            return _worst_records(anchor, rows, *flat, tol, lambda p: {"m": p + 1})
-
-        return run
-
-    def average_rows(cstar, c):
-        # a table at c <= c_max is shared with the closed units, so it is
-        # read from the cache; a larger one serves one Lemma 2.5 unit only
-        # and is built uncached, so it is freed with that unit
-        return gauss_sum_rows(cstar, c) if c <= c_max else gauss_sum_rows.__wrapped__(cstar, c)
-
-    def average_unit(cstar):
-        def run():
-            chars = primitive_characters(cstar)
+            gk = np.empty((len(chars), len(ns), m_max), dtype=complex)
+            for k in range(1, max(len(cs), len(ns)) + 1):
+                table = gauss_sum_rows(cstar, k * cstar)
+                if k == 1:  # tau(chi*) = g(chi*, c*, 1), copied out of the table
+                    tau_val = table[:, [1 % cstar], None]
+                at_m = table[:, m_arr % (k * cstar)]
+                if k <= len(cs):
+                    direct[:, k - 1] = at_m
+                if k <= len(ns):
+                    gk[:, k - 1] = at_m
+            records = []
+            for lemma, rows_of in closed:
+                lhs = rows_of(chars, cs, m_arr)
+                diff = direct - lhs
+                rel = np.hypot(diff.real, diff.imag) / np.sqrt(np.array(cs, dtype=float))[:, None]
+                rows = [{"lemma": lemma, "chi": chi.label, "c": c} for chi in chars for c in cs]
+                flat = (a.reshape(-1, m_max) for a in (direct, lhs, rel))
+                records += _worst_records(anchor, rows, *flat, tol, lambda p: {"m": p + 1})
+            if not ns:
+                return records
+            direct = diff = lhs = rel = None  # freed before the Lemma 2.5 arrays are built
+            # one pass over d adds chi*(d) g(chi*, (n/d) c*, m) to every
+            # multiple n of d, so each lhs[n] sums its divisors in ascending
+            # order.  chi*(d) is zero exactly when (d, c*) > 1, and those d
+            # add nothing.
             vv = np.array([chi.value_vector for chi in chars])
-            tau_val = np.array([tau(chi) for chi in chars])[:, None, None]
-            m_arr = np.arange(1, m_max + 1)
-            ns = range(1, n_max + 1)
-            # g(chi*, k c*, m) for every chi* and k <= n_max; one pass over d
-            # then adds chi*(d) g(chi*, (n/d) c*, m) to every multiple n of d,
-            # so each lhs[n] sums its divisors in ascending order.  chi*(d) is
-            # zero exactly when (d, c*) > 1, and those d add nothing.
-            gk = np.stack([average_rows(cstar, k * cstar)[:, m_arr % (k * cstar)] for k in ns], 1)
             lhs = np.zeros((len(chars), n_max, m_max), dtype=complex)
             for d in ns:
                 if math.gcd(d, cstar) == 1:
@@ -686,22 +688,14 @@ def _gauss_units(ranges, tol, config):
             rel = np.abs(lhs - rhs) / (math.sqrt(cstar) * np.array(ns))[:, None]
             rows = [{"lemma": "2.5", "chi": chi.label, "n": n} for chi in chars for n in ns]
             flat = (a.reshape(-1, m_max) for a in (lhs, rhs, rel))
-            return _worst_records(anchor, rows, *flat, tol, lambda p: {"m": p + 1})
+            return records + _worst_records(anchor, rows, *flat, tol, lambda p: {"m": p + 1})
 
         return run
 
-    # one unit per (c*, lemma) over every primitive chi* of conductor c*;
-    # records stay one per (chi*, c) or (chi*, n)
-    for cstar in range(1, cstar_max + 1):
-        if not primitive_characters(cstar):  # c* = 2 mod 4
-            continue
-        if "2.2" in lemmas:
-            units.append(closed_unit(cstar, "2.2", gauss_sum_closed_lemma22_rows))
-        if "2.3" in lemmas:
-            units.append(closed_unit(cstar, "2.3", gauss_sum_closed_lemma23_rows))
-        if "2.5" in lemmas:
-            units.append(average_unit(cstar))
-    return units
+    # one unit per conductor c*, over its primitive characters (none when
+    # c* = 2 mod 4) and every selected lemma; records stay one per
+    # (lemma, chi*, c) or (chi*, n)
+    return [unit(cstar) for cstar in range(1, cstar_max + 1) if primitive_characters(cstar)]
 
 
 def _worst_records(anchor, rows, lhs, rhs, rel, tol, point) -> list[CaseRecord]:

@@ -21,6 +21,8 @@ import numpy as np
 
 from .characters import DirichletCharacter, conductor, induce
 from .exponential_sums import (
+    _chain_tree,
+    _layers,
     gauss_sum,
     gauss_sum_vector,
     kloosterman_divisor_chains,
@@ -191,30 +193,6 @@ def h_coefficients(inst: VoronoiInstance) -> np.ndarray:
     return row * gvec[idx]
 
 
-def _strengthened_chains(chi_star: DirichletCharacter, c: int, q: tuple[int, ...]):
-    """Divisor chains under the conductor-strengthened conditions d_i c* | q_i M_{i-1}.
-
-    Yields (d_vec, last_modulus, prod_i g(chi*, M_{i-1}, d_i)); chains whose
-    Gauss-sum product vanishes are skipped since they contribute nothing.
-    """
-    cstar = chi_star.modulus
-
-    def rec(i: int, m_prev: int, d_prefix: tuple[int, ...], g_acc: complex):
-        if i == len(q):
-            yield d_prefix, m_prev, g_acc
-            return
-        total = q[i] * m_prev
-        if total % cstar:
-            return
-        for d in divisors(total // cstar):
-            g_val = gauss_sum(chi_star, m_prev, d)
-            if g_val == 0:
-                continue
-            yield from rec(i + 1, total // d, d_prefix + (d,), g_acc * g_val)
-
-    yield from rec(0, c, (), 1 + 0j)
-
-
 def g_coefficients(inst: VoronoiInstance, s, g_value) -> np.ndarray:
     """Per-coefficient dual series with Gauss-sum factors, basis n^{-(1-s)}.
 
@@ -238,13 +216,21 @@ def g_coefficients(inst: VoronoiInstance, s, g_value) -> np.ndarray:
     for i, qi in enumerate(inst.q, start=1):
         qpow *= qi ** (-(n_deg - 1 - i) * s)
     out = np.zeros(x + 1, dtype=complex)
-    for d_vec, m_last, g_prod in _strengthened_chains(chi_star, c, inst.q):
-        weight = g_prod
+    # the strengthened chains d_i c* | q_i M_{i-1}: those with c* | M_i for
+    # every i >= 1; a chain whose Gauss-sum product vanishes adds nothing
+    tree = _chain_tree(c, _layers(inst.q))
+    live = (tree.moduli[:, 1:] % chi_star.modulus == 0).all(axis=1)
+    for d_vec, mods in zip(tree.chains[live].tolist(), tree.moduli[live].tolist()):
+        weight = 1 + 0j
+        for m_prev, di in zip(mods, d_vec):
+            weight *= gauss_sum(chi_star, m_prev, di)
+        if weight == 0:
+            continue
         for i, di in enumerate(d_vec, start=1):
             weight *= di ** ((n_deg - i) * s) / di
         row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
-        g_tail = gauss_sum_vector(chi_star, m_last)
-        idx = np.arange(x + 1) % m_last
+        g_tail = gauss_sum_vector(chi_star, mods[-1])
+        idx = np.arange(x + 1) % mods[-1]
         out += weight * row * g_tail[idx]
     return out * (pref * qpow)
 

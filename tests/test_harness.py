@@ -1,19 +1,26 @@
 """Sweep harness: determinism, canonical reports, config handling, CLI."""
 
+import gc
 import hashlib
 import json
 import math
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voronoi_lab import cli, harness
+from voronoi_lab import cli, exponential_sums, harness
 from voronoi_lab.characters import primitive_characters
-from voronoi_lab.exponential_sums import gauss_sum, gauss_sum_rows, kloosterman_divisor_chains
+from voronoi_lab.exponential_sums import (
+    gauss_sum,
+    gauss_sum_rows,
+    gauss_sum_vector,
+    kloosterman_divisor_chains,
+)
 from voronoi_lab.harness import (
     ConfigError,
     SweepConfig,
@@ -631,21 +638,39 @@ def test_lemma25_lhs_is_the_ascending_divisor_sum():
         assert got == want[m - 1 : m].tobytes(), rec.parameters
 
 
-def test_lemma25_tables_past_c_max_are_freed_with_their_unit():
-    # a table at k c* > c_max serves one Lemma 2.5 unit only, so it is not
-    # cached; those at k c* <= c_max are shared with the closed units
-    gauss_sum_rows.cache_clear()
-    ranges = {"lemmas": ["2.5"], "cstar_max": 7, "c_max": 20, "n_max": 12, "m_max": 10}
+def test_gauss_tables_are_built_once_per_sweep_and_freed_with_their_unit(monkeypatch):
+    # the unit of a conductor c* builds each table g(chi*, k c*, .) it reads
+    # once, for the closed lemmas at k c* <= c_max and for Lemma 2.5 at
+    # k <= n_max, and keeps none; gauss_sum_vector caches a copy of its row
+    built, refs, kept = [], [], []
+
+    def rows(cstar, c):
+        table = gauss_sum_rows(cstar, c)
+        built.append((cstar, c))
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(harness, "gauss_sum_rows", rows)
+    ranges = {"cstar_max": 7, "c_max": 20, "n_max": 12, "m_max": 10}
     rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=ranges))
-    shared = [
-        k * cstar
+    want = [
+        (cstar, k * cstar)
         for cstar in range(1, 8)
         if primitive_characters(cstar)
-        for k in range(1, 13)
-        if k * cstar <= 20
+        for k in range(1, max(20 // cstar, 12) + 1)
     ]
-    assert rep.passed and rep.cases == 11 * 12  # 11 primitive characters up to conductor 7
-    assert gauss_sum_rows.cache_info().currsize == len(shared)
+    assert rep.passed and sorted(built) == want
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+    monkeypatch.setattr(
+        exponential_sums, "gauss_sum_rows", lambda *a: kept.append(gauss_sum_rows(*a)) or kept[-1]
+    )
+    gauss_sum_vector.cache_clear()
+    chi = primitive_characters(5)[1]
+    vec = gauss_sum_vector(chi, 20)
+    assert len(kept) == 1 and not vec.flags.writeable
+    assert vec.tobytes() == kept[0][1].tobytes() and not np.shares_memory(vec, kept[0])
 
 
 def test_config_files_toml_and_json_agree(tmp_path):
