@@ -20,7 +20,7 @@ from numpy.fft import ifft
 
 from ._kernels import kl_layer
 from .characters import DirichletCharacter, enumerate_characters, primitive_characters
-from .numeric import roots_of_unity, sum_error_bound
+from .numeric import roots_of_unity, split_product, sum_error_bound
 from .residues import (
     carmichael,
     divisors,
@@ -110,16 +110,6 @@ def tau(chi_star: DirichletCharacter) -> complex:
     return gauss_sum(chi_star, chi_star.modulus, 1)
 
 
-def _product(a, b):
-    """(re, im) of the complex product a * b, each given as an (re, im) pair.
-
-    The parts are floats or float arrays, combined in the order of Python's
-    complex product, so every entry has the bits of the scalar product.
-    """
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _as_complex(re, im) -> np.ndarray:
     out = np.empty(np.shape(re), dtype=np.complex128)
     out.real = re
@@ -176,12 +166,12 @@ def gauss_sum_closed_lemma22_rows(chars, cs, m_values) -> np.ndarray:
         rows, cols = np.nonzero((mu != 0)[:, None] & (m % d == 0))
         k = m[rows, cols] // d % cstar
         r = ratio[rows] // d % cstar
-        term = _product((cr[:, r], ci[:, r]), (br[:, k], bi[:, k]))
-        re, im = _product(((mu[rows] * d).astype(np.float64), 0.0), term)
+        term = split_product((cr[:, r], ci[:, r]), (br[:, k], bi[:, k]))
+        re, im = split_product(((mu[rows] * d).astype(np.float64), 0.0), term)
         acc_re[:, rows, cols] += re
         acc_im[:, rows, cols] += im
     tau_pair = tr[:, None, None], ti[:, None, None]
-    return _as_complex(*_product(tau_pair, (acc_re, acc_im)))
+    return _as_complex(*split_product(tau_pair, (acc_re, acc_im)))
 
 
 def gauss_sum_closed_lemma23_rows(chars, cs, m_values) -> np.ndarray:
@@ -207,8 +197,8 @@ def gauss_sum_closed_lemma23_rows(chars, cs, m_values) -> np.ndarray:
     scale = (phi[c[rows]] // phi[f] * mu[q]).astype(np.float64)
     k = a[live] // g[live] % cstar
     r = q % cstar
-    term = _product((cr[:, r], ci[:, r]), (br[:, k], bi[:, k]))
-    re, im = _product((tr[:, None], ti[:, None]), _product((scale, 0.0), term))
+    term = split_product((cr[:, r], ci[:, r]), (br[:, k], bi[:, k]))
+    re, im = split_product((tr[:, None], ti[:, None]), split_product((scale, 0.0), term))
     out = np.zeros((len(tr), *a.shape), dtype=np.complex128)
     out[:, live] = _as_complex(re, im)
     return out
@@ -525,7 +515,7 @@ def _lemma34_product(factors, live) -> np.ndarray:
     shape = np.broadcast_shapes(*(f.shape for f in factors))
     acc = np.ones(shape), np.zeros(shape)
     for f in factors:
-        acc = _product(acc, (f.real, f.imag))
+        acc = split_product(acc, (f.real, f.imag))
     return np.where(live[:, :, None], _as_complex(*acc), 0j)
 
 

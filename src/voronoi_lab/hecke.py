@@ -25,6 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .numeric import split_product
 from .residues import divisors, factorize, primes_up_to, valuation
 
 
@@ -78,17 +79,12 @@ def schur(k: tuple[int, ...], x: tuple[complex, ...]) -> complex:
     return _det_fraction_free(mat)
 
 
-def _mul(ar, ai, br, bi):
-    """Complex product on split real/imaginary float64 parts, as CPython forms it."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """schur(kvecs[b], x[b]) for every b, bit for bit, in one batched elimination.
 
     kvecs is int[B, rows] and x complex128[B, N].  _hvec and _det_fraction_free
     run on split float64 real/imaginary arrays, one operation at a time in
-    CPython's own order: products as _mul, quotients by Smith's branches as in
+    CPython's own order: products as split_product, quotients by Smith's branches as in
     CPython's complex division, the pivot the first maximum of np.hypot (abs),
     a zero pivot giving 0j and the sign applied as the product (sign + 0j) z.
     numpy's complex ufuncs and np.linalg.det round differently.
@@ -104,7 +100,7 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
     hr[0] = 1.0
     for xr, xi in zip(x.real.T, x.imag.T):
         for k in range(1, kmax + 1):
-            pr, pi = _mul(xr, xi, hr[k - 1], hi[k - 1])
+            pr, pi = split_product((xr, xi), (hr[k - 1], hi[k - 1]))
             hr[k] += pr
             hi[k] += pi
     idx = lam[:, :, None] - np.arange(rows)[None, :, None] + np.arange(rows)[None, None, :]
@@ -125,13 +121,13 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
             for a in (ar, ai):
                 a[blocks, k], a[blocks, piv] = a[blocks, piv], a[blocks, k]
             sign[swap] = -sign[swap]
-            t1r, t1i = _mul(
-                ar[:, k + 1 :, k + 1 :], ai[:, k + 1 :, k + 1 :],
-                ar[:, k, k, None, None], ai[:, k, k, None, None],
+            t1r, t1i = split_product(
+                (ar[:, k + 1 :, k + 1 :], ai[:, k + 1 :, k + 1 :]),
+                (ar[:, k, k, None, None], ai[:, k, k, None, None]),
             )
-            t2r, t2i = _mul(
-                ar[:, k + 1 :, k, None], ai[:, k + 1 :, k, None],
-                ar[:, k, None, k + 1 :], ai[:, k, None, k + 1 :],
+            t2r, t2i = split_product(
+                (ar[:, k + 1 :, k, None], ai[:, k + 1 :, k, None]),
+                (ar[:, k, None, k + 1 :], ai[:, k, None, k + 1 :]),
             )
             nr, ni = t1r - t2r, t1i - t2i
             br, bi = prev_r[:, None, None], prev_i[:, None, None]
@@ -142,7 +138,7 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
             ai[:, k + 1 :, k + 1 :] = np.where(real_side, ni - nr * ratio, ni * ratio - nr) / denom
             prev_r, prev_i = ar[:, k, k].copy(), ai[:, k, k].copy()
     zr, zi = ar[:, -1, -1], ai[:, -1, -1]
-    out.real, out.imag = _mul(sign, 0.0, zr, zi)
+    out.real, out.imag = split_product((sign, 0.0), (zr, zi))
     out[dead] = 0j
     return out
 

@@ -1,4 +1,4 @@
-"""Shared root-of-unity tables and the summation rounding bound.
+"""Shared root-of-unity tables, the summation rounding bound and split complex products.
 
 Exponential sums are evaluated in double precision from cached tables of
 e(k/M).  sum_error_bound gives a conservative rounding bound for such a sum
@@ -53,6 +53,17 @@ def sum_error_bound(n_terms: int, max_abs: float) -> float:
     depth = max(1.0, math.log2(n) + 2.0)
     accum = max(depth, n) * EPS
     return n * max_abs * (TABLE_ENTRY_ERR + accum)
+
+
+def split_product(a, b):
+    """(re, im) of the complex product a * b, each given as an (re, im) pair.
+
+    The parts are floats or float arrays, combined in the order of CPython's
+    complex product, so every entry has the bits of the scalar product;
+    numpy's complex ufuncs may round differently.
+    """
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 # Nothing builds one; perfbench/tracer.py still counts ComplexValue.__init__.
