@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, SweepConfig, list_suites, run_suite
+from .harness import ConfigError, SweepConfig, emit_report, list_suites, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,12 +62,10 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_suite(config)
-        text = report.to_canonical_json(include_timing=args.timing)
         if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(text)
+            emit_report(report, args.out, include_timing=args.timing)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(report.to_canonical_json(include_timing=args.timing))
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

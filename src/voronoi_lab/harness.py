@@ -975,7 +975,6 @@ def _voronoi_units(ranges, tol, config):
     probe_cstar = ranges["probe_cstar"]
     anchor = _SUITES["voronoi-core"].anchor
     units = []
-    truncation = 50  # outer length X of each instance; a_n, b_n and z_probe do not read it
 
     # One source per (degree, shifts), built once the units are known, with
     # the largest prime bound any of them needs: rows and blocks share its caches.
@@ -995,7 +994,7 @@ def _voronoi_units(ranges, tol, config):
             weights = {}  # b_n's powers, shared by every (q, n) of the unit
             recs = []
             for q in qs:
-                inst = VoronoiInstance(src, q, cstar, chi=chi_star, truncation=truncation)
+                inst = VoronoiInstance(src, q, cstar, chi=chi_star)
                 for n in n_values:
                     a_val = a_n_coefficient(inst, n, s, lval)
                     b_val = b_n_coefficient(inst, n, s, pref, y, weights)
@@ -1029,7 +1028,7 @@ def _voronoi_units(ranges, tol, config):
         def run():
             chi_star = primitive_characters(cstar)[0]
             src = sources[n_deg, shifts]
-            inst = VoronoiInstance(src, qz, cstar, chi=chi_star, truncation=truncation)
+            inst = VoronoiInstance(src, qz, cstar, chi=chi_star)
             via_l, via_a = z_probe(inst, sz, wz, x_probe)
             bound = z_probe_bound(inst, sz, wz, x_probe)
             return [
