@@ -1,11 +1,11 @@
 """The hyper-Kloosterman layer kernel.
 
-The only performance-critical inner loop in the package is the layered
-evaluation of hyper-Kloosterman tables (one layer per nested summation
-variable).  A layer is one matrix product: the m_prev x units block of roots
-e(d*u*r / m_prev), gathered from the root table, times the tail rows at the
-unit inverses.  The tail carries one column per n, so every n of a divisor
-chain goes through the layer in one BLAS call.
+kloosterman_vector walks the divisor-chain tree with its own stacked matrix
+products and calls kl_layer only for the tables of the walk's leaves, the
+innermost layer (q_K, d_K) of each chain.  A layer is one matrix product:
+the m_prev x units block of roots e(d*u*r / m_prev), gathered from the root
+table, times the tail rows at the unit inverses.  The tail carries one
+column per n, so every n of a leaf goes through the layer in one BLAS call.
 
 All index arithmetic stays far below 2^63: moduli in sweeps are < 10^6 and
 the products formed here are r * ((d * u) % m_prev) with both factors < m_prev.

@@ -84,10 +84,10 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     kvecs is int[B, rows] and x complex128[B, N].  _hvec and _det_fraction_free
     run on split float64 real/imaginary arrays, one operation at a time in
-    CPython's own order: products as split_product, quotients by Smith's branches as in
-    CPython's complex division, the pivot the first maximum of np.hypot (abs),
-    a zero pivot giving 0j and the sign applied as the product (sign + 0j) z.
-    numpy's complex ufuncs and np.linalg.det round differently.
+    CPython's own order: products as split_product, quotients by Smith's
+    branches as in CPython's complex division, the pivot the first maximum of
+    np.hypot (abs), a zero pivot giving 0j and the sign applied as the product
+    (sign + 0j) z.  numpy's complex ufuncs and np.linalg.det round differently.
     """
     nb, rows = kvecs.shape
     out = np.ones(nb, dtype=complex)
