@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from voronoi_lab import lfunctions
-from voronoi_lab.characters import induce, primitive_characters, principal
+from voronoi_lab.characters import enumerate_characters, induce, primitive_characters, principal
 from voronoi_lab.harness import SweepConfig, run_suite
 from voronoi_lab.lfunctions import (
     GammaFactorSpec,
@@ -124,6 +124,45 @@ def test_dirichlet_l_imprimitive_euler_factors():
         want = dirichlet_l(s, CHI4) * (1 - CHI4.value_vector[3 % 4] * 3 ** (-complex(s)))
         got = dirichlet_l(s, chi12)
         assert abs(got - want) < 1e-12 * max(1, abs(want))
+
+
+def _dirichlet_l_per_residue(s: complex, chi) -> complex:
+    """dirichlet_l left of Re s = -0.25 the way it was first written: one
+    reflected zeta(s, r/c), with its own c Euler-Maclaurin sums, per unit r."""
+    c = chi.modulus
+    u = 1.0 - s
+    pref = 2.0 * cmath.exp(_loggamma(u) - u * math.log(2.0 * math.pi * c))
+    terms = []
+    for r in range(1, c + 1):
+        if math.gcd(r, c) != 1:
+            continue
+        zeta_r = pref * lfunctions._csum(
+            [
+                cmath.cos(math.pi * u / 2.0 - 2.0 * math.pi * k * r / c)
+                * lfunctions._hurwitz_em(u, k / c)
+                for k in range(1, c + 1)
+            ]
+        )
+        terms.append(chi.value_vector[r % c] * zeta_r)
+    return c ** (-s) * lfunctions._csum(terms)
+
+
+def _chex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_reflected_dirichlet_l_keeps_the_per_residue_bits():
+    # even and odd, primitive and imprimitive characters with c <= 30
+    chars = [
+        *(chi for c in (1, 4, 5, 7) for chi in primitive_characters(c)),
+        induce(CHI4, 12),
+        *(chi for chi in enumerate_characters(30) if chi.conductor in (1, 3, 5, 15)),
+    ]
+    assert {chi.parity for chi in chars} == {1, -1}
+    for s in (-1.5, -1.5 + 1j, -1.5 - 1j, -3.7 + 2j):
+        for chi in chars:
+            want = _dirichlet_l_per_residue(complex(s), chi)
+            assert _chex(dirichlet_l(s, chi)) == _chex(want), (s, chi.modulus, chi.label)
 
 
 def test_dirichlet_l_principal_pole():

@@ -60,6 +60,11 @@ def test_mobius_sieve_matches_mobius():
     assert mu.shape == (n + 1,) and mu[0] == 0 and not mu.flags.writeable
     assert mu.tolist()[1:] == [mobius(m) for m in range(1, n + 1)]
     assert mobius_sieve(1).tolist() == [0, 1]
+    assert mobius_sieve(0).tolist() == [0]
+    # squares of primes and their neighbours put p^2 at the end of the sieve,
+    # and 40 001 = 13 * 17 * 181 has a prime factor above its square root
+    for n in (2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 40_001):
+        assert mobius_sieve(n).tolist()[1:] == [mobius(m) for m in range(1, n + 1)], n
 
 
 def test_divisors_sorted_complete():

@@ -26,6 +26,7 @@ from voronoi_lab.hecke import isobaric_source, random_satake_source, raw_table_s
 from voronoi_lab.lfunctions import (
     GammaFactorSpec,
     LValueRequest,
+    dirichlet_l,
     g_pm_eval,
     twisted_l_isobaric,
 )
@@ -336,6 +337,55 @@ def test_b_n_with_a_shared_weight_store_is_bit_equal(shifts, qs):
     assert weights and all(key[1:] == (s, y) for key in weights)
 
 
+def _b_n_per_n(inst, n, s, prefactor, y):
+    """b_n_coefficient as written for one n at a time: the gather, the keep
+    mask and the power product are rebuilt at every n."""
+    s = complex(s)
+    chi_star = inst.chi_star
+    cstar = chi_star.modulus
+    e_free = np.arange(1, y + 1, dtype=np.int64)
+
+    def power(prod_rest):
+        return (prod_rest * e_free).astype(np.float64) ** (s - 1)
+
+    if inst.degree == 2:
+        gvec = voronoi.gauss_sum_vector(chi_star, n * cstar)
+        row = inst.source.coefficient_row((), (), y)
+        idx = np.arange(y + 1) % (n * cstar)
+        inner = complex(np.sum(row[1:] * power(1) * gvec[idx][1:]))
+        return complex(prefactor) / tau(chi_star) * inner
+    vv_bar = chi_star.value_vector.conjugate()
+    acc = 0j
+    for prod_rest, free_ratio, mid, last in voronoi._b_n_layers(inst, n):
+        row = inst.source.coefficient_row((), mid + (last,), y, scale=free_ratio)[1:]
+        v = vv_bar[(prod_rest * e_free) % cstar]
+        keep = v != 0
+        acc += complex(np.sum(v[keep] * power(prod_rest)[keep] * row[keep]))
+    return complex(prefactor) * n**s * acc
+
+
+@pytest.mark.parametrize(
+    "shifts, qs",
+    [
+        ((1j, -1j), ((),)),
+        ((1j, 0j, -1j), ((1,), (2,), (6,))),
+        ((1j, 0j, 0j, -1j), ((2, 1), (1, 2), (2, 3))),
+    ],
+    ids=["gl2", "gl3", "gl4"],
+)
+def test_b_n_keeps_the_per_n_bits(shifts, qs):
+    y, s, pref = 700, -1.5 + 0.5j, 0.7 - 0.2j
+    n_values = (1, 2, 6, 7)
+    src = isobaric_source(len(shifts), shifts, 20 * y)
+    for cstar in (4, 5):
+        chi = primitive_characters(cstar)[-1]
+        for q in qs:
+            inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+            for n in n_values:
+                want = _hex(_b_n_per_n(inst, n, s, pref, y))
+                assert _hex(b_n_coefficient(inst, n, s, pref, y)) == want, (cstar, q, n)
+
+
 def test_rhs_with_a_shared_leaf_store_is_bit_equal_across_units():
     leaves = {}
     for n_deg, c, q in ((3, 12, (2,)), (3, 8, (3,)), (4, 6, (2, 2))):
@@ -429,6 +479,83 @@ def test_z_probe_rejects_raw_tables():
     raw = VoronoiInstance(raw_table_source(3, seed=1), (1,), 5, chi=chi5, truncation=X)
     with pytest.raises(ValueError):
         z_probe(raw, 2.5, 4.0, 100)
+
+
+def _z_probe_alone(inst, s, w, x):
+    """z_probe as written before it shared a pass with its bound."""
+    s, w = complex(s), complex(w)
+    chi_star = inst.chi_star
+    cstar = chi_star.modulus
+    row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), x)
+    l_twist = twisted_l_isobaric(LValueRequest(s, chi_star, inst.source.isobaric_shifts))
+    l_den = dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
+    via_l = voronoi._dirichlet_eval(row, 2 * w - s) * l_twist / l_den
+    d_pow = np.arange(1, x + 1, dtype=np.float64) ** (s - 2 * w)
+    m_terms = voronoi._mobius_character_terms(
+        chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, x
+    )
+    if inst.degree == 2:
+        via_l /= dirichlet_l(2 * w, chi_star)
+        k_prefix = np.cumsum(
+            voronoi._mobius_character_terms(chi_star.value_vector, cstar, -2 * w, x)
+        )
+        inner = voronoi._quotient_convolution(m_terms, k_prefix, x)
+    else:
+        inner = np.cumsum(m_terms)
+    tail_idx = x // np.arange(1, x + 1)
+    via_a = l_twist * complex(np.sum(row[1:] * d_pow * inner[tail_idx]))
+    return via_l, via_a
+
+
+def _z_probe_bound_alone(inst, s, w, x):
+    """z_probe_bound as written before it shared a pass with the probe."""
+    s, w = complex(s), complex(w)
+    chi_star = inst.chi_star
+    cstar = chi_star.modulus
+    row = np.abs(inst.source.coefficient_row(tuple(reversed(inst.q)), (), x))
+    l_twist = abs(twisted_l_isobaric(LValueRequest(s, chi_star, inst.source.isobaric_shifts)))
+    d_pow = np.arange(1, x + 1, dtype=np.float64) ** (s.real - 2 * w.real)
+    m_terms = voronoi._mobius_character_terms(
+        chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, 4 * x
+    )
+    m_prefix = np.cumsum(m_terms)
+    m_inf = 1 / dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
+    anchor = abs(m_prefix[4 * x] - m_inf) + 1e-12 * (1 + abs(m_inf))
+    tail_idx = x // np.arange(1, x + 1)
+    m_err = np.abs(m_prefix[4 * x] - m_prefix[tail_idx]) + anchor
+    if inst.degree == 2:
+        k_prefix = np.cumsum(
+            voronoi._mobius_character_terms(chi_star.value_vector, cstar, -2 * w, 4 * x)
+        )
+        k_inf = 1 / dirichlet_l(2 * w, chi_star)
+        k_anchor = abs(k_prefix[4 * x] - k_inf) + 1e-12 * (1 + abs(k_inf))
+        m_abs = np.zeros(x + 1)
+        keep = np.flatnonzero(m_terms[: x + 1])
+        m_abs[keep] = keep.astype(np.float64) ** (2 * s.real - 1 - 2 * w.real)
+        k_err = np.abs(k_prefix[4 * x] - k_prefix[: x + 1]) + k_anchor
+        m_err = voronoi._quotient_convolution(m_abs, k_err, x)[tail_idx] + abs(k_inf) * m_err
+    return float(l_twist * np.sum(row[1:] * d_pow * m_err) + 1e-12)
+
+
+# the probe shapes of the voronoi-core suite: GL(3) twisted by chi mod 5 and
+# trivially, and GL(2) with its second Mobius layer; the last two read an
+# L-value at 2w - 2s + 1 of the principal character or at 2w, kept off the pole
+Z_PINNED = [((1j, 0j, -1j), (2,), 5), ((0j, 0j, 0j), (1,), 1), ((1j, -1j), (), 5)]
+
+
+@pytest.mark.parametrize("s, w", [(2.5, 4.0), (3.0, 3.0), (2.0 + 0.5j, 2.8 - 0.3j)])
+def test_z_probe_and_bound_keep_their_separate_bits(s, w):
+    x = 300
+    shapes = Z_PINNED if (2 * w - 2 * s + 1).real > 1.05 else Z_PINNED[:1]
+    for shifts, q, cstar in shapes:
+        src = isobaric_source(len(shifts), shifts, 4 * x)
+        chi = primitive_characters(cstar)[0]
+        inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+        via_l, via_a = _z_probe_alone(inst, s, w, x)
+        got_l, got_a = z_probe(inst, s, w, x)
+        assert (_hex(got_l), _hex(got_a)) == (_hex(via_l), _hex(via_a)), (shifts, cstar)
+        bound = z_probe_bound(inst, s, w, x)
+        assert bound.hex() == _z_probe_bound_alone(inst, s, w, x).hex(), (shifts, cstar)
 
 
 def test_unitary_coefficients_inside_divisor_envelope():
