@@ -110,6 +110,17 @@ def tau(chi_star: DirichletCharacter) -> complex:
     return gauss_sum(chi_star, chi_star.modulus, 1)
 
 
+def _taus(chars) -> np.ndarray:
+    """complex128[len(chars)] of tau(chi*) at primitive characters of one conductor c*.
+
+    Column 1 % c* of the one table gauss_sum_rows(c*, c*), the entries tau
+    reads one character at a time.
+    """
+    cstar = chars[0].modulus
+    index = primitive_characters(cstar).index
+    return gauss_sum_rows(cstar, cstar)[[index(chi) for chi in chars], 1 % cstar]
+
+
 def _as_complex(re, im) -> np.ndarray:
     out = np.empty(np.shape(re), dtype=np.complex128)
     out.real = re
@@ -142,7 +153,7 @@ def _closed_form_inputs(chars, cs, m_values):
     for group in (chars, [chi.conjugate() for chi in chars]):
         vals = np.array([[ch(r) for r in range(cstar)] for ch in group], dtype=np.complex128)
         tables.append((vals.real, vals.imag))
-    t = np.array([tau(chi) for chi in chars])
+    t = _taus(chars)
     return cstar, c, m, tables[0], tables[1], (t.real, t.imag)
 
 

@@ -56,7 +56,7 @@ from .residues import divisor_count, primes_up_to, unit_residues
 from .voronoi import (
     VoronoiInstance,
     a_n_coefficient,
-    b_n_coefficient,
+    b_n_coefficients,
     b_n_tail_bound,
     curly_g_coefficients,
     curly_h_coefficients,
@@ -66,8 +66,7 @@ from .voronoi import (
     mobius_collapse,
     parity_gamma,
     voronoi_rhs_coefficients,
-    z_probe,
-    z_probe_bound,
+    z_probe_with_bound,
 )
 
 __all__ = [
@@ -995,9 +994,9 @@ def _voronoi_units(ranges, tol, config):
             recs = []
             for q in qs:
                 inst = VoronoiInstance(src, q, cstar, chi=chi_star)
-                for n in n_values:
+                b_vals = b_n_coefficients(inst, n_values, s, pref, y, weights)
+                for n, b_val in zip(n_values, b_vals):
                     a_val = a_n_coefficient(inst, n, s, lval)
-                    b_val = b_n_coefficient(inst, n, s, pref, y, weights)
                     tail = b_n_tail_bound(inst, n, s, pref, y)
                     allowance = tail + tol * max(abs(a_val), abs(b_val))
                     recs.append(
@@ -1029,8 +1028,7 @@ def _voronoi_units(ranges, tol, config):
             chi_star = primitive_characters(cstar)[0]
             src = sources[n_deg, shifts]
             inst = VoronoiInstance(src, qz, cstar, chi=chi_star)
-            via_l, via_a = z_probe(inst, sz, wz, x_probe)
-            bound = z_probe_bound(inst, sz, wz, x_probe)
+            via_l, via_a, bound = z_probe_with_bound(inst, sz, wz, x_probe)
             return [
                 _abs_case(
                     anchor,
@@ -1130,7 +1128,7 @@ def _check_voronoi_poles(ranges, config) -> None:
         return
     for sz, wz in ranges["probe_points"]:
         for twist, (n_deg, shifts, cstar, _) in _z_probes(sz, wz, ranges["probe_cstar"]).items():
-            # the same complex operations as z_probe and z_probe_bound
+            # the same complex operations as z_probe_with_bound
             s, w = complex(sz), complex(wz)
             l_args = [s + sh for sh in shifts] + [2 * w - 2 * s + 1]
             if n_deg == 2:

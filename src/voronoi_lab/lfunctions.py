@@ -180,16 +180,24 @@ def _hurwitz_em(s: complex, a: float) -> complex:
     return total + corr
 
 
-def _hurwitz_reflect(s: complex, a: Fraction) -> complex:
-    """Hurwitz formula: reflect a rational-shift zeta into the Re > 1 regime."""
-    p, q = a.numerator, a.denominator
+def _hurwitz_reflect_all(s: complex, q: int, numerators) -> list[complex]:
+    """Hurwitz formula: reflect zeta(s, p/q) into the Re > 1 regime at every p.
+
+    The q Euler-Maclaurin values zeta(1 - s, k/q) and the prefactor do not
+    depend on p, so one table serves every numerator; each p weights it by its
+    own cosines.
+    """
     u = 1.0 - s
     pref = 2.0 * cmath.exp(_loggamma(u) - u * math.log(2.0 * math.pi * q))
-    terms = [
-        cmath.cos(math.pi * u / 2.0 - 2.0 * math.pi * k * p / q) * _hurwitz_em(u, k / q)
-        for k in range(1, q + 1)
+    em = [_hurwitz_em(u, k / q) for k in range(1, q + 1)]
+    return [
+        pref
+        * _csum(
+            cmath.cos(math.pi * u / 2.0 - 2.0 * math.pi * k * p / q) * zeta_k
+            for k, zeta_k in enumerate(em, start=1)
+        )
+        for p in numerators
     ]
-    return pref * _csum(terms)
 
 
 def _hurwitz_mp(s: complex, a: Fraction, precision: int) -> complex:
@@ -235,7 +243,7 @@ def hurwitz_zeta(s, a, precision: int | None = None) -> complex:
             "hurwitz_zeta: Re(s) < -0.25 requires a rational shift with "
             f"denominator <= {_REFLECT_MAX_Q} (reflection formula)"
         )
-    return _hurwitz_reflect(s, a)
+    return _hurwitz_reflect_all(s, a.denominator, (a.numerator,))[0]
 
 
 def _chi_mp(chi: DirichletCharacter, r: int, mp):
@@ -340,11 +348,13 @@ def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> com
         return _l_at_one(chi, precision)
     if precision is not None:
         return _dirichlet_l_mp(s, chi, precision)
-    terms = [
-        chi.value_vector[r % c] * hurwitz_zeta(s, Fraction(r, c))
-        for r in range(1, c + 1)
-        if math.gcd(r, c) == 1
-    ]
+    units = [r for r in range(1, c + 1) if math.gcd(r, c) == 1]
+    if s.real < -0.25 and not (s.imag == 0 and s.real == int(s.real)):
+        # where hurwitz_zeta would reflect, one Euler-Maclaurin table serves every r
+        zetas = _hurwitz_reflect_all(s, c, units)
+    else:
+        zetas = [hurwitz_zeta(s, Fraction(r, c)) for r in units]
+    terms = [chi.value_vector[r % c] * zeta_r for r, zeta_r in zip(units, zetas)]
     return c ** (-s) * _csum(terms)
 
 

@@ -66,12 +66,21 @@ def mobius(n: int) -> int:
 
 @lru_cache(maxsize=8)
 def mobius_sieve(n: int) -> np.ndarray:
-    """Read-only int8[n+1] holding mu(m) at index m = 1..n; index 0 is 0."""
+    """Read-only int8[n+1] holding mu(m) at index m = 1..n; index 0 is 0.
+
+    Only the primes p <= sqrt(n) are sieved: each flips the sign of its
+    multiples, zeroes the multiples of p^2 and multiplies into part[m], the
+    product of the small primes dividing m.  An m <= n has at most one prime
+    factor above sqrt(n), and has one exactly when part[m] < m.
+    """
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes_up_to(n):
+    part = np.ones(n + 1, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(n)):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
+        part[p::p] *= p
+    mu[part < np.arange(n + 1)] *= -1
     mu.flags.writeable = False
     return mu
 

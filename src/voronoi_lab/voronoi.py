@@ -38,6 +38,7 @@ __all__ = [
     "VoronoiInstance",
     "a_n_coefficient",
     "b_n_coefficient",
+    "b_n_coefficients",
     "b_n_tail_bound",
     "curly_g_coefficients",
     "curly_h_coefficients",
@@ -49,6 +50,7 @@ __all__ = [
     "voronoi_rhs_coefficients",
     "z_probe",
     "z_probe_bound",
+    "z_probe_with_bound",
 ]
 
 
@@ -394,16 +396,20 @@ def _b_n_layers(inst: VoronoiInstance, n: int):
         yield math.prod(e_rest), free_ratio, mid, e_rest[0] * n
 
 
-def b_n_coefficient(
-    inst: VoronoiInstance, n: int, s, prefactor, y: int, weights: dict | None = None
-) -> complex:
-    """Coefficient b_n(s) of the dual-side n^{-2w} expansion, inner sum to Y.
+def b_n_coefficients(
+    inst: VoronoiInstance, n_values, s, prefactor, y: int, weights: dict | None = None
+) -> list[complex]:
+    """Coefficients b_n(s) of the dual-side n^{-2w} expansion, inner sum to Y,
+    one per n in n_values.
 
     ``prefactor`` is G(s) tau(chi*)^N c*^{-Ns} supplied externally.  For
     degree >= 3:
         prefactor * n^s * sum_{e_{N-1}<=Y} sum_{e_i|q_i}
             chi_bar*(e_1...e_{N-1}) (e_1...e_{N-1})^{s-1}
             A(e_{N-1} q_{N-2}/e_{N-2}, ..., e_2 q_1/e_1, e_1 n).
+    Only the last slot of A depends on n, so each layer (e_1, ..., e_{N-2})
+    gathers its character values, drops their zeros and weights them by the
+    power once, and every n reads one coefficient row against that product.
     The degree-2 path follows the rank-two remark directly,
         prefactor / tau(chi*) * sum_{h<=Y} A(h) h^{s-1} g(chi*, n c*, h);
     one Gauss-sum factor moves inside the h-sum there, so the external
@@ -418,7 +424,6 @@ def b_n_coefficient(
     s = complex(s)
     chi_star = inst.chi_star
     cstar = chi_star.modulus
-    n_deg = inst.degree
     if weights is None:
         weights = {}
     e_free = np.arange(1, y + 1, dtype=np.int64)
@@ -429,20 +434,34 @@ def b_n_coefficient(
             weights[key] = (prod_rest * e_free).astype(np.float64) ** (s - 1)
         return weights[key]
 
-    if n_deg == 2:
-        gvec = gauss_sum_vector(chi_star, n * cstar)
-        row = inst.source.coefficient_row((), (), y)
-        idx = np.arange(y + 1) % (n * cstar)
-        inner = complex(np.sum(row[1:] * power(1) * gvec[idx][1:]))
-        return complex(prefactor) / tau(chi_star) * inner
+    if inst.degree == 2:
+        wv = inst.source.coefficient_row((), (), y)[1:] * power(1)
+        scale = complex(prefactor) / tau(chi_star)
+        out = []
+        for n in n_values:
+            gvec = gauss_sum_vector(chi_star, n * cstar)
+            idx = np.arange(y + 1) % (n * cstar)
+            out.append(scale * complex(np.sum(wv * gvec[idx][1:])))
+        return out
     vv_bar = chi_star.value_vector.conjugate()
-    acc = 0j
-    for prod_rest, free_ratio, mid, last in _b_n_layers(inst, n):
-        row = inst.source.coefficient_row((), mid + (last,), y, scale=free_ratio)[1:]
+    acc = [0j] * len(n_values)
+    # the layers are the same at every n but for the last slot e_1 n
+    for layer in zip(*(_b_n_layers(inst, n) for n in n_values)):
+        prod_rest, free_ratio, mid, _ = layer[0]
         v = vv_bar[(prod_rest * e_free) % cstar]
         keep = v != 0
-        acc += complex(np.sum(v[keep] * power(prod_rest)[keep] * row[keep]))
-    return complex(prefactor) * n**s * acc
+        wv = v[keep] * power(prod_rest)[keep]
+        for i, (*_, last) in enumerate(layer):
+            row = inst.source.coefficient_row((), mid + (last,), y, scale=free_ratio)[1:]
+            acc[i] += complex(np.sum(wv * row[keep]))
+    return [complex(prefactor) * n**s * a for n, a in zip(n_values, acc)]
+
+
+def b_n_coefficient(
+    inst: VoronoiInstance, n: int, s, prefactor, y: int, weights: dict | None = None
+) -> complex:
+    """b_n(s) at the one index n: see b_n_coefficients."""
+    return b_n_coefficients(inst, (n,), s, prefactor, y, weights)[0]
 
 
 @lru_cache(maxsize=64)
@@ -525,19 +544,29 @@ def _mobius_character_terms(chi_values: np.ndarray, cstar: int, exponent: comple
     return vals
 
 
-def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
-    """Two routes to the truncated two-variable L-quotient Z(s, w).
+def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex, float]:
+    """(via_l, via_a, bound): two routes to the truncated two-variable
+    L-quotient Z(s, w) and a computable bound on |via_l - via_a|, in one pass.
 
     via_l assembles the quotient from analytic L-values (the plain layered
     series truncated at x, times the twisted L-value, divided by the shifted
     Dirichlet L); via_a is sum_{n<=x} a_n(s) n^{-2w}, accumulated in the
     exactly rearranged divisor order so no coefficient is recomputed.
     Requires an isobaric source so all L-factors are computable.
+
+    Both routes truncate the outer d-sum identically, so the discrepancy is
+    exactly sum_d A_d d^{s-2w} (M(x//d) - M(inf)) with M the Mobius-character
+    series of exponent 2s-1-2w and M(inf) = 1/L(2w-2s+1, conj chi*).  Each
+    factor is bounded by the triangle inequality through the partial sum at
+    4x:  |M(T) - M(inf)| <= |S(4x) - S(T)| + |S(4x) - M(inf)|, every term of
+    which is computable.  A small cushion absorbs the rounding of the L-value
+    and of the comparison itself.  The Mobius-character terms are built once,
+    to 4x; via_a reads only their entries up to x.
     """
     _require_character(inst)
     shifts = inst.source.isobaric_shifts
     if shifts is None:
-        raise ValueError("z_probe needs an isobaric coefficient source")
+        raise ValueError("the z probe needs an isobaric coefficient source")
     s = complex(s)
     w = complex(w)
     chi_star = inst.chi_star
@@ -547,54 +576,21 @@ def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
     l_den = dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
     via_l = _dirichlet_eval(row, 2 * w - s) * l_twist / l_den
     d_arr = np.arange(1, x + 1, dtype=np.float64)
-    d_pow = d_arr ** (s - 2 * w)
-    m_terms = _mobius_character_terms(
-        chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, x
-    )
-    if inst.degree == 2:
-        via_l /= dirichlet_l(2 * w, chi_star)
-        k_prefix = np.cumsum(_mobius_character_terms(chi_star.value_vector, cstar, -2 * w, x))
-        inner = _quotient_convolution(m_terms, k_prefix, x)
-    else:
-        inner = np.cumsum(m_terms)
     tail_idx = x // np.arange(1, x + 1)
-    via_a = l_twist * complex(np.sum(row[1:] * d_pow * inner[tail_idx]))
-    return via_l, via_a
-
-
-def z_probe_bound(inst: VoronoiInstance, s, w, x: int) -> float:
-    """Computable bound on |via_l - via_a| for the same probe arguments.
-
-    Both routes truncate the outer d-sum identically, so the discrepancy is
-    exactly sum_d A_d d^{s-2w} (M(x//d) - M(inf)) with M the Mobius-character
-    series of exponent 2s-1-2w and M(inf) = 1/L(2w-2s+1, conj chi*).  Each
-    factor is bounded by the triangle inequality through the partial sum at
-    4x:  |M(T) - M(inf)| <= |S(4x) - S(T)| + |S(4x) - M(inf)|, every term of
-    which is computable.  A small cushion absorbs the rounding of the L-value
-    and of the comparison itself.
-    """
-    _require_character(inst)
-    shifts = inst.source.isobaric_shifts
-    if shifts is None:
-        raise ValueError("z_probe_bound needs an isobaric coefficient source")
-    s = complex(s)
-    w = complex(w)
-    chi_star = inst.chi_star
-    cstar = chi_star.modulus
-    row = np.abs(inst.source.coefficient_row(tuple(reversed(inst.q)), (), x))
-    l_twist = abs(twisted_l_isobaric(LValueRequest(s, chi_star, shifts)))
-    d_pow = np.arange(1, x + 1, dtype=np.float64) ** (s.real - 2 * w.real)
     m_terms = _mobius_character_terms(
         chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, 4 * x
     )
     m_prefix = np.cumsum(m_terms)
-    m_inf = 1 / dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
+    m_inf = 1 / l_den
     anchor = abs(m_prefix[4 * x] - m_inf) + 1e-12 * (1 + abs(m_inf))
-    tail_idx = x // np.arange(1, x + 1)
     m_err = np.abs(m_prefix[4 * x] - m_prefix[tail_idx]) + anchor
     if inst.degree == 2:
+        l_k = dirichlet_l(2 * w, chi_star)
+        via_l /= l_k
         k_prefix = np.cumsum(_mobius_character_terms(chi_star.value_vector, cstar, -2 * w, 4 * x))
-        k_inf = 1 / dirichlet_l(2 * w, chi_star)
+        # _quotient_convolution reads its arrays only up to index x
+        inner = _quotient_convolution(m_terms, k_prefix, x)
+        k_inf = 1 / l_k
         k_anchor = abs(k_prefix[4 * x] - k_inf) + 1e-12 * (1 + abs(k_inf))
         # |chi(m) mu(m) m^(2s-1-2w)| for m <= x, zero where mu chi vanishes
         m_abs = np.zeros(x + 1)
@@ -602,4 +598,19 @@ def z_probe_bound(inst: VoronoiInstance, s, w, x: int) -> float:
         m_abs[keep] = keep.astype(np.float64) ** (2 * s.real - 1 - 2 * w.real)
         k_err = np.abs(k_prefix[4 * x] - k_prefix[: x + 1]) + k_anchor
         m_err = _quotient_convolution(m_abs, k_err, x)[tail_idx] + abs(k_inf) * m_err
-    return float(l_twist * np.sum(row[1:] * d_pow * m_err) + 1e-12)
+    else:
+        inner = m_prefix
+    via_a = l_twist * complex(np.sum(row[1:] * d_arr ** (s - 2 * w) * inner[tail_idx]))
+    d_pow = d_arr ** (s.real - 2 * w.real)
+    bound = float(abs(l_twist) * np.sum(np.abs(row)[1:] * d_pow * m_err) + 1e-12)
+    return via_l, via_a, bound
+
+
+def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
+    """(via_l, via_a) of z_probe_with_bound."""
+    return z_probe_with_bound(inst, s, w, x)[:2]
+
+
+def z_probe_bound(inst: VoronoiInstance, s, w, x: int) -> float:
+    """The bound on |via_l - via_a| of z_probe_with_bound."""
+    return z_probe_with_bound(inst, s, w, x)[2]

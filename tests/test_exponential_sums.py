@@ -12,6 +12,7 @@ from voronoi_lab.exponential_sums import (
     KloostermanSpec,
     _chain_tree,
     _layers,
+    _taus,
     additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
@@ -104,6 +105,16 @@ def test_tau_modulus():
         for chi in primitive_characters(cstar):
             assert abs(abs(tau(chi)) - math.sqrt(cstar)) < 1e-10
     assert abs(tau(principal(1)) - 1) < 1e-14
+
+
+def test_taus_of_one_conductor_keep_the_bits_of_tau():
+    # the closed rows read tau through _taus, one table per conductor
+    for cstar in (1, 3, 4, 5, 8, 12, 13, 16):
+        chars = primitive_characters(cstar)
+        for picked in (chars, chars[::-1], chars[-1:]):
+            got = [(z.real.hex(), z.imag.hex()) for z in _taus(picked).tolist()]
+            want = [(tau(chi).real.hex(), tau(chi).imag.hex()) for chi in picked]
+            assert got == want, cstar
 
 
 def _family_at(rows_fn):

@@ -165,6 +165,18 @@ def test_reflected_dirichlet_l_keeps_the_per_residue_bits():
             assert _chex(dirichlet_l(s, chi)) == _chex(want), (s, chi.modulus, chi.label)
 
 
+def test_reflected_dirichlet_l_reads_one_euler_maclaurin_table(monkeypatch):
+    # c sums zeta(1 - s, k/c), k = 1..c, serve every unit r; one table per r
+    # would make phi(c) c of them
+    shifts = []
+    em = lfunctions._hurwitz_em
+    monkeypatch.setattr(lfunctions, "_hurwitz_em", lambda s, a: shifts.append(a) or em(s, a))
+    for c in (5, 12, 30):
+        shifts.clear()
+        dirichlet_l(-1.5 + 1j, enumerate_characters(c)[-1])
+        assert shifts == [k / c for k in range(1, c + 1)], c
+
+
 def test_dirichlet_l_principal_pole():
     with pytest.raises(ValueError):
         dirichlet_l(1, principal(6))

@@ -35,6 +35,7 @@ from voronoi_lab.voronoi import (
     VoronoiInstance,
     a_n_coefficient,
     b_n_coefficient,
+    b_n_coefficients,
     b_n_tail_bound,
     curly_g_coefficients,
     curly_h_coefficients,
@@ -46,6 +47,7 @@ from voronoi_lab.voronoi import (
     voronoi_rhs_coefficients,
     z_probe,
     z_probe_bound,
+    z_probe_with_bound,
 )
 
 X = 50
@@ -381,9 +383,11 @@ def test_b_n_keeps_the_per_n_bits(shifts, qs):
         chi = primitive_characters(cstar)[-1]
         for q in qs:
             inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
-            for n in n_values:
+            batched = b_n_coefficients(inst, n_values, s, pref, y)
+            for n, got in zip(n_values, batched, strict=True):
                 want = _hex(_b_n_per_n(inst, n, s, pref, y))
                 assert _hex(b_n_coefficient(inst, n, s, pref, y)) == want, (cstar, q, n)
+                assert _hex(got) == want, (cstar, q, n)
 
 
 def test_rhs_with_a_shared_leaf_store_is_bit_equal_across_units():
@@ -556,6 +560,9 @@ def test_z_probe_and_bound_keep_their_separate_bits(s, w):
         assert (_hex(got_l), _hex(got_a)) == (_hex(via_l), _hex(via_a)), (shifts, cstar)
         bound = z_probe_bound(inst, s, w, x)
         assert bound.hex() == _z_probe_bound_alone(inst, s, w, x).hex(), (shifts, cstar)
+        got_l, got_a, got_bound = z_probe_with_bound(inst, s, w, x)
+        assert (_hex(got_l), _hex(got_a)) == (_hex(via_l), _hex(via_a)), (shifts, cstar)
+        assert got_bound.hex() == bound.hex(), (shifts, cstar)
 
 
 def test_unitary_coefficients_inside_divisor_envelope():
