@@ -482,7 +482,7 @@ def _rankin_tail(k: int, t: float, y: int) -> float:
 
 
 def b_n_tail_bound(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> float:
-    """Certified bound on the inner-sum tail dropped by b_n_coefficient.
+    """Certified bound on the inner-sum tail dropped by b_n_coefficients.
 
     Uses |A(m_1,...,m_{N-1})| <= prod_i d_N(m_i), valid for unitary Satake
     data (the coefficient is a sum of unit monomials, so the all-ones value
