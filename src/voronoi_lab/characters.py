@@ -95,10 +95,6 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
-    @property
-    def is_principal(self) -> bool:
-        return all(k == 0 for k in self.exponents)
-
     @cached_property
     def parity(self) -> int:
         """chi(-1): +1 (even) or -1 (odd)."""
@@ -240,10 +236,6 @@ def induce(chi_star: DirichletCharacter, c: int) -> DirichletCharacter:
 def conductor(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
     """(c*, chi*): the conductor of chi and the primitive character inducing it."""
     return chi.conductor, chi.primitive()
-
-
-def principal(c: int) -> DirichletCharacter:
-    return DirichletCharacter(c, (0,) * len(unit_group(c).factors))
 
 
 @lru_cache(maxsize=None)

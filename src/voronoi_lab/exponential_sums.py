@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +19,7 @@ from numpy.fft import ifft
 
 from ._kernels import kl_layer
 from .characters import DirichletCharacter, enumerate_characters, primitive_characters
-from .numeric import roots_of_unity, split_product, sum_error_bound
+from .numeric import roots_of_unity, split_product
 from .residues import (
     carmichael,
     divisors,
@@ -29,12 +28,6 @@ from .residues import (
     mobius_sieve,
     unit_residues,
 )
-
-
-def additive_char(x: Fraction | int) -> complex:
-    """e(x) = exp(2*pi*i*x) for rational x, from the table of its denominator."""
-    x = Fraction(x)
-    return complex(roots_of_unity(x.denominator)[x.numerator % x.denominator])
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +49,7 @@ def gauss_sum_rows(cstar: int, c: int) -> np.ndarray:
     chi* of conductor cstar.  g(chi*, c, m) = sum over u mod c of chi(u)
     e(mu/c) is the unscaled inverse DFT of the induced character's value
     vector (zero off the units), so the table is one FFT along its rows;
-    per-entry rounding is covered by gauss_sum_error(c).
+    per-entry rounding is within sum_error_bound(phi(c), 1).
 
     The value vectors are read off the turn tables, not built from induce:
     chi*(u) = e(k/m*) with k = turn_table[u mod c*] and m* = lambda(c*),
@@ -93,10 +86,6 @@ def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
     row = gauss_sum_rows(cstar, c)[primitive_characters(cstar).index(chi_star)].copy()
     row.setflags(write=False)
     return row
-
-
-def gauss_sum_error(c: int) -> float:
-    return sum_error_bound(euler_phi(c), 1.0)
 
 
 def gauss_sum(chi_star: DirichletCharacter, c: int, m: int) -> complex:
@@ -227,80 +216,6 @@ def gauss_sum_closed_lemma23(chi_star: DirichletCharacter, c: int, m: int) -> co
 
 # ---------------------------------------------------------------------------
 # Kloosterman sums
-
-
-@dataclass(frozen=True)
-class KloostermanSpec:
-    """Parameters (a, n, c; q, d) of a hyper-Kloosterman sum of degree N = len(q)+2.
-
-    The divisibility chain d_1 | q_1 c, d_2 | q_2 (q_1 c / d_1), ... is part
-    of the object's meaning and is validated at construction, as is
-    gcd(a, c) = 1.  It describes one term for the nested oracle
-    hyper_kloosterman; the walk kloosterman_vector reads every chain of its
-    (c, q) from _chain_tree, so it has none to check.
-    """
-
-    a: int
-    n: int
-    c: int
-    q: tuple[int, ...] = ()
-    d: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
-        if math.gcd(self.a, self.c) != 1:
-            raise ValueError(f"a = {self.a} is not a unit mod c = {self.c}")
-        if len(self.q) != len(self.d):
-            raise ValueError("q and d must have equal length")
-        if any(x < 1 for x in self.q) or any(x < 1 for x in self.d):
-            raise ValueError("q and d entries must be positive")
-        m = self.c
-        for i, (qi, di) in enumerate(zip(self.q, self.d), start=1):
-            if (qi * m) % di != 0:
-                raise ValueError(
-                    f"divisibility chain broken at d_{i} = {di}: must divide {qi * m}"
-                )
-            m = qi * m // di
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        """(M_0, ..., M_K): M_0 = c, M_i = q_i M_{i-1} / d_i."""
-        mods = [self.c]
-        for qi, di in zip(self.q, self.d):
-            mods.append(qi * mods[-1] // di)
-        return tuple(mods)
-
-
-def hyper_kloosterman(spec: KloostermanSpec) -> complex:
-    """Direct nested summation of the hyper-Kloosterman sum (oracle path).
-
-    Cost is the product of the unit counts of the layer moduli; sweeps keep
-    that below ~10^7 terms.  The degenerate degree-2 case is e(a n / c).
-    """
-    mods = spec.moduli
-    k = len(spec.q)
-    if k == 0:
-        return additive_char(Fraction(spec.a * spec.n, spec.c))
-    roots = [roots_of_unity(m) for m in mods]
-    invs = [inverse_table(m) for m in mods]
-    units = [unit_residues(m) for m in mods]
-    n_hat = spec.n % mods[k]
-
-    def layer(i: int, r: int) -> complex:
-        m_prev = mods[i - 1]
-        m = mods[i]
-        d_i = spec.d[i - 1] % m_prev
-        acc = 0j
-        if i == k:
-            for x in units[i]:
-                acc += roots[i - 1][d_i * x * r % m_prev] * roots[i][n_hat * invs[i][x] % m]
-        else:
-            for x in units[i]:
-                acc += roots[i - 1][d_i * x * r % m_prev] * layer(i + 1, int(invs[i][x]))
-        return acc
-
-    return complex(layer(1, spec.a % spec.c))
 
 
 def _layers(q) -> tuple[tuple[int, ...], ...]:

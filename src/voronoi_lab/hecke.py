@@ -143,19 +143,6 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def schur_bialternant(k: tuple[int, ...], x: tuple[complex, ...]) -> complex:
-    """Ratio-of-alternants oracle: det(x_i^(lambda_j + N - j)) / det(x_i^(N - j)).
-
-    Degenerates when parameters nearly coincide; used only as a test oracle
-    away from the Vandermonde cancellation locus.
-    """
-    n = len(x)
-    lam = list(itertools.accumulate(reversed(k)))[::-1] + [0] * (n - len(k))
-    num = np.array([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
-    den = np.array([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
-    return complex(np.linalg.det(num) / np.linalg.det(den))
-
-
 # ---------------------------------------------------------------------------
 # Parameter families
 
@@ -422,10 +409,6 @@ class CoefficientSource:
         row.flags.writeable = False
         self._row_cache[key] = row
         return row
-
-    def dual_coefficient(self, m: tuple[int, ...]) -> complex:
-        """B(m) = A with the index tuple reversed."""
-        return self.coefficient(tuple(reversed(m)))
 
 
 def random_satake_source(degree: int, prime_bound: int, seed: int) -> CoefficientSource:

@@ -1,10 +1,12 @@
 """Dirichlet L-values, Hurwitz zeta, and ratios of Gamma factors.
 
-Everything runs in double precision with compensated summation.  Each public
-evaluator also takes an optional ``precision`` argument (bits of significand)
-that reroutes the computation through mpmath: the dual-series checks multiply
-several sqrt(c*)-sized factors together, and a rerun with extra headroom is
-the cheapest way to confirm a marginal comparison.
+Everything runs in double precision with compensated summation.
+``dirichlet_l``, ``dirichlet_l_refusal``, ``g_pm_eval``, ``twisted_l_isobaric``
+and ``functional_equation_check`` also take an optional ``precision`` argument
+(bits of significand) that reroutes the computation through mpmath: the
+dual-series checks multiply several sqrt(c*)-sized factors together, and a
+rerun with extra headroom is the cheapest way to confirm a marginal
+comparison.
 
 log Gamma and digamma are computed in-house (``_loggamma``, ``_digamma``):
 principal-branch log Gamma by Stirling's series, upward recurrence and
@@ -180,13 +182,32 @@ def _hurwitz_em(s: complex, a: float) -> complex:
     return total + corr
 
 
-def _hurwitz_reflect_all(s: complex, q: int, numerators) -> list[complex]:
-    """Hurwitz formula: reflect zeta(s, p/q) into the Re > 1 regime at every p.
+def _hurwitz_values(s: complex, q: int, numerators) -> list[complex]:
+    """zeta(s, p/q) for every p in numerators, each in [1, q]; s is not the pole.
 
-    The q Euler-Maclaurin values zeta(1 - s, k/q) and the prefactor do not
-    depend on p, so one table serves every numerator; each p weights it by its
-    own cosines.
+    The one choice of regime for every Hurwitz value: the Bernoulli formula at
+    exact non-positive integers, direct Euler-Maclaurin for Re(s) >= -0.25,
+    and further left, where the main sum loses digits to cancellation,
+    Hurwitz's formula, which reflects into the Re > 1 regime and takes
+    q <= _REFLECT_MAX_Q (4096).  There the q Euler-Maclaurin values
+    zeta(1 - s, k/q) and the prefactor do not depend on p, so one table
+    serves every numerator; each p weights it by its own cosines.
     """
+    if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
+        # zeta(-n, a) = -B_{n+1}(a)/(n+1), exact in rational arithmetic; this
+        # also preserves the exact zeros that reflection would smear out
+        n = int(-s.real)
+        return [
+            complex(Fraction(-1, n + 1) * _bernoulli_poly(n + 1, Fraction(p, q)))
+            for p in numerators
+        ]
+    if s.real >= -0.25:
+        return [_hurwitz_em(s, p / q) for p in numerators]
+    if q > _REFLECT_MAX_Q:
+        raise ValueError(
+            "hurwitz_zeta: Re(s) < -0.25 requires a rational shift with "
+            f"denominator <= {_REFLECT_MAX_Q} (reflection formula)"
+        )
     u = 1.0 - s
     pref = 2.0 * cmath.exp(_loggamma(u) - u * math.log(2.0 * math.pi * q))
     em = [_hurwitz_em(u, k / q) for k in range(1, q + 1)]
@@ -200,28 +221,20 @@ def _hurwitz_reflect_all(s: complex, q: int, numerators) -> list[complex]:
     ]
 
 
-def _hurwitz_mp(s: complex, a: Fraction, precision: int) -> complex:
-    import mpmath as mp
-
-    with mp.workprec(precision):
-        return complex(mp.zeta(mp.mpc(s), mp.mpf(a.numerator) / a.denominator))
-
-
 def _bernoulli_poly(m: int, a: Fraction) -> Fraction:
     return sum(
         (math.comb(m, k) * bernoulli_number(k)) * a ** (m - k) for k in range(m + 1)
     )
 
 
-def hurwitz_zeta(s, a, precision: int | None = None) -> complex:
+def hurwitz_zeta(s, a) -> complex:
     """Hurwitz zeta zeta(s, a) for a shift a in (0, 1], continued to all s != 1.
 
-    Direct Euler-Maclaurin for Re(s) >= -0.25.  Further left the main sum
-    loses digits to cancellation, so the rational-shift reflection formula is
-    used instead; a must then be a Fraction (or a float that IS one exactly)
-    with denominator <= _REFLECT_MAX_Q (4096).  Every shift this package
-    produces is r/c with c at desk scale, so the restriction is invisible in
-    practice; dirichlet_l_refusal names the conductors past it.
+    Left of Re(s) = -0.25 the reflection formula needs a rational shift: a
+    must then be a Fraction (or a float that IS one exactly) with denominator
+    <= _REFLECT_MAX_Q (4096).  Every shift this package produces is r/c with c
+    at desk scale, so the restriction is invisible in practice;
+    dirichlet_l_refusal names the conductors past it.
     """
     s = complex(s)
     if abs(s - 1.0) < _POLE_TOL:
@@ -229,21 +242,7 @@ def hurwitz_zeta(s, a, precision: int | None = None) -> complex:
     a = a if isinstance(a, Fraction) else Fraction(a)
     if not 0 < a <= 1:
         raise ValueError("hurwitz_zeta: shift must lie in (0, 1]")
-    if precision is not None:
-        return _hurwitz_mp(s, a, precision)
-    if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
-        # zeta(-n, a) = -B_{n+1}(a)/(n+1), exact in rational arithmetic; this
-        # also preserves the exact zeros that reflection would smear out
-        n = int(-s.real)
-        return complex(Fraction(-1, n + 1) * _bernoulli_poly(n + 1, a))
-    if s.real >= -0.25:
-        return _hurwitz_em(s, a.numerator / a.denominator)
-    if a.denominator > _REFLECT_MAX_Q:
-        raise ValueError(
-            "hurwitz_zeta: Re(s) < -0.25 requires a rational shift with "
-            f"denominator <= {_REFLECT_MAX_Q} (reflection formula)"
-        )
-    return _hurwitz_reflect_all(s, a.denominator, (a.numerator,))[0]
+    return _hurwitz_values(s, a.denominator, (a.numerator,))[0]
 
 
 def _chi_mp(chi: DirichletCharacter, r: int, mp):
@@ -349,11 +348,7 @@ def dirichlet_l(s, chi: DirichletCharacter, precision: int | None = None) -> com
     if precision is not None:
         return _dirichlet_l_mp(s, chi, precision)
     units = [r for r in range(1, c + 1) if math.gcd(r, c) == 1]
-    if s.real < -0.25 and not (s.imag == 0 and s.real == int(s.real)):
-        # where hurwitz_zeta would reflect, one Euler-Maclaurin table serves every r
-        zetas = _hurwitz_reflect_all(s, c, units)
-    else:
-        zetas = [hurwitz_zeta(s, Fraction(r, c)) for r in units]
+    zetas = _hurwitz_values(s, c, units)
     terms = [chi.value_vector[r % c] * zeta_r for r, zeta_r in zip(units, zetas)]
     return c ** (-s) * _csum(terms)
 
@@ -365,17 +360,12 @@ def gamma_pole(z) -> int | None:
     return nearest if nearest <= 0 and abs(z - nearest) < _POLE_TOL else None
 
 
-def log_gamma(z, precision: int | None = None) -> complex:
+def log_gamma(z) -> complex:
     """Principal-branch log Gamma; rejects arguments within 1e-6 of a pole."""
     z = complex(z)
     pole = gamma_pole(z)
     if pole is not None:
         raise ValueError(f"log_gamma: argument within 1e-6 of the pole at {pole}")
-    if precision is not None:
-        import mpmath as mp
-
-        with mp.workprec(precision):
-            return complex(mp.loggamma(mp.mpc(z)))
     return _loggamma(z)
 
 

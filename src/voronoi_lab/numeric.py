@@ -41,11 +41,12 @@ def sum_error_bound(n_terms: int, max_abs: float) -> float:
 
     Covers per-term table error plus accumulation rounding: n*max_abs times
     (TABLE_ENTRY_ERR + max(log2(n)+2, n)*eps), the worst case of sequential
-    summation and far above numpy's pairwise sums.  gauss_sum_error applies
-    it to the FFT that builds Gauss-sum vectors, whose rounding grows only
-    like eps*log2(c)*sqrt(phi(c)) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 24.1); tests/test_kernels.py checks those
-    vectors against mpmath within this bound.
+    summation and far above numpy's pairwise sums.  gauss_sum_error in
+    tests/oracles.py applies it to the FFT that builds Gauss-sum vectors,
+    whose rounding grows only like eps*log2(c)*sqrt(phi(c)) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1);
+    tests/test_kernels.py checks those vectors against mpmath within this
+    bound.
     """
     if n_terms <= 0 or max_abs == 0.0:
         return 0.0

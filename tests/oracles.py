@@ -1,0 +1,137 @@
+"""Small-size oracles the tests check the package's routes against.
+
+Each oracle computes a quantity by a route that shares none of the code of
+the route it checks, and nothing under src/ imports this module, so no route
+of a sweep can reach one (tests/test_imports.py checks that):
+
+* hyper_kloosterman, the nested sum of one hyper-Kloosterman term, checks
+  the prefix-tree walk kloosterman_vector, the additive dual side built on
+  it, and the Lemma 3.4 Gauss-sum product;
+* schur_bialternant, the ratio of alternants, checks the Jacobi-Trudi
+  schur of hecke and so every coefficient A(m);
+* hurwitz_zeta_mp, mpmath at a given precision, checks the double-precision
+  hurwitz_zeta of lfunctions;
+* principal, additive_char and gauss_sum_error are the character, the
+  additive character and the FFT rounding bound those checks read.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+
+from voronoi_lab.characters import DirichletCharacter
+from voronoi_lab.numeric import roots_of_unity, sum_error_bound
+from voronoi_lab.residues import euler_phi, inverse_table, unit_group, unit_residues
+
+
+def principal(c: int) -> DirichletCharacter:
+    """The principal character mod c."""
+    return DirichletCharacter(c, (0,) * len(unit_group(c).factors))
+
+
+def additive_char(x: Fraction | int) -> complex:
+    """e(x) = exp(2*pi*i*x) for rational x, from the table of its denominator."""
+    x = Fraction(x)
+    return complex(roots_of_unity(x.denominator)[x.numerator % x.denominator])
+
+
+def gauss_sum_error(c: int) -> float:
+    """Rounding bound of one entry of the FFT table gauss_sum_rows(c*, c)."""
+    return sum_error_bound(euler_phi(c), 1.0)
+
+
+@dataclass(frozen=True)
+class KloostermanSpec:
+    """Parameters (a, n, c; q, d) of a hyper-Kloosterman sum of degree N = len(q)+2.
+
+    The divisibility chain d_1 | q_1 c, d_2 | q_2 (q_1 c / d_1), ... is part
+    of the object's meaning and is validated at construction, as is
+    gcd(a, c) = 1.
+    """
+
+    a: int
+    n: int
+    c: int
+    q: tuple[int, ...] = ()
+    d: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.c < 1:
+            raise ValueError("c must be >= 1")
+        if math.gcd(self.a, self.c) != 1:
+            raise ValueError(f"a = {self.a} is not a unit mod c = {self.c}")
+        if len(self.q) != len(self.d):
+            raise ValueError("q and d must have equal length")
+        if any(x < 1 for x in self.q) or any(x < 1 for x in self.d):
+            raise ValueError("q and d entries must be positive")
+        m = self.c
+        for i, (qi, di) in enumerate(zip(self.q, self.d), start=1):
+            if (qi * m) % di != 0:
+                raise ValueError(
+                    f"divisibility chain broken at d_{i} = {di}: must divide {qi * m}"
+                )
+            m = qi * m // di
+
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        """(M_0, ..., M_K): M_0 = c, M_i = q_i M_{i-1} / d_i."""
+        mods = [self.c]
+        for qi, di in zip(self.q, self.d):
+            mods.append(qi * mods[-1] // di)
+        return tuple(mods)
+
+
+def hyper_kloosterman(spec: KloostermanSpec) -> complex:
+    """Direct nested summation of one hyper-Kloosterman sum.
+
+    Cost is the product of the unit counts of the layer moduli, so keep it to
+    small boxes.  The degenerate degree-2 case is e(a n / c).
+    """
+    mods = spec.moduli
+    k = len(spec.q)
+    if k == 0:
+        return additive_char(Fraction(spec.a * spec.n, spec.c))
+    roots = [roots_of_unity(m) for m in mods]
+    invs = [inverse_table(m) for m in mods]
+    units = [unit_residues(m) for m in mods]
+    n_hat = spec.n % mods[k]
+
+    def layer(i: int, r: int) -> complex:
+        m_prev = mods[i - 1]
+        m = mods[i]
+        d_i = spec.d[i - 1] % m_prev
+        acc = 0j
+        if i == k:
+            for x in units[i]:
+                acc += roots[i - 1][d_i * x * r % m_prev] * roots[i][n_hat * invs[i][x] % m]
+        else:
+            for x in units[i]:
+                acc += roots[i - 1][d_i * x * r % m_prev] * layer(i + 1, int(invs[i][x]))
+        return acc
+
+    return complex(layer(1, spec.a % spec.c))
+
+
+def schur_bialternant(k: tuple[int, ...], x: tuple[complex, ...]) -> complex:
+    """Ratio-of-alternants Schur polynomial: det(x_i^(lambda_j + N - j)) / det(x_i^(N - j)).
+
+    Degenerates when parameters nearly coincide; compare only away from the
+    Vandermonde cancellation locus.
+    """
+    n = len(x)
+    lam = list(itertools.accumulate(reversed(k)))[::-1] + [0] * (n - len(k))
+    num = np.array([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
+    den = np.array([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
+    return complex(np.linalg.det(num) / np.linalg.det(den))
+
+
+def hurwitz_zeta_mp(s: complex, a: Fraction, precision: int) -> complex:
+    """zeta(s, a) from mpmath at precision bits of significand."""
+    with mp.workprec(precision):
+        return complex(mp.zeta(mp.mpc(s), mp.mpf(a.numerator) / a.denominator))

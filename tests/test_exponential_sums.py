@@ -7,13 +7,11 @@ import struct
 import numpy as np
 import pytest
 
-from voronoi_lab.characters import enumerate_characters, induce, primitive_characters, principal
+from voronoi_lab.characters import enumerate_characters, induce, primitive_characters
 from voronoi_lab.exponential_sums import (
-    KloostermanSpec,
     _chain_tree,
     _layers,
     _taus,
-    additive_char,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
     gauss_sum,
@@ -21,10 +19,8 @@ from voronoi_lab.exponential_sums import (
     gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23,
     gauss_sum_closed_lemma23_rows,
-    gauss_sum_error,
     gauss_sum_rows,
     gauss_sum_vector,
-    hyper_kloosterman,
     kloosterman_divisor_chains,
     kloosterman_vector,
     tau,
@@ -38,6 +34,8 @@ from voronoi_lab.residues import (
     unit_group,
     unit_residues,
 )
+
+from oracles import KloostermanSpec, additive_char, gauss_sum_error, hyper_kloosterman, principal
 
 
 def brute_gauss(chi_star, c, m):

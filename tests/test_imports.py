@@ -1,7 +1,8 @@
 """Source hygiene: no module keeps an import it never uses, no private
 (single-underscore) function, class, method or module-level name outlives
-its last use, the package imports exactly its declared dependencies, and no
-sweep loads scipy or imports a module mid-sweep."""
+its last use, no public name lacks a reader in the package unless it is
+listed, the package imports exactly its declared dependencies and nothing
+under tests/, and no sweep loads scipy or imports a module mid-sweep."""
 
 import ast
 import json
@@ -14,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import voronoi_lab
+from voronoi_lab import harness
+
+from test_benchmark_names import TRACER, _tracer
 
 try:
     import tomllib
@@ -23,6 +27,7 @@ except ModuleNotFoundError:  # Python 3.10
 PACKAGE = Path(voronoi_lab.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+TESTS = Path(__file__).resolve().parent
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -63,8 +68,8 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Private module-level names and method names the module defines -> line."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level names and method names the module defines -> line."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -79,7 +84,7 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     found[item.name] = item.lineno
-    return {name: line for name, line in found.items() if _private(name)}
+    return found
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -103,10 +108,67 @@ def test_every_private_name_is_used_in_the_package():
     unused = sorted(
         f"{module}:{line} {name}"
         for module, tree in trees.items()
-        for name, line in _private_definitions(tree).items()
-        if name not in used
+        for name, line in _definitions(tree).items()
+        if _private(name) and name not in used
     )
     assert not unused, f"private names defined but never used: {unused}"
+
+
+# Public names the package keeps with no reader of its own, beside the
+# harness API and the names the benchmark resolves, each with its reason.
+_KEPT = {"rankin_selberg_source": "ROADMAP item 9"}
+
+
+def _benchmark_names() -> set[str]:
+    """Every name perfbench/tracer.py patches and perfbench/child.py reads off a package module."""
+    tracer = _tracer()
+    paths = [path for table in ("TIMED", "COUNTED", "SPANS") for _, _, path in tracer[table]]
+    paths += [path for cached in tracer["CACHES"].values() for _, path in cached]
+    names = {part for path in paths for part in path.split(".")}
+    child = ast.parse(TRACER.with_name("child.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(child)
+        if isinstance(node, ast.ImportFrom) and node.module == PACKAGE.name
+        for alias in node.names
+    }
+    return names | {
+        n.attr
+        for n in ast.walk(child)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules
+    }
+
+
+def test_every_public_name_has_a_reader_in_the_package():
+    # a public function, class, method or module-level name that only tests
+    # read is an oracle (tests/oracles.py) or dead code; the harness API and
+    # the names the benchmark resolves are kept for their outside readers
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    used = set().union(*map(_references, trees.values()))
+    kept = set(harness.__all__) | _benchmark_names() | set(_KEPT)
+    unused = sorted(
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _definitions(tree).items()
+        if not name.startswith("_") and name not in used | kept
+    )
+    assert not unused, f"public names no package module reads: {unused}"
+
+
+def test_the_package_imports_nothing_from_its_tests():
+    # the oracles live under tests/, so no route of a sweep can reach one
+    test_modules = {path.stem for path in TESTS.glob("*.py")}
+    assert "oracles" in test_modules
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            hits = {name.split(".")[0] for name in names} & (test_modules | {TESTS.name})
+            assert not hits, (path.name, node.lineno, hits)
 
 
 def test_imports_match_the_declared_dependencies():

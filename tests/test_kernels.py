@@ -9,9 +9,11 @@ import numpy as np
 
 from voronoi_lab._kernels import kl_layer
 from voronoi_lab.characters import primitive_characters
-from voronoi_lab.exponential_sums import gauss_sum_error, gauss_sum_vector
+from voronoi_lab.exponential_sums import gauss_sum_vector
 from voronoi_lab.numeric import roots_of_unity, sum_error_bound
 from voronoi_lab.residues import divisors, inverse_table, unit_residues
+
+from oracles import gauss_sum_error
 
 
 def test_kl_layer_matches_double_loop():

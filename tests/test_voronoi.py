@@ -13,15 +13,8 @@ from voronoi_lab.characters import (
     enumerate_characters,
     induce,
     primitive_characters,
-    principal,
 )
-from voronoi_lab.exponential_sums import (
-    KloostermanSpec,
-    gauss_sum,
-    hyper_kloosterman,
-    kloosterman_divisor_chains,
-    tau,
-)
+from voronoi_lab.exponential_sums import gauss_sum, kloosterman_divisor_chains, tau
 from voronoi_lab.hecke import isobaric_source, random_satake_source, raw_table_source
 from voronoi_lab.lfunctions import (
     GammaFactorSpec,
@@ -49,6 +42,8 @@ from voronoi_lab.voronoi import (
     z_probe_bound,
     z_probe_with_bound,
 )
+
+from oracles import KloostermanSpec, hyper_kloosterman, principal
 
 X = 50
 S0 = 0.35 - 0.6j
