@@ -35,5 +35,6 @@ def kl_layer(
     for a 1-D tail, and column by column for a 2-D tail.
     """
     base = (d % m_prev) * units % m_prev
-    r = np.arange(m_prev, dtype=np.int64)
-    return roots_prev[r[:, None] * base[None, :] % m_prev] @ tail[invs]
+    exponents = np.arange(m_prev, dtype=np.int64)[:, None] * base[None, :]
+    exponents %= m_prev  # in place: the m_prev x units index is the layer's largest array
+    return roots_prev[exponents] @ tail[invs]

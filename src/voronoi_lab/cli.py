@@ -28,7 +28,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, help="override the suite's relative tolerance"
     )
     parser.add_argument(
-        "--precision", type=int, help="working precision in bits for L-value suites"
+        "--precision",
+        type=int,
+        help="working precision in bits for the lfunc suite (other suites refuse it)",
     )
     parser.add_argument("--jobs", type=int, help="worker threads for independent cases")
     parser.add_argument(

@@ -375,16 +375,21 @@ def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.nd
         ranks = {m: np.concatenate([r for _, r in p]) for m, p in parts.items()}
 
     first = tree.first[-1]
-    out = np.empty((n_rows, len(tree.chains), n_n), dtype=np.complex128)
-    for m_prev, stack in stacks.items():
-        tails, cols = [], []  # each leaf (q_K, d_K), and each node's leaf columns
+    # each M_{K-1}'s leaves (q_K, d_K) and each of its nodes' leaf columns.
+    # Every leaf table is built before the output is allocated, because
+    # kl_layer's transient index arrays are the walk's largest.
+    tails = {m_prev: [] for m_prev in stacks}
+    cols = {m_prev: [] for m_prev in stacks}
+    for m_prev in stacks:
         for j, q_k in enumerate(layers[-1]):
             ds = divisors(q_k * m_prev)
-            tails += [_leaf_table(leaves, n_values, m_prev, q_k, d) for d in ds]
-            cols.append(first[j, ranks[m_prev]][:, None] + np.arange(len(ds)))
-        prod = stack.reshape(-1, stack.shape[2]) @ np.concatenate(tails, 1)
-        prod = prod.reshape(len(stack), n_rows, len(tails), n_n)
-        out[:, np.concatenate(cols, 1)] = prod.transpose(1, 0, 2, 3)
+            tails[m_prev] += [_leaf_table(leaves, n_values, m_prev, q_k, d) for d in ds]
+            cols[m_prev].append(first[j, ranks[m_prev]][:, None] + np.arange(len(ds)))
+    out = np.empty((n_rows, len(tree.chains), n_n), dtype=np.complex128)
+    for m_prev, stack in stacks.items():
+        prod = stack.reshape(-1, stack.shape[2]) @ np.concatenate(tails[m_prev], 1)
+        prod = prod.reshape(len(stack), n_rows, len(tails[m_prev]), n_n)
+        out[:, np.concatenate(cols[m_prev], 1)] = prod.transpose(1, 0, 2, 3)
     return out
 
 
@@ -392,8 +397,9 @@ def _lemma34_factors(chains, n_values, chars, mods):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
     chains is int64[n_chains, K] and mods int64[n_chains, K+1], their moduli
-    M_0..M_K.  Returns (factors, live): factor i is g(chi*, M_i, d_{i+1}) for
-    i < K and g(chi*, M_K, n) for i = K, each complex128 and broadcastable to
+    M_0..M_K.  Returns (factors, live): factors yields factor i, gathered
+    only when it is reached, g(chi*, M_i, d_{i+1}) for i < K and
+    g(chi*, M_K, n) for i = K, each complex128 and broadcastable to
     [n_chars, n_chains, n_n]; live[x, j] is True when c* | M_i for every
     i >= 1 of chain j.  Factors are gathered from one flat table holding the
     gauss_sum_vector row of each (chi*, M) that a live chain reaches, after a
@@ -422,13 +428,12 @@ def _lemma34_factors(chains, n_values, chars, mods):
             size += m
     table = np.concatenate(rows)
 
-    factors = []
-    for i in range(k):
-        idx = offsets[:, mod_idx[:, i]] + chains[:, i] % mods[:, i]
-        factors.append(table[idx][:, :, None])
-    idx = offsets[:, mod_idx[:, k], None] + n_arr[None, :] % mods[:, k, None]
-    factors.append(table[idx])
-    return factors, live
+    def gather():
+        for i in range(k):
+            yield table[offsets[:, mod_idx[:, i]] + chains[:, i] % mods[:, i]][:, :, None]
+        yield table[offsets[:, mod_idx[:, k], None] + n_arr[None, :] % mods[:, k, None]]
+
+    return gather(), live
 
 
 def _lemma34_product(factors, live) -> np.ndarray:
@@ -436,13 +441,15 @@ def _lemma34_product(factors, live) -> np.ndarray:
 
     Real and imaginary parts are multiplied as separate float arrays, in the
     order of Python's complex product, so every entry has the bits of the
-    left-to-right scalar product.
+    left-to-right scalar product.  The partial product broadcasts as it goes,
+    so it takes the n axis only at the last factor.
     """
-    shape = np.broadcast_shapes(*(f.shape for f in factors))
-    acc = np.ones(shape), np.zeros(shape)
+    acc = 1.0, 0.0
     for f in factors:
         acc = split_product(acc, (f.real, f.imag))
-    return np.where(live[:, :, None], _as_complex(*acc), 0j)
+    out = _as_complex(*acc)
+    out[~live] = 0
+    return out
 
 
 def average_kloosterman_closed_lemma34_table(c: int, q, n_values) -> np.ndarray:

@@ -421,6 +421,12 @@ class SweepConfig:
             if not self.tolerance > 0 or math.isinf(self.tolerance):
                 raise ConfigError("tolerance: must be finite and positive")
         if self.precision is not None:
+            if not spec.reads_precision:
+                raise ConfigError(
+                    f"precision: suite {self.suite!r} runs in double precision; only "
+                    + ", ".join(name for name, other in _SUITES.items() if other.reads_precision)
+                    + " reads a working precision"
+                )
             _int(24)(self.precision, "precision")  # bits
         _int(1)(self.jobs, "jobs")
         parsed = {
@@ -613,6 +619,8 @@ class _SuiteSpec:
     (parsed ranges, config), which rejects combinations the sweep could not
     evaluate, and then ``builder`` (parsed ranges, tolerance, config), which
     returns the unit callables.  The report echoes the ranges as given.
+    ``reads_precision`` marks the suites whose builder reads
+    ``config.precision``; validation refuses a precision for the others.
     """
 
     name: str
@@ -622,6 +630,7 @@ class _SuiteSpec:
     default_tolerance: float
     builder: object
     joint_check: object = None
+    reads_precision: bool = False
 
     @property
     def defaults(self) -> dict:
@@ -706,11 +715,11 @@ def _worst_records(anchor, rows, lhs, rhs, rel, tol, point) -> list[CaseRecord]:
     being skipped.  lhs and rhs broadcast to rel's shape; record i has the
     parameters {**rows[i], **point(p)}.
     """
-    lhs = np.broadcast_to(lhs, rel.shape)
-    rhs = np.broadcast_to(rhs, rel.shape)
+    at = np.arange(len(rel)), np.argmax(rel, axis=1)
+    lhs, rhs = (np.broadcast_to(a, rel.shape)[at].tolist() for a in (lhs, rhs))
     return [
-        _rel_case(anchor, {**row, **point(p)}, lhs[i, p], rhs[i, p], rel[i, p], tol)
-        for i, (row, p) in enumerate(zip(rows, np.argmax(rel, axis=1).tolist()))
+        _rel_case(anchor, {**row, **point(p)}, *worst, tol)
+        for row, p, *worst in zip(rows, at[1].tolist(), lhs, rhs, rel[at].tolist())
     ]
 
 
@@ -741,13 +750,16 @@ def _kloosterman_units(ranges, tol, config):
             # Both routes give every (character, chain, n) of the unit in one
             # array, the chains of each q' one block after another: the
             # closed one from Gauss sums, the direct one as the character
-            # average of one walk of (c, q).
+            # average of one walk of (c, q).  The walk and the difference are
+            # dropped as soon as they are read.
             closed = average_kloosterman_closed_lemma34_table(c, q, n_values)
             kl = kloosterman_vector(n_values, c, q, leaves)
             direct = (vv @ kl.reshape(len(kl), -1)).reshape(closed.shape)
-            scale = np.sqrt(np.prod(tree.moduli, axis=1))
+            del kl
             diff = direct - closed
-            rel = np.hypot(diff.real, diff.imag) / scale[None, :, None]
+            rel = np.hypot(diff.real, diff.imag)
+            del diff
+            rel /= np.sqrt(np.prod(tree.moduli, axis=1))[None, :, None]
             flat = (len(chars), -1)
             records = []
             for qq, cols in tree.blocks:
@@ -770,12 +782,14 @@ def _kloosterman_units(ranges, tol, config):
 
         return run
 
-    # a unit is (degree, c, q_1..q_{K-1}), batched over every last layer q_K
+    # a unit is (degree, c, q_1..q_{K-2}), batched over every choice of its
+    # last two layers q_{K-1}, q_K (its one layer at degree 3, none at 2)
+    choices = tuple(range(1, q_max + 1))
     for n_deg in degrees:
+        batched = min(n_deg - 2, 2)
         for c in range(1, c_max + 1):
-            last = (tuple(range(1, q_max + 1)),) if n_deg > 2 else ()
-            for q in itertools.product(range(1, q_max + 1), repeat=max(n_deg - 3, 0)):
-                units.append(unit(n_deg, c, q + last))
+            for q in itertools.product(choices, repeat=n_deg - 2 - batched):
+                units.append(unit(n_deg, c, q + (choices,) * batched))
     return units
 
 
@@ -1356,6 +1370,7 @@ for _spec in (
         1e-9,
         _lfunc_units,
         _check_lfunc_poles,
+        reads_precision=True,
     ),
 ):
     _SUITES[_spec.name] = _spec

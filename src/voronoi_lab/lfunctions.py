@@ -461,10 +461,19 @@ class LValueRequest:
 
 
 def twisted_l_isobaric(req: LValueRequest, precision: int | None = None) -> complex:
-    """L(s, F x chi*) = prod_i L(s + s_i, chi*) for the isobaric family."""
+    """L(s, F x chi*) = prod_i L(s + s_i, chi*) for the isobaric family.
+
+    Each distinct argument s + s_i is evaluated once, and the factors are
+    multiplied in shift order, so a repeated shift changes no bit.
+    """
+    values = {}  # keyed by repr, which tells -0.0 from 0.0 where == does not
     out = 1 + 0j
     for sh in req.shifts:
-        out *= dirichlet_l(req.s + sh, req.chi_star, precision)
+        z = req.s + sh
+        value = values.get(repr(z))
+        if value is None:
+            value = values[repr(z)] = dirichlet_l(z, req.chi_star, precision)
+        out *= value
     return out
 
 

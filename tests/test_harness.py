@@ -19,7 +19,6 @@ from voronoi_lab.exponential_sums import (
     gauss_sum,
     gauss_sum_rows,
     gauss_sum_vector,
-    kloosterman_divisor_chains,
 )
 from voronoi_lab.harness import (
     ConfigError,
@@ -164,6 +163,12 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
         ("voronoi-core", {}, 79, "09c41e8e22da2f5c"),
         ("lfunc", {}, 156, "60e7b77c72bbbd6a"),
         ("voronoi-core", {"truncation_y": 5000, "x_probe": 5000}, 79, "d87355c21608d54b"),
+        (
+            "kloosterman-average",
+            {"degrees": [4, 6], "c_max": 6, "q_max": 3, "n_values": [1, -2]},
+            1080,
+            "dfb26891c4b985c4",
+        ),
     ],
     ids=[
         "kloosterman-deg5",
@@ -175,13 +180,15 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
         "voronoi-core-defaults",
         "lfunc-defaults",
         "voronoi-series",
+        "kloosterman-deg6",
     ],
 )
 def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
-    # batched last layers (kloosterman-average) and the additive dual side
-    # (equivalence) both read every divisor chain of their units; with them
-    # the default box of every suite but gauss-lemmas (pinned below) and the
-    # voronoi-series box are pinned at seed 1
+    # batched last layers (kloosterman-average, two of them from degree 4 on,
+    # the degree-6 units of the last box among them) and the additive dual
+    # side (equivalence) both read every divisor chain of their units; with
+    # them the default box of every suite but gauss-lemmas (pinned below) and
+    # the voronoi-series box are pinned at seed 1
     rep = run_suite(SweepConfig(suite=suite, ranges=dict(ranges), seed=1))
     assert rep.passed and rep.cases == cases
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
@@ -356,6 +363,10 @@ def test_config_validation_diagnostics():
         SweepConfig(suite="hecke", ranges={}, tolerance=0.0).validate()
     with pytest.raises(ConfigError, match="precision"):
         SweepConfig(suite="hecke", ranges={}, precision=8).validate()
+    # only lfunc reads a working precision; a voronoi-core sweep would run in
+    # double precision and echo the precision it never used
+    with pytest.raises(ConfigError, match="precision: suite 'voronoi-core'"):
+        SweepConfig(suite="voronoi-core", ranges={}, precision=200).validate()
 
 
 def test_kloosterman_range_validation():
@@ -547,26 +558,29 @@ def test_nan_h_coefficient_fails_its_record(monkeypatch, suite, ranges, key):
         assert math.isnan(rec.rel_error)
 
 
-def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path):
-    ranges = {"degrees": [3], "c_max": 5, "q_max": 2, "n_values": [1, 2]}
+@pytest.mark.parametrize("degree, target", [(3, (2,)), (4, (2, 1))], ids=["deg3", "deg4"])
+def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path, degree, target):
+    ranges = {"degrees": [degree], "c_max": 5, "q_max": 2, "n_values": [1, 2]}
     clean = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges)))
     table = harness.average_kloosterman_closed_lemma34_table
 
     def poisoned(c, q, n_values):
-        # a unit's table holds the blocks of q = (1,) and (2,) side by side;
-        # poison the last chain of the (c = 5, q = (2,)) block
+        # a unit's table holds the blocks of every q' of its batched layers
+        # side by side (at degree 4 both layers are batched); poison the
+        # last chain of the (c = 5, q' = target) block
         out = table(c, q, n_values)
         if c == 5:
-            assert q == ((1, 2),)
-            first, second = (len(kloosterman_divisor_chains(5, (qq,))) for qq in (1, 2))
-            out[1, first + second - 1, 0] = complex(math.nan, 0.0)
+            assert q == ((1, 2),) * (degree - 2)
+            blocks = exponential_sums._chain_tree(c, q).blocks
+            (cols,) = [cols for qq, cols in blocks if qq == target]
+            out[1, cols.stop - 1, 0] = complex(math.nan, 0.0)
         return out
 
     monkeypatch.setattr(harness, "average_kloosterman_closed_lemma34_table", poisoned)
     rep = run_suite(SweepConfig(suite="kloosterman-average", ranges=dict(ranges)))
     assert rep.cases == clean.cases
     (bad,) = [r for r in rep.records if not r.passed]
-    assert bad.parameters["c"] == 5 and bad.parameters["q"] == [2]
+    assert bad.parameters["c"] == 5 and bad.parameters["q"] == list(target)
     assert bad.parameters["n"] == 1 and math.isnan(bad.rel_error)
     assert clean.passed
     # the poisoned report still serializes and reads back with its NaN
