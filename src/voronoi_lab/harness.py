@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -50,6 +51,7 @@ from .lfunctions import (
     g_pm_arguments,
     g_pm_eval,
     gamma_pole,
+    twisted_l_arguments,
     twisted_l_isobaric,
 )
 from .residues import divisor_count, primes_up_to, unit_residues
@@ -66,6 +68,7 @@ from .voronoi import (
     mobius_collapse,
     parity_gamma,
     voronoi_rhs_coefficients,
+    z_probe_arguments,
     z_probe_with_bound,
 )
 
@@ -397,7 +400,14 @@ class SweepConfig:
     jobs: int = 1
 
     def validate(self) -> dict:
-        """Check every field; return the suite's effective ranges, each parsed once."""
+        """Check every field, and build a suite that refuses points; return its parsed ranges."""
+        ranges = self._parse()
+        spec = _SUITES[self.suite]
+        if spec.refuses_points:
+            spec.builder(ranges, spec.default_tolerance, self)
+        return ranges
+
+    def _parse(self) -> dict:
         if not isinstance(self.suite, str):
             raise ConfigError("suite: expected a suite name")
         if self.suite not in _SUITES:
@@ -429,13 +439,10 @@ class SweepConfig:
                 )
             _int(24)(self.precision, "precision")  # bits
         _int(1)(self.jobs, "jobs")
-        parsed = {
+        return {
             key: parse(self.ranges.get(key, default), f"ranges.{key}")
             for key, (default, parse) in spec.ranges.items()
         }
-        if spec.joint_check is not None:
-            spec.joint_check(parsed, self)
-        return parsed
 
     @classmethod
     def from_mapping(cls, mapping: dict, source: str = "config") -> "SweepConfig":
@@ -613,12 +620,13 @@ def _shift_set(value, label: str) -> tuple[complex, ...]:
 class _SuiteSpec:
     """One suite: what it checks, and one table of its sweep ranges.
 
-    ``ranges`` maps each range name to ``(default, parse)``.  SweepConfig.validate()
-    runs parse(value, "ranges.<name>") once on every effective value (the
-    override, else the default) and hands the parsed table to ``joint_check``
-    (parsed ranges, config), which rejects combinations the sweep could not
-    evaluate, and then ``builder`` (parsed ranges, tolerance, config), which
+    ``ranges`` maps each range name to ``(default, parse)``.  Parsing runs
+    parse(value, "ranges.<name>") once on every effective value (the override,
+    else the default) for ``builder`` (parsed ranges, tolerance, config), which
     returns the unit callables.  The report echoes the ranges as given.
+    ``refuses_points`` marks the suites whose builder hands each unit's L-value
+    and Gamma arguments to ``_refuse``; validation builds them, so a point a
+    unit would refuse is a ConfigError naming its field.
     ``reads_precision`` marks the suites whose builder reads
     ``config.precision``; validation refuses a precision for the others.
     """
@@ -629,7 +637,7 @@ class _SuiteSpec:
     ranges: dict
     default_tolerance: float
     builder: object
-    joint_check: object = None
+    refuses_points: bool = False
     reads_precision: bool = False
 
     @property
@@ -978,6 +986,36 @@ def _mobius_units(ranges, tol, config):
     return units
 
 
+def _refuse(label, unit, modulus, l_args, gammas=None, deltas=None, precision=None) -> None:
+    """Raise ConfigError, naming label's field and the unit, at a point the unit would refuse.
+
+    l_args are where the unit evaluates dirichlet_l at modulus (principal only
+    at modulus 1); gammas maps each parity delta to the Gamma arguments of its
+    G at that parity.  deltas() gives its twists' parities; it runs only when
+    an argument is on a pole, so no character is enumerated otherwise.
+    """
+    where = f"the {unit} of conductor {modulus}"
+    for z in l_args:
+        refusal = dirichlet_l_refusal(z, modulus, modulus == 1, precision)
+        if refusal is not None:
+            raise ConfigError(f"{label} gives {where} the L-value argument {z} ({refusal})")
+    poles = {d for d, args in (gammas or {}).items() if any(gamma_pole(z) is not None for z in args)}
+    hit = poles & deltas() if poles else set()
+    if hit:
+        kind = "even" if 0 in hit else "odd"
+        raise ConfigError(
+            f"{label} puts a Gamma factor of {where} within 1e-6 of a pole ({kind} twist)"
+        )
+
+
+def _gamma_arguments(s, lambdas) -> dict:
+    """delta -> every Gamma argument of G(s) with these lambdas and parity delta."""
+    return {
+        delta: [z for pair in g_pm_arguments(s, GammaFactorSpec(lambdas, delta)) for z in pair]
+        for delta in (0, 1)
+    }
+
+
 def _voronoi_units(ranges, tol, config):
     families = ranges["families"]
     s = ranges["s"]
@@ -989,19 +1027,37 @@ def _voronoi_units(ranges, tol, config):
     anchor = _SUITES["voronoi-core"].anchor
     units = []
 
-    # One source per (degree, shifts), built once the units are known, with
-    # the largest prime bound any of them needs: rows and blocks share its caches.
+    # One source per (degree, shifts), with the largest prime bound any unit
+    # needs, built by the first unit that reads it: rows and blocks share its
+    # caches, and a build that only validates builds none.
     bounds: dict = {}
     sources: dict = {}
+    building = threading.Lock()
+
+    def source(key):
+        with building:
+            if key not in sources:
+                sources[key] = isobaric_source(*key, bounds[key])
+            return sources[key]
+
+    def twist_of(cstar):
+        """The twist of a conductor's units, its first primitive character, and its delta."""
+        chi_star = primitive_characters(cstar)[0]
+        return chi_star, 0 if chi_star.parity == 1 else 1
 
     def side_by_side_unit(n_deg, shifts, cstar, qs):
-        bounds[n_deg, shifts] = max(bounds.get((n_deg, shifts), 0), 2 * y + 10)
+        key = n_deg, shifts
+        bounds[key] = max(bounds.get(key, 0), 2 * y + 10)
+        lambdas = tuple(-sh for sh in shifts)
+        _refuse(
+            f"ranges.s: s = {s}", f"gl{n_deg} unit", cstar, twisted_l_arguments(s, shifts),
+            _gamma_arguments(s, lambdas), lambda: {twist_of(cstar)[1]}
+        )
 
         def run():
-            src = sources[n_deg, shifts]
-            chi_star = primitive_characters(cstar)[0]
-            delta = 0 if chi_star.parity == 1 else 1
-            gval = g_pm_eval(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
+            src = source(key)
+            chi_star, delta = twist_of(cstar)
+            gval = g_pm_eval(s, GammaFactorSpec(lambdas, delta))
             pref = gval * tau(chi_star) ** n_deg * cstar ** (-n_deg * s)
             lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
             weights = {}  # b_n's powers, shared by every (q, n) of the unit
@@ -1036,12 +1092,15 @@ def _voronoi_units(ranges, tol, config):
 
     def probe_unit(sz, wz, twist, probe):
         n_deg, shifts, cstar, qz = probe
-        bounds[n_deg, shifts] = max(bounds.get((n_deg, shifts), 0), 2 * x_probe)
+        key = n_deg, shifts
+        bounds[key] = max(bounds.get(key, 0), 2 * x_probe)
+        den_arg, k_arg = z_probe_arguments(sz, wz)
+        l_args = twisted_l_arguments(sz, shifts) + [den_arg] + ([k_arg] if n_deg == 2 else [])
+        _refuse(f"ranges.probe_points: [s, w] = {[sz, wz]}", f"{twist} probe", cstar, l_args)
 
         def run():
-            chi_star = primitive_characters(cstar)[0]
-            src = sources[n_deg, shifts]
-            inst = VoronoiInstance(src, qz, cstar, chi=chi_star)
+            chi_star = twist_of(cstar)[0]
+            inst = VoronoiInstance(source(key), qz, cstar, chi=chi_star)
             via_l, via_a, bound = z_probe_with_bound(inst, sz, wz, x_probe)
             return [
                 _abs_case(
@@ -1073,132 +1132,15 @@ def _voronoi_units(ranges, tol, config):
                 units.append(side_by_side_unit(2, shifts, cstar, [()]))
     if "z" in families:
         for sz, wz in ranges["probe_points"]:
-            for twist, probe in _z_probes(sz, wz, probe_cstar).items():
-                units.append(probe_unit(sz, wz, twist, probe))
-    for (n_deg, shifts), bound in bounds.items():
-        sources[n_deg, shifts] = isobaric_source(n_deg, shifts, bound)
+            # twist -> (degree, shifts, conductor, q) of each instance probed
+            # at (s, w).  The remainder bound anchors on an L-value at
+            # 2w - 2s + 1; the trivial twist and degree 2 keep off the zeta pole.
+            probes = {"isobaric": (3, (1j, 0j, -1j), probe_cstar, (2,))}
+            if 2 * wz - 2 * sz + 1 > 1.05:
+                probes["trivial"] = (3, (0j, 0j, 0j), 1, (1,))
+                probes["degree-2"] = (2, (1j, -1j), probe_cstar, ())
+            units += [probe_unit(sz, wz, twist, probe) for twist, probe in probes.items()]
     return units
-
-
-def _z_probes(sz: float, wz: float, probe_cstar: int) -> dict:
-    """twist -> (degree, shifts, conductor, q) of each instance probed at (s, w).
-
-    The remainder bound anchors on an L-value at 2w - 2s + 1; the trivial
-    twist and the degree-2 branch are kept off the edge of the zeta pole.
-    """
-    probes = {"isobaric": (3, (1j, 0j, -1j), probe_cstar, (2,))}
-    if 2 * wz - 2 * sz + 1 > 1.05:
-        probes["trivial"] = (3, (0j, 0j, 0j), 1, (1,))
-        probes["degree-2"] = (2, (1j, -1j), probe_cstar, ())
-    return probes
-
-
-def _gamma_pole_deltas(s, shift_sets) -> list[int]:
-    """The parities delta at which G(s) for lambda = -shifts has a Gamma argument on a pole."""
-    return [
-        delta
-        for delta in (0, 1)
-        if any(
-            gamma_pole(z) is not None
-            for shifts in shift_sets
-            for pair in g_pm_arguments(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
-            for z in pair
-        )
-    ]
-
-
-def _check_voronoi_poles(ranges, config) -> None:
-    """Reject an s at which a gl3 or gl2 unit's dirichlet_l or g_pm_eval would
-    refuse to evaluate, and a probe point at which a z unit's dirichlet_l would.
-
-    A gl unit reads L(s + s_i) of its twist, the first primitive character of
-    its conductor, and G with lambda = -shifts and that twist's parity.  A z
-    unit reads L(s + s_i), L(2w - 2s + 1) and, at degree 2, L(2w) of its
-    twist, which is principal only for the trivial twist.
-    """
-    s = ranges["s"]
-    for family in ("gl3", "gl2"):
-        if family not in ranges["families"]:
-            continue
-        shift_sets = ranges[f"{family}_shift_sets"]
-        for cstar in ranges["cstar_values"]:
-            for z in (s + sh for shifts in shift_sets for sh in shifts):
-                refusal = dirichlet_l_refusal(z, cstar, cstar == 1)
-                if refusal is not None:
-                    raise ConfigError(
-                        f"ranges.s: s = {s} gives a {family} unit of conductor {cstar} "
-                        f"the L-value argument {z} ({refusal})"
-                    )
-        poles = _gamma_pole_deltas(s, shift_sets)
-        # the twists' parities are only looked up when a Gamma factor is on a pole
-        hit = poles and {_parity_delta(c) for c in ranges["cstar_values"]}.intersection(poles)
-        if hit:
-            kind = "even" if min(hit) == 0 else "odd"
-            raise ConfigError(
-                f"ranges.s: s = {s} puts a Gamma factor of a {family} unit "
-                f"with an {kind} twist within 1e-6 of a pole"
-            )
-    if "z" not in ranges["families"]:
-        return
-    for sz, wz in ranges["probe_points"]:
-        for twist, (n_deg, shifts, cstar, _) in _z_probes(sz, wz, ranges["probe_cstar"]).items():
-            # the same complex operations as z_probe_with_bound
-            s, w = complex(sz), complex(wz)
-            l_args = [s + sh for sh in shifts] + [2 * w - 2 * s + 1]
-            if n_deg == 2:
-                l_args.append(2 * w)
-            for z in l_args:
-                refusal = dirichlet_l_refusal(z, cstar, cstar == 1)
-                if refusal is not None:
-                    raise ConfigError(
-                        f"ranges.probe_points: [s, w] = {[sz, wz]} gives the {twist} probe "
-                        f"the L-value argument {z} ({refusal})"
-                    )
-
-
-def _parity_delta(cstar: int) -> int:
-    """delta of the first primitive character of conductor cstar: 0 if even, 1 if odd."""
-    return 0 if primitive_characters(cstar)[0].parity == 1 else 1
-
-
-def _check_lfunc_poles(ranges, config) -> None:
-    """Reject an s at which g_pm_eval or dirichlet_l would refuse to evaluate.
-
-    The Gamma arguments depend on s, the shift set and the parity delta of the
-    twist, so a Gamma pole only matters when a primitive character of that
-    parity has a conductor in [cstar_min, cstar_max].  The L-values sit at
-    s + s_i and 1 - s - s_i.  dirichlet_l refuses no more at a smaller
-    modulus, so the largest conductor in range that has primitive characters
-    (is not 2 mod 4) stands for all; with none in range only the band around
-    1 can refuse.
-    """
-    shift_sets = ranges["shift_sets"]
-    cstar_max = ranges["cstar_max"]
-    top = cstar_max - 1 if cstar_max % 4 == 2 else cstar_max
-    if top < ranges["cstar_min"]:
-        top = 1
-    for s in ranges["s_values"]:
-        # the same float operations as functional_equation_check's two requests
-        l_args = [z for shifts in shift_sets for sh in shifts for z in (s + sh, (1 - s) + -sh)]
-        for z in l_args:
-            refusal = dirichlet_l_refusal(z, top, False, config.precision)
-            if refusal is not None:
-                raise ConfigError(
-                    f"ranges.s_values: s = {s} gives the L-value argument {z} "
-                    f"at conductor {top} ({refusal})"
-                )
-        for delta in _gamma_pole_deltas(s, shift_sets):
-            parity = 1 if delta == 0 else -1
-            if any(
-                chi.parity == parity
-                for cstar in range(ranges["cstar_min"], ranges["cstar_max"] + 1)
-                for chi in primitive_characters(cstar)
-            ):
-                kind = "even" if delta == 0 else "odd"
-                raise ConfigError(
-                    f"ranges.s_values: s = {s} puts a Gamma factor of the {kind} "
-                    f"functional equation within 1e-6 of a pole"
-                )
 
 
 def _lfunc_units(ranges, tol, config):
@@ -1207,9 +1149,26 @@ def _lfunc_units(ranges, tol, config):
     cstar_max = ranges["cstar_max"]
     s_values = ranges["s_values"]
     anchor = _SUITES["lfunc"].anchor
-    units = []
+
+    def points(s, shifts):
+        # functional_equation_check evaluates L(s + s_i) and L(1 - s - s_i),
+        # and G(s) with lambda = -shifts at the parity of its twist
+        dual = tuple(-sh for sh in shifts)
+        l_args = twisted_l_arguments(s, shifts) + twisted_l_arguments(1 - s, dual)
+        return f"ranges.s_values: s = {s}", l_args, _gamma_arguments(s, dual)
+
+    checks = [points(s, shifts) for s in s_values for shifts in shift_sets]
 
     def unit(cstar):
+        def deltas():
+            # only 3, 4 (odd) and 12 (even) lack a parity: a huge cstar enumerates nothing
+            if cstar in (3, 4, 12):
+                return {0 if chi.parity == 1 else 1 for chi in primitive_characters(cstar)}
+            return {0, 1}
+
+        for label, l_args, gammas in checks:
+            _refuse(label, "lfunc unit", cstar, l_args, gammas, deltas, config.precision)
+
         def run():
             recs = []
             for chi in primitive_characters(cstar):
@@ -1237,10 +1196,9 @@ def _lfunc_units(ranges, tol, config):
 
         return run
 
-    for cstar in range(cstar_min, cstar_max + 1):
-        if primitive_characters(cstar):
-            units.append(unit(cstar))
-    return units
+    # a conductor has primitive characters unless it is 2 mod 4; the largest
+    # is refused first, as dirichlet_l refuses no less at a larger modulus
+    return [unit(cstar) for cstar in range(cstar_max, cstar_min - 1, -1) if cstar % 4 != 2]
 
 
 _SUITES: dict[str, _SuiteSpec] = {}
@@ -1350,7 +1308,7 @@ for _spec in (
         },
         1e-6,
         _voronoi_units,
-        _check_voronoi_poles,
+        refuses_points=True,
     ),
     _SuiteSpec(
         "lfunc",
@@ -1369,7 +1327,7 @@ for _spec in (
         },
         1e-9,
         _lfunc_units,
-        _check_lfunc_poles,
+        refuses_points=True,
         reads_precision=True,
     ),
 ):
@@ -1390,7 +1348,7 @@ def list_suites() -> str:
 
 def run_suite(config: SweepConfig) -> VerificationReport:
     """Execute one suite; deterministic given (config, seed, precision)."""
-    ranges = config.validate()
+    ranges = config._parse()  # the build below refuses what validate() would
     spec = _SUITES[config.suite]
     tol = spec.default_tolerance if config.tolerance is None else float(config.tolerance)
     start = time.perf_counter()

@@ -43,6 +43,7 @@ __all__ = [
     "gamma_pole",
     "hurwitz_zeta",
     "log_gamma",
+    "twisted_l_arguments",
     "twisted_l_isobaric",
 ]
 
@@ -460,6 +461,12 @@ class LValueRequest:
         return len(self.shifts)
 
 
+def twisted_l_arguments(s, shifts) -> list[complex]:
+    """The arguments s + s_i, in shift order, at which twisted_l_isobaric evaluates dirichlet_l."""
+    s = complex(s)
+    return [s + complex(sh) for sh in shifts]
+
+
 def twisted_l_isobaric(req: LValueRequest, precision: int | None = None) -> complex:
     """L(s, F x chi*) = prod_i L(s + s_i, chi*) for the isobaric family.
 
@@ -468,8 +475,7 @@ def twisted_l_isobaric(req: LValueRequest, precision: int | None = None) -> comp
     """
     values = {}  # keyed by repr, which tells -0.0 from 0.0 where == does not
     out = 1 + 0j
-    for sh in req.shifts:
-        z = req.s + sh
+    for z in twisted_l_arguments(req.s, req.shifts):
         value = values.get(repr(z))
         if value is None:
             value = values[repr(z)] = dirichlet_l(z, req.chi_star, precision)

@@ -49,6 +49,7 @@ __all__ = [
     "parity_gamma",
     "voronoi_rhs_coefficients",
     "z_probe",
+    "z_probe_arguments",
     "z_probe_bound",
     "z_probe_with_bound",
 ]
@@ -544,6 +545,13 @@ def _mobius_character_terms(chi_values: np.ndarray, cstar: int, exponent: comple
     return vals
 
 
+def z_probe_arguments(s, w) -> tuple[complex, complex]:
+    """(2w - 2s + 1, 2w), the arguments of the L-values z_probe_with_bound divides by:
+    L(2w - 2s + 1, conj chi*), and L(2w, chi*) at degree 2."""
+    s, w = complex(s), complex(w)
+    return 2 * w - 2 * s + 1, 2 * w
+
+
 def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex, float]:
     """(via_l, via_a, bound): two routes to the truncated two-variable
     L-quotient Z(s, w) and a computable bound on |via_l - via_a|, in one pass.
@@ -572,8 +580,9 @@ def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, co
     chi_star = inst.chi_star
     cstar = chi_star.modulus
     row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), x)
+    den_arg, k_arg = z_probe_arguments(s, w)
     l_twist = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
-    l_den = dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
+    l_den = dirichlet_l(den_arg, chi_star.conjugate())
     via_l = _dirichlet_eval(row, 2 * w - s) * l_twist / l_den
     d_arr = np.arange(1, x + 1, dtype=np.float64)
     tail_idx = x // np.arange(1, x + 1)
@@ -585,7 +594,7 @@ def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, co
     anchor = abs(m_prefix[4 * x] - m_inf) + 1e-12 * (1 + abs(m_inf))
     m_err = np.abs(m_prefix[4 * x] - m_prefix[tail_idx]) + anchor
     if inst.degree == 2:
-        l_k = dirichlet_l(2 * w, chi_star)
+        l_k = dirichlet_l(k_arg, chi_star)
         via_l /= l_k
         k_prefix = np.cumsum(_mobius_character_terms(chi_star.value_vector, cstar, -2 * w, 4 * x))
         # _quotient_convolution reads its arrays only up to index x

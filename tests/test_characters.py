@@ -134,6 +134,12 @@ def test_primitive_characters():
         assert all(ch.is_primitive and ch.conductor == c for ch in prims)
         from_enum = [ch for ch in enumerate_characters(c) if ch.is_primitive]
         assert list(prims) == from_enum
+    # lfunc keeps a unit per conductor, and knows its twists' parities, by
+    # these rules, enumerating no characters
+    for c in range(1, 301):
+        parities = {chi.parity for chi in primitive_characters(c)}
+        assert bool(parities) == (c % 4 != 2), c
+        assert (len(parities) == 2) == (c % 4 != 2 and c not in (1, 3, 4, 12)), c
 
 
 def test_principal_and_conjugate():

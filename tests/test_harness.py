@@ -6,6 +6,7 @@ import json
 import math
 import re
 import struct
+import sys
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voronoi_lab import cli, exponential_sums, harness
+from voronoi_lab import cli, exponential_sums, harness, lfunctions, voronoi
 from voronoi_lab.characters import primitive_characters
 from voronoi_lab.exponential_sums import (
     gauss_sum,
@@ -101,6 +102,121 @@ def test_voronoi_core_builds_one_source_per_shift_set(monkeypatch):
     assert rep.passed and rep.cases == 79
     assert len(calls) == 3
     assert len({(n_deg, shifts) for n_deg, shifts, _ in calls}) == 3
+
+
+def test_voronoi_core_pool_threads_build_each_source_once(monkeypatch):
+    # a unit builds its source when it first reads it; pool threads that
+    # reach one source together must build it once and share it
+    calls = []
+    build = harness.isobaric_source
+
+    def counted(n_deg, shifts, bound):
+        calls.append((n_deg, shifts))
+        return build(n_deg, shifts, bound)
+
+    monkeypatch.setattr(harness, "isobaric_source", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_suite(SweepConfig(suite="voronoi-core", jobs=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == len(set(calls)) == 3
+    alone = run_suite(SweepConfig(suite="voronoi-core"))
+    assert pooled.to_canonical_json() == alone.to_canonical_json()
+
+
+def test_voronoi_core_validation_builds_no_source(monkeypatch):
+    # validation builds the units to refuse their points; each source is
+    # built by the first unit that reads it, so validating builds none
+    def refused(*args):
+        raise AssertionError("validation built a coefficient source")
+
+    monkeypatch.setattr(harness, "isobaric_source", refused)
+    SweepConfig(suite="voronoi-core").validate()
+    SweepConfig(suite="voronoi-core", ranges={"truncation_y": 10**6}).validate()
+
+
+@pytest.mark.parametrize(
+    "suite, ranges",
+    [
+        ("voronoi-core", {}),
+        ("voronoi-core", {"families": ["z"], "probe_points": [[1.0, 0.4], [3.0, 3.0], [0.0, 0.5]]}),
+        ("voronoi-core", {"cstar_values": [1, 5, 12]}),
+        ("lfunc", {}),
+    ],
+)
+def test_units_refuse_every_point_they_evaluate(monkeypatch, suite, ranges):
+    # every L-value argument a sweep evaluates, with its modulus, and every
+    # Gamma argument went through _refuse when its unit was built
+    evaluated, checked = set(), set()
+
+    def logged_l(original):
+        def dirichlet_l(s, chi, precision=None):
+            evaluated.add((repr(complex(s)), chi.modulus))
+            return original(s, chi, precision)
+
+        return dirichlet_l
+
+    def log_gamma(z, original=lfunctions.log_gamma):
+        evaluated.add(repr(complex(z)))
+        return original(z)
+
+    def refuse(label, unit, modulus, l_args, gammas=None, *rest, original=harness._refuse):
+        checked.update((repr(complex(z)), modulus) for z in l_args)
+        checked.update(repr(complex(z)) for args in (gammas or {}).values() for z in args)
+        return original(label, unit, modulus, l_args, gammas, *rest)
+
+    for module in (lfunctions, voronoi):  # voronoi binds its own dirichlet_l
+        monkeypatch.setattr(module, "dirichlet_l", logged_l(module.dirichlet_l))
+    monkeypatch.setattr(lfunctions, "log_gamma", log_gamma)
+    monkeypatch.setattr(harness, "_refuse", refuse)
+    rep = run_suite(SweepConfig(suite=suite, ranges=ranges))
+    assert rep.cases > 0 and rep.passed
+    assert evaluated and evaluated <= checked, sorted(evaluated - checked)
+
+
+def test_refusals_name_the_field_the_unit_and_its_conductor():
+    cases = (
+        (
+            "voronoi-core",
+            {"families": ["gl2"], "s": -1.5, "n_values": [1], "cstar_values": [4099]},
+            "ranges.s: s = (-1.5+0j) gives the gl2 unit of conductor 4099 "
+            "the L-value argument (-1.5+1j) (dirichlet_l: Re(s) < -0.25",
+        ),
+        (
+            "voronoi-core",
+            {"s": [-2, 0], "cstar_values": [12]},
+            "ranges.s: s = (-2+0j) puts a Gamma factor of the gl3 unit of conductor 12 "
+            "within 1e-6 of a pole (even twist)",
+        ),
+        (
+            "voronoi-core",
+            {"families": ["z"], "probe_points": [[0.0, 0.5000001]]},
+            "ranges.probe_points: [s, w] = [0.0, 0.5000001] gives the degree-2 probe of "
+            "conductor 5 the L-value argument (1.0000002+0j) (dirichlet_l: evaluate exactly",
+        ),
+        (
+            "lfunc",
+            {"s_values": [[-1, 0]]},
+            "ranges.s_values: s = (-1+0j) puts a Gamma factor of the lfunc unit of "
+            "conductor 11 within 1e-6 of a pole (odd twist)",
+        ),
+    )
+    for suite, ranges, message in cases:
+        with pytest.raises(ConfigError) as refused:
+            SweepConfig(suite=suite, ranges=ranges).validate()
+        assert str(refused.value).startswith(message), str(refused.value)
+
+
+def test_lfunc_without_a_conductor_in_range_is_an_empty_sweep():
+    # 2 has no primitive character, so no unit is built and none refuses
+    # the L-value argument 1.0000001 that a unit of conductor 3 would
+    ranges = {"cstar_min": 2, "cstar_max": 2, "s_values": [1.0000001]}
+    rep = run_suite(SweepConfig(suite="lfunc", ranges=ranges))
+    assert rep.cases == 0 and rep.passed
+    with pytest.raises(ConfigError, match="conductor 3 the L-value argument"):
+        SweepConfig(suite="lfunc", ranges={**ranges, "cstar_max": 3}).validate()
 
 
 def test_parallel_scheduling_does_not_reorder():

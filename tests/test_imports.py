@@ -87,17 +87,95 @@ def _definitions(tree: ast.Module) -> dict[str, int]:
     return found
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _locals(node) -> set[str]:
+    """Names a function (its parameters and what its own body binds) or a
+    comprehension (its targets) binds in its own scope, less its globals."""
+    if isinstance(node, _COMPREHENSIONS):
+        targets = [n for gen in node.generators for n in ast.walk(gen.target)]
+        return {n.id for n in targets if isinstance(n, ast.Name)}
+    args = node.args
+    params = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+    bound = {a.arg for a in params if a}
+    declared_global = set()
+    todo = list(node.body) if isinstance(node.body, list) else [node.body]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(n.name)  # its body is a scope of its own
+            continue
+        if isinstance(n, (ast.Lambda, *_COMPREHENSIONS)):
+            continue
+        if isinstance(n, ast.Name) and isinstance(n.ctx, (ast.Store, ast.Del)):
+            bound.add(n.id)
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            bound.add(n.name)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in n.names)
+        elif isinstance(n, ast.Global):
+            declared_global.update(n.names)
+        todo.extend(ast.iter_child_nodes(n))
+    return bound - declared_global
+
+
 def _references(tree: ast.Module) -> set[str]:
-    """Names read as variables or attributes, or imported from a sibling."""
+    """Names read as module-level variables or as attributes, or imported from a sibling.
+
+    A name read inside a function or comprehension that binds it, as a
+    parameter or a local, or inside one nested in such a scope, is that
+    local and not the module-level name.  Decorators, defaults and
+    annotations are read in the enclosing scope.
+    """
     refs = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
-            refs.add(n.id)
-        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
-            refs.add(n.attr)
-        elif isinstance(n, ast.alias):
-            refs.add(n.name)
+
+    def visit(node, bound):
+        if isinstance(node, _FUNCTIONS):
+            args = node.args
+            outer = [*getattr(node, "decorator_list", ()), *args.defaults, *args.kw_defaults]
+            outer += [a.annotation for a in ast.walk(args) if isinstance(a, ast.arg)]
+            outer.append(getattr(node, "returns", None))
+            for child in filter(None, outer):
+                visit(child, bound)
+            inner = bound | _locals(node)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, inner)
+            return
+        if isinstance(node, _COMPREHENSIONS):
+            bound = bound | _locals(node)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            if node.id not in bound:
+                refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
     return refs
+
+
+def test_references_skip_names_a_function_binds():
+    # a public name read only as a parameter or local of the reading function
+    # has no reader; one read at module level, through a default, in a nested
+    # function or in a function that declares it global has
+    tree = ast.parse(
+        "def principal(chi):\n    return chi\n\n"
+        "def refusal(s, principal):\n    return principal and s\n\n"
+        "def local():\n    principal = 1\n    return [principal for _ in ()]\n"
+    )
+    assert "principal" not in _references(tree)
+    for reader in (
+        "x = principal(1)\n",
+        "def f(p=principal):\n    return p\n",
+        "def f():\n    def g():\n        return principal\n    return g\n",
+        "def f():\n    global principal\n    principal = principal + 1\n",
+    ):
+        assert "principal" in _references(ast.parse("def principal(chi):\n    return chi\n" + reader))
 
 
 def test_every_private_name_is_used_in_the_package():
