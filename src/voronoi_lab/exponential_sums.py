@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 from numpy.fft import ifft
@@ -42,6 +43,34 @@ def _check_gauss_args(chi_star: DirichletCharacter, c: int) -> None:
         raise ValueError(f"conductor {chi_star.modulus} must divide c = {c}")
 
 
+def gauss_sum_tables(cstar: int, cs) -> Iterator[np.ndarray]:
+    """gauss_sum_rows(cstar, c) for each c in cs in turn, uncached.
+
+    Each table is built when it is asked for and none is kept after the
+    next: the turn tables are read once per call, and the character values at
+    each distinct lambda(c) are gathered from the root table once.
+    """
+    chars = primitive_characters(cstar)
+    # [len(chars), c*], also when c* = 2 mod 4 leaves no character
+    turns = np.array([chi.turn_table for chi in chars], dtype=np.int64).reshape(len(chars), cstar)
+    lam_star = carmichael(cstar)
+    at_lambda = {}  # lambda(c) -> chi*(r) for r < c*, as entries of roots_of_unity(lambda(c))
+    for c in cs:
+        if c < 1 or c % cstar != 0:
+            raise ValueError(f"{cstar} does not divide {c}")
+        m = carmichael(c)
+        if m not in at_lambda:
+            # entries at non-units r read a valid index and are never gathered
+            at_lambda[m] = roots_of_unity(m)[turns * (m // lam_star) % m]
+        units = unit_residues(c)
+        values = np.zeros((len(chars), c), dtype=np.complex128)
+        values[:, units] = at_lambda[m][:, units % cstar]
+        rows = ifft(values, norm="forward", axis=-1)
+        del values
+        rows.setflags(write=False)
+        yield rows
+
+
 def gauss_sum_rows(cstar: int, c: int) -> np.ndarray:
     """Read-only complex128[len(primitive_characters(cstar)), c] of g(chi*, c, m), uncached.
 
@@ -55,20 +84,10 @@ def gauss_sum_rows(cstar: int, c: int) -> np.ndarray:
     chi*(u) = e(k/m*) with k = turn_table[u mod c*] and m* = lambda(c*),
     which divides m_c = lambda(c).  So at a unit u mod c the induced character
     is entry k m_c/m* mod m_c of roots_of_unity(m_c), the entry its own
-    value_vector reads, and every row has the bits of the induced FFT.
+    value_vector reads, and every row has the bits of the induced FFT.  The
+    one table of gauss_sum_tables(cstar, [c]).
     """
-    if c < 1 or c % cstar != 0:
-        raise ValueError(f"{cstar} does not divide {c}")
-    chars = primitive_characters(cstar)
-    m = carmichael(c)
-    units = unit_residues(c)
-    # [len(chars), c*], also when c* = 2 mod 4 leaves no character
-    turns = np.array([chi.turn_table for chi in chars], dtype=np.int64).reshape(len(chars), cstar)
-    values = np.zeros((len(chars), c), dtype=np.complex128)
-    values[:, units] = roots_of_unity(m)[turns[:, units % cstar] * (m // carmichael(cstar)) % m]
-    rows = ifft(values, norm="forward", axis=-1)
-    rows.setflags(write=False)
-    return rows
+    return next(gauss_sum_tables(cstar, (c,)))
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +146,8 @@ def _closed_form_inputs(chars, cs, m_values):
     so the reduction changes no index); the (re, im) tables
     float64[len(chars), c*] of chi*(r) and conj(chi*)(r) for r < c*, each
     entry read once through the exact scalar evaluation; and the (re, im)
-    parts of tau(chi*), float64[len(chars)].
+    parts of tau(chi*), float64[len(chars)].  _lemma22_rows and
+    _lemma23_rows both read it, so a caller of both builds it once.
     """
     chars = tuple(chars)
     if not chars or any(chi.modulus != chars[0].modulus for chi in chars):
@@ -146,43 +166,62 @@ def _closed_form_inputs(chars, cs, m_values):
     return cstar, c, m, tables[0], tables[1], (t.real, t.imag)
 
 
-def gauss_sum_closed_lemma22_rows(chars, cs, m_values) -> np.ndarray:
-    """complex128[len(chars), len(cs), len(m_values)] of the Lemma 2.2 closed form.
+# Lemma 2.2 terms are gathered and added in chunks of about this many
+# (character, hit) entries, so its temporaries stay near 1 MB at any box.
+_LEMMA22_CHUNK = 1 << 14
 
-    chars is a tuple of primitive characters of one conductor c*.  Entry
-    [x, i, j] is tau(chi*) * sum over d | (m, c/c*) of
-    d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)) at chi* = chars[x],
-    c = cs[i], m = m_values[j].  The divisors d are visited in ascending
-    order and each term is added at the (c, m) it divides, so every entry is
-    summed in the order of the scalar loop over the divisors of (m, c/c*).
+
+def _lemma22_rows(inputs) -> np.ndarray:
+    """gauss_sum_closed_lemma22_rows from _closed_form_inputs.
+
+    The hits (d, c, m) with d | (m, c/c*) and mu(c/(c* d)) != 0 are
+    collected d by d in ascending order, each d's as the moduli it divides
+    times the m it divides; their terms are computed a chunk of consecutive
+    d at a time and added with np.add.at, which adds in index order, so
+    every entry sums its divisors in ascending order.
     """
-    cstar, c, m, (cr, ci), (br, bi), (tr, ti) = _closed_form_inputs(chars, cs, m_values)
+    cstar, c, m, (cr, ci), (br, bi), (tr, ti) = inputs
     ratio = c // cstar
     mu_table = mobius_sieve(int(ratio.max(initial=1))).astype(np.int64)
-    acc_re = np.zeros((len(tr), *m.shape))
-    acc_im = np.zeros((len(tr), *m.shape))
-    for d in sorted(set().union(*(divisors(x) for x in set(ratio.tolist())))):
-        mu = np.where(ratio % d == 0, mu_table[ratio // d], 0)
-        rows, cols = np.nonzero((mu != 0)[:, None] & (m % d == 0))
-        k = m[rows, cols] // d % cstar
-        r = ratio[rows] // d % cstar
+    acc_re = np.zeros((len(tr), m.size))
+    acc_im = np.zeros((len(tr), m.size))
+    flat_m = m.ravel()
+
+    def flush(parts):
+        flat, d = (np.concatenate(a) for a in zip(*parts))
+        cofactor = ratio[flat // m.shape[1]] // d  # c/(c* d)
+        k = flat_m[flat] // d % cstar
+        r = cofactor % cstar
         term = split_product((cr[:, r], ci[:, r]), (br[:, k], bi[:, k]))
-        re, im = split_product(((mu[rows] * d).astype(np.float64), 0.0), term)
-        acc_re[:, rows, cols] += re
-        acc_im[:, rows, cols] += im
-    tau_pair = tr[:, None, None], ti[:, None, None]
-    return _as_complex(*split_product(tau_pair, (acc_re, acc_im)))
+        re, im = split_product(((mu_table[cofactor] * d).astype(np.float64), 0.0), term)
+        np.add.at(acc_re, (slice(None), flat), re)
+        np.add.at(acc_im, (slice(None), flat), im)
+
+    parts, pending = [], 0
+    for d in sorted(set().union(*(divisors(x) for x in set(ratio.tolist())))):
+        live = np.flatnonzero((ratio % d == 0) & (mu_table[ratio // d] != 0))
+        if not len(live):
+            continue
+        # d divides every live c, so every live row of m, reduced mod its c,
+        # holds the multiples of d in the same columns
+        cols = np.flatnonzero(m[live[0]] % d == 0)
+        if not len(cols):
+            continue
+        flat = (live[:, None] * m.shape[1] + cols).ravel()
+        parts.append((flat, np.full(len(flat), d, dtype=np.int64)))
+        pending += len(flat) * len(tr)
+        if pending >= _LEMMA22_CHUNK:
+            flush(parts)
+            parts, pending = [], 0
+    if parts:
+        flush(parts)
+    tau_pair = tr[:, None], ti[:, None]
+    return _as_complex(*split_product(tau_pair, (acc_re, acc_im))).reshape(len(tr), *m.shape)
 
 
-def gauss_sum_closed_lemma23_rows(chars, cs, m_values) -> np.ndarray:
-    """complex128[len(chars), len(cs), len(m_values)] of the Lemma 2.3 closed form.
-
-    chars is a tuple of primitive characters of one conductor c*.  Entry
-    [x, i, j] at chi* = chars[x], c = cs[i], a = m_values[j] is zero unless
-    c* | c/(c,a); otherwise
-    tau(chi*) phi(c)/phi(c/(c,a)) mu(c/(c* (c,a))) chi*(c/(c* (c,a))) conj(chi*)(a/(c,a)).
-    """
-    cstar, c, a, (cr, ci), (br, bi), (tr, ti) = _closed_form_inputs(chars, cs, m_values)
+def _lemma23_rows(inputs) -> np.ndarray:
+    """gauss_sum_closed_lemma23_rows from _closed_form_inputs."""
+    cstar, c, a, (cr, ci), (br, bi), (tr, ti) = inputs
     g = np.gcd(a, c[:, None])
     cofactor = c[:, None] // g
     live = cofactor % cstar == 0
@@ -202,6 +241,30 @@ def gauss_sum_closed_lemma23_rows(chars, cs, m_values) -> np.ndarray:
     out = np.zeros((len(tr), *a.shape), dtype=np.complex128)
     out[:, live] = _as_complex(re, im)
     return out
+
+
+def gauss_sum_closed_lemma22_rows(chars, cs, m_values) -> np.ndarray:
+    """complex128[len(chars), len(cs), len(m_values)] of the Lemma 2.2 closed form.
+
+    chars is a tuple of primitive characters of one conductor c*.  Entry
+    [x, i, j] is tau(chi*) * sum over d | (m, c/c*) of
+    d chi*(c/(c* d)) conj(chi*)(m/d) mu(c/(c* d)) at chi* = chars[x],
+    c = cs[i], m = m_values[j].  The divisors d are visited in ascending
+    order and each term is added at the (c, m) it divides, so every entry is
+    summed in the order of the scalar loop over the divisors of (m, c/c*).
+    """
+    return _lemma22_rows(_closed_form_inputs(chars, cs, m_values))
+
+
+def gauss_sum_closed_lemma23_rows(chars, cs, m_values) -> np.ndarray:
+    """complex128[len(chars), len(cs), len(m_values)] of the Lemma 2.3 closed form.
+
+    chars is a tuple of primitive characters of one conductor c*.  Entry
+    [x, i, j] at chi* = chars[x], c = cs[i], a = m_values[j] is zero unless
+    c* | c/(c,a); otherwise
+    tau(chi*) phi(c)/phi(c/(c,a)) mu(c/(c* (c,a))) chi*(c/(c* (c,a))) conj(chi*)(a/(c,a)).
+    """
+    return _lemma23_rows(_closed_form_inputs(chars, cs, m_values))
 
 
 def gauss_sum_closed_lemma22(chi_star: DirichletCharacter, c: int, m: int) -> complex:

@@ -29,11 +29,12 @@ from . import __version__
 from .characters import enumerate_characters, induce, primitive_characters
 from .exponential_sums import (
     _chain_tree,
+    _closed_form_inputs,
     _layers,
+    _lemma22_rows,
+    _lemma23_rows,
     average_kloosterman_closed_lemma34_table,
-    gauss_sum_closed_lemma22_rows,
-    gauss_sum_closed_lemma23_rows,
-    gauss_sum_rows,
+    gauss_sum_tables,
     kloosterman_vector,
     tau,
 )
@@ -191,7 +192,7 @@ def _pair(z: complex) -> list[float]:
 # Records and reports
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CaseRecord:
     """One verified identity instance (possibly the worst point of a batch).
 
@@ -199,6 +200,11 @@ class CaseRecord:
     in the voronoi-core suite where it is an absolute allowance (certified
     tail plus a relative cushion) compared against ``abs_error``; the suite
     description says which convention applies.
+
+    Records are slotted and not frozen, so a sweep builds its thousands of
+    them without a per-field ``object.__setattr__``; nothing changes one
+    after it is built.  The slot ``_parameters_json`` caches the sort key on
+    its first read and takes no part in ``==`` or ``repr``.
     """
 
     anchor: str
@@ -221,7 +227,7 @@ class CaseRecord:
                 text = _PLAIN_ENCODER.encode(params)
             else:
                 text = canonical_json(params)
-            object.__setattr__(self, "_parameters_json", text)
+            self._parameters_json = text
         return text
 
     def to_dict(self) -> dict:
@@ -652,7 +658,7 @@ def _gauss_units(ranges, tol, config):
     m_max = ranges["m_max"]
     n_max = ranges["n_max"]
     anchor = _SUITES["gauss-lemmas"].anchor
-    closed_rows = {"2.2": gauss_sum_closed_lemma22_rows, "2.3": gauss_sum_closed_lemma23_rows}
+    closed_rows = {"2.2": _lemma22_rows, "2.3": _lemma23_rows}
     closed = [(lemma, closed_rows[lemma]) for lemma in ("2.2", "2.3") if lemma in lemmas]
 
     def unit(cstar):
@@ -666,8 +672,9 @@ def _gauss_units(ranges, tol, config):
             ns = range(1, n_max + 1) if "2.5" in lemmas else ()
             direct = np.empty((len(chars), len(cs), m_max), dtype=complex)
             gk = np.empty((len(chars), len(ns), m_max), dtype=complex)
-            for k in range(1, max(len(cs), len(ns)) + 1):
-                table = gauss_sum_rows(cstar, k * cstar)
+            k_max = max(len(cs), len(ns))
+            tables = gauss_sum_tables(cstar, range(cstar, k_max * cstar + 1, cstar))
+            for k, table in enumerate(tables, 1):
                 if k == 1:  # tau(chi*) = g(chi*, c*, 1), copied out of the table
                     tau_val = table[:, [1 % cstar], None]
                 at_m = table[:, m_arr % (k * cstar)]
@@ -676,8 +683,9 @@ def _gauss_units(ranges, tol, config):
                 if k <= len(ns):
                     gk[:, k - 1] = at_m
             records = []
+            inputs = _closed_form_inputs(chars, cs, m_arr) if closed else None  # read by both
             for lemma, rows_of in closed:
-                lhs = rows_of(chars, cs, m_arr)
+                lhs = rows_of(inputs)
                 diff = direct - lhs
                 rel = np.hypot(diff.real, diff.imag) / np.sqrt(np.array(cs, dtype=float))[:, None]
                 rows = [{"lemma": lemma, "chi": chi.label, "c": c} for chi in chars for c in cs]
@@ -685,7 +693,7 @@ def _gauss_units(ranges, tol, config):
                 records += _worst_records(anchor, rows, *flat, tol, lambda p: {"m": p + 1})
             if not ns:
                 return records
-            direct = diff = lhs = rel = None  # freed before the Lemma 2.5 arrays are built
+            direct = diff = lhs = rel = inputs = None  # freed before the Lemma 2.5 arrays are built
             # one pass over d adds chi*(d) g(chi*, (n/d) c*, m) to every
             # multiple n of d, so each lhs[n] sums its divisors in ascending
             # order.  chi*(d) is zero exactly when (d, c*) > 1, and those d
@@ -724,10 +732,15 @@ def _worst_records(anchor, rows, lhs, rhs, rel, tol, point) -> list[CaseRecord]:
     parameters {**rows[i], **point(p)}.
     """
     at = np.arange(len(rel)), np.argmax(rel, axis=1)
-    lhs, rhs = (np.broadcast_to(a, rel.shape)[at].tolist() for a in (lhs, rhs))
+    lhs, rhs = (
+        np.broadcast_to(a, rel.shape)[at].astype(complex, copy=False).tolist() for a in (lhs, rhs)
+    )
+    tol = float(tol)
+    # the fields of _rel_case, from the Python complex and float values
+    # tolist already gives
     return [
-        _rel_case(anchor, {**row, **point(p)}, *worst, tol)
-        for row, p, *worst in zip(rows, at[1].tolist(), lhs, rhs, rel[at].tolist())
+        CaseRecord(anchor, {**row, **point(p)}, l, r, abs(l - r), e, tol, e <= tol)
+        for row, p, l, r, e in zip(rows, at[1].tolist(), lhs, rhs, rel[at].tolist())
     ]
 
 

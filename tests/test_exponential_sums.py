@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from voronoi_lab import exponential_sums
 from voronoi_lab.characters import enumerate_characters, induce, primitive_characters
 from voronoi_lab.exponential_sums import (
     _chain_tree,
@@ -198,15 +199,33 @@ CLOSED_FAMILIES = (
 )
 
 
+# c/c* with 24 to 48 divisors, and m sharing most of them, so an entry adds
+# up to 16 Lemma 2.2 terms: (conductors, c/c*, m values)
+MANY_DIVISORS = (
+    (1, 3, 4, 5, 8),
+    (360, 720, 840, 1260, 2520),
+    [0, 1, 12, 60, 360, 720, 840, -840, 1260, 2520, 5040, 27720 * 10**20],
+)
+
+
 def test_closed_rows_are_bit_identical_to_scalar_loops():
-    # one call covers every primitive character of a conductor
-    m_values = list(range(-7, 71))
+    _check_rows_against_scalar_loops(range(1, 13), range(1, 49), 48, list(range(-7, 71)))
+
+
+def test_closed_rows_of_many_divisors_are_bit_identical_to_scalar_loops():
+    cstars, ratios, m_values = MANY_DIVISORS
+    _check_rows_against_scalar_loops(cstars, ratios, math.inf, m_values)
+
+
+def _check_rows_against_scalar_loops(cstars, ratios, c_max, m_values):
+    # one call covers every primitive character of a conductor, at the
+    # moduli c = r c* <= c_max
     zeros = entries = 0
-    for cstar in range(1, 13):
+    for cstar in cstars:
         chars = primitive_characters(cstar)
         if not chars:  # c* = 2 mod 4
             continue
-        cs = range(cstar, 49, cstar)
+        cs = [r * cstar for r in ratios if r * cstar <= c_max]
         for rows_fn, point_fn, reference in CLOSED_FAMILIES:
             table = rows_fn(chars, cs, m_values)
             shape = (len(chars), len(cs), len(m_values))
@@ -221,6 +240,22 @@ def test_closed_rows_are_bit_identical_to_scalar_loops():
                         entries += 1
                         zeros += want == 0
     assert 0 < zeros < entries
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 1 << 40])
+def test_lemma22_rows_keep_their_bits_at_any_chunk(monkeypatch, chunk):
+    # the terms are added a chunk of divisors at a time; a chunk of one
+    # divisor, a chunk boundary inside most rows and a single chunk all give
+    # the bits of the default chunk
+    cstars, ratios, m_values = MANY_DIVISORS
+    for cstar in cstars:
+        chars = primitive_characters(cstar)
+        cs = [r * cstar for r in ratios]
+        want = gauss_sum_closed_lemma22_rows(chars, cs, m_values)
+        monkeypatch.setattr(exponential_sums, "_LEMMA22_CHUNK", chunk)
+        got = gauss_sum_closed_lemma22_rows(chars, cs, m_values)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes(), cstar
 
 
 def test_closed_families_equal_their_one_point_forms():

@@ -1,5 +1,6 @@
 """Sweep harness: determinism, canonical reports, config handling, CLI."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -19,6 +20,7 @@ from voronoi_lab.characters import primitive_characters
 from voronoi_lab.exponential_sums import (
     gauss_sum,
     gauss_sum_rows,
+    gauss_sum_tables,
     gauss_sum_vector,
 )
 from voronoi_lab.harness import (
@@ -326,15 +328,24 @@ def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
             526,
             "11fbe3956fc609b8",
         ),
+        ({"lemmas": ["2.2"], "cstar_max": 8, "c_max": 360, "m_max": 240}, 1131, "b54aa1c9df7ed556"),
     ],
-    ids=["gauss-records", "defaults", "lemma23-only", "lemma25-across-c_max", "cstar-past-c_max"],
+    ids=[
+        "gauss-records",
+        "defaults",
+        "lemma23-only",
+        "lemma25-across-c_max",
+        "cstar-past-c_max",
+        "lemma22-many-divisors",
+    ],
 )
 def test_gauss_lemma_reports_keep_their_bytes(ranges, cases, digest):
     # Lemma 2.2 and 2.3 rows against the FFT Gauss sums, and the Lemma 2.5
     # divisor average, for every primitive character up to cstar_max; the
-    # last three boxes select one closed lemma only, put k c* on both sides
+    # next three boxes select one closed lemma only, put k c* on both sides
     # of c_max for Lemma 2.5, and give conductors past c_max with Lemma 2.5
-    # records only.  Every report is pinned at seed 1
+    # records only; the last adds Lemma 2.2 terms over many divisors of c/c*,
+    # in several chunks at c* = 1.  Every report is pinned at seed 1
     rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges), seed=1))
     assert rep.passed and rep.cases == cases
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
@@ -623,6 +634,60 @@ def test_worst_records_first_maximum_and_nan():
     assert [r.lhs for r in recs] == [1, 4, 6, 11] and all(r.rhs == 0 for r in recs)
 
 
+def _field_bits(rec) -> list:
+    # every field with its type; floats and complex numbers by their bits, so
+    # NaN and the sign of zero compare too
+    out = []
+    for f in dataclasses.fields(rec):
+        value = getattr(rec, f.name)
+        if type(value) is complex:
+            value = struct.pack("<2d", value.real, value.imag)
+        elif type(value) is float:
+            value = struct.pack("<d", value)
+        out.append((f.name, type(getattr(rec, f.name)), value))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_worst_records_equal_rel_case_field_for_field(dtype):
+    # _worst_records builds each record from its tolist values; it must give
+    # what _rel_case gives at the same worst point, for complex and real
+    # lhs/rhs, a NaN row and a numpy tolerance
+    nan = float("nan")
+    rel = np.array([[0.1, 0.3, 0.3], [0.2, nan, 0.9], [0.0, 0.0, 0.0], [0.5, 0.1, 0.4]])
+    rng = np.random.default_rng(5)
+    lhs, rhs = (rng.standard_normal((4, 3)).astype(dtype) for _ in range(2))
+    if dtype is complex:
+        lhs += 1j * rng.standard_normal((4, 3))
+    lhs[2, 0], rhs[2, 0] = -0.0, nan
+    tol = np.float64(0.4)
+    rows = [{"row": i} for i in range(4)]
+    got = harness._worst_records("anchor", rows, lhs, rhs, rel, tol, lambda p: {"p": p})
+    want = [
+        harness._rel_case("anchor", {"row": i, "p": p}, lhs[i, p], rhs[i, p], rel[i, p], tol)
+        for i, p in enumerate([1, 1, 0, 0])
+    ]
+    assert [_field_bits(r) for r in got] == [_field_bits(r) for r in want]
+    assert [r.passed for r in got] == [True, False, True, False]
+
+
+def test_case_record_cached_key_is_not_compared_or_shown():
+    args = ("Eq. 1", {"m": 3, "chi": "5:1"}, 1j, 1j, 0.0, 0.0, 1e-9, True)
+    read, fresh = harness.CaseRecord(*args), harness.CaseRecord(*args)
+    shown = repr(fresh)
+    assert read.parameters_json == '{"chi":"5:1","m":3}' and fresh._parameters_json is None
+    assert read == fresh and repr(read) == shown and "_parameters_json" not in shown
+    assert read.to_dict() == fresh.to_dict()
+
+
+def test_gauss_records_read_back_equal(tmp_path):
+    rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges={"cstar_max": 16, "c_max": 64}))
+    path = tmp_path / "gauss.json"
+    emit_report(rep, path)
+    back = load_report(path)
+    assert back.records == rep.records and back.cases == 2496
+
+
 def test_d3_nan_point_fails_its_record(monkeypatch):
     count = harness.divisor_count
     monkeypatch.setattr(
@@ -718,15 +783,18 @@ def test_kloosterman_nan_point_fails_its_character(monkeypatch, tmp_path, degree
 def test_gauss_closed_nan_points_fail_their_record(monkeypatch):
     ranges = {"lemmas": ["2.2"], "cstar_max": 4, "c_max": 12, "m_max": 8}
     clean = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges)))
-    rows = harness.gauss_sum_closed_lemma22_rows
+    rows = harness._lemma22_rows
 
     def poisoned(at_m):
-        def closed_rows(chars, cs, m_values):
-            out = rows(chars, cs, m_values)
-            labels = [chi.label for chi in chars]
+        # the unit passes the closed-form inputs of its conductor: c* first,
+        # then its moduli c; the rows run over primitive_characters(c*)
+        def closed_rows(inputs):
+            out = rows(inputs)
+            cstar, cs, *_ = inputs
+            labels = [chi.label for chi in primitive_characters(cstar)]
             if "3:1" in labels:
                 x, i = labels.index("3:1"), list(cs).index(6)
-                for j, m in enumerate(m_values):
+                for j, m in enumerate(range(1, ranges["m_max"] + 1)):
                     if at_m is None or m == at_m:
                         out[x, i, j] = complex(math.nan, 0.0)
             return out
@@ -736,7 +804,7 @@ def test_gauss_closed_nan_points_fail_their_record(monkeypatch):
     # one NaN point outranks every number in its row; a row NaN at every m
     # still yields a record (its first point), not a crash mid-sweep
     for at_m, want_m in ((5, 5), (None, 1)):
-        monkeypatch.setattr(harness, "gauss_sum_closed_lemma22_rows", poisoned(at_m))
+        monkeypatch.setattr(harness, "_lemma22_rows", poisoned(at_m))
         rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=dict(ranges)))
         assert rep.cases == clean.cases
         (bad,) = [r for r in rep.records if not r.passed]
@@ -770,17 +838,18 @@ def test_lemma25_lhs_is_the_ascending_divisor_sum():
 
 def test_gauss_tables_are_built_once_per_sweep_and_freed_with_their_unit(monkeypatch):
     # the unit of a conductor c* builds each table g(chi*, k c*, .) it reads
-    # once, for the closed lemmas at k c* <= c_max and for Lemma 2.5 at
-    # k <= n_max, and keeps none; gauss_sum_vector caches a copy of its row
+    # once, in ascending k, for the closed lemmas at k c* <= c_max and for
+    # Lemma 2.5 at k <= n_max, and keeps none; gauss_sum_vector caches a
+    # copy of its row
     built, refs, kept = [], [], []
 
-    def rows(cstar, c):
-        table = gauss_sum_rows(cstar, c)
-        built.append((cstar, c))
-        refs.append(weakref.ref(table))
-        return table
+    def tables(cstar, cs):
+        for c, table in zip(cs, gauss_sum_tables(cstar, cs)):
+            built.append((cstar, c))
+            refs.append(weakref.ref(table))
+            yield table
 
-    monkeypatch.setattr(harness, "gauss_sum_rows", rows)
+    monkeypatch.setattr(harness, "gauss_sum_tables", tables)
     ranges = {"cstar_max": 7, "c_max": 20, "n_max": 12, "m_max": 10}
     rep = run_suite(SweepConfig(suite="gauss-lemmas", ranges=ranges))
     want = [
@@ -790,6 +859,7 @@ def test_gauss_tables_are_built_once_per_sweep_and_freed_with_their_unit(monkeyp
         for k in range(1, max(20 // cstar, 12) + 1)
     ]
     assert rep.passed and sorted(built) == want
+    assert all(a[1] < b[1] for a, b in zip(built, built[1:]) if a[0] == b[0])
     gc.collect()
     assert all(ref() is None for ref in refs)
 
