@@ -183,7 +183,7 @@ class DirichletCharacter:
         exps = tuple((-k) % f.order for k, f in zip(self.exponents, self.group.factors))
         return DirichletCharacter(self.modulus, exps)
 
-    # -- primitive core / induction ---------------------------------------------
+    # -- primitive core --------------------------------------------------------
 
     def primitive(self) -> "DirichletCharacter":
         """The primitive character that induces this one (modulus = conductor)."""
@@ -212,30 +212,6 @@ def _lift_unit(g: int, c0: int, c: int) -> int:
             return x
         x += c0
     raise ArithmeticError(f"no unit lift of {g} from {c0} to {c}")  # unreachable
-
-
-def induce(chi_star: DirichletCharacter, c: int) -> DirichletCharacter:
-    """The character mod c induced by chi_star (modulus of chi_star must divide c).
-
-    On units u mod c the result equals chi_star(u mod c*); zero on non-units.
-    """
-    if c % chi_star.modulus != 0:
-        raise ValueError(f"{chi_star.modulus} does not divide {c}")
-    g = unit_group(c)
-    exps = []
-    for f in g.factors:
-        # f.generator is a unit mod c, hence a unit mod any divisor
-        v = chi_star.value_fraction(f.generator)
-        k = v * f.order
-        if k.denominator != 1:
-            raise ArithmeticError("induced value is not an order-dividing root of unity")
-        exps.append(int(k) % f.order)
-    return DirichletCharacter(c, tuple(exps))
-
-
-def conductor(chi: DirichletCharacter) -> tuple[int, DirichletCharacter]:
-    """(c*, chi*): the conductor of chi and the primitive character inducing it."""
-    return chi.conductor, chi.primitive()
 
 
 @lru_cache(maxsize=None)

@@ -80,7 +80,7 @@ def gauss_sum_rows(cstar: int, c: int) -> np.ndarray:
     vector (zero off the units), so the table is one FFT along its rows;
     per-entry rounding is within sum_error_bound(phi(c), 1).
 
-    The value vectors are read off the turn tables, not built from induce:
+    The value vectors are read off the turn tables; no character mod c is built:
     chi*(u) = e(k/m*) with k = turn_table[u mod c*] and m* = lambda(c*),
     which divides m_c = lambda(c).  So at a unit u mod c the induced character
     is entry k m_c/m* mod m_c of roots_of_unity(m_c), the entry its own

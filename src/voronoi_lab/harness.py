@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .characters import enumerate_characters, induce, primitive_characters
+from .characters import enumerate_characters, primitive_characters
 from .exponential_sums import (
     _chain_tree,
     _closed_form_inputs,
@@ -900,7 +900,9 @@ def _equivalence_units(ranges, tol, config):
             # vv[chi, a]: the character table on the units, so averaging over
             # a is vv @ (rows by a), and the conjugate table maps back.
             vv = np.stack([chi.value_vector[units_c] for chi in chars])
-            insts = [VoronoiInstance(src, q, c, chi=chi, truncation=x) for chi in chars]
+            insts = [
+                VoronoiInstance(src, q, c, chi_star=chi.primitive(), truncation=x) for chi in chars
+            ]
             h = np.stack([h_coefficients(inst) for inst in insts])
             g = np.stack(
                 [
@@ -961,10 +963,9 @@ def _mobius_units(ranges, tol, config):
             src = raw_table_source(n_deg, seed=_seed_int(config.seed, 404, n_deg, cstar, n))
             rows, got, want = [], [], []
             for chi_star in primitive_characters(cstar):
-                chi_big = induce(chi_star, n * cstar)
                 for q in itertools.product(range(1, q_max + 1), repeat=n_deg - 2):
-                    base = VoronoiInstance(src, q, cstar, chi=chi_star, truncation=x)
-                    target = VoronoiInstance(src, q, n * cstar, chi=chi_big, truncation=x)
+                    base = VoronoiInstance(src, q, cstar, chi_star=chi_star, truncation=x)
+                    target = VoronoiInstance(src, q, n * cstar, chi_star=chi_star, truncation=x)
                     head = {"degree": n_deg, "cstar": cstar, "chi": chi_star.label, "q": list(q)}
                     for family, curly, want_f in (
                         (
@@ -1076,7 +1077,7 @@ def _voronoi_units(ranges, tol, config):
             weights = {}  # b_n's powers, shared by every (q, n) of the unit
             recs = []
             for q in qs:
-                inst = VoronoiInstance(src, q, cstar, chi=chi_star)
+                inst = VoronoiInstance(src, q, cstar, chi_star=chi_star)
                 b_vals = b_n_coefficients(inst, n_values, s, pref, y, weights)
                 for n, b_val in zip(n_values, b_vals):
                     a_val = a_n_coefficient(inst, n, s, lval)
@@ -1113,7 +1114,7 @@ def _voronoi_units(ranges, tol, config):
 
         def run():
             chi_star = twist_of(cstar)[0]
-            inst = VoronoiInstance(source(key), qz, cstar, chi=chi_star)
+            inst = VoronoiInstance(source(key), qz, cstar, chi_star=chi_star)
             via_l, via_a, bound = z_probe_with_bound(inst, sz, wz, x_probe)
             return [
                 _abs_case(

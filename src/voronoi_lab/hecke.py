@@ -224,41 +224,27 @@ def _hash_unit(seed: int, degree: int, key: tuple) -> complex:
 class CoefficientSource:
     """Fourier coefficients A(m_1,...,m_{N-1}) of a degree-N symbol.
 
-    kind is one of "random-satake", "isobaric", "rankin-selberg" (all backed
-    by SatakeParams and Schur blocks) or "raw-table" (one seeded deterministic
-    draw per prime block, multiplied across coprime parts).  A Satake-backed
-    read at a prime the parameters do not cover raises.  Memo dictionaries
-    are only ever inserted into (atomic in CPython), so concurrent readers
-    are safe.
+    Exactly one of satake and seed is given.  With SatakeParams (the random,
+    isobaric and Rankin-Selberg builders) each prime block is a Schur value,
+    and a read at a prime the parameters do not cover raises.  With a seed
+    (raw_table_source) each prime block is one deterministic draw, and blocks
+    multiply across coprime parts.  The block and row stores are only ever
+    inserted into (atomic in CPython), so concurrent readers are safe.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        degree: int,
-        satake: SatakeParams | None = None,
-        seed: int | None = None,
-    ):
+    def __init__(self, degree: int, satake: SatakeParams | None = None, seed: int | None = None):
         if degree < 2:
             raise ValueError("degree must be >= 2")
-        if kind in ("random-satake", "isobaric", "rankin-selberg"):
-            if satake is None or satake.degree != degree:
-                raise ValueError(f"kind {kind} requires SatakeParams of degree {degree}")
-        elif kind == "raw-table":
-            if satake is not None:
-                raise ValueError("raw-table sources have no SatakeParams")
-            if seed is None:
-                raise ValueError("raw-table needs a seed")
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        self.kind = kind
+        if (satake is None) == (seed is None):
+            raise ValueError("give exactly one of satake and seed")
+        if satake is not None and satake.degree != degree:
+            raise ValueError(f"need SatakeParams of degree {degree}")
         self.degree = degree
         self.satake = satake
         self.seed = seed
         # filled in by isobaric_source; lets downstream series evaluators
         # recover the L-function factorization without re-deriving shifts
         self.isobaric_shifts: tuple[complex, ...] | None = None
-        self._memo: dict[tuple[int, ...], complex] = {}
         self._blocks: dict[tuple[int, tuple[int, ...]], complex] = {}
         self._row_cache: dict[tuple, object] = {}
 
@@ -285,9 +271,6 @@ class CoefficientSource:
             raise ValueError(f"need {self.degree - 1} indices, got {len(m)}")
         if any(v < 1 for v in m):
             raise ValueError("indices must be >= 1")
-        hit = self._memo.get(m)
-        if hit is not None:
-            return hit
         out = 1 + 0j
         support: dict[int, list[int]] = {}
         for pos, v in enumerate(m):
@@ -296,7 +279,6 @@ class CoefficientSource:
         for p, evec in support.items():
             # block indices pair the last coordinate of m with k_1
             out *= self._block(p, tuple(reversed(evec)))
-        self._memo[m] = out
         return out
 
     def _slot_blocks(self, pos: int, pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -412,29 +394,21 @@ class CoefficientSource:
 
 
 def random_satake_source(degree: int, prime_bound: int, seed: int) -> CoefficientSource:
-    return CoefficientSource(
-        "random-satake", degree, satake=random_satake(degree, prime_bound, seed)
-    )
+    return CoefficientSource(degree, satake=random_satake(degree, prime_bound, seed))
 
 
 def isobaric_source(degree: int, shifts: tuple[complex, ...], prime_bound: int) -> CoefficientSource:
-    src = CoefficientSource(
-        "isobaric", degree, satake=isobaric_params(degree, shifts, prime_bound)
-    )
+    src = CoefficientSource(degree, satake=isobaric_params(degree, shifts, prime_bound))
     src.isobaric_shifts = tuple(complex(sh) for sh in shifts)
     return src
 
 
 def rankin_selberg_source(f1: SatakeParams, f2: SatakeParams) -> CoefficientSource:
-    return CoefficientSource(
-        "rankin-selberg",
-        f1.degree * f2.degree,
-        satake=rankin_selberg_params(f1, f2),
-    )
+    return CoefficientSource(f1.degree * f2.degree, satake=rankin_selberg_params(f1, f2))
 
 
 def raw_table_source(degree: int, seed: int) -> CoefficientSource:
-    return CoefficientSource("raw-table", degree, seed=seed)
+    return CoefficientSource(degree, seed=seed)
 
 
 def verify_hecke_relations(

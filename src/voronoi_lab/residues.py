@@ -94,7 +94,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-@lru_cache(maxsize=None)
 def divisor_count(k: int, n: int) -> int:
     """d_k(n): number of ways to write n as an ordered product of k factors."""
     if k < 1 or n < 1:

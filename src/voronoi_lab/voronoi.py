@@ -15,13 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, conductor, induce
+from .characters import DirichletCharacter
 from .exponential_sums import (
     _chain_tree,
+    _check_gauss_args,
     _layers,
     gauss_sum,
     gauss_sum_vector,
@@ -64,16 +65,18 @@ def _dirichlet_eval(coef: np.ndarray, s) -> complex:
 class VoronoiInstance:
     """One configured side-by-side comparison: coefficients, layers, twist.
 
-    With ``chi`` (a character mod c) set, the instance is that character
-    twist; without it, the additive family of twists by every unit a mod c.
-    ``q`` holds the N-2 layer sizes, where N is the degree of the coefficient
-    source; ``truncation`` is the outer series length X.
+    With ``chi_star`` (a primitive character whose conductor divides c) set,
+    the instance is the twist by the character mod c that chi_star induces;
+    every twisted series reads only chi_star and c.  Without it, the instance
+    is the additive family of twists by every unit a mod c.  ``q`` holds the
+    N-2 layer sizes, where N is the degree of the coefficient source;
+    ``truncation`` is the outer series length X.
     """
 
     source: CoefficientSource
     q: tuple[int, ...]
     c: int
-    chi: DirichletCharacter | None = None
+    chi_star: DirichletCharacter | None = None
     truncation: int = 50
 
     def __post_init__(self):
@@ -86,18 +89,12 @@ class VoronoiInstance:
             raise ValueError("modulus must be positive")
         if self.truncation < 1:
             raise ValueError("truncation must be positive")
-        if self.chi is not None and self.chi.modulus != self.c:
-            raise ValueError("character modulus must equal c")
+        if self.chi_star is not None:
+            _check_gauss_args(self.chi_star, self.c)
 
     @property
     def degree(self) -> int:
         return self.source.degree
-
-    @cached_property
-    def chi_star(self) -> DirichletCharacter:
-        if self.chi is None:
-            raise ValueError("chi_star is only defined for character instances")
-        return conductor(self.chi)[1]
 
     @property
     def cstar(self) -> int:
@@ -105,18 +102,13 @@ class VoronoiInstance:
 
 
 def _require_additive(inst: VoronoiInstance):
-    if inst.chi is not None:
-        raise ValueError("this series needs the additive family (no chi)")
+    if inst.chi_star is not None:
+        raise ValueError("this series needs the additive family (no chi_star)")
 
 
 def _require_character(inst: VoronoiInstance):
-    if inst.chi is None:
-        raise ValueError("this series needs a character twist chi mod c")
-
-
-@lru_cache(maxsize=None)
-def _induced(chi_star: DirichletCharacter, c: int) -> DirichletCharacter:
-    return induce(chi_star, c)
+    if inst.chi_star is None:
+        raise ValueError("this series needs a character twist chi_star")
 
 
 def parity_gamma(chi_star: DirichletCharacter, g_plus, g_minus) -> complex:
@@ -246,7 +238,7 @@ def _divisor_average(inst: VoronoiInstance, n: int, s, series) -> np.ndarray:
 
     Sums chi*(d_1...d_{N-2}) (d_1...d_{N-2})^{-s} over d_i | q_i and chi*(d)
     over d*l = n of series at layer sizes (q_1 d/d_1, q_2 d_1/d_2, ...) and
-    modulus l c*.  Only the primitive part of the instance's character enters.
+    modulus l c*, with the instance's chi_star.
     """
     _require_character(inst)
     s = complex(s)
@@ -269,7 +261,6 @@ def _divisor_average(inst: VoronoiInstance, n: int, s, series) -> np.ndarray:
                 inst,
                 q=tuple(qi * p // di for qi, p, di in zip(inst.q, (d,) + d_vec, d_vec)),
                 c=ell * cstar,
-                chi=_induced(chi_star, ell * cstar),
             )
             out += (w_outer * v_inner) * series(sub)
     return out

@@ -11,6 +11,9 @@ of a sweep can reach one (tests/test_imports.py checks that):
   schur of hecke and so every coefficient A(m);
 * hurwitz_zeta_mp, mpmath at a given precision, checks the double-precision
   hurwitz_zeta of lfunctions;
+* induce, the character mod c that a character of modulus dividing c
+  induces, read off the generators of (Z/c)^x, checks primitive, the Gauss-sum
+  tables read off the turn tables, and the twisted L-values;
 * principal, additive_char and gauss_sum_error are the character, the
   additive character and the FFT rounding bound those checks read.
 """
@@ -33,6 +36,23 @@ from voronoi_lab.residues import euler_phi, inverse_table, unit_group, unit_resi
 def principal(c: int) -> DirichletCharacter:
     """The principal character mod c."""
     return DirichletCharacter(c, (0,) * len(unit_group(c).factors))
+
+
+def induce(chi_star: DirichletCharacter, c: int) -> DirichletCharacter:
+    """The character mod c induced by chi_star (modulus of chi_star must divide c).
+
+    On units u mod c the result equals chi_star(u mod c*); zero on non-units.
+    """
+    if c % chi_star.modulus != 0:
+        raise ValueError(f"{chi_star.modulus} does not divide {c}")
+    exps = []
+    for f in unit_group(c).factors:
+        # f.generator is a unit mod c, hence a unit mod any divisor
+        k = chi_star.value_fraction(f.generator) * f.order
+        if k.denominator != 1:
+            raise ArithmeticError("induced value is not an order-dividing root of unity")
+        exps.append(int(k) % f.order)
+    return DirichletCharacter(c, tuple(exps))
 
 
 def additive_char(x: Fraction | int) -> complex:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from voronoi_lab import exponential_sums
-from voronoi_lab.characters import enumerate_characters, induce, primitive_characters
+from voronoi_lab.characters import enumerate_characters, primitive_characters
 from voronoi_lab.exponential_sums import (
     _chain_tree,
     _layers,
@@ -36,7 +36,14 @@ from voronoi_lab.residues import (
     unit_residues,
 )
 
-from oracles import KloostermanSpec, additive_char, gauss_sum_error, hyper_kloosterman, principal
+from oracles import (
+    KloostermanSpec,
+    additive_char,
+    gauss_sum_error,
+    hyper_kloosterman,
+    induce,
+    principal,
+)
 
 
 def brute_gauss(chi_star, c, m):

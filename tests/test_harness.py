@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voronoi_lab import cli, exponential_sums, harness, lfunctions, voronoi
-from voronoi_lab.characters import primitive_characters
+from voronoi_lab.characters import DirichletCharacter, primitive_characters
 from voronoi_lab.exponential_sums import (
     gauss_sum,
     gauss_sum_rows,
@@ -287,6 +287,19 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
             1080,
             "dfb26891c4b985c4",
         ),
+        ("equivalence", {"degrees": [2], "c_values": [3, 4, 5, 8, 12]}, 80, "fd6dafe592be34ce"),
+        ("mobius", {"degrees": [2]}, 16, "41db3c41ddfef6fb"),
+        (
+            "mobius",
+            {
+                "degrees": [3, 4],
+                "cstar_values": [3, 4, 5, 7],
+                "n_values": [2, 3, 4],
+                "modulus_max": 24,
+            },
+            600,
+            "4191b9ab80559f5e",
+        ),
     ],
     ids=[
         "kloosterman-deg5",
@@ -299,6 +312,9 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
         "lfunc-defaults",
         "voronoi-series",
         "kloosterman-deg6",
+        "equivalence-deg2",
+        "mobius-deg2",
+        "mobius-box",
     ],
 )
 def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
@@ -306,10 +322,28 @@ def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
     # the degree-6 units of the last box among them) and the additive dual
     # side (equivalence) both read every divisor chain of their units; with
     # them the default box of every suite but gauss-lemmas (pinned below) and
-    # the voronoi-series box are pinned at seed 1
+    # the voronoi-series box are pinned at seed 1, and so are the Gauss side
+    # at degree 2 (no layer) and a mobius box over several c* and n
     rep = run_suite(SweepConfig(suite=suite, ranges=dict(ranges), seed=1))
     assert rep.passed and rep.cases == cases
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
+
+
+def test_twisted_units_never_reduce_a_character(monkeypatch):
+    # mobius and voronoi-core instances carry chi* itself, so their sweeps
+    # neither induce chi* up to l c* nor reduce a character mod c back to it;
+    # equivalence reduces each character mod c once, which shows the count
+    calls = []
+    primitive = DirichletCharacter.primitive
+    monkeypatch.setattr(
+        DirichletCharacter, "primitive", lambda chi: calls.append(chi) or primitive(chi)
+    )
+    for suite in ("mobius", "voronoi-core"):
+        assert run_suite(SweepConfig(suite=suite, seed=1)).passed
+        assert calls == [], suite
+    box = {"degrees": [3], "c_values": [12], "q_max": 1, "coefficients": 5}
+    run_suite(SweepConfig(suite="equivalence", ranges=box, seed=1))
+    assert len(calls) == 4  # phi(12) characters mod 12
 
 
 @pytest.mark.parametrize(

@@ -154,15 +154,17 @@ def test_raw_table_deterministic_and_exportable():
     again = raw_table_source(3, seed=17)
     for m in [(1, 1), (2, 1), (2, 3), (7, 4), (5, 9)]:
         assert again.coefficient(m) == src.coefficient(m)
-    # a raw table is its seed
-    with pytest.raises(ValueError, match="raw-table needs a seed"):
-        CoefficientSource("raw-table", 3)
+    # a raw table is its seed: a source takes exactly one of seed and satake
+    with pytest.raises(ValueError, match="exactly one of satake and seed"):
+        CoefficientSource(3)
+    with pytest.raises(ValueError, match="exactly one of satake and seed"):
+        CoefficientSource(3, satake=random_satake(3, 10, 1), seed=17)
 
 
 def test_source_kinds_and_index_validation():
-    assert random_satake_source(3, 10, 1).kind == "random-satake"
-    assert isobaric_source(2, (1j, -1j), 10).kind == "isobaric"
-    assert raw_table_source(3, seed=0).kind == "raw-table"
+    assert random_satake_source(3, 10, 1).satake.degree == 3
+    assert isobaric_source(2, (1j, -1j), 10).isobaric_shifts == (1j, -1j)
+    assert raw_table_source(3, seed=0).seed == 0
     with pytest.raises(ValueError):
         random_satake_source(3, 10, 1).coefficient((2,))  # arity
     with pytest.raises(ValueError):
@@ -176,18 +178,24 @@ def _scalar_row(src, prefix, suffix, x, scale=1):
     return row
 
 
+def _param(builder: str, src):
+    # a test id names the builder of its source and the degree
+    return pytest.param(src, id=f"{builder}-{src.degree}")
+
+
 def _row_sources():
     bound = 600
-    yield random_satake_source(2, bound, 41)
-    yield random_satake_source(3, bound, 42)
-    yield random_satake_source(4, bound, 43)
-    yield isobaric_source(2, (1j, -1j), bound)
-    yield isobaric_source(3, (1j, 0j, -1j), bound)
-    yield isobaric_source(4, (2j, 1j, -1j, -2j), bound)
-    yield rankin_selberg_source(random_satake(2, bound, 44), random_satake(2, bound, 45))
+    yield _param("random-satake", random_satake_source(2, bound, 41))
+    yield _param("random-satake", random_satake_source(3, bound, 42))
+    yield _param("random-satake", random_satake_source(4, bound, 43))
+    yield _param("isobaric", isobaric_source(2, (1j, -1j), bound))
+    yield _param("isobaric", isobaric_source(3, (1j, 0j, -1j), bound))
+    yield _param("isobaric", isobaric_source(4, (2j, 1j, -1j, -2j), bound))
+    rs = rankin_selberg_source(random_satake(2, bound, 44), random_satake(2, bound, 45))
+    yield _param("rankin-selberg", rs)
 
 
-@pytest.mark.parametrize("src", list(_row_sources()), ids=lambda s: f"{s.kind}-{s.degree}")
+@pytest.mark.parametrize("src", list(_row_sources()))
 def test_coefficient_row_matches_scalar_reads(src):
     # every slot position varies in turn; the others are held at values whose
     # primes overlap the row's (2, 3, 5) or are all 1
@@ -237,21 +245,23 @@ def _hex(z: complex) -> tuple[str, str]:
 
 
 def _satake_sources_by_degree():
-    # every Satake kind at degrees 2-6; zero shifts give pivot ties (equal
+    # every Satake builder at degrees 2-6; zero shifts give pivot ties (equal
     # |h| in one column) and blocks whose elimination cancels exactly
     bound = 200
     for deg in range(2, 7):
-        yield random_satake_source(deg, bound, 60 + deg)
-        yield isobaric_source(deg, tuple(1j * (deg - 1 - 2 * i) for i in range(deg)), bound)
-        yield isobaric_source(deg, (0j,) * deg, bound)
-    yield rankin_selberg_source(random_satake(2, bound, 44), random_satake(2, bound, 45))
-    yield rankin_selberg_source(random_satake(2, bound, 46), random_satake(3, bound, 47))
-    yield rankin_selberg_source(isobaric_params(2, (0j, 0j), bound), isobaric_params(3, (0j,) * 3, bound))
+        yield _param("random-satake", random_satake_source(deg, bound, 60 + deg))
+        shifts = tuple(1j * (deg - 1 - 2 * i) for i in range(deg))
+        yield _param("isobaric", isobaric_source(deg, shifts, bound))
+        yield _param("isobaric", isobaric_source(deg, (0j,) * deg, bound))
+    for f1, f2 in (
+        (random_satake(2, bound, 44), random_satake(2, bound, 45)),
+        (random_satake(2, bound, 46), random_satake(3, bound, 47)),
+        (isobaric_params(2, (0j, 0j), bound), isobaric_params(3, (0j,) * 3, bound)),
+    ):
+        yield _param("rankin-selberg", rankin_selberg_source(f1, f2))
 
 
-@pytest.mark.parametrize(
-    "src", list(_satake_sources_by_degree()), ids=lambda s: f"{s.kind}-{s.degree}"
-)
+@pytest.mark.parametrize("src", list(_satake_sources_by_degree()))
 def test_batched_base_row_blocks_are_bit_equal_to_scalar_schur(src):
     # the blocks one base row reads, (p, k) with p^k <= x in each slot, and
     # then every exponent vector with entries <= 2 at a few primes

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from voronoi_lab import lfunctions
-from voronoi_lab.characters import enumerate_characters, induce, primitive_characters
+from voronoi_lab.characters import enumerate_characters, primitive_characters
 from voronoi_lab.harness import SweepConfig, run_suite
 from voronoi_lab.lfunctions import (
     GammaFactorSpec,
@@ -27,7 +27,7 @@ from voronoi_lab.lfunctions import (
     twisted_l_isobaric,
 )
 
-from oracles import hurwitz_zeta_mp, principal
+from oracles import hurwitz_zeta_mp, induce, principal
 
 CHI4 = primitive_characters(4)[0]
 

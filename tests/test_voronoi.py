@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from voronoi_lab import voronoi
-from voronoi_lab.characters import (
-    conductor,
-    enumerate_characters,
-    induce,
-    primitive_characters,
-)
+from voronoi_lab.characters import enumerate_characters, primitive_characters
 from voronoi_lab.exponential_sums import gauss_sum, kloosterman_divisor_chains, tau
 from voronoi_lab.hecke import isobaric_source, random_satake_source, raw_table_source
 from voronoi_lab.lfunctions import (
@@ -43,7 +38,7 @@ from voronoi_lab.voronoi import (
     z_probe_with_bound,
 )
 
-from oracles import KloostermanSpec, hyper_kloosterman, principal
+from oracles import KloostermanSpec, hyper_kloosterman, induce, principal
 
 X = 50
 S0 = 0.35 - 0.6j
@@ -63,20 +58,25 @@ def test_instance_validation():
     src = raw_table_source(3, seed=1)
     chi5 = primitive_characters(5)[0]
     VoronoiInstance(src, (1,), 6)  # no chi: the additive family over a mod 6
+    for c in (7, 12):
+        with pytest.raises(ValueError, match="must divide c"):
+            VoronoiInstance(src, (1,), c, chi_star=chi5)
+    for chi in (induce(chi5, 10), principal(4)):
+        with pytest.raises(ValueError, match="must be primitive"):
+            VoronoiInstance(src, (1,), chi.modulus, chi_star=chi)
+    VoronoiInstance(src, (1,), 10, chi_star=chi5)  # the twist mod 10 that chi5 induces
     with pytest.raises(ValueError):
-        VoronoiInstance(src, (1,), 7, chi=chi5)  # modulus mismatch
+        VoronoiInstance(src, (1, 2), 5, chi_star=chi5)  # degree-2 layers expected
     with pytest.raises(ValueError):
-        VoronoiInstance(src, (1, 2), 5, chi=chi5)  # degree-2 layers expected
+        VoronoiInstance(src, (0,), 5, chi_star=chi5)  # layer must be positive
     with pytest.raises(ValueError):
-        VoronoiInstance(src, (0,), 5, chi=chi5)  # layer must be positive
-    with pytest.raises(ValueError):
-        VoronoiInstance(src, (1,), 5, chi=chi5, truncation=0)
+        VoronoiInstance(src, (1,), 5, chi_star=chi5, truncation=0)
 
 
 def test_family_and_character_instances_reach_only_their_side():
     src = raw_table_source(3, seed=1)
     family = VoronoiInstance(src, (2,), 5, truncation=X)
-    twist = VoronoiInstance(src, (2,), 5, chi=primitive_characters(5)[0], truncation=X)
+    twist = VoronoiInstance(src, (2,), 5, chi_star=primitive_characters(5)[0], truncation=X)
     with pytest.raises(ValueError):
         lq_additive_coefficients(twist)
     with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ def test_character_averaging_equivalence_both_directions():
         chars = enumerate_characters(c)
         h_by_chi, g_by_chi = {}, {}
         for chi in chars:
-            inst_c = VoronoiInstance(src, q, c, chi=chi, truncation=X)
+            inst_c = VoronoiInstance(src, q, c, chi_star=chi.primitive(), truncation=X)
             cstar = inst_c.cstar
             avg = sum(chi.value_vector[a] * add_coefs[a] for a in units)
             href = h_coefficients(inst_c)
@@ -183,7 +183,7 @@ def test_character_averaging_equivalence_both_directions():
             rec_r = (
                 sum(
                     np.conj(ch.value_vector[a])
-                    * (c / conductor(ch)[0]) ** (1 - 2 * S0)
+                    * (c / ch.conductor) ** (1 - 2 * S0)
                     * g_by_chi[ch]
                     for ch in chars
                 )
@@ -197,10 +197,8 @@ def test_mobius_collapse_inverts_divisor_averaging():
     for deg, cstar, q, n, seed in ((3, 4, (3,), 6, 22), (4, 3, (1, 2), 4, 24)):
         src = raw_table_source(deg, seed=seed)
         for chi_star in primitive_characters(cstar):
-            base = VoronoiInstance(src, q, cstar, chi=chi_star, truncation=X)
-            target = VoronoiInstance(
-                src, q, n * cstar, chi=induce(chi_star, n * cstar), truncation=X
-            )
+            base = VoronoiInstance(src, q, cstar, chi_star=chi_star, truncation=X)
+            target = VoronoiInstance(src, q, n * cstar, chi_star=chi_star, truncation=X)
             got_h = mobius_collapse(
                 lambda q2, n2: curly_h_coefficients(replace(base, q=q2), n2, S0),
                 q, n, S0, chi_star,
@@ -218,7 +216,7 @@ def test_mobius_collapse_inverts_divisor_averaging():
 def test_curly_wrappers_degenerate_to_plain_series():
     src = raw_table_source(3, seed=31)
     for chi_star in primitive_characters(5):
-        base = VoronoiInstance(src, (1,), 5, chi=chi_star, truncation=X)
+        base = VoronoiInstance(src, (1,), 5, chi_star=chi_star, truncation=X)
         # n = 1 and unit layers: the divisor sums have a single term and the
         # conductor scale is exactly one
         assert _maxdiff(curly_h_coefficients(base, 1, S0), h_coefficients(base)) == 0.0
@@ -231,7 +229,7 @@ def _side_by_side(src, shifts, chi_star, q, s, y, n_values):
     gval = g_pm_eval(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
     pref = gval * tau(chi_star)**deg * cstar ** (-deg * s)
     lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
-    inst = VoronoiInstance(src, q, cstar, chi=chi_star, truncation=X)
+    inst = VoronoiInstance(src, q, cstar, chi_star=chi_star, truncation=X)
     for n in n_values:
         a_val = a_n_coefficient(inst, n, s, lval)
         b_val = b_n_coefficient(inst, n, s, pref, y)
@@ -300,7 +298,7 @@ def test_b_n_matches_the_scalar_loop(shifts, qs):
     for cstar in (4, 5):
         chi = primitive_characters(cstar)[-1]
         for q in qs:
-            inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+            inst = VoronoiInstance(src, q, cstar, chi_star=chi, truncation=X)
             for n in (1, 2, 6, 7):
                 got = b_n_coefficient(inst, n, s, 1.0, y)
                 want = _b_n_scalar_loop(inst, n, s, 1.0, y)
@@ -327,7 +325,7 @@ def test_b_n_with_a_shared_weight_store_is_bit_equal(shifts, qs):
     for cstar in (4, 5):
         chi = primitive_characters(cstar)[-1]
         for q in qs:
-            inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+            inst = VoronoiInstance(src, q, cstar, chi_star=chi, truncation=X)
             for n in (1, 2, 6, 7):
                 shared = b_n_coefficient(inst, n, s, 1.0, y, weights)
                 assert _hex(shared) == _hex(b_n_coefficient(inst, n, s, 1.0, y)), (cstar, q, n)
@@ -377,7 +375,7 @@ def test_b_n_keeps_the_per_n_bits(shifts, qs):
     for cstar in (4, 5):
         chi = primitive_characters(cstar)[-1]
         for q in qs:
-            inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+            inst = VoronoiInstance(src, q, cstar, chi_star=chi, truncation=X)
             batched = b_n_coefficients(inst, n_values, s, pref, y)
             for n, got in zip(n_values, batched, strict=True):
                 want = _hex(_b_n_per_n(inst, n, s, pref, y))
@@ -399,13 +397,13 @@ def test_tail_bound_shrinks_and_rejects_raw_tables():
     shifts = (0j, 0j, 0j)
     src = isobaric_source(3, shifts, 100)
     chi = primitive_characters(3)[0]
-    inst = VoronoiInstance(src, (1,), 3, chi=chi, truncation=X)
+    inst = VoronoiInstance(src, (1,), 3, chi_star=chi, truncation=X)
     s = -1.5
     gval = g_pm_eval(s, GammaFactorSpec((0j, 0j, 0j), 1))
     pref = gval * tau(chi)**3 * 3.0 ** (-3 * s)
     bounds = [b_n_tail_bound(inst, 2, s, pref, y) for y in (500, 2000, 8000)]
     assert bounds[0] > bounds[1] > bounds[2] > 0
-    raw = VoronoiInstance(raw_table_source(3, seed=1), (1,), 3, chi=chi, truncation=X)
+    raw = VoronoiInstance(raw_table_source(3, seed=1), (1,), 3, chi_star=chi, truncation=X)
     with pytest.raises(ValueError):
         b_n_tail_bound(raw, 2, s, pref, 500)
 
@@ -439,7 +437,7 @@ def test_z_probe_rearrangement_is_exact():
     chi5 = primitive_characters(5)[0]
     for shifts, q in Z_SHAPES:
         src = isobaric_source(len(shifts), shifts, 4 * x)
-        inst = VoronoiInstance(src, q, 5, chi=chi5, truncation=X)
+        inst = VoronoiInstance(src, q, 5, chi_star=chi5, truncation=X)
         _, via_a = z_probe(inst, s, w, x)
         lval = twisted_l_isobaric(LValueRequest(s, chi5, shifts))
         direct = sum(
@@ -453,7 +451,7 @@ def test_z_probe_trivial_twist_zeta_oracle():
 
     s, w, x = 2.5, 4.0, 500
     src = isobaric_source(3, (0j, 0j, 0j), 2 * x)
-    inst = VoronoiInstance(src, (1,), 1, chi=principal(1), truncation=X)
+    inst = VoronoiInstance(src, (1,), 1, chi_star=principal(1), truncation=X)
     via_l, via_a = z_probe(inst, s, w, x)
     with mp.workdps(30):
         oracle = complex(mp.zeta(5.5) ** 3 * mp.zeta(2.5) ** 3 / mp.zeta(4))
@@ -466,7 +464,7 @@ def test_z_probe_within_certified_bound():
     chi5 = primitive_characters(5)[0]
     for shifts, q in Z_SHAPES:
         src = isobaric_source(len(shifts), shifts, 2 * x)
-        inst = VoronoiInstance(src, q, 5, chi=chi5, truncation=X)
+        inst = VoronoiInstance(src, q, 5, chi_star=chi5, truncation=X)
         via_l, via_a = z_probe(inst, s, w, x)
         bound = z_probe_bound(inst, s, w, x)
         assert abs(via_l - via_a) < bound, shifts
@@ -475,7 +473,7 @@ def test_z_probe_within_certified_bound():
 
 def test_z_probe_rejects_raw_tables():
     chi5 = primitive_characters(5)[0]
-    raw = VoronoiInstance(raw_table_source(3, seed=1), (1,), 5, chi=chi5, truncation=X)
+    raw = VoronoiInstance(raw_table_source(3, seed=1), (1,), 5, chi_star=chi5, truncation=X)
     with pytest.raises(ValueError):
         z_probe(raw, 2.5, 4.0, 100)
 
@@ -549,7 +547,7 @@ def test_z_probe_and_bound_keep_their_separate_bits(s, w):
     for shifts, q, cstar in shapes:
         src = isobaric_source(len(shifts), shifts, 4 * x)
         chi = primitive_characters(cstar)[0]
-        inst = VoronoiInstance(src, q, cstar, chi=chi, truncation=X)
+        inst = VoronoiInstance(src, q, cstar, chi_star=chi, truncation=X)
         via_l, via_a = _z_probe_alone(inst, s, w, x)
         got_l, got_a = z_probe(inst, s, w, x)
         assert (_hex(got_l), _hex(got_a)) == (_hex(via_l), _hex(via_a)), (shifts, cstar)
@@ -608,7 +606,7 @@ def test_g_coefficients_match_the_nested_chain_walk_bit_for_bit():
         for c in range(1, 13):
             for q in itertools.product((1, 2), repeat=n_deg - 2):
                 for chi in enumerate_characters(c):
-                    inst = VoronoiInstance(src, q, c, chi=chi, truncation=20)
+                    inst = VoronoiInstance(src, q, c, chi_star=chi.primitive(), truncation=20)
                     got = g_coefficients(inst, S0, GP)
                     want = _g_coefficients_nested(inst, S0, GP)
                     assert got.tobytes() == want.tobytes(), (n_deg, c, q, chi.label)
