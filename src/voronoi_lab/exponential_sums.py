@@ -107,15 +107,9 @@ def gauss_sum_vector(chi_star: DirichletCharacter, c: int) -> np.ndarray:
     return row
 
 
-def gauss_sum(chi_star: DirichletCharacter, c: int, m: int) -> complex:
-    """g(chi*, c, m) = sum over units u mod c of chi(u) e(mu/c), chi induced by chi*."""
-    _check_gauss_args(chi_star, c)
-    return complex(gauss_sum_vector(chi_star, c)[m % c])
-
-
 def tau(chi_star: DirichletCharacter) -> complex:
     """The standard Gauss sum of a primitive character: g(chi*, c*, 1)."""
-    return gauss_sum(chi_star, chi_star.modulus, 1)
+    return complex(gauss_sum_vector(chi_star, chi_star.modulus)[1 % chi_star.modulus])
 
 
 def _taus(chars) -> np.ndarray:
@@ -456,45 +450,40 @@ def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.nd
     return out
 
 
-def _lemma34_factors(chains, n_values, chars, mods):
+def _lemma34_factors(chains, n_values, stars, mods):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
     chains is int64[n_chains, K] and mods int64[n_chains, K+1], their moduli
-    M_0..M_K.  Returns (factors, live): factors yields factor i, gathered
-    only when it is reached, g(chi*, M_i, d_{i+1}) for i < K and
-    g(chi*, M_K, n) for i = K, each complex128 and broadcastable to
-    [n_chars, n_chains, n_n]; live[x, j] is True when c* | M_i for every
-    i >= 1 of chain j.  Factors are gathered from one flat table holding the
-    gauss_sum_vector row of each (chi*, M) that a live chain reaches, after a
-    zero block that every other (chi*, M) points at.
+    M_0..M_K; stars are primitive characters chi*.  Returns (factors, live):
+    factors yields factor i, gathered only when it is reached,
+    g(chi*, M_i, d_{i+1}) for i < K and g(chi*, M_K, n) for i = K, each
+    complex128 and broadcastable to [n_stars, n_chains, n_n]; live[x, j] is
+    True when c* | M_i for every i >= 1 of chain j.  Factors are gathered
+    from one flat table holding the gauss_sum_vector row of each (chi*, M)
+    that a live chain reaches, after a zero block that every other (chi*, M)
+    points at.
     """
     k = chains.shape[1]
     # n enters only mod M_K; reducing by their lcm first keeps any int in int64
     lcm_k = math.lcm(*mods[:, k].tolist())
     n_arr = np.array([n % lcm_k for n in n_values], dtype=np.int64)
-    stars = [chi.primitive() for chi in chars]
     cstar = np.array([s.modulus for s in stars], dtype=np.int64)
     live = (mods[None, :, 1:] % cstar[:, None, None] == 0).all(axis=2)
 
-    mod_list = sorted(set(mods.ravel().tolist()))
-    mod_pos = np.zeros(mod_list[-1] + 1, dtype=np.int64)
-    mod_pos[mod_list] = np.arange(len(mod_list))
-    mod_idx = mod_pos[mods]
-    offsets = np.zeros((len(stars), len(mod_list)), dtype=np.int64)
-    rows = [np.zeros(mod_list[-1], dtype=np.complex128)]
-    size = mod_list[-1]
+    top = int(mods.max())
+    offsets = np.zeros((len(stars), top + 1), dtype=np.int64)  # [chi*, M]
+    rows, size = [np.zeros(top, dtype=np.complex128)], top
     for s, star in enumerate(stars):
-        for t in sorted(set(mod_idx[live[s]].ravel().tolist())):
-            m = mod_list[t]
-            offsets[s, t] = size
+        for m in sorted(set(mods[live[s]].ravel().tolist())):
+            offsets[s, m] = size
             rows.append(gauss_sum_vector(star, m))
             size += m
     table = np.concatenate(rows)
 
     def gather():
         for i in range(k):
-            yield table[offsets[:, mod_idx[:, i]] + chains[:, i] % mods[:, i]][:, :, None]
-        yield table[offsets[:, mod_idx[:, k], None] + n_arr[None, :] % mods[:, k, None]]
+            yield table[offsets[:, mods[:, i]] + chains[:, i] % mods[:, i]][:, :, None]
+        yield table[offsets[:, mods[:, k], None] + n_arr[None, :] % mods[:, k, None]]
 
     return gather(), live
 
@@ -504,10 +493,11 @@ def _lemma34_product(factors, live) -> np.ndarray:
 
     Real and imaginary parts are multiplied as separate float arrays, in the
     order of Python's complex product, so every entry has the bits of the
-    left-to-right scalar product.  The partial product broadcasts as it goes,
-    so it takes the n axis only at the last factor.
+    left-to-right scalar product.  The partial product starts as ones of
+    live's shape and one n column, so it takes the n axis only at the last
+    factor, and broadcasts as it goes.
     """
-    acc = 1.0, 0.0
+    acc = np.ones(live.shape + (1,)), np.zeros(live.shape + (1,))
     for f in factors:
         acc = split_product(acc, (f.real, f.imag))
     out = _as_complex(*acc)
@@ -527,7 +517,8 @@ def average_kloosterman_closed_lemma34_table(c: int, q, n_values) -> np.ndarray:
     table of its q'.
     """
     tree = _chain_tree(c, _layers(q))
-    factors, live = _lemma34_factors(tree.chains, n_values, enumerate_characters(c), tree.moduli)
+    stars = [chi.primitive() for chi in enumerate_characters(c)]
+    factors, live = _lemma34_factors(tree.chains, n_values, stars, tree.moduli)
     return _lemma34_product(factors, live)
 
 

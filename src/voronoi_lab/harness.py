@@ -58,6 +58,7 @@ from .lfunctions import (
 from .residues import divisor_count, primes_up_to, unit_residues
 from .voronoi import (
     VoronoiInstance,
+    _read_once,
     a_n_coefficient,
     b_n_coefficients,
     b_n_tail_bound,
@@ -961,6 +962,7 @@ def _mobius_units(ranges, tol, config):
     def unit(n_deg, cstar, n):
         def run():
             src = raw_table_source(n_deg, seed=_seed_int(config.seed, 404, n_deg, cstar, n))
+            store = {}  # each h and g series of the unit, evaluated once
             rows, got, want = [], [], []
             for chi_star in primitive_characters(cstar):
                 for q in itertools.product(range(1, q_max + 1), repeat=n_deg - 2):
@@ -970,15 +972,18 @@ def _mobius_units(ranges, tol, config):
                     for family, curly, want_f in (
                         (
                             "divisor-corrected-h",
-                            lambda q2, n2: curly_h_coefficients(replace(base, q=q2), n2, s),
-                            h_coefficients(target) * complex(n) ** (2 * s - 1),
+                            lambda q2, n2: curly_h_coefficients(
+                                replace(base, q=q2), n2, s, store
+                            ),
+                            _read_once(store, h_coefficients, target)
+                            * complex(n) ** (2 * s - 1),
                         ),
                         (
                             "divisor-corrected-g",
                             lambda q2, n2: curly_g_coefficients(
-                                replace(base, q=q2), n2, s, _G_EVEN_PROBE
+                                replace(base, q=q2), n2, s, _G_EVEN_PROBE, store
                             ),
-                            g_coefficients(target, s, _G_EVEN_PROBE),
+                            _read_once(store, g_coefficients, target, s, _G_EVEN_PROBE),
                         ),
                     ):
                         rows.append({**head, "n": n, "family": family})

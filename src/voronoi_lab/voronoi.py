@@ -24,7 +24,8 @@ from .exponential_sums import (
     _chain_tree,
     _check_gauss_args,
     _layers,
-    gauss_sum,
+    _lemma34_factors,
+    _lemma34_product,
     gauss_sum_vector,
     kloosterman_divisor_chains,
     kloosterman_vector,
@@ -135,6 +136,28 @@ def lq_additive_coefficients(inst: VoronoiInstance) -> np.ndarray:
 _GAMMA_PARTS = ((0.5 + 0j, 0.5 + 0j), (-0.5 + 0j, 0.5 + 0j))
 
 
+def _chain_rows(inst: VoronoiInstance, s: complex, chains, starts):
+    """(qpow, rows): the parts both dual sides share, in the bits of a scalar loop.
+
+    qpow is q_1^{-(N-2)s} ... q_{N-2}^{-s}.  rows yields, for each chain d
+    (a sequence of Python ints) and its start weight w (a Python complex),
+    w d_1^{(N-1)s}/d_1 ... d_{N-2}^{2s}/d_{N-2} times the coefficient row
+    A(n, d_{N-2}, ..., d_1), n = 0..X, the weight multiplied left to right.
+    """
+    n_deg, x = inst.degree, inst.truncation
+    qpow = 1 + 0j
+    for i, qi in enumerate(inst.q, start=1):
+        qpow *= qi ** (-(n_deg - 1 - i) * s)
+
+    def rows():
+        for d_vec, weight in zip(chains, starts):
+            for i, di in enumerate(d_vec, start=1):
+                weight *= di ** ((n_deg - i) * s) / di
+            yield weight * inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
+
+    return qpow, rows()
+
+
 def voronoi_rhs_coefficients(inst: VoronoiInstance, s, leaves: dict | None = None) -> np.ndarray:
     """Per-coefficient dual side of the additive identity, basis n^{-(1-s)}.
 
@@ -151,22 +174,15 @@ def voronoi_rhs_coefficients(inst: VoronoiInstance, s, leaves: dict | None = Non
     _require_additive(inst)
     s = complex(s)
     n_deg, c, x = inst.degree, inst.c, inst.truncation
-    qpow = 1 + 0j
-    for i, qi in enumerate(inst.q, start=1):
-        qpow *= qi ** (-(n_deg - 1 - i) * s)
     units = unit_residues(c)
     acc = np.zeros((len(units), 2, x + 1), dtype=complex)
     n_range = range(1, x + 1)
     chains = kloosterman_divisor_chains(c, inst.q)
     table = kloosterman_vector([*n_range, *(-n for n in n_range)], c, inst.q, leaves)
-    for d_vec, kl in zip(chains, table.transpose(1, 0, 2)):
-        weight = 1 + 0j
-        for i, di in enumerate(d_vec, start=1):
-            weight *= di ** ((n_deg - i) * s) / di
-        row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
-        w_row = weight * row[1:]
+    qpow, rows = _chain_rows(inst, s, chains, itertools.repeat(1 + 0j))
+    for row, kl in zip(rows, table.transpose(1, 0, 2)):
         for j, (half_diff, half_sum) in enumerate(_GAMMA_PARTS):
-            acc[:, j, 1:] += w_row * (half_diff * kl[:, :x] + half_sum * kl[:, x:])
+            acc[:, j, 1:] += row[1:] * (half_diff * kl[:, :x] + half_sum * kl[:, x:])
     out = np.zeros((c, 2, x + 1), dtype=complex)
     out[units] = acc * (qpow / c ** (n_deg * s - 1))
     return out
@@ -196,7 +212,9 @@ def g_coefficients(inst: VoronoiInstance, s, g_value) -> np.ndarray:
         A(n, d_{N-2},...,d_1) / (d_1...d_{N-2}) * [layer powers] *
         g(chi*, M_0, d_1) ... g(chi*, M_{N-3}, d_{N-2}) * g(chi*, M_{N-2}, n)
     with the same layer powers as the additive dual side.  ``g_value`` is the
-    externally supplied Gamma ratio, G+ or G- according to chi*(-1).
+    externally supplied Gamma ratio, G+ or G- according to chi*(-1).  The
+    Gauss sums are gathered as the closed Lemma 3.4 factors; a chain whose
+    layer product is 0 (every chain off the strengthened ones) adds nothing.
     """
     _require_character(inst)
     s = complex(s)
@@ -207,26 +225,15 @@ def g_coefficients(inst: VoronoiInstance, s, g_value) -> np.ndarray:
         * chi_star.parity
         / (c ** (n_deg * s - 1) * (c / chi_star.modulus) ** (1 - 2 * s))
     )
-    qpow = 1 + 0j
-    for i, qi in enumerate(inst.q, start=1):
-        qpow *= qi ** (-(n_deg - 1 - i) * s)
-    out = np.zeros(x + 1, dtype=complex)
-    # the strengthened chains d_i c* | q_i M_{i-1}: those with c* | M_i for
-    # every i >= 1; a chain whose Gauss-sum product vanishes adds nothing
     tree = _chain_tree(c, _layers(inst.q))
-    live = (tree.moduli[:, 1:] % chi_star.modulus == 0).all(axis=1)
-    for d_vec, mods in zip(tree.chains[live].tolist(), tree.moduli[live].tolist()):
-        weight = 1 + 0j
-        for m_prev, di in zip(mods, d_vec):
-            weight *= gauss_sum(chi_star, m_prev, di)
-        if weight == 0:
-            continue
-        for i, di in enumerate(d_vec, start=1):
-            weight *= di ** ((n_deg - i) * s) / di
-        row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
-        g_tail = gauss_sum_vector(chi_star, mods[-1])
-        idx = np.arange(x + 1) % mods[-1]
-        out += weight * row * g_tail[idx]
+    factors, live = _lemma34_factors(tree.chains, range(x + 1), (chi_star,), tree.moduli)
+    layers = _lemma34_product(itertools.islice(factors, len(inst.q)), live)[0, :, 0]
+    keep = layers.nonzero()[0]
+    tails = next(factors)[0, keep]
+    qpow, rows = _chain_rows(inst, s, tree.chains[keep].tolist(), layers[keep].tolist())
+    out = np.zeros(x + 1, dtype=complex)
+    for row, tail in zip(rows, tails):
+        out += row * tail
     return out * (pref * qpow)
 
 
@@ -266,17 +273,40 @@ def _divisor_average(inst: VoronoiInstance, n: int, s, series) -> np.ndarray:
     return out
 
 
-def curly_h_coefficients(inst: VoronoiInstance, n: int, s) -> np.ndarray:
-    """Divisor-averaged H series (c/c*)^{2s-1} h_coefficients."""
+def _read_once(store: dict | None, series, inst: VoronoiInstance, *args) -> np.ndarray:
+    """series(inst, *args), evaluated once per (series, inst, *args) in a caller's store.
+
+    ``store`` is a dict the caller owns and drops, as a mobius unit does, or
+    None for a plain call.  Each value is stored read-only.
+    """
+    if store is None:
+        return series(inst, *args)
+    key = (series, inst, *args)
+    value = store.get(key)
+    if value is None:
+        value = store[key] = series(inst, *args)
+        value.setflags(write=False)
+    return value
+
+
+def curly_h_coefficients(inst: VoronoiInstance, n: int, s, store: dict | None = None) -> np.ndarray:
+    """Divisor-averaged H series (c/c*)^{2s-1} h_coefficients, each read through store."""
     s = complex(s)
     return _divisor_average(
-        inst, n, s, lambda sub: h_coefficients(sub) * (sub.c / sub.cstar) ** (2 * s - 1)
+        inst,
+        n,
+        s,
+        lambda sub: _read_once(store, h_coefficients, sub) * (sub.c / sub.cstar) ** (2 * s - 1),
     )
 
 
-def curly_g_coefficients(inst: VoronoiInstance, n: int, s, g_value) -> np.ndarray:
-    """Divisor-averaged G series g_coefficients."""
-    return _divisor_average(inst, n, s, lambda sub: g_coefficients(sub, s, g_value))
+def curly_g_coefficients(
+    inst: VoronoiInstance, n: int, s, g_value, store: dict | None = None
+) -> np.ndarray:
+    """Divisor-averaged G series g_coefficients, each read through store."""
+    return _divisor_average(
+        inst, n, s, lambda sub: _read_once(store, g_coefficients, sub, s, g_value)
+    )
 
 
 def mobius_collapse(family, q: tuple[int, ...], n: int, s, chi_star: DirichletCharacter):

@@ -15,7 +15,6 @@ from voronoi_lab.exponential_sums import (
     _taus,
     average_kloosterman_closed_lemma34,
     average_kloosterman_closed_lemma34_table,
-    gauss_sum,
     gauss_sum_closed_lemma22,
     gauss_sum_closed_lemma22_rows,
     gauss_sum_closed_lemma23,
@@ -103,7 +102,6 @@ def test_gauss_sum_matches_brute():
                 for m in range(0, 13):
                     want = brute_gauss(chi, c, m)
                     assert abs(vec[m % c] - want) < 1e-10 * math.sqrt(c)
-                    assert abs(gauss_sum(chi, c, m) - want) < 1e-10 * math.sqrt(c)
 
 
 def test_tau_modulus():
@@ -131,7 +129,6 @@ def _family_at(rows_fn):
 def test_gauss_sum_argument_checks():
     chi3 = primitive_characters(3)[0]
     for f, m in (
-        (gauss_sum, 1),
         (gauss_sum_closed_lemma22, 1),
         (gauss_sum_closed_lemma23, 1),
         (_family_at(gauss_sum_closed_lemma22_rows), [1, 2]),
@@ -336,7 +333,8 @@ def test_average_gauss_identity():
             for n in range(1, 9):
                 for m in range(1, 17):
                     lhs = sum(
-                        chi.value_vector[d % cstar] * gauss_sum(chi, (n // d) * cstar, m)
+                        chi.value_vector[d % cstar]
+                        * gauss_sum_vector(chi, (n // d) * cstar)[m % ((n // d) * cstar)]
                         for d in divisors(n)
                     )
                     direct = sum(
@@ -551,7 +549,7 @@ def _lemma34_scalar_reference(chi, n, c, q, d):
         return 0j
     acc = 1 + 0j
     for m, arg in zip(mods, d + (n,)):
-        acc = acc * gauss_sum(chi_star, m, arg)
+        acc = acc * complex(gauss_sum_vector(chi_star, m)[arg % m])
     return acc
 
 

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from voronoi_lab import cli, exponential_sums, harness, lfunctions, voronoi
 from voronoi_lab.characters import DirichletCharacter, primitive_characters
 from voronoi_lab.exponential_sums import (
-    gauss_sum,
     gauss_sum_rows,
     gauss_sum_tables,
     gauss_sum_vector,
@@ -300,6 +299,18 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
             600,
             "4191b9ab80559f5e",
         ),
+        (
+            "mobius",
+            {
+                "degrees": [5],
+                "cstar_values": [3, 4],
+                "n_values": [2, 3],
+                "modulus_max": 12,
+                "q_max": 2,
+            },
+            64,
+            "c51da842963c10e6",
+        ),
     ],
     ids=[
         "kloosterman-deg5",
@@ -315,6 +326,7 @@ def test_kloosterman_units_without_a_batched_layer_keep_their_bytes(ranges, dige
         "equivalence-deg2",
         "mobius-deg2",
         "mobius-box",
+        "mobius-deg5",
     ],
 )
 def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
@@ -323,7 +335,8 @@ def test_divisor_chain_reports_keep_their_bytes(suite, ranges, cases, digest):
     # side (equivalence) both read every divisor chain of their units; with
     # them the default box of every suite but gauss-lemmas (pinned below) and
     # the voronoi-series box are pinned at seed 1, and so are the Gauss side
-    # at degree 2 (no layer) and a mobius box over several c* and n
+    # at degree 2 (no layer), a mobius box over several c* and n, and mobius
+    # at degree 5, whose G series multiply three Gauss-sum layers
     rep = run_suite(SweepConfig(suite=suite, ranges=dict(ranges), seed=1))
     assert rep.passed and rep.cases == cases
     assert hashlib.sha256(rep.to_canonical_json().encode("ascii")).hexdigest()[:16] == digest
@@ -344,6 +357,27 @@ def test_twisted_units_never_reduce_a_character(monkeypatch):
     box = {"degrees": [3], "c_values": [12], "q_max": 1, "coefficients": 5}
     run_suite(SweepConfig(suite="equivalence", ranges=box, seed=1))
     assert len(calls) == 4  # phi(12) characters mod 12
+
+
+def test_mobius_units_evaluate_each_series_once(monkeypatch):
+    # a mobius unit reads its h and g series through a store it owns, so each
+    # distinct (unit, chi*, q, c) is evaluated once; the collapses and their
+    # targets read each of them about six times (1 950 g calls for 320 series
+    # at the defaults without the store).  The unit's source tells the units
+    # apart; the calls keep every instance, and so every source, alive.
+    calls = []
+    for name in ("h_coefficients", "g_coefficients"):
+        series = getattr(voronoi, name)
+
+        def counted(inst, *args, series=series):
+            calls.append((series, inst))
+            return series(inst, *args)
+
+        monkeypatch.setattr(voronoi, name, counted)
+        monkeypatch.setattr(harness, name, counted)
+    assert run_suite(SweepConfig(suite="mobius", seed=1)).passed
+    keys = [(series, id(inst.source), inst.chi_star, inst.q, inst.c) for series, inst in calls]
+    assert len(keys) == len(set(keys)) == 640
 
 
 @pytest.mark.parametrize(
@@ -865,7 +899,7 @@ def test_lemma25_lhs_is_the_ascending_divisor_sum():
             chid = chi.value_vector[d % chi.modulus]
             if chid != 0:
                 mod = n // d * chi.modulus
-                want += chid * np.array([gauss_sum(chi, mod, k) for k in range(1, m_max + 1)])
+                want += chid * gauss_sum_vector(chi, mod)[np.arange(1, m_max + 1) % mod]
         got = struct.pack("<2d", rec.lhs.real, rec.lhs.imag)
         assert got == want[m - 1 : m].tobytes(), rec.parameters
 

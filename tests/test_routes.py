@@ -168,10 +168,20 @@ def test_gauss_sum_side_never_reaches_the_additive_side():
         "lq_additive_coefficients",
         "voronoi_rhs_coefficients",
     }
-    for name in ("h_coefficients", "g_coefficients"):
+    series = ("h_coefficients", "g_coefficients", "curly_h_coefficients", "curly_g_coefficients")
+    for name in series:
         for node in _reachable("voronoi.py", name):
             refs = _names(node)
             assert not refs & additive, (name, node.name, refs & additive)
+
+
+def test_g_series_reads_its_gauss_sums_from_the_lemma34_gather():
+    # g takes its layer factors and tails from _lemma34_factors, the gather the
+    # closed Kloosterman route reads; no scalar Gauss sum is left to reach
+    reached = {node.name for node in _reachable("voronoi.py", "g_coefficients")}
+    assert {"_lemma34_factors", "_lemma34_product", "_chain_rows"} <= reached
+    for node in _reachable("voronoi.py", "g_coefficients"):
+        assert "gauss_sum" not in _names(node), node.name
 
 
 def test_closed_gauss_rows_read_characters_only_through_scalar_calls():

@@ -9,7 +9,7 @@ import pytest
 
 from voronoi_lab import voronoi
 from voronoi_lab.characters import enumerate_characters, primitive_characters
-from voronoi_lab.exponential_sums import gauss_sum, kloosterman_divisor_chains, tau
+from voronoi_lab.exponential_sums import gauss_sum_vector, kloosterman_divisor_chains, tau
 from voronoi_lab.hecke import isobaric_source, random_satake_source, raw_table_source
 from voronoi_lab.lfunctions import (
     GammaFactorSpec,
@@ -582,7 +582,7 @@ def _g_coefficients_nested(inst, s, g_value):
         if total % cstar:
             return
         for d in divisors(total // cstar):
-            g_val = gauss_sum(chi_star, m_prev, d)
+            g_val = complex(gauss_sum_vector(chi_star, m_prev)[d % m_prev])
             if g_val != 0:
                 yield from chains(i + 1, total // d, d_prefix + (d,), g_acc * g_val)
 
@@ -595,7 +595,7 @@ def _g_coefficients_nested(inst, s, g_value):
         for i, di in enumerate(d_vec, start=1):
             weight *= di ** ((n_deg - i) * s) / di
         row = inst.source.coefficient_row((), tuple(reversed(d_vec)), x)
-        g_tail = np.array([gauss_sum(chi_star, m_last, k) for k in range(m_last)])
+        g_tail = gauss_sum_vector(chi_star, m_last)
         out += weight * row * g_tail[np.arange(x + 1) % m_last]
     return out * (pref * qpow)
 
