@@ -454,10 +454,10 @@ def _lemma34_factors(chains, n_values, stars, mods):
     """Gauss-sum factors of the Lemma 3.4 product and its non-vanishing mask.
 
     chains is int64[n_chains, K] and mods int64[n_chains, K+1], their moduli
-    M_0..M_K; stars are primitive characters chi*.  Returns (factors, live):
-    factors yields factor i, gathered only when it is reached,
+    M_0..M_K; stars are primitive characters chi*.  Returns (factor, live):
+    factor(i, rows) gathers, for the chains picked by rows (default all),
     g(chi*, M_i, d_{i+1}) for i < K and g(chi*, M_K, n) for i = K, each
-    complex128 and broadcastable to [n_stars, n_chains, n_n]; live[x, j] is
+    complex128 and broadcastable to [n_stars, n_rows, n_n]; live[x, j] is
     True when c* | M_i for every i >= 1 of chain j.  Factors are gathered
     from one flat table holding the gauss_sum_vector row of each (chi*, M)
     that a live chain reaches, after a zero block that every other (chi*, M)
@@ -480,12 +480,13 @@ def _lemma34_factors(chains, n_values, stars, mods):
             size += m
     table = np.concatenate(rows)
 
-    def gather():
-        for i in range(k):
-            yield table[offsets[:, mods[:, i]] + chains[:, i] % mods[:, i]][:, :, None]
-        yield table[offsets[:, mods[:, k], None] + n_arr[None, :] % mods[:, k, None]]
+    def factor(i, rows=slice(None)):
+        m = mods[rows, i]
+        if i < k:
+            return table[offsets[:, m] + chains[rows, i] % m][:, :, None]
+        return table[offsets[:, m, None] + n_arr[None, :] % m[:, None]]
 
-    return gather(), live
+    return factor, live
 
 
 def _lemma34_product(factors, live) -> np.ndarray:
@@ -518,8 +519,8 @@ def average_kloosterman_closed_lemma34_table(c: int, q, n_values) -> np.ndarray:
     """
     tree = _chain_tree(c, _layers(q))
     stars = [chi.primitive() for chi in enumerate_characters(c)]
-    factors, live = _lemma34_factors(tree.chains, n_values, stars, tree.moduli)
-    return _lemma34_product(factors, live)
+    factor, live = _lemma34_factors(tree.chains, n_values, stars, tree.moduli)
+    return _lemma34_product(map(factor, range(tree.moduli.shape[1])), live)
 
 
 def average_kloosterman_closed_lemma34(

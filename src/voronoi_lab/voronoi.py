@@ -226,10 +226,10 @@ def g_coefficients(inst: VoronoiInstance, s, g_value) -> np.ndarray:
         / (c ** (n_deg * s - 1) * (c / chi_star.modulus) ** (1 - 2 * s))
     )
     tree = _chain_tree(c, _layers(inst.q))
-    factors, live = _lemma34_factors(tree.chains, range(x + 1), (chi_star,), tree.moduli)
-    layers = _lemma34_product(itertools.islice(factors, len(inst.q)), live)[0, :, 0]
+    factor, live = _lemma34_factors(tree.chains, range(x + 1), (chi_star,), tree.moduli)
+    layers = _lemma34_product(map(factor, range(len(inst.q))), live)[0, :, 0]
     keep = layers.nonzero()[0]
-    tails = next(factors)[0, keep]
+    tails = factor(len(inst.q), keep)[0]
     qpow, rows = _chain_rows(inst, s, tree.chains[keep].tolist(), layers[keep].tolist())
     out = np.zeros(x + 1, dtype=complex)
     for row, tail in zip(rows, tails):
@@ -273,14 +273,12 @@ def _divisor_average(inst: VoronoiInstance, n: int, s, series) -> np.ndarray:
     return out
 
 
-def _read_once(store: dict | None, series, inst: VoronoiInstance, *args) -> np.ndarray:
+def _read_once(store: dict, series, inst: VoronoiInstance, *args) -> np.ndarray:
     """series(inst, *args), evaluated once per (series, inst, *args) in a caller's store.
 
-    ``store`` is a dict the caller owns and drops, as a mobius unit does, or
-    None for a plain call.  Each value is stored read-only.
+    ``store`` is a dict the caller owns and drops, as a mobius unit does.
+    Each value is stored read-only.
     """
-    if store is None:
-        return series(inst, *args)
     key = (series, inst, *args)
     value = store.get(key)
     if value is None:
@@ -289,7 +287,7 @@ def _read_once(store: dict | None, series, inst: VoronoiInstance, *args) -> np.n
     return value
 
 
-def curly_h_coefficients(inst: VoronoiInstance, n: int, s, store: dict | None = None) -> np.ndarray:
+def curly_h_coefficients(inst: VoronoiInstance, n: int, s, store: dict) -> np.ndarray:
     """Divisor-averaged H series (c/c*)^{2s-1} h_coefficients, each read through store."""
     s = complex(s)
     return _divisor_average(
@@ -300,9 +298,7 @@ def curly_h_coefficients(inst: VoronoiInstance, n: int, s, store: dict | None = 
     )
 
 
-def curly_g_coefficients(
-    inst: VoronoiInstance, n: int, s, g_value, store: dict | None = None
-) -> np.ndarray:
+def curly_g_coefficients(inst: VoronoiInstance, n: int, s, g_value, store: dict) -> np.ndarray:
     """Divisor-averaged G series g_coefficients, each read through store."""
     return _divisor_average(
         inst, n, s, lambda sub: _read_once(store, g_coefficients, sub, s, g_value)

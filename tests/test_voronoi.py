@@ -200,13 +200,13 @@ def test_mobius_collapse_inverts_divisor_averaging():
             base = VoronoiInstance(src, q, cstar, chi_star=chi_star, truncation=X)
             target = VoronoiInstance(src, q, n * cstar, chi_star=chi_star, truncation=X)
             got_h = mobius_collapse(
-                lambda q2, n2: curly_h_coefficients(replace(base, q=q2), n2, S0),
+                lambda q2, n2: curly_h_coefficients(replace(base, q=q2), n2, S0, {}),
                 q, n, S0, chi_star,
             )
             want_h = h_coefficients(target) * complex(n) ** (2 * S0 - 1)
             assert _maxdiff(got_h, want_h) / _scale(want_h) < 1e-10
             got_g = mobius_collapse(
-                lambda q2, n2: curly_g_coefficients(replace(base, q=q2), n2, S0, GP),
+                lambda q2, n2: curly_g_coefficients(replace(base, q=q2), n2, S0, GP, {}),
                 q, n, S0, chi_star,
             )
             want_g = g_coefficients(target, S0, GP)
@@ -219,7 +219,7 @@ def test_curly_wrappers_degenerate_to_plain_series():
         base = VoronoiInstance(src, (1,), 5, chi_star=chi_star, truncation=X)
         # n = 1 and unit layers: the divisor sums have a single term and the
         # conductor scale is exactly one
-        assert _maxdiff(curly_h_coefficients(base, 1, S0), h_coefficients(base)) == 0.0
+        assert _maxdiff(curly_h_coefficients(base, 1, S0, {}), h_coefficients(base)) == 0.0
 
 
 def _side_by_side(src, shifts, chi_star, q, s, y, n_values):
