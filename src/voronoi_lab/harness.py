@@ -1048,9 +1048,11 @@ def _voronoi_units(ranges, tol, config):
 
     # One source per (degree, shifts), with the largest prime bound any unit
     # needs, built by the first unit that reads it: rows and blocks share its
-    # caches, and a build that only validates builds none.
+    # caches, and a build that only validates builds none.  b_n's powers
+    # depend on neither source nor twist, so every unit shares one store.
     bounds: dict = {}
     sources: dict = {}
+    weights: dict = {}
     building = threading.Lock()
 
     def source(key):
@@ -1079,7 +1081,6 @@ def _voronoi_units(ranges, tol, config):
             gval = g_pm_eval(s, GammaFactorSpec(lambdas, delta))
             pref = gval * tau(chi_star) ** n_deg * cstar ** (-n_deg * s)
             lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
-            weights = {}  # b_n's powers, shared by every (q, n) of the unit
             recs = []
             for q in qs:
                 inst = VoronoiInstance(src, q, cstar, chi_star=chi_star)

@@ -19,13 +19,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .numeric import split_product
+from .numeric import split_product, split_quotient
 from .residues import divisors, factorize, primes_up_to, valuation
 
 
@@ -84,8 +81,8 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     kvecs is int[B, rows] and x complex128[B, N].  _hvec and _det_fraction_free
     run on split float64 real/imaginary arrays, one operation at a time in
-    CPython's own order: products as split_product, quotients by Smith's
-    branches as in CPython's complex division, the pivot the first maximum of
+    CPython's own order: products as split_product, quotients as
+    split_quotient, the pivot the first maximum of
     np.hypot (abs), a zero pivot giving 0j and the sign applied as the product
     (sign + 0j) z.  numpy's complex ufuncs and np.linalg.det round differently.
     """
@@ -129,13 +126,9 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
                 (ar[:, k + 1 :, k, None], ai[:, k + 1 :, k, None]),
                 (ar[:, k, None, k + 1 :], ai[:, k, None, k + 1 :]),
             )
-            nr, ni = t1r - t2r, t1i - t2i
-            br, bi = prev_r[:, None, None], prev_i[:, None, None]
-            real_side = np.abs(br) >= np.abs(bi)
-            ratio = np.where(real_side, bi / br, br / bi)
-            denom = np.where(real_side, br + bi * ratio, br * ratio + bi)
-            ar[:, k + 1 :, k + 1 :] = np.where(real_side, nr + ni * ratio, nr * ratio + ni) / denom
-            ai[:, k + 1 :, k + 1 :] = np.where(real_side, ni - nr * ratio, ni * ratio - nr) / denom
+            ar[:, k + 1 :, k + 1 :], ai[:, k + 1 :, k + 1 :] = split_quotient(
+                (t1r - t2r, t1i - t2i), (prev_r[:, None, None], prev_i[:, None, None])
+            )
             prev_r, prev_i = ar[:, k, k].copy(), ai[:, k, k].copy()
     zr, zi = ar[:, -1, -1], ai[:, -1, -1]
     out.real, out.imag = split_product((sign, 0.0), (zr, zi))
@@ -147,43 +140,67 @@ def _schur_batch(kvecs: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Parameter families
 
 
-@dataclass(frozen=True)
+def _row_products(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of math.prod(row, start=1 + 0j) for each row, bit for bit."""
+    prod = (np.ones(len(alphas)), np.zeros(len(alphas)))
+    for col in alphas.T:
+        prod = split_product(prod, (col.real, col.imag))
+    return prod
+
+
 class SatakeParams:
-    """Per-prime tuples (alpha_1(p), ..., alpha_N(p)) with product 1."""
+    """Satake parameters on an ascending prime array, with product 1 at each prime.
 
-    degree: int
-    alphas: Mapping[int, tuple[complex, ...]]
+    primes is int64[P] and alphas complex128[P, N]: row i holds
+    (alpha_1(p), ..., alpha_N(p)) at p = primes[i].  Both are read-only.  The
+    products are checked in one pass over the columns, in the order of
+    math.prod, and the first prime whose product is not 1 is named.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", MappingProxyType(dict(self.alphas)))
-        for p, a in self.alphas.items():
-            if len(a) != self.degree:
-                raise ValueError(f"expected {self.degree} parameters at p = {p}")
-            prod = math.prod(a, start=1 + 0j)
-            if abs(prod - 1) > 1e-12 * max(1.0, abs(prod)):
-                raise ValueError(f"parameter product at p = {p} is {prod}, not 1")
+    __slots__ = ("degree", "primes", "alphas")
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.alphas))
+    def __init__(self, degree: int, primes, alphas):
+        primes = np.array(primes, dtype=np.int64)
+        alphas = np.array(alphas, dtype=complex)
+        if primes.ndim != 1 or np.any(primes[1:] <= primes[:-1]):
+            raise ValueError("primes must be one ascending array")
+        if alphas.shape != (primes.size, degree):
+            raise ValueError(f"expected {degree} parameters at each of {primes.size} primes")
+        prod = _row_products(alphas)
+        size = np.hypot(*prod)
+        bad = np.hypot(prod[0] - 1, prod[1]) > 1e-12 * np.maximum(1.0, size)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"parameter product at p = {primes[i]} is {complex(prod[0][i], prod[1][i])}, not 1"
+            )
+        primes.flags.writeable = alphas.flags.writeable = False
+        self.degree, self.primes, self.alphas = degree, primes, alphas
+
+    def rows(self, ps) -> np.ndarray:
+        """alphas at each prime of ps, gathered in one searchsorted; the first
+        prime without parameters raises."""
+        ps = np.asarray(ps, dtype=np.int64)
+        idx = np.searchsorted(self.primes, ps)
+        found = idx < self.primes.size
+        found[found] = self.primes[idx[found]] == ps[found]
+        if not found.all():
+            raise ValueError(f"prime {ps[(~found).argmax()]} not populated in SatakeParams")
+        return self.alphas[idx]
 
     def alphas_at(self, p: int) -> tuple[complex, ...]:
-        try:
-            return self.alphas[p]
-        except KeyError:
-            raise ValueError(f"prime {p} not populated in SatakeParams") from None
+        return tuple(self.rows((p,))[0].tolist())
 
 
 def random_satake(degree: int, prime_bound: int, seed: int) -> SatakeParams:
     """N-1 parameters uniform on the unit circle, the last their inverse product."""
-    rng = np.random.default_rng(seed)
-    table = {}
-    for p in primes_up_to(prime_bound):
-        angles = rng.uniform(0.0, 2.0 * np.pi, degree - 1)
-        a = [complex(np.exp(1j * t)) for t in angles]
-        a.append(1 / math.prod(a, start=1 + 0j))
-        table[p] = tuple(a)
-    return SatakeParams(degree, table)
+    primes = primes_up_to(prime_bound)
+    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, (len(primes), degree - 1))
+    alphas = np.empty((len(primes), degree), dtype=complex)
+    alphas[:, :-1] = np.exp(1j * angles)
+    last = split_quotient((1.0, 0.0), _row_products(alphas[:, :-1]))
+    alphas[:, -1].real, alphas[:, -1].imag = last
+    return SatakeParams(degree, primes, alphas)
 
 
 def isobaric_params(degree: int, shifts: tuple[complex, ...], prime_bound: int) -> SatakeParams:
@@ -193,21 +210,23 @@ def isobaric_params(degree: int, shifts: tuple[complex, ...], prime_bound: int) 
     total = sum(shifts)
     if abs(total) > 1e-12 * max(1.0, max((abs(s) for s in shifts), default=0.0)):
         raise ValueError(f"shifts must sum to zero, got {total}")
-    table = {
-        p: tuple(complex(p) ** (-s) for s in shifts) for p in primes_up_to(prime_bound)
-    }
-    return SatakeParams(degree, table)
+    primes = primes_up_to(prime_bound)
+    alphas = np.empty((len(primes), degree), dtype=complex)
+    # CPython's scalar power: numpy's power, log and exp differ in the last bit
+    for j, s in enumerate(shifts):
+        alphas[:, j] = [complex(p) ** (-s) for p in primes]
+    return SatakeParams(degree, primes, alphas)
 
 
 def rankin_selberg_params(f1: SatakeParams, f2: SatakeParams) -> SatakeParams:
-    """All pairwise products alpha_i(p) beta_j(p); degree N1*N2."""
-    if f1.primes != f2.primes:
+    """All pairwise products alpha_i(p) beta_j(p), i major; degree N1*N2."""
+    if not np.array_equal(f1.primes, f2.primes):
         raise ValueError("parameter families live on different prime sets")
-    table = {
-        p: tuple(a * b for a in f1.alphas_at(p) for b in f2.alphas_at(p))
-        for p in f1.primes
-    }
-    return SatakeParams(f1.degree * f2.degree, table)
+    a, b = f1.alphas[:, :, None], f2.alphas[:, None, :]
+    re, im = split_product((a.real, a.imag), (b.real, b.imag))
+    alphas = np.empty(re.shape, dtype=complex)
+    alphas.real, alphas.imag = re, im
+    return SatakeParams(f1.degree * f2.degree, f1.primes, alphas.reshape(len(f1.primes), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +303,10 @@ class CoefficientSource:
     def _slot_blocks(self, pos: int, pairs: list[tuple[int, int]]) -> np.ndarray:
         """Block (p, k in slot pos, 0 elsewhere) for each pair.
 
-        Satake-backed sources evaluate all of them in one _schur_batch, bit for
-        bit the scalar schur, and raise as alphas_at does for a prime without
-        parameters.  Raw tables go through _block.
+        Satake-backed sources gather every pair's parameters in one
+        SatakeParams.rows call, which raises as alphas_at does for a prime
+        without parameters, and evaluate all of them in one _schur_batch, bit
+        for bit the scalar schur.  Raw tables go through _block.
         """
         def kvec(k: int) -> tuple[int, ...]:
             evec = [0] * (self.degree - 1)
@@ -295,10 +315,10 @@ class CoefficientSource:
 
         if self.satake is None:
             return np.array([self._block(p, kvec(k)) for p, k in pairs], dtype=complex)
-        kvecs = np.zeros((len(pairs), self.degree - 1), dtype=np.int64)
-        kvecs[:, self.degree - 2 - pos] = [k for _, k in pairs]
-        x = np.array([self.satake.alphas_at(p) for p, _ in pairs], dtype=complex)
-        return _schur_batch(kvecs, x.reshape(-1, self.degree))
+        pk = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        kvecs = np.zeros((len(pk), self.degree - 1), dtype=np.int64)
+        kvecs[:, self.degree - 2 - pos] = pk[:, 1]
+        return _schur_batch(kvecs, self.satake.rows(pk[:, 0]))
 
     def _base_row(self, pos: int, x: int) -> np.ndarray:
         """A with slot pos equal to e and every other slot 1, e = 0..x (entry 0 is 0).

@@ -51,8 +51,6 @@ _POLE_TOL = 1e-6
 # Largest shift denominator the reflection formula takes: left of Re(s) = -0.25
 # it sums that many Euler-Maclaurin evaluations.
 _REFLECT_MAX_Q = 4096
-# Euler-Maclaurin depth: B_2 .. B_40 correction terms
-_EM_ORDER = 20
 
 
 @lru_cache(maxsize=None)
@@ -69,13 +67,32 @@ def bernoulli_number(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-@lru_cache(maxsize=1)
-def _em_weights() -> tuple[float, ...]:
-    # B_{2j}/(2j)! decays like 2/(2 pi)^{2j}; safe in float
-    return tuple(
-        float(bernoulli_number(2 * j) / math.factorial(2 * j))
-        for j in range(1, _EM_ORDER + 1)
-    )
+# Euler-Maclaurin weights B_2j/(2j)! for j = 1..20 (B_2 .. B_40), rounded to
+# float; B_2j/(2j)! decays like 2/(2 pi)^2j.  A literal, because the exact
+# recursion to B_40 costs a few ms in every fresh process;
+# tests/test_lfunctions.py checks it against bernoulli_number.
+_EM_WEIGHTS = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+    -2.174868698558062e-16,
+    5.5090028283602295e-18,
+    -1.3954464685812522e-19,
+    3.534707039629467e-21,
+    -8.953517427037546e-23,
+    2.267952452337683e-24,
+    -5.744790668872202e-26,
+    1.455172475614865e-27,
+    -3.6859949406653103e-29,
+    9.336734257095045e-31,
+    -2.36502241570063e-32,
+)
 
 
 # Stirling's series log Gamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2
@@ -176,7 +193,7 @@ def _hurwitz_em(s: complex, a: float) -> complex:
     rising = s  # (s)_{2j-1} rising factorial, starting at j=1
     power = base ** (-s - 1.0)
     corr = 0j
-    for j, weight in enumerate(_em_weights(), start=1):
+    for j, weight in enumerate(_EM_WEIGHTS, start=1):
         corr += weight * rising * power
         rising *= (s + (2 * j - 1)) * (s + 2 * j)
         power /= base * base

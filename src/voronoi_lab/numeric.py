@@ -1,4 +1,4 @@
-"""Shared root-of-unity tables, the summation rounding bound and split complex products.
+"""Shared root-of-unity tables, the summation rounding bound and split complex arithmetic.
 
 Exponential sums are evaluated in double precision from cached tables of
 e(k/M).  sum_error_bound gives a conservative rounding bound for such a sum
@@ -65,6 +65,24 @@ def split_product(a, b):
     """
     (ar, ai), (br, bi) = a, b
     return ar * br - ai * bi, ar * bi + ai * br
+
+
+def split_quotient(a, b):
+    """(re, im) of the complex quotient a / b, each given as an (re, im) pair.
+
+    Smith's branches as in CPython's complex division, so every entry has the
+    bits of the scalar quotient; a zero divisor gives nan or inf, where the
+    scalar raises.
+    """
+    (ar, ai), (br, bi) = a, b
+    real_side = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):
+        ratio = np.where(real_side, bi / br, br / bi)
+        denom = np.where(real_side, br + bi * ratio, br * ratio + bi)
+        return (
+            np.where(real_side, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(real_side, ai - ar * ratio, ai * ratio - ar) / denom,
+        )
 
 
 # Nothing builds one; perfbench/tracer.py still counts ComplexValue.__init__.

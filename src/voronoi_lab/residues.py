@@ -114,7 +114,7 @@ def primes_up_to(n: int) -> tuple[int, ...]:
     for p in range(2, int(n**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return tuple(int(p) for p in np.flatnonzero(sieve))
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
 def valuation(n: int, p: int) -> int:

@@ -435,8 +435,10 @@ def b_n_coefficients(
 
     ``weights`` is an optional caller-owned store of the n-independent powers
     (e_1...e_{N-1})^{s-1}: key (e_1...e_{N-2}, s, y), value the float64 power
-    over e_{N-1} = 1..Y (degree 2 reads key (1, s, y)).  A store shared by the
-    calls of one unit builds each array once.
+    over e_{N-1} = 1..Y (degree 2 reads key (1, s, y)).  The powers depend on
+    neither the source nor the twist, so voronoi-core keeps one store per
+    sweep, shared by every unit, and builds each array once.  Entries are only
+    ever inserted, and two threads that build one key insert the same bits.
     """
     _require_character(inst)
     s = complex(s)

@@ -9,6 +9,9 @@ of a sweep can reach one (tests/test_imports.py checks that):
   it, and the Lemma 3.4 Gauss-sum product;
 * schur_bialternant, the ratio of alternants, checks the Jacobi-Trudi
   schur of hecke and so every coefficient A(m);
+* isobaric_alphas, random_satake_table and rankin_selberg_alphas, the
+  per-prime scalar loops, check the Satake parameter arrays of hecke's
+  builders bit for bit;
 * hurwitz_zeta_mp, mpmath at a given precision, checks the double-precision
   hurwitz_zeta of lfunctions;
 * induce, the character mod c that a character of modulus dividing c
@@ -30,7 +33,13 @@ import numpy as np
 
 from voronoi_lab.characters import DirichletCharacter
 from voronoi_lab.numeric import roots_of_unity, sum_error_bound
-from voronoi_lab.residues import euler_phi, inverse_table, unit_group, unit_residues
+from voronoi_lab.residues import (
+    euler_phi,
+    inverse_table,
+    primes_up_to,
+    unit_group,
+    unit_residues,
+)
 
 
 def principal(c: int) -> DirichletCharacter:
@@ -149,6 +158,29 @@ def schur_bialternant(k: tuple[int, ...], x: tuple[complex, ...]) -> complex:
     num = np.array([[xi ** (lam[j] + n - 1 - j) for j in range(n)] for xi in x])
     den = np.array([[xi ** (n - 1 - j) for j in range(n)] for xi in x])
     return complex(np.linalg.det(num) / np.linalg.det(den))
+
+
+def isobaric_alphas(p: int, shifts: tuple[complex, ...]) -> tuple[complex, ...]:
+    """(p^(-s_1), ..., p^(-s_N)) by CPython's scalar complex power."""
+    return tuple(complex(p) ** (-s) for s in shifts)
+
+
+def random_satake_table(degree: int, prime_bound: int, seed: int) -> dict[int, tuple[complex, ...]]:
+    """Prime -> Satake parameters, drawn one prime at a time in ascending order:
+    degree - 1 angles, their points on the unit circle, and the inverse product."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for p in primes_up_to(prime_bound):
+        angles = rng.uniform(0.0, 2.0 * np.pi, degree - 1)
+        a = [complex(np.exp(1j * t)) for t in angles]
+        a.append(1 / math.prod(a, start=1 + 0j))
+        table[p] = tuple(a)
+    return table
+
+
+def rankin_selberg_alphas(a: tuple[complex, ...], b: tuple[complex, ...]) -> tuple[complex, ...]:
+    """Every scalar product a_i b_j, i major."""
+    return tuple(x * y for x in a for y in b)
 
 
 def hurwitz_zeta_mp(s: complex, a: Fraction, precision: int) -> complex:

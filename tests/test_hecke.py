@@ -22,7 +22,9 @@ from voronoi_lab.hecke import (
 )
 from voronoi_lab.residues import divisor_count, primes_up_to
 
-from oracles import schur_bialternant
+from voronoi_lab.harness import SweepConfig
+
+from oracles import isobaric_alphas, rankin_selberg_alphas, random_satake_table, schur_bialternant
 
 
 def _unit_circle_points(rng, deg):
@@ -64,9 +66,9 @@ def test_schur_normalization():
 
 def test_satake_validation():
     with pytest.raises(ValueError):
-        SatakeParams(2, {2: (2.0 + 0j, 1.0 + 0j)})  # product 2, not 1
+        SatakeParams(2, [2], [(2.0 + 0j, 1.0 + 0j)])  # product 2, not 1
     with pytest.raises(ValueError):
-        SatakeParams(3, {2: (1.0 + 0j, 1.0 + 0j)})  # wrong arity
+        SatakeParams(3, [2], [(1.0 + 0j, 1.0 + 0j)])  # wrong arity
     params = random_satake(3, 20, 9)
     with pytest.raises(ValueError):
         params.alphas_at(23)  # beyond prime_bound
@@ -76,12 +78,62 @@ def test_random_satake_deterministic_and_unitary():
     a = random_satake(3, 50, 11)
     b = random_satake(3, 50, 11)
     c = random_satake(3, 50, 12)
-    assert a.primes == b.primes
+    assert a.primes.tolist() == b.primes.tolist()
     assert all(a.alphas_at(p) == b.alphas_at(p) for p in a.primes)
     assert any(a.alphas_at(p) != c.alphas_at(p) for p in a.primes)
     for p in a.primes:
         assert abs(math.prod(a.alphas_at(p), start=1 + 0j) - 1) < 1e-10
         assert all(abs(abs(al) - 1) < 1e-12 for al in a.alphas_at(p))
+
+
+def test_satake_product_check_names_the_first_bad_prime():
+    alphas = [(1j, -1j), (2.0 + 0j, 1.0 + 0j), (3.0 + 0j, 1.0 + 0j)]
+    with pytest.raises(ValueError) as err:
+        SatakeParams(2, [2, 3, 5], alphas)
+    assert str(err.value) == "parameter product at p = 3 is (2+0j), not 1"
+    with pytest.raises(ValueError):
+        SatakeParams(2, [3, 2], [(1j, -1j), (1j, -1j)])  # not ascending
+
+
+def _hexes(values) -> list[tuple[str, str]]:
+    return [_hex(z) for z in values]
+
+
+def test_isobaric_parameters_are_the_scalar_powers_bit_for_bit():
+    # numpy's float64 power, log and exp differ from libm in the last bit at
+    # some primes, so every entry is held to CPython's complex power
+    ranges = SweepConfig("voronoi-core").validate()
+    shift_sets = [*ranges["gl3_shift_sets"], *ranges["gl2_shift_sets"], (-1.5 + 1j, 1.5 - 1j)]
+    bound = 20011
+    for shifts in shift_sets:
+        params = isobaric_params(len(shifts), shifts, bound)
+        assert params.primes.tolist() == list(primes_up_to(bound))
+        for p, row in zip(params.primes.tolist(), params.alphas.tolist()):
+            assert _hexes(row) == _hexes(isobaric_alphas(p, shifts)), (shifts, p)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_random_satake_is_the_per_prime_loop_bit_for_bit(degree):
+    for seed in (0, 1, 9, 2**40 + 3):
+        params = random_satake(degree, 3000, seed)
+        table = random_satake_table(degree, 3000, seed)
+        assert params.primes.tolist() == list(table)
+        for p, row in zip(params.primes.tolist(), params.alphas.tolist()):
+            assert _hexes(row) == _hexes(table[p]), (seed, p)
+
+
+def test_rankin_selberg_rows_are_the_scalar_products_bit_for_bit():
+    bound = 2000
+    for f1, f2 in (
+        (random_satake(2, bound, 5), random_satake(3, bound, 6)),
+        (isobaric_params(3, (1j, 0j, -1j), bound), random_satake(2, bound, 7)),
+    ):
+        rs = rankin_selberg_params(f1, f2)
+        assert rs.degree == f1.degree * f2.degree
+        for p, row, a, b in zip(
+            rs.primes.tolist(), rs.alphas.tolist(), f1.alphas.tolist(), f2.alphas.tolist()
+        ):
+            assert _hexes(row) == _hexes(rankin_selberg_alphas(a, b)), p
 
 
 def test_coefficient_multiplicative_across_primes():

@@ -40,6 +40,14 @@ def test_bernoulli_numbers():
     assert bernoulli_number(12) == Fraction(-691, 2730)
 
 
+def test_euler_maclaurin_weights_are_the_rounded_bernoulli_ratios():
+    # the literal table is B_2j/(2j)! for j = 1..20, rounded once to float
+    assert len(lfunctions._EM_WEIGHTS) == 20
+    for j, weight in enumerate(lfunctions._EM_WEIGHTS, start=1):
+        want = float(bernoulli_number(2 * j) / math.factorial(2 * j))
+        assert weight.hex() == want.hex(), j
+
+
 def test_hurwitz_point_oracles():
     assert abs(hurwitz_zeta(2, 1) - 1.6449340668482264) < 1e-12
     assert abs(hurwitz_zeta(-1, 1) - (-1 / 12)) < 1e-12

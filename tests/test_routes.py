@@ -132,6 +132,22 @@ def test_coefficient_rows_never_make_a_scalar_coefficient_read():
         assert "coefficient" not in _method_calls(methods[name]), name
 
 
+def test_satake_arrays_are_never_read_through_the_scalar_view():
+    # the builders and the batched blocks are checked bit for bit against
+    # per-prime scalar loops, so none of them may read one prime at a time
+    defs = _module("hecke.py")[0]
+    init = next(n for n in defs["SatakeParams"].body if getattr(n, "name", None) == "__init__")
+    source = {n.name: n for n in defs["CoefficientSource"].body if isinstance(n, ast.FunctionDef)}
+    for fn in (
+        source["_slot_blocks"],
+        defs["isobaric_params"],
+        defs["random_satake"],
+        defs["rankin_selberg_params"],
+        init,
+    ):
+        assert "alphas_at" not in _method_calls(fn), fn.name
+
+
 def test_batched_schur_never_reaches_the_scalar_schur():
     # the batch is checked bit for bit against schur, so it must not call it
     for fn in _reachable("hecke.py", "_schur_batch"):
