@@ -44,7 +44,7 @@ class DirichletCharacter:
     def group(self) -> UnitGroup:
         return unit_group(self.modulus)
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Stable identifier used in reports: modulus, then exponent vector."""
         return f"{self.modulus}:" + ",".join(map(str, self.exponents))

@@ -22,6 +22,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .voronoi import (
     a_n_coefficient,
     b_n_coefficients,
     b_n_tail_bound,
+    coefficient_indices,
     curly_g_coefficients,
     curly_h_coefficients,
     g_coefficients,
@@ -69,6 +71,7 @@ from .voronoi import (
     lq_additive_coefficients,
     mobius_collapse,
     parity_gamma,
+    prime_bound,
     voronoi_rhs_coefficients,
     z_probe_arguments,
     z_probe_with_bound,
@@ -127,7 +130,7 @@ def _canonical(obj, out: list[str]) -> None:
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append("[%s,%s]" % (_float_repr(obj.real), _float_repr(obj.imag)))
     elif isinstance(obj, str):
-        out.append(obj if type(obj) is _Encoded else json.dumps(obj, ensure_ascii=True))
+        out.append(obj if type(obj) is _Encoded else encode_basestring_ascii(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -142,7 +145,7 @@ def _canonical(obj, out: list[str]) -> None:
                 raise TypeError(f"non-string report key: {key!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
+            out.append(encode_basestring_ascii(key))
             out.append(":")
             _canonical(obj[key], out)
         out.append("}")
@@ -1047,12 +1050,16 @@ def _voronoi_units(ranges, tol, config):
     units = []
 
     # One source per (degree, shifts), with the largest prime bound any unit
-    # needs, built by the first unit that reads it: rows and blocks share its
+    # reads, built by the first unit that reads it: rows and blocks share its
     # caches, and a build that only validates builds none.  b_n's powers
-    # depend on neither source nor twist, so every unit shares one store.
+    # depend on neither source nor twist, and the analytic scalars (the
+    # L-value factors, keyed (repr(z), chi*), and G(s), keyed (repr(s),
+    # repr(lambdas), delta)) on neither source nor unit, so every unit shares
+    # one store of each.  All three are dropped with the sweep.
     bounds: dict = {}
     sources: dict = {}
     weights: dict = {}
+    analytic: dict = {}
     building = threading.Lock()
 
     def source(key):
@@ -1068,7 +1075,8 @@ def _voronoi_units(ranges, tol, config):
 
     def side_by_side_unit(n_deg, shifts, cstar, qs):
         key = n_deg, shifts
-        bounds[key] = max(bounds.get(key, 0), 2 * y + 10)
+        reach = (prime_bound(coefficient_indices(q, n_values), y) for q in qs)
+        bounds[key] = max([bounds.get(key, 0), *reach])
         lambdas = tuple(-sh for sh in shifts)
         _refuse(
             f"ranges.s: s = {s}", f"gl{n_deg} unit", cstar, twisted_l_arguments(s, shifts),
@@ -1078,9 +1086,12 @@ def _voronoi_units(ranges, tol, config):
         def run():
             src = source(key)
             chi_star, delta = twist_of(cstar)
-            gval = g_pm_eval(s, GammaFactorSpec(lambdas, delta))
+            g_key = repr(s), repr(lambdas), delta
+            gval = analytic.get(g_key)
+            if gval is None:
+                gval = analytic[g_key] = g_pm_eval(s, GammaFactorSpec(lambdas, delta))
             pref = gval * tau(chi_star) ** n_deg * cstar ** (-n_deg * s)
-            lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
+            lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts), analytic)
             recs = []
             for q in qs:
                 inst = VoronoiInstance(src, q, cstar, chi_star=chi_star)
@@ -1110,35 +1121,43 @@ def _voronoi_units(ranges, tol, config):
 
         return run
 
-    def probe_unit(sz, wz, twist, probe):
-        n_deg, shifts, cstar, qz = probe
-        key = n_deg, shifts
-        bounds[key] = max(bounds.get(key, 0), 2 * x_probe)
+    def probe_unit(sz, wz, cstar, probes):
+        """Every probe at (s, w) of one conductor: twist -> (degree, shifts, q)."""
         den_arg, k_arg = z_probe_arguments(sz, wz)
-        l_args = twisted_l_arguments(sz, shifts) + [den_arg] + ([k_arg] if n_deg == 2 else [])
-        _refuse(f"ranges.probe_points: [s, w] = {[sz, wz]}", f"{twist} probe", cstar, l_args)
+        for twist, (n_deg, shifts, qz) in probes.items():
+            key = n_deg, shifts
+            # the probe reads one row, A(q_{N-2}, ..., q_1, e) at e <= x
+            bounds[key] = max(bounds.get(key, 0), prime_bound(qz, x_probe))
+            l_args = twisted_l_arguments(sz, shifts) + [den_arg] + ([k_arg] if n_deg == 2 else [])
+            _refuse(f"ranges.probe_points: [s, w] = {[sz, wz]}", f"{twist} probe", cstar, l_args)
 
         def run():
+            # the probes share the Mobius-character series of their twist,
+            # which are dropped with the unit
+            series = {}
             chi_star = twist_of(cstar)[0]
-            inst = VoronoiInstance(source(key), qz, cstar, chi_star=chi_star)
-            via_l, via_a, bound = z_probe_with_bound(inst, sz, wz, x_probe)
-            return [
-                _abs_case(
-                    anchor,
-                    {
-                        "family": "z",
-                        "twist": twist,
-                        "chi": chi_star.label,
-                        "q": list(qz),
-                        "s": sz,
-                        "w": wz,
-                        "x": x_probe,
-                    },
-                    via_l,
-                    via_a,
-                    bound,
+            recs = []
+            for twist, (n_deg, shifts, qz) in probes.items():
+                inst = VoronoiInstance(source((n_deg, shifts)), qz, cstar, chi_star=chi_star)
+                via_l, via_a, bound = z_probe_with_bound(inst, sz, wz, x_probe, analytic, series)
+                recs.append(
+                    _abs_case(
+                        anchor,
+                        {
+                            "family": "z",
+                            "twist": twist,
+                            "chi": chi_star.label,
+                            "q": list(qz),
+                            "s": sz,
+                            "w": wz,
+                            "x": x_probe,
+                        },
+                        via_l,
+                        via_a,
+                        bound,
+                    )
                 )
-            ]
+            return recs
 
         return run
 
@@ -1152,14 +1171,17 @@ def _voronoi_units(ranges, tol, config):
                 units.append(side_by_side_unit(2, shifts, cstar, [()]))
     if "z" in families:
         for sz, wz in ranges["probe_points"]:
-            # twist -> (degree, shifts, conductor, q) of each instance probed
-            # at (s, w).  The remainder bound anchors on an L-value at
-            # 2w - 2s + 1; the trivial twist and degree 2 keep off the zeta pole.
-            probes = {"isobaric": (3, (1j, 0j, -1j), probe_cstar, (2,))}
+            # conductor -> twist -> (degree, shifts, q) of each instance
+            # probed at (s, w).  The remainder bound anchors on an L-value at
+            # 2w - 2s + 1; the trivial twist and degree 2 keep off the zeta
+            # pole.  The probes of one conductor read the same series of
+            # conj chi*, so they share a unit; a unit per point would hold
+            # the trivial twist's series next to them and raise peak memory.
+            probes = {probe_cstar: {"isobaric": (3, (1j, 0j, -1j), (2,))}}
             if 2 * wz - 2 * sz + 1 > 1.05:
-                probes["trivial"] = (3, (0j, 0j, 0j), 1, (1,))
-                probes["degree-2"] = (2, (1j, -1j), probe_cstar, ())
-            units += [probe_unit(sz, wz, twist, probe) for twist, probe in probes.items()]
+                probes[1] = {"trivial": (3, (0j, 0j, 0j), (1,))}
+                probes[probe_cstar]["degree-2"] = (2, (1j, -1j), ())
+            units += [probe_unit(sz, wz, cstar, twists) for cstar, twists in probes.items()]
     return units
 
 

@@ -1,12 +1,12 @@
 """Dirichlet L-values, Hurwitz zeta, and ratios of Gamma factors.
 
 Everything runs in double precision with compensated summation.
-``dirichlet_l``, ``dirichlet_l_refusal``, ``g_pm_eval``, ``twisted_l_isobaric``
-and ``functional_equation_check`` also take an optional ``precision`` argument
-(bits of significand) that reroutes the computation through mpmath: the
-dual-series checks multiply several sqrt(c*)-sized factors together, and a
-rerun with extra headroom is the cheapest way to confirm a marginal
-comparison.
+``dirichlet_l``, ``dirichlet_l_refusal``, ``dirichlet_l_stored``, ``g_pm_eval``,
+``twisted_l_isobaric`` and ``functional_equation_check`` also take an optional
+``precision`` argument (bits of significand) that reroutes the computation
+through mpmath: the dual-series checks multiply several sqrt(c*)-sized factors
+together, and a rerun with extra headroom is the cheapest way to confirm a
+marginal comparison.
 
 log Gamma and digamma are computed in-house (``_loggamma``, ``_digamma``):
 principal-branch log Gamma by Stirling's series, upward recurrence and
@@ -37,6 +37,7 @@ __all__ = [
     "bernoulli_number",
     "dirichlet_l",
     "dirichlet_l_refusal",
+    "dirichlet_l_stored",
     "functional_equation_check",
     "g_pm_arguments",
     "g_pm_eval",
@@ -484,19 +485,33 @@ def twisted_l_arguments(s, shifts) -> list[complex]:
     return [s + complex(sh) for sh in shifts]
 
 
-def twisted_l_isobaric(req: LValueRequest, precision: int | None = None) -> complex:
+def dirichlet_l_stored(
+    store: dict, z: complex, chi: DirichletCharacter, precision: int | None = None
+) -> complex:
+    """dirichlet_l(z, chi, precision), evaluated once per (repr(z), chi) in store.
+
+    ``store`` is a dict the caller owns and drops, and it holds the values of
+    one precision; repr tells -0.0 from 0.0 where == does not.  Entries are
+    only ever inserted, and two threads that evaluate one key insert the same
+    bits.
+    """
+    key = (repr(z), chi)
+    value = store.get(key)
+    if value is None:
+        value = store[key] = dirichlet_l(z, chi, precision)
+    return value
+
+
+def twisted_l_isobaric(req: LValueRequest, store: dict, precision: int | None = None) -> complex:
     """L(s, F x chi*) = prod_i L(s + s_i, chi*) for the isobaric family.
 
-    Each distinct argument s + s_i is evaluated once, and the factors are
-    multiplied in shift order, so a repeated shift changes no bit.
+    Each factor is read through ``store`` (dirichlet_l_stored), so a repeated
+    shift, or a second request at the same point and twist, evaluates nothing
+    again.  The factors are multiplied in shift order, so no bit changes.
     """
-    values = {}  # keyed by repr, which tells -0.0 from 0.0 where == does not
     out = 1 + 0j
     for z in twisted_l_arguments(req.s, req.shifts):
-        value = values.get(repr(z))
-        if value is None:
-            value = values[repr(z)] = dirichlet_l(z, req.chi_star, precision)
-        out *= value
+        out *= dirichlet_l_stored(store, z, req.chi_star, precision)
     return out
 
 
@@ -517,7 +532,8 @@ def functional_equation_check(
         )
     delta = 0 if chi.parity == 1 else 1
     n_deg = req.degree
-    lhs = twisted_l_isobaric(req, precision)
+    store = {}  # the L-values of this one check, at one precision
+    lhs = twisted_l_isobaric(req, store, precision)
     gamma_spec = GammaFactorSpec(tuple(-sh for sh in req.shifts), delta)
     g_val = g_pm_eval(req.s, gamma_spec, precision)
     dual = LValueRequest(1 - req.s, chi.conjugate(), tuple(-sh for sh in req.shifts))
@@ -526,6 +542,6 @@ def functional_equation_check(
         tau_val**n_deg
         * chi.modulus ** (-n_deg * req.s)
         * g_val
-        * twisted_l_isobaric(dual, precision)
+        * twisted_l_isobaric(dual, store, precision)
     )
     return lhs, rhs

@@ -32,9 +32,17 @@ from .exponential_sums import (
     tau,
 )
 from .hecke import CoefficientSource
-from .lfunctions import LValueRequest, dirichlet_l, hurwitz_zeta, twisted_l_isobaric
+from .lfunctions import LValueRequest, _hurwitz_em, dirichlet_l_stored, twisted_l_isobaric
 from .numeric import roots_of_unity
-from .residues import divisor_count, divisors, inverse_table, mobius, mobius_sieve, unit_residues
+from .residues import (
+    divisor_count,
+    divisors,
+    factorize,
+    inverse_table,
+    mobius,
+    mobius_sieve,
+    unit_residues,
+)
 
 __all__ = [
     "VoronoiInstance",
@@ -42,6 +50,7 @@ __all__ = [
     "b_n_coefficient",
     "b_n_coefficients",
     "b_n_tail_bound",
+    "coefficient_indices",
     "curly_g_coefficients",
     "curly_h_coefficients",
     "g_coefficients",
@@ -49,6 +58,7 @@ __all__ = [
     "lq_additive_coefficients",
     "mobius_collapse",
     "parity_gamma",
+    "prime_bound",
     "voronoi_rhs_coefficients",
     "z_probe",
     "z_probe_arguments",
@@ -400,22 +410,49 @@ def a_n_coefficient(inst: VoronoiInstance, n: int, s, l_value) -> complex:
     return complex(l_value) * acc
 
 
-def _b_n_layers(inst: VoronoiInstance, n: int):
-    """(e_1...e_{N-2}, free_ratio, mid, last) for each e_i | q_i: b_n reads A at
-    (e_{N-1} free_ratio, *mid, last); slot j <= N-2 holds e_{N-j} q_{N-1-j} / e_{N-1-j}.
+def _b_n_layers(q: tuple[int, ...], n: int):
+    """(e_1...e_{N-2}, free_ratio, mid, last) for each e_i | q_i, N = len(q) + 2 >= 3:
+    b_n reads A at (e_{N-1} free_ratio, *mid, last); slot j <= N-2 holds
+    e_{N-j} q_{N-1-j} / e_{N-1-j}.
     """
-    n_deg = inst.degree
-    for e_rest in itertools.product(*(divisors(qi) for qi in inst.q)):
-        free_ratio = inst.q[-1] // e_rest[-1]
+    n_deg = len(q) + 2
+    for e_rest in itertools.product(*(divisors(qi) for qi in q)):
+        free_ratio = q[-1] // e_rest[-1]
         mid = tuple(
-            e_rest[n_deg - j - 1] * inst.q[n_deg - j - 2] // e_rest[n_deg - j - 2]
+            e_rest[n_deg - j - 1] * q[n_deg - j - 2] // e_rest[n_deg - j - 2]
             for j in range(2, n_deg - 1)
         )
         yield math.prod(e_rest), free_ratio, mid, e_rest[0] * n
 
 
+def coefficient_indices(q: tuple[int, ...], n_values) -> set[int]:
+    """Every fixed index a_n_coefficient and b_n_coefficients read at layer
+    sizes q, over every n in n_values.
+
+    a_n reads A(q_{N-2}, ..., q_1, d) at d | n (A(j) at j | n at degree 2),
+    and b_n the rows over e_{N-1} <= Y whose other slots _b_n_layers fixes.
+    """
+    out = set()
+    for n in n_values:
+        for d in divisors(n):
+            out.update((*q, d))
+        if q:
+            for _, free_ratio, mid, last in _b_n_layers(q, n):
+                out.update((free_ratio, *mid, last))
+    return out
+
+
+def prime_bound(fixed, x: int) -> int:
+    """x, or the largest prime factor of a fixed index if that is larger.
+
+    A coefficient row over e <= x whose other slots hold these indices reads
+    the source at no prime above it, so a source built to it serves the row.
+    """
+    return max([x, *(p for v in fixed for p, _ in factorize(v))])
+
+
 def b_n_coefficients(
-    inst: VoronoiInstance, n_values, s, prefactor, y: int, weights: dict | None = None
+    inst: VoronoiInstance, n_values, s, prefactor, y: int, weights: dict
 ) -> list[complex]:
     """Coefficients b_n(s) of the dual-side n^{-2w} expansion, inner sum to Y,
     one per n in n_values.
@@ -433,7 +470,7 @@ def b_n_coefficients(
     one Gauss-sum factor moves inside the h-sum there, so the external
     prefactor convention stays uniform across degrees.
 
-    ``weights`` is an optional caller-owned store of the n-independent powers
+    ``weights`` is a caller-owned store of the n-independent powers
     (e_1...e_{N-1})^{s-1}: key (e_1...e_{N-2}, s, y), value the float64 power
     over e_{N-1} = 1..Y (degree 2 reads key (1, s, y)).  The powers depend on
     neither the source nor the twist, so voronoi-core keeps one store per
@@ -444,8 +481,6 @@ def b_n_coefficients(
     s = complex(s)
     chi_star = inst.chi_star
     cstar = chi_star.modulus
-    if weights is None:
-        weights = {}
     e_free = np.arange(1, y + 1, dtype=np.int64)
 
     def power(prod_rest: int) -> np.ndarray:
@@ -466,7 +501,7 @@ def b_n_coefficients(
     vv_bar = chi_star.value_vector.conjugate()
     acc = [0j] * len(n_values)
     # the layers are the same at every n but for the last slot e_1 n
-    for layer in zip(*(_b_n_layers(inst, n) for n in n_values)):
+    for layer in zip(*(_b_n_layers(inst.q, n) for n in n_values)):
         prod_rest, free_ratio, mid, _ = layer[0]
         v = vv_bar[(prod_rest * e_free) % cstar]
         keep = v != 0
@@ -477,17 +512,22 @@ def b_n_coefficients(
     return [complex(prefactor) * n**s * a for n, a in zip(n_values, acc)]
 
 
-def b_n_coefficient(
-    inst: VoronoiInstance, n: int, s, prefactor, y: int, weights: dict | None = None
-) -> complex:
-    """b_n(s) at the one index n: see b_n_coefficients."""
-    return b_n_coefficients(inst, (n,), s, prefactor, y, weights)[0]
+def b_n_coefficient(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> complex:
+    """b_n(s) at the one index n, with a store of its own: see b_n_coefficients."""
+    return b_n_coefficients(inst, (n,), s, prefactor, y, {})[0]
 
 
 @lru_cache(maxsize=64)
 def _rankin_grid(t: float) -> tuple:
-    """(u, zeta(u)) at the points u of _rankin_tail's minimum, shared by every k."""
-    return tuple((u, hurwitz_zeta(float(u), 1).real) for u in np.linspace(1.04, t - 0.01, 160))
+    """(u, zeta(u)) at the points u of _rankin_tail's minimum, shared by every k.
+
+    zeta(u) = zeta(u, 1) by Euler-Maclaurin in real arithmetic, with the bits
+    of hurwitz_zeta(u, 1).real: on the complex route the imaginary parts are
+    signed zeros and each power of a positive real is its real pow.  At
+    integers u <= 101 CPython's complex power multiplies instead, and the
+    compensated sums still agree (tests/test_voronoi.py checks each one).
+    """
+    return tuple((u, _hurwitz_em(float(u), 1.0).real) for u in np.linspace(1.04, t - 0.01, 160))
 
 
 @lru_cache(maxsize=64)
@@ -528,7 +568,7 @@ def b_n_tail_bound(inst: VoronoiInstance, n: int, s, prefactor, y: int) -> float
         )
     rank = _rankin_tail(n_deg, t, y)
     total = 0.0
-    for prod_rest, free_ratio, mid, last in _b_n_layers(inst, n):
+    for prod_rest, free_ratio, mid, last in _b_n_layers(inst.q, n):
         cap = divisor_count(n_deg, free_ratio) * divisor_count(n_deg, last)
         for m in mid:
             cap *= divisor_count(n_deg, m)
@@ -564,6 +604,26 @@ def _mobius_character_terms(chi_values: np.ndarray, cstar: int, exponent: comple
     return vals
 
 
+def _mobius_series(store: dict, chi: DirichletCharacter, conjugate: bool, exponent: complex, x: int):
+    """(terms, prefix): _mobius_character_terms of chi's values, or of their
+    conjugates, and its cumsum, built once per key in a caller's store and
+    stored read-only.
+
+    The conjugates of chi.value_vector, not the conjugate character's own
+    table, whose roots of unity need not be their exact conjugates.
+    """
+    key = (chi, conjugate, repr(exponent), x)
+    value = store.get(key)
+    if value is None:
+        chi_values = chi.value_vector.conjugate() if conjugate else chi.value_vector
+        terms = _mobius_character_terms(chi_values, chi.modulus, exponent, x)
+        prefix = np.cumsum(terms)
+        terms.setflags(write=False)
+        prefix.setflags(write=False)
+        value = store[key] = terms, prefix
+    return value
+
+
 def z_probe_arguments(s, w) -> tuple[complex, complex]:
     """(2w - 2s + 1, 2w), the arguments of the L-values z_probe_with_bound divides by:
     L(2w - 2s + 1, conj chi*), and L(2w, chi*) at degree 2."""
@@ -571,7 +631,9 @@ def z_probe_arguments(s, w) -> tuple[complex, complex]:
     return 2 * w - 2 * s + 1, 2 * w
 
 
-def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex, float]:
+def z_probe_with_bound(
+    inst: VoronoiInstance, s, w, x: int, values: dict, series: dict
+) -> tuple[complex, complex, float]:
     """(via_l, via_a, bound): two routes to the truncated two-variable
     L-quotient Z(s, w) and a computable bound on |via_l - via_a|, in one pass.
 
@@ -589,6 +651,10 @@ def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, co
     which is computable.  A small cushion absorbs the rounding of the L-value
     and of the comparison itself.  The Mobius-character terms are built once,
     to 4x; via_a reads only their entries up to x.
+
+    ``values`` is the caller's store of L-values (lfunctions.dirichlet_l_stored)
+    and ``series`` its store of Mobius-character terms and prefixes
+    (_mobius_series); probes at one (s, w) share both.
     """
     _require_character(inst)
     shifts = inst.source.isobaric_shifts
@@ -597,25 +663,21 @@ def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, co
     s = complex(s)
     w = complex(w)
     chi_star = inst.chi_star
-    cstar = chi_star.modulus
     row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), x)
     den_arg, k_arg = z_probe_arguments(s, w)
-    l_twist = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
-    l_den = dirichlet_l(den_arg, chi_star.conjugate())
+    l_twist = twisted_l_isobaric(LValueRequest(s, chi_star, shifts), values)
+    l_den = dirichlet_l_stored(values, den_arg, chi_star.conjugate())
     via_l = _dirichlet_eval(row, 2 * w - s) * l_twist / l_den
     d_arr = np.arange(1, x + 1, dtype=np.float64)
     tail_idx = x // np.arange(1, x + 1)
-    m_terms = _mobius_character_terms(
-        chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, 4 * x
-    )
-    m_prefix = np.cumsum(m_terms)
+    m_terms, m_prefix = _mobius_series(series, chi_star, True, 2 * s - 1 - 2 * w, 4 * x)
     m_inf = 1 / l_den
     anchor = abs(m_prefix[4 * x] - m_inf) + 1e-12 * (1 + abs(m_inf))
     m_err = np.abs(m_prefix[4 * x] - m_prefix[tail_idx]) + anchor
     if inst.degree == 2:
-        l_k = dirichlet_l(k_arg, chi_star)
+        l_k = dirichlet_l_stored(values, k_arg, chi_star)
         via_l /= l_k
-        k_prefix = np.cumsum(_mobius_character_terms(chi_star.value_vector, cstar, -2 * w, 4 * x))
+        k_prefix = _mobius_series(series, chi_star, False, -2 * w, 4 * x)[1]
         # _quotient_convolution reads its arrays only up to index x
         inner = _quotient_convolution(m_terms, k_prefix, x)
         k_inf = 1 / l_k
@@ -635,10 +697,10 @@ def z_probe_with_bound(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, co
 
 
 def z_probe(inst: VoronoiInstance, s, w, x: int) -> tuple[complex, complex]:
-    """(via_l, via_a) of z_probe_with_bound."""
-    return z_probe_with_bound(inst, s, w, x)[:2]
+    """(via_l, via_a) of z_probe_with_bound, with stores of its own."""
+    return z_probe_with_bound(inst, s, w, x, {}, {})[:2]
 
 
 def z_probe_bound(inst: VoronoiInstance, s, w, x: int) -> float:
-    """The bound on |via_l - via_a| of z_probe_with_bound."""
-    return z_probe_with_bound(inst, s, w, x)[2]
+    """The bound on |via_l - via_a| of z_probe_with_bound, with stores of its own."""
+    return z_probe_with_bound(inst, s, w, x, {}, {})[2]

@@ -33,7 +33,8 @@ from voronoi_lab.harness import (
     run_suite,
     suite_names,
 )
-from voronoi_lab.residues import divisors
+from voronoi_lab.hecke import SatakeParams
+from voronoi_lab.residues import divisors, primes_up_to
 
 SMALL_HECKE = {"draws": 5, "d3_check_max": 200}
 EMPTYING_KEY = {
@@ -57,6 +58,26 @@ def test_canonical_json_values():
     assert canonical_json(complex(inf, 0.5)) == '["Infinity",0.5]'
     with pytest.raises(TypeError):
         canonical_json({1: "non-string key"})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "chi",
+        'a "quoted" \\ back\\slash / slash',
+        "\n\r\t\b\f \x00 \x1f \x7f",
+        "\u00e9t\u00e9 \u00fc\u00df \u2603 \u20ac",  # Latin-1 and the rest of the BMP
+        "\U0001f600 \U00010000 \U0010ffff",  # outside the BMP: surrogate pairs
+        "\ud800 lone \udfff",  # unpaired surrogates
+    ],
+)
+def test_canonical_strings_are_the_standard_ascii_encoding(text):
+    # keys and string values are written by the encoder json.dumps uses
+    want = json.dumps(text, ensure_ascii=True)
+    assert canonical_json(text) == want
+    assert canonical_json({text: [text]}) == "{%s:[%s]}" % (want, want)
+    assert json.loads(canonical_json({text: text})) == {text: text}
 
 
 def test_suite_listing_is_pinned():
@@ -139,6 +160,89 @@ def test_voronoi_core_validation_builds_no_source(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "ranges",
+    [
+        # q_1 n reaches 3 * 211, whose largest prime is 211; rows reach Y = 100
+        {"families": ["gl3", "gl2"], "truncation_y": 100, "n_values": [1, 2, 211],
+         "q_values": [[1], [3]]},
+        # each probe's row reaches x = 150
+        {"families": ["z"], "x_probe": 150, "probe_points": [[2.5, 4.0]]},
+    ],
+)
+def test_voronoi_core_sources_hold_the_primes_their_units_read(monkeypatch, ranges):
+    # each source holds the primes up to the largest prime a unit reads from
+    # it, and reads that prime
+    built, largest = [], {}
+    build, rows = harness.isobaric_source, SatakeParams.rows
+
+    def kept(n_deg, shifts, bound):
+        built.append(build(n_deg, shifts, bound))
+        return built[-1]
+
+    def read(self, ps):
+        largest[id(self)] = max([largest.get(id(self), 0), *np.asarray(ps).tolist()])
+        return rows(self, ps)
+
+    monkeypatch.setattr(harness, "isobaric_source", kept)
+    monkeypatch.setattr(SatakeParams, "rows", read)
+    rep = run_suite(SweepConfig(suite="voronoi-core", ranges=ranges))
+    assert rep.passed and rep.cases > 0
+    want = 211 if "gl3" in ranges["families"] else 149
+    assert len(built) == 3
+    for src in built:
+        assert src.satake.primes.tolist() == list(primes_up_to(want))
+        assert largest[id(src.satake)] == want
+
+
+def test_voronoi_core_index_past_twice_y_runs(tmp_path, capsys):
+    # a_n reads A(q_1, 211) and b_n A(e, q_1 211 / ...), past the prime bound
+    # 2Y + 10 that every source once had: the sweep must run, not exit 3
+    cfg = tmp_path / "sweep.json"
+    ranges = {"truncation_y": 100, "x_probe": 100, "n_values": [211]}
+    cfg.write_text(json.dumps({"suite": "voronoi-core", "ranges": ranges}))
+    out = tmp_path / "report.json"
+    assert cli.main(["--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["summary"]["cases"], report["summary"]["failures"]) == (19, 0)
+    assert "voronoi-core: 19 cases, 0 failures" in capsys.readouterr().err
+
+
+def test_voronoi_series_evaluates_each_analytic_value_once(monkeypatch):
+    # the benchmark's voronoi-series box reads 20 distinct L-values, 3 Gamma
+    # ratios and 4 Mobius-character series, each computed once per sweep
+    calls = {"l": [], "g": [], "mobius": []}
+
+    def counted(kind, fn, key):
+        def wrapper(*args):
+            calls[kind].append(key(*args))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        lfunctions, "dirichlet_l",
+        counted("l", lfunctions.dirichlet_l, lambda z, chi, *rest: (repr(z), chi)),
+    )
+    monkeypatch.setattr(
+        harness, "g_pm_eval", counted("g", harness.g_pm_eval, lambda s, spec: (repr(s), spec))
+    )
+    monkeypatch.setattr(
+        voronoi, "_mobius_character_terms",
+        counted("mobius", voronoi._mobius_character_terms,
+                lambda vals, cstar, e, x: (vals.tobytes(), cstar, repr(e), x)),
+    )
+    for _ in range(2):  # the stores go with the sweep: a second sweep evaluates again
+        for kind in calls:
+            calls[kind].clear()
+        rep = run_suite(
+            SweepConfig(suite="voronoi-core", ranges={"truncation_y": 5000, "x_probe": 5000})
+        )
+        assert rep.cases == 79 and rep.passed
+        assert {kind: len(keys) for kind, keys in calls.items()} == {"l": 20, "g": 3, "mobius": 4}
+        assert all(len(set(keys)) == len(keys) for keys in calls.values())
+
+
+@pytest.mark.parametrize(
     "suite, ranges",
     [
         ("voronoi-core", {}),
@@ -149,8 +253,9 @@ def test_voronoi_core_validation_builds_no_source(monkeypatch):
 )
 def test_units_refuse_every_point_they_evaluate(monkeypatch, suite, ranges):
     # every L-value argument a sweep evaluates, with its modulus, and every
-    # Gamma argument went through _refuse when its unit was built
-    evaluated, checked = set(), set()
+    # Gamma argument went through _refuse when its unit was built; a z unit
+    # holds the probes of one (s, w) and conductor and names each one's twist
+    evaluated, checked, named = set(), set(), set()
 
     def logged_l(original):
         def dirichlet_l(s, chi, precision=None):
@@ -164,17 +269,20 @@ def test_units_refuse_every_point_they_evaluate(monkeypatch, suite, ranges):
         return original(z)
 
     def refuse(label, unit, modulus, l_args, gammas=None, *rest, original=harness._refuse):
+        named.add(unit)
         checked.update((repr(complex(z)), modulus) for z in l_args)
         checked.update(repr(complex(z)) for args in (gammas or {}).values() for z in args)
         return original(label, unit, modulus, l_args, gammas, *rest)
 
-    for module in (lfunctions, voronoi):  # voronoi binds its own dirichlet_l
-        monkeypatch.setattr(module, "dirichlet_l", logged_l(module.dirichlet_l))
+    # every L-value, voronoi's too, is read through lfunctions.dirichlet_l
+    monkeypatch.setattr(lfunctions, "dirichlet_l", logged_l(lfunctions.dirichlet_l))
     monkeypatch.setattr(lfunctions, "log_gamma", log_gamma)
     monkeypatch.setattr(harness, "_refuse", refuse)
     rep = run_suite(SweepConfig(suite=suite, ranges=ranges))
     assert rep.cases > 0 and rep.passed
     assert evaluated and evaluated <= checked, sorted(evaluated - checked)
+    if suite == "voronoi-core":  # every parameter set probes every twist
+        assert {"isobaric probe", "trivial probe", "degree-2 probe"} <= named, named
 
 
 def test_refusals_name_the_field_the_unit_and_its_conductor():

@@ -316,7 +316,7 @@ def test_g_pm_factors_over_imaginary_lambdas():
 def test_twisted_l_is_shifted_product():
     req = LValueRequest(2, CHI4, (1j, 0, -1j))
     prod = dirichlet_l(2 + 1j, CHI4) * dirichlet_l(2, CHI4) * dirichlet_l(2 - 1j, CHI4)
-    assert abs(twisted_l_isobaric(req) - prod) < 1e-13 * abs(prod)
+    assert abs(twisted_l_isobaric(req, {}) - prod) < 1e-13 * abs(prod)
 
 
 def test_functional_equation_sweep():
@@ -347,6 +347,6 @@ def test_functional_equation_rejects_trivial_character():
 def test_conjugate_symmetry():
     for s in (2.0, 3.5):
         for chi in primitive_characters(5):
-            a = twisted_l_isobaric(LValueRequest(s, chi, (1j, 0j, -1j)))
-            b = twisted_l_isobaric(LValueRequest(s, chi.conjugate(), (1j, 0j, -1j)))
+            a = twisted_l_isobaric(LValueRequest(s, chi, (1j, 0j, -1j)), {})
+            b = twisted_l_isobaric(LValueRequest(s, chi.conjugate(), (1j, 0j, -1j)), {})
             assert abs(a - b.conjugate()) < 1e-12 * max(1, abs(a))

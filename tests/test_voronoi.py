@@ -16,6 +16,7 @@ from voronoi_lab.lfunctions import (
     LValueRequest,
     dirichlet_l,
     g_pm_eval,
+    hurwitz_zeta,
     twisted_l_isobaric,
 )
 from voronoi_lab.residues import divisor_count, divisors, euler_phi, unit_residues
@@ -228,7 +229,7 @@ def _side_by_side(src, shifts, chi_star, q, s, y, n_values):
     delta = 0 if chi_star.parity == 1 else 1
     gval = g_pm_eval(s, GammaFactorSpec(tuple(-sh for sh in shifts), delta))
     pref = gval * tau(chi_star)**deg * cstar ** (-deg * s)
-    lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts))
+    lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts), {})
     inst = VoronoiInstance(src, q, cstar, chi_star=chi_star, truncation=X)
     for n in n_values:
         a_val = a_n_coefficient(inst, n, s, lval)
@@ -327,7 +328,7 @@ def test_b_n_with_a_shared_weight_store_is_bit_equal(shifts, qs):
         for q in qs:
             inst = VoronoiInstance(src, q, cstar, chi_star=chi, truncation=X)
             for n in (1, 2, 6, 7):
-                shared = b_n_coefficient(inst, n, s, 1.0, y, weights)
+                shared = b_n_coefficients(inst, (n,), s, 1.0, y, weights)[0]
                 assert _hex(shared) == _hex(b_n_coefficient(inst, n, s, 1.0, y)), (cstar, q, n)
     assert weights and all(key[1:] == (s, y) for key in weights)
 
@@ -351,7 +352,7 @@ def _b_n_per_n(inst, n, s, prefactor, y):
         return complex(prefactor) / tau(chi_star) * inner
     vv_bar = chi_star.value_vector.conjugate()
     acc = 0j
-    for prod_rest, free_ratio, mid, last in voronoi._b_n_layers(inst, n):
+    for prod_rest, free_ratio, mid, last in voronoi._b_n_layers(inst.q, n):
         row = inst.source.coefficient_row((), mid + (last,), y, scale=free_ratio)[1:]
         v = vv_bar[(prod_rest * e_free) % cstar]
         keep = v != 0
@@ -376,7 +377,7 @@ def test_b_n_keeps_the_per_n_bits(shifts, qs):
         chi = primitive_characters(cstar)[-1]
         for q in qs:
             inst = VoronoiInstance(src, q, cstar, chi_star=chi, truncation=X)
-            batched = b_n_coefficients(inst, n_values, s, pref, y)
+            batched = b_n_coefficients(inst, n_values, s, pref, y, {})
             for n, got in zip(n_values, batched, strict=True):
                 want = _hex(_b_n_per_n(inst, n, s, pref, y))
                 assert _hex(b_n_coefficient(inst, n, s, pref, y)) == want, (cstar, q, n)
@@ -410,22 +411,46 @@ def test_tail_bound_shrinks_and_rejects_raw_tables():
 
 def test_rankin_tail_reads_one_zeta_grid_per_t(monkeypatch):
     # zeta(u) on the minimum's grid depends on t only: degrees 2 and 3 at one
-    # t share 160 evaluations, and each bound is the minimum of Y^(u-t) zeta(u)^k
-    # over the grid, in the grid's order
-    real = voronoi.hurwitz_zeta
+    # t share 160 Euler-Maclaurin evaluations, and each bound is the minimum
+    # of Y^(u-t) zeta(u)^k over the grid, in the grid's order
+    real = voronoi._hurwitz_em
     calls = []
-    monkeypatch.setattr(voronoi, "hurwitz_zeta", lambda u, a: calls.append(u) or real(u, a))
+    monkeypatch.setattr(voronoi, "_hurwitz_em", lambda u, a: calls.append(u) or real(u, a))
     voronoi._rankin_grid.cache_clear()
     voronoi._rankin_tail.cache_clear()
     t, y = 2.37, 4321
     for k in (2, 3):
         best = math.inf
         for u in np.linspace(1.04, t - 0.01, 160):
-            best = min(best, y ** (u - t) * real(float(u), 1).real ** k)
+            best = min(best, y ** (u - t) * hurwitz_zeta(float(u), 1).real ** k)
         assert voronoi._rankin_tail(k, t, y) == best
     assert len(calls) == 160
     with pytest.raises(ValueError):
         voronoi._rankin_tail(2, 1.05, y)
+
+
+@pytest.mark.parametrize("t", [2.37, 2.5, 3.0, 4.5, 3.01])
+def test_rankin_grid_has_the_bits_of_the_complex_hurwitz_route(t):
+    # the grid runs Euler-Maclaurin in real arithmetic; hurwitz_zeta's complex
+    # route carries signed-zero imaginary parts and the same real parts.  At
+    # t = 3.01 the grid ends on u = 3.0, an integer
+    voronoi._rankin_grid.cache_clear()
+    grid = voronoi._rankin_grid(t)
+    us = np.linspace(1.04, t - 0.01, 160)
+    assert [u for u, _ in grid] == us.tolist()
+    assert [z.hex() for _, z in grid] == [hurwitz_zeta(float(u), 1).real.hex() for u in us]
+    if t == 3.01:
+        assert grid[-1][0] == 3.0
+
+
+def test_real_euler_maclaurin_keeps_the_bits_at_every_integer_exponent():
+    # at an integer u <= 101 CPython's complex power multiplies (its exponents
+    # -u, 1 - u and -1 - u are integers of size <= 100 at some step) where the
+    # float power calls pow, so single terms can differ in the last bit; the
+    # compensated sums must still agree.  Past 101 every exponent takes the
+    # same pow route, and at a non-integer u every power does.
+    for u in range(2, 103):
+        assert voronoi._hurwitz_em(float(u), 1.0).real.hex() == hurwitz_zeta(u, 1).real.hex(), u
 
 
 # GL(3) with one layer, and GL(2), whose probe has a second Mobius layer
@@ -439,7 +464,7 @@ def test_z_probe_rearrangement_is_exact():
         src = isobaric_source(len(shifts), shifts, 4 * x)
         inst = VoronoiInstance(src, q, 5, chi_star=chi5, truncation=X)
         _, via_a = z_probe(inst, s, w, x)
-        lval = twisted_l_isobaric(LValueRequest(s, chi5, shifts))
+        lval = twisted_l_isobaric(LValueRequest(s, chi5, shifts), {})
         direct = sum(
             a_n_coefficient(inst, n, s, lval) * n ** (-2.0 * w) for n in range(1, x + 1)
         )
@@ -484,7 +509,7 @@ def _z_probe_alone(inst, s, w, x):
     chi_star = inst.chi_star
     cstar = chi_star.modulus
     row = inst.source.coefficient_row(tuple(reversed(inst.q)), (), x)
-    l_twist = twisted_l_isobaric(LValueRequest(s, chi_star, inst.source.isobaric_shifts))
+    l_twist = twisted_l_isobaric(LValueRequest(s, chi_star, inst.source.isobaric_shifts), {})
     l_den = dirichlet_l(2 * w - 2 * s + 1, chi_star.conjugate())
     via_l = voronoi._dirichlet_eval(row, 2 * w - s) * l_twist / l_den
     d_pow = np.arange(1, x + 1, dtype=np.float64) ** (s - 2 * w)
@@ -510,7 +535,7 @@ def _z_probe_bound_alone(inst, s, w, x):
     chi_star = inst.chi_star
     cstar = chi_star.modulus
     row = np.abs(inst.source.coefficient_row(tuple(reversed(inst.q)), (), x))
-    l_twist = abs(twisted_l_isobaric(LValueRequest(s, chi_star, inst.source.isobaric_shifts)))
+    l_twist = abs(twisted_l_isobaric(LValueRequest(s, chi_star, inst.source.isobaric_shifts), {}))
     d_pow = np.arange(1, x + 1, dtype=np.float64) ** (s.real - 2 * w.real)
     m_terms = voronoi._mobius_character_terms(
         chi_star.value_vector.conjugate(), cstar, 2 * s - 1 - 2 * w, 4 * x
@@ -544,6 +569,7 @@ Z_PINNED = [((1j, 0j, -1j), (2,), 5), ((0j, 0j, 0j), (1,), 1), ((1j, -1j), (), 5
 def test_z_probe_and_bound_keep_their_separate_bits(s, w):
     x = 300
     shapes = Z_PINNED if (2 * w - 2 * s + 1).real > 1.05 else Z_PINNED[:1]
+    values, series = {}, {}  # shared by the point's probes, as in a voronoi-core unit
     for shifts, q, cstar in shapes:
         src = isobaric_source(len(shifts), shifts, 4 * x)
         chi = primitive_characters(cstar)[0]
@@ -553,9 +579,10 @@ def test_z_probe_and_bound_keep_their_separate_bits(s, w):
         assert (_hex(got_l), _hex(got_a)) == (_hex(via_l), _hex(via_a)), (shifts, cstar)
         bound = z_probe_bound(inst, s, w, x)
         assert bound.hex() == _z_probe_bound_alone(inst, s, w, x).hex(), (shifts, cstar)
-        got_l, got_a, got_bound = z_probe_with_bound(inst, s, w, x)
-        assert (_hex(got_l), _hex(got_a)) == (_hex(via_l), _hex(via_a)), (shifts, cstar)
-        assert got_bound.hex() == bound.hex(), (shifts, cstar)
+        for stores in (({}, {}), (values, series)):
+            got_l, got_a, got_bound = z_probe_with_bound(inst, s, w, x, *stores)
+            assert (_hex(got_l), _hex(got_a)) == (_hex(via_l), _hex(via_a)), (shifts, cstar)
+            assert got_bound.hex() == bound.hex(), (shifts, cstar)
 
 
 def test_unitary_coefficients_inside_divisor_envelope():
