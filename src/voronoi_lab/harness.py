@@ -51,7 +51,7 @@ from .lfunctions import (
     dirichlet_l_refusal,
     functional_equation_check,
     g_pm_arguments,
-    g_pm_eval,
+    g_pm_stored,
     gamma_pole,
     twisted_l_arguments,
     twisted_l_isobaric,
@@ -537,7 +537,7 @@ def _int(minimum: int, maximum: float = math.inf):
     return parse
 
 
-def _ints(minimum: int | None = None):
+def _ints(minimum: int | None = None, maximum: float = math.inf):
     def parse(value, label: str) -> tuple[int, ...]:
         if not isinstance(value, (list, tuple)) or any(
             not isinstance(v, int) or isinstance(v, bool) for v in value
@@ -545,6 +545,8 @@ def _ints(minimum: int | None = None):
             raise ConfigError(f"{label}: expected a list of integers")
         if minimum is not None and any(v < minimum for v in value):
             raise ConfigError(f"{label}: entries must be at least {minimum}")
+        if any(v > maximum for v in value):
+            raise ConfigError(f"{label}: entries must be at most {maximum}")
         return tuple(value)
 
     return parse
@@ -1053,9 +1055,10 @@ def _voronoi_units(ranges, tol, config):
     # reads, built by the first unit that reads it: rows and blocks share its
     # caches, and a build that only validates builds none.  b_n's powers
     # depend on neither source nor twist, and the analytic scalars (the
-    # L-value factors, keyed (repr(z), chi*), and G(s), keyed (repr(s),
-    # repr(lambdas), delta)) on neither source nor unit, so every unit shares
-    # one store of each.  All three are dropped with the sweep.
+    # L-value factors and G(s), read through lfunctions.dirichlet_l_stored
+    # and g_pm_stored, which own the keys) on neither source nor unit, so
+    # every unit shares one store of each.  All three are dropped with the
+    # sweep.
     bounds: dict = {}
     sources: dict = {}
     weights: dict = {}
@@ -1086,10 +1089,7 @@ def _voronoi_units(ranges, tol, config):
         def run():
             src = source(key)
             chi_star, delta = twist_of(cstar)
-            g_key = repr(s), repr(lambdas), delta
-            gval = analytic.get(g_key)
-            if gval is None:
-                gval = analytic[g_key] = g_pm_eval(s, GammaFactorSpec(lambdas, delta))
+            gval = g_pm_stored(analytic, s, GammaFactorSpec(lambdas, delta))
             pref = gval * tau(chi_star) ** n_deg * cstar ** (-n_deg * s)
             lval = twisted_l_isobaric(LValueRequest(s, chi_star, shifts), analytic)
             recs = []
@@ -1334,10 +1334,13 @@ for _spec in (
             # the certified tail needs 1 - Re s > 1.05
             "s": ([-1.5, 0.0], _re_below(-0.05)),
             "truncation_y": (10000, _int(1)),
-            "n_values": ([1, 2, 3, 7, 10], _ints(1)),
+            # n and q up to 10^6 keep every index a_n and b_n fix below 10^12:
+            # factorizing one for its source's prime bound takes milliseconds,
+            # and the int64 gathers of b_n cannot overflow
+            "n_values": ([1, 2, 3, 7, 10], _ints(1, 10**6)),
             "cstar_values": ([3, 4, 5], _conductors(_ints(1))),
             # one layer size per GL(3) comparison
-            "q_values": ([[1], [2]], _each(_length(_ints(1), 1), "integer lists")),
+            "q_values": ([[1], [2]], _each(_length(_ints(1, 10**6), 1), "integer lists")),
             "gl3_shift_sets": (
                 [[0, 0, 0], [1, 0, -1]],
                 _each(_length(_shift_set, 3), "shift sets"),

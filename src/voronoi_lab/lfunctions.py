@@ -41,8 +41,8 @@ __all__ = [
     "functional_equation_check",
     "g_pm_arguments",
     "g_pm_eval",
+    "g_pm_stored",
     "gamma_pole",
-    "hurwitz_zeta",
     "log_gamma",
     "twisted_l_arguments",
     "twisted_l_isobaric",
@@ -224,7 +224,7 @@ def _hurwitz_values(s: complex, q: int, numerators) -> list[complex]:
         return [_hurwitz_em(s, p / q) for p in numerators]
     if q > _REFLECT_MAX_Q:
         raise ValueError(
-            "hurwitz_zeta: Re(s) < -0.25 requires a rational shift with "
+            "Hurwitz zeta: Re(s) < -0.25 requires a rational shift with "
             f"denominator <= {_REFLECT_MAX_Q} (reflection formula)"
         )
     u = 1.0 - s
@@ -244,24 +244,6 @@ def _bernoulli_poly(m: int, a: Fraction) -> Fraction:
     return sum(
         (math.comb(m, k) * bernoulli_number(k)) * a ** (m - k) for k in range(m + 1)
     )
-
-
-def hurwitz_zeta(s, a) -> complex:
-    """Hurwitz zeta zeta(s, a) for a shift a in (0, 1], continued to all s != 1.
-
-    Left of Re(s) = -0.25 the reflection formula needs a rational shift: a
-    must then be a Fraction (or a float that IS one exactly) with denominator
-    <= _REFLECT_MAX_Q (4096).  Every shift this package produces is r/c with c
-    at desk scale, so the restriction is invisible in practice;
-    dirichlet_l_refusal names the conductors past it.
-    """
-    s = complex(s)
-    if abs(s - 1.0) < _POLE_TOL:
-        raise ValueError("hurwitz_zeta: s is within 1e-6 of the pole at s = 1")
-    a = a if isinstance(a, Fraction) else Fraction(a)
-    if not 0 < a <= 1:
-        raise ValueError("hurwitz_zeta: shift must lie in (0, 1]")
-    return _hurwitz_values(s, a.denominator, (a.numerator,))[0]
 
 
 def _chi_mp(chi: DirichletCharacter, r: int, mp):
@@ -499,6 +481,19 @@ def dirichlet_l_stored(
     value = store.get(key)
     if value is None:
         value = store[key] = dirichlet_l(z, chi, precision)
+    return value
+
+
+def g_pm_stored(store: dict, s: complex, spec: GammaFactorSpec) -> complex:
+    """g_pm_eval(s, spec), evaluated once per (repr(s), repr(lambdas), delta) in store.
+
+    ``store`` is a dict the caller owns and drops, and dirichlet_l_stored may
+    share it: its keys have two entries, these three.
+    """
+    key = (repr(s), repr(spec.lambdas), spec.delta)
+    value = store.get(key)
+    if value is None:
+        value = store[key] = g_pm_eval(s, spec)
     return value
 
 

@@ -522,7 +522,7 @@ def _rankin_grid(t: float) -> tuple:
     """(u, zeta(u)) at the points u of _rankin_tail's minimum, shared by every k.
 
     zeta(u) = zeta(u, 1) by Euler-Maclaurin in real arithmetic, with the bits
-    of hurwitz_zeta(u, 1).real: on the complex route the imaginary parts are
+    of the complex route's real part: there the imaginary parts are
     signed zeros and each power of a positive real is its real pow.  At
     integers u <= 101 CPython's complex power multiplies instead, and the
     compensated sums still agree (tests/test_voronoi.py checks each one).

@@ -13,7 +13,10 @@ of a sweep can reach one (tests/test_imports.py checks that):
   per-prime scalar loops, check the Satake parameter arrays of hecke's
   builders bit for bit;
 * hurwitz_zeta_mp, mpmath at a given precision, checks the double-precision
-  hurwitz_zeta of lfunctions;
+  hurwitz_zeta.  That one is no oracle: it is zeta(s, a) at one shift through
+  lfunctions' own choice of regime (_hurwitz_values), the entry the Hurwitz
+  tests check, and the complex Euler-Maclaurin route the real Rankin grid of
+  voronoi keeps the bits of.  No package module reads zeta at one shift;
 * induce, the character mod c that a character of modulus dividing c
   induces, read off the generators of (Z/c)^x, checks primitive, the Gauss-sum
   tables read off the turn tables, and the twisted L-values;
@@ -32,6 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from voronoi_lab.characters import DirichletCharacter
+from voronoi_lab.lfunctions import _POLE_TOL, _hurwitz_values
 from voronoi_lab.numeric import roots_of_unity, sum_error_bound
 from voronoi_lab.residues import (
     euler_phi,
@@ -181,6 +185,22 @@ def random_satake_table(degree: int, prime_bound: int, seed: int) -> dict[int, t
 def rankin_selberg_alphas(a: tuple[complex, ...], b: tuple[complex, ...]) -> tuple[complex, ...]:
     """Every scalar product a_i b_j, i major."""
     return tuple(x * y for x in a for y in b)
+
+
+def hurwitz_zeta(s, a) -> complex:
+    """Hurwitz zeta zeta(s, a) for a shift a in (0, 1], continued to all s != 1.
+
+    Left of Re(s) = -0.25 the reflection formula needs a rational shift: a
+    must then be a Fraction (or a float that IS one exactly) with denominator
+    <= lfunctions._REFLECT_MAX_Q (4096).
+    """
+    s = complex(s)
+    if abs(s - 1.0) < _POLE_TOL:
+        raise ValueError("hurwitz_zeta: s is within 1e-6 of the pole at s = 1")
+    a = a if isinstance(a, Fraction) else Fraction(a)
+    if not 0 < a <= 1:
+        raise ValueError("hurwitz_zeta: shift must lie in (0, 1]")
+    return _hurwitz_values(s, a.denominator, (a.numerator,))[0]
 
 
 def hurwitz_zeta_mp(s: complex, a: Fraction, precision: int) -> complex:

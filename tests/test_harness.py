@@ -224,7 +224,7 @@ def test_voronoi_series_evaluates_each_analytic_value_once(monkeypatch):
         counted("l", lfunctions.dirichlet_l, lambda z, chi, *rest: (repr(z), chi)),
     )
     monkeypatch.setattr(
-        harness, "g_pm_eval", counted("g", harness.g_pm_eval, lambda s, spec: (repr(s), spec))
+        lfunctions, "g_pm_eval", counted("g", lfunctions.g_pm_eval, lambda s, spec: (repr(s), spec))
     )
     monkeypatch.setattr(
         voronoi, "_mobius_character_terms",
@@ -716,6 +716,11 @@ def test_range_validation_beyond_kloosterman():
         ("mobius", {"degrees": 3}, "ranges.degrees"),
         ("voronoi-core", {"s": -0.05}, "ranges.s"),
         ("voronoi-core", {"q_values": [[1, 1]]}, "ranges.q_values"),
+        # entries past 10^6: factorizing 2^61 - 1 for its source's prime bound
+        # would take minutes, and 10^20 overflows b_n's int64 gathers
+        ("voronoi-core", {"n_values": [1, 10**6 + 1]}, "ranges.n_values"),
+        ("voronoi-core", {"q_values": [[2], [2**61 - 1]]}, "ranges.q_values"),
+        ("voronoi-core", {"q_values": [[10**20]]}, "ranges.q_values"),
         ("voronoi-core", {"gl3_shift_sets": [[1, -1]]}, "ranges.gl3_shift_sets"),
         ("voronoi-core", {"gl2_shift_sets": [[]]}, "ranges.gl2_shift_sets"),
         ("voronoi-core", {"probe_points": [[2.5]]}, "ranges.probe_points"),
@@ -732,6 +737,8 @@ def test_range_validation_beyond_kloosterman():
         ("hecke", {"prime_max": 2}),
         ("mobius", {"cstar_values": [1, 2]}),
         ("voronoi-core", {"truncation_y": 1, "x_probe": 1, "cstar_values": [1, 4], "probe_cstar": 3}),
+        # at the limit, an index q n of two primes near 10^6 is factorized at once
+        ("voronoi-core", {"q_values": [[999983]], "n_values": [999979]}),
         ("lfunc", {"cstar_min": 2, "cstar_max": 2}),
         ("gauss-lemmas", {"lemmas": ["2.5"]}),
         ("hecke", {"degrees": [2], "exponent_max": 1, "draws": 0, "d3_check_max": 0}),

@@ -194,12 +194,7 @@ def test_every_private_name_is_used_in_the_package():
 
 # Public names the package keeps with no reader of its own, beside the
 # harness API and the names the benchmark resolves, each with its reason.
-_KEPT = {
-    "rankin_selberg_source": "ROADMAP item 9",
-    # the library's zeta(s, a); the package reads its regimes directly
-    # (_hurwitz_values in dirichlet_l, _hurwitz_em on the Rankin grid)
-    "hurwitz_zeta": "the Hurwitz zeta of the library API",
-}
+_KEPT = {"rankin_selberg_source": "ROADMAP item 9"}
 
 
 def _benchmark_names() -> set[str]:

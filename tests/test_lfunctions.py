@@ -22,12 +22,11 @@ from voronoi_lab.lfunctions import (
     dirichlet_l_refusal,
     functional_equation_check,
     g_pm_eval,
-    hurwitz_zeta,
     log_gamma,
     twisted_l_isobaric,
 )
 
-from oracles import hurwitz_zeta_mp, induce, principal
+from oracles import hurwitz_zeta, hurwitz_zeta_mp, induce, principal
 
 CHI4 = primitive_characters(4)[0]
 

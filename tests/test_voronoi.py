@@ -16,7 +16,6 @@ from voronoi_lab.lfunctions import (
     LValueRequest,
     dirichlet_l,
     g_pm_eval,
-    hurwitz_zeta,
     twisted_l_isobaric,
 )
 from voronoi_lab.residues import divisor_count, divisors, euler_phi, unit_residues
@@ -39,7 +38,7 @@ from voronoi_lab.voronoi import (
     z_probe_with_bound,
 )
 
-from oracles import KloostermanSpec, hyper_kloosterman, induce, principal
+from oracles import KloostermanSpec, hurwitz_zeta, hyper_kloosterman, induce, principal
 
 X = 50
 S0 = 0.35 - 0.6j
