@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,14 +48,6 @@ class DirichletCharacter:
     def label(self) -> str:
         """Stable identifier used in reports: modulus, then exponent vector."""
         return f"{self.modulus}:" + ",".join(map(str, self.exponents))
-
-    @cached_property
-    def order(self) -> int:
-        return reduce(
-            math.lcm,
-            (f.order // math.gcd(f.order, k) for k, f in zip(self.exponents, self.group.factors)),
-            1,
-        )
 
     @cached_property
     def conductor(self) -> int:
@@ -167,17 +159,6 @@ class DirichletCharacter:
         return vec
 
     # -- algebra ---------------------------------------------------------------
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        if other.modulus != self.modulus:
-            raise ValueError("can only multiply characters of the same modulus")
-        exps = tuple(
-            (a + b) % f.order
-            for a, b, f in zip(self.exponents, other.exponents, self.group.factors)
-        )
-        return DirichletCharacter(self.modulus, exps)
 
     def conjugate(self) -> "DirichletCharacter":
         exps = tuple((-k) % f.order for k, f in zip(self.exponents, self.group.factors))

@@ -20,7 +20,7 @@ from numpy.fft import ifft
 
 from ._kernels import kl_layer
 from .characters import DirichletCharacter, enumerate_characters, primitive_characters
-from .numeric import roots_of_unity, split_product
+from .numeric import roots_of_unity, split_product, stored
 from .residues import (
     carmichael,
     divisors,
@@ -59,12 +59,11 @@ def gauss_sum_tables(cstar: int, cs) -> Iterator[np.ndarray]:
         if c < 1 or c % cstar != 0:
             raise ValueError(f"{cstar} does not divide {c}")
         m = carmichael(c)
-        if m not in at_lambda:
-            # entries at non-units r read a valid index and are never gathered
-            at_lambda[m] = roots_of_unity(m)[turns * (m // lam_star) % m]
+        # entries at non-units r read a valid index and are never gathered
+        at = stored(at_lambda, m, lambda: roots_of_unity(m)[turns * (m // lam_star) % m])
         units = unit_residues(c)
         values = np.zeros((len(chars), c), dtype=np.complex128)
-        values[:, units] = at_lambda[m][:, units % cstar]
+        values[:, units] = at[:, units % cstar]
         rows = ifft(values, norm="forward", axis=-1)
         del values
         rows.setflags(write=False)
@@ -353,32 +352,28 @@ def _chain_tree(c: int, layers: tuple[tuple[int, ...], ...]) -> _ChainTree:
     return _ChainTree(tuple(first), blocks, chains, moduli)
 
 
-def _leaf_table(leaves: dict, n_values: tuple, m_prev: int, q_k: int, d_k: int):
+def _leaf_table(n_values: tuple, m_prev: int, q_k: int, d_k: int) -> np.ndarray:
     """The innermost layer of a chain, at the residues where the walk keeps L.
 
     complex128[phi(M_{K-1}), len(n_values)]: entry [s, t] = sum over the units
     x mod M_K of e(d_K x r_s / M_{K-1}) e(n_t x^-1 / M_K), M_K = q_K M_{K-1} /
     d_K, from one kl_layer call, with r_s the inverse of the s-th unit mod
     M_{K-1}.  q_k = 0 stands for a chain with no layer, whose table is
-    e(r_s n_t / M_0).  The table is kept in leaves under (n_values, M_{K-1},
-    q_K, d_K); the walk reads its chains from _chain_tree, so nothing is checked.
+    e(r_s n_t / M_0).  The walk reads its chains from _chain_tree, so nothing
+    is checked.
     """
-    key = (n_values, m_prev, q_k, d_k)
-    table = leaves.get(key)
-    if table is None:
-        m = q_k * m_prev // d_k if q_k else m_prev
-        r = np.array([n % m for n in n_values], dtype=np.int64)
-        table = roots_of_unity(m)[np.arange(m, dtype=np.int64)[:, None] * r[None, :] % m]
-        if q_k:
-            units = unit_residues(m)
-            table = kl_layer(
-                units, inverse_table(m)[units], d_k, m_prev, roots_of_unity(m_prev), table
-            )
-        table = leaves[key] = table[inverse_table(m_prev)[unit_residues(m_prev)]]
-    return table
+    m = q_k * m_prev // d_k if q_k else m_prev
+    r = np.array([n % m for n in n_values], dtype=np.int64)
+    table = roots_of_unity(m)[np.arange(m, dtype=np.int64)[:, None] * r[None, :] % m]
+    if q_k:
+        units = unit_residues(m)
+        table = kl_layer(
+            units, inverse_table(m)[units], d_k, m_prev, roots_of_unity(m_prev), table
+        )
+    return table[inverse_table(m_prev)[unit_residues(m_prev)]]
 
 
-def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.ndarray:
+def kloosterman_vector(n_values, c: int, q, leaves: dict) -> np.ndarray:
     """Direct hyper-Kloosterman sums of every unit, divisor chain and n at once.
 
     complex128[phi(c), n_chains, n_n]: [i, j, t] = Kl(a, n_values[t], c; q', d)
@@ -396,20 +391,21 @@ def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.nd
     and multiplied once per edge.  At depth K-1 the stack of each M_{K-1} goes
     through one product with the side-by-side _leaf_table tables of its
     leaves (q_K, d_K), the chains' innermost layers.  Those tables depend only
-    on (n_values, M_{K-1}, q_K, d_K), so a caller may pass one dict as
-    `leaves` to every call of a sweep; without it each call starts an empty
-    one.
+    on (n_values, M_{K-1}, q_K, d_K), the key they are kept under in
+    `leaves`, so a caller may pass one dict to every call of a sweep.
     """
     layers = _layers(q)
     tree = _chain_tree(c, layers)
     units = unit_residues(c)
     n_rows, n_n, n_values = len(units), len(n_values), tuple(n_values)
-    if leaves is None:
-        leaves = {}
+
+    def leaf(*key):
+        return stored(leaves, key, _leaf_table, *key)
+
     # row i of the root's L is 1 at a = units[i]
     eye = (units[:, None] == inverse_table(c)[units][None, :]).astype(np.complex128)
     if not layers:  # the root is the one chain; its table is e(a n / c)
-        return (eye @ _leaf_table(leaves, n_values, c, 0, 0))[:, None]
+        return (eye @ leaf(n_values, c, 0, 0))[:, None]
 
     # stacks[M] is the L of every node of modulus M at this depth,
     # [nodes, n_rows, phi(M)] at inverse_table(M)[unit_residues(M)], and
@@ -440,7 +436,7 @@ def kloosterman_vector(n_values, c: int, q, leaves: dict | None = None) -> np.nd
     for m_prev in stacks:
         for j, q_k in enumerate(layers[-1]):
             ds = divisors(q_k * m_prev)
-            tails[m_prev] += [_leaf_table(leaves, n_values, m_prev, q_k, d) for d in ds]
+            tails[m_prev] += [leaf(n_values, m_prev, q_k, d) for d in ds]
             cols[m_prev].append(first[j, ranks[m_prev]][:, None] + np.arange(len(ds)))
     out = np.empty((n_rows, len(tree.chains), n_n), dtype=np.complex128)
     for m_prev, stack in stacks.items():

@@ -56,6 +56,7 @@ from .lfunctions import (
     twisted_l_arguments,
     twisted_l_isobaric,
 )
+from .numeric import stored
 from .residues import divisor_count, primes_up_to, unit_residues
 from .voronoi import (
     VoronoiInstance,
@@ -765,8 +766,7 @@ def _kloosterman_units(ranges, tol, config):
     if not n_values:  # no points, so no worst point to report
         return units
     # The direct walk's innermost-layer tables, shared by every unit of this
-    # sweep and dropped with it.  Pool threads that race on a key each build
-    # the same table, so the store needs no lock.
+    # sweep and dropped with it.
     leaves = {}
 
     def unit(n_deg, c, q):
@@ -1067,9 +1067,7 @@ def _voronoi_units(ranges, tol, config):
 
     def source(key):
         with building:
-            if key not in sources:
-                sources[key] = isobaric_source(*key, bounds[key])
-            return sources[key]
+            return stored(sources, key, isobaric_source, *key, bounds[key])
 
     def twist_of(cstar):
         """The twist of a conductor's units, its first primitive character, and its delta."""

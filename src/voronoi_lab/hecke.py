@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .numeric import split_product, split_quotient
+from .numeric import split_product, split_quotient, stored
 from .residues import divisors, factorize, primes_up_to, valuation
 
 
@@ -247,8 +247,7 @@ class CoefficientSource:
     isobaric and Rankin-Selberg builders) each prime block is a Schur value,
     and a read at a prime the parameters do not cover raises.  With a seed
     (raw_table_source) each prime block is one deterministic draw, and blocks
-    multiply across coprime parts.  The block and row stores are only ever
-    inserted into (atomic in CPython), so concurrent readers are safe.
+    multiply across coprime parts.
     """
 
     def __init__(self, degree: int, satake: SatakeParams | None = None, seed: int | None = None):
@@ -270,18 +269,15 @@ class CoefficientSource:
     # -- prime blocks -------------------------------------------------------
 
     def _block(self, p: int, kvec: tuple[int, ...]) -> complex:
-        key = (p, kvec)
-        hit = self._blocks.get(key)
-        if hit is None:
-            if self.satake is not None:
-                hit = schur(kvec, self.satake.alphas_at(p))
-            elif any(kvec):
-                # raw table: a draw keyed by m, with p^k at the positions kvec prescribes
-                hit = _hash_unit(self.seed, self.degree, tuple(p**e for e in reversed(kvec)))
-            else:
-                hit = 1 + 0j
-            self._blocks[key] = hit
-        return hit
+        return stored(self._blocks, (p, kvec), self._build_block, p, kvec)
+
+    def _build_block(self, p: int, kvec: tuple[int, ...]) -> complex:
+        if self.satake is not None:
+            return schur(kvec, self.satake.alphas_at(p))
+        if any(kvec):
+            # raw table: a draw keyed by m, with p^k at the positions kvec prescribes
+            return _hash_unit(self.seed, self.degree, tuple(p**e for e in reversed(kvec)))
+        return 1 + 0j
 
     def coefficient(self, m: tuple[int, ...]) -> complex:
         """A(m); prime-power blocks assembled multiplicatively (coprime parts)."""
@@ -329,39 +325,37 @@ class CoefficientSource:
         a time.  Blocks multiply in ascending prime order, as in coefficient;
         they come from one _slot_blocks call.
         """
-        key = ("base", pos, x)
-        row = self._row_cache.get(key)
-        if row is not None:
+
+        def build():
+            row = np.ones(x + 1, dtype=complex)
+            row[0] = 0
+            primes = np.array(primes_up_to(x), dtype=np.int64)
+            split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
+            # every block the sieve reads, in its order: (p, k) with p^k <= x
+            pairs = []
+            for p in primes[:split].tolist():
+                pk, k = p, 1
+                while pk <= x:
+                    pairs.append((p, k))
+                    pk, k = pk * p, k + 1
+            pairs += [(p, 1) for p in primes[split:].tolist()]
+            blocks = iter(self._slot_blocks(pos, pairs).tolist())
+            for p in primes[:split].tolist():
+                factor = np.full(x // p, next(blocks))
+                pk = p
+                while pk * p <= x:
+                    factor[pk - 1 :: pk] = next(blocks)
+                    pk *= p
+                row[p::p] *= factor
+            big = primes[split:]
+            if big.size:
+                b1 = np.array(list(blocks))
+                for j in range(1, x // int(big[0]) + 1):
+                    stop = int(np.searchsorted(big, x // j, side="right"))
+                    row[j * big[:stop]] *= b1[:stop]
             return row
-        row = np.ones(x + 1, dtype=complex)
-        row[0] = 0
-        primes = np.array(primes_up_to(x), dtype=np.int64)
-        split = int(np.searchsorted(primes, math.isqrt(x), side="right"))
-        # every block the sieve reads, in its order: (p, k) with p^k <= x
-        pairs = []
-        for p in primes[:split].tolist():
-            pk, k = p, 1
-            while pk <= x:
-                pairs.append((p, k))
-                pk, k = pk * p, k + 1
-        pairs += [(p, 1) for p in primes[split:].tolist()]
-        blocks = iter(self._slot_blocks(pos, pairs).tolist())
-        for p in primes[:split].tolist():
-            factor = np.full(x // p, next(blocks))
-            pk = p
-            while pk * p <= x:
-                factor[pk - 1 :: pk] = next(blocks)
-                pk *= p
-            row[p::p] *= factor
-        big = primes[split:]
-        if big.size:
-            b1 = np.array(list(blocks))
-            for j in range(1, x // int(big[0]) + 1):
-                stop = int(np.searchsorted(big, x // j, side="right"))
-                row[j * big[:stop]] *= b1[:stop]
-        row.flags.writeable = False
-        self._row_cache[key] = row
-        return row
+
+        return stored(self._row_cache, ("base", pos, x), build)
 
     def coefficient_row(
         self, prefix: tuple[int, ...], suffix: tuple[int, ...], x: int, scale: int = 1
@@ -375,42 +369,41 @@ class CoefficientSource:
         parameters do not cover) raises while the row is built, with the error
         coefficient raises.
         """
-        key = (tuple(prefix), tuple(suffix), x, scale)
-        row = self._row_cache.get(key)
-        if row is not None:
+
+        def build(prefix, suffix, x, scale):
+            prefix = tuple(int(v) for v in prefix)
+            suffix = tuple(int(v) for v in suffix)
+            scale, x = int(scale), int(x)
+            fixed = prefix + (scale,) + suffix
+            if len(fixed) != self.degree - 1:
+                raise ValueError(f"need {self.degree - 1} indices, got {len(fixed)}")
+            if any(v < 1 for v in fixed):
+                raise ValueError("indices must be >= 1")
+            if x < 0:
+                raise ValueError("row length x must be >= 0")
+            pos = len(prefix)
+            rest = np.arange(x + 1, dtype=np.int64)  # e stripped of the fixed primes
+            factor = np.ones(x + 1, dtype=complex)
+            for p in sorted({p for v in fixed for p, _ in factorize(v)}):
+                exps = [valuation(v, p) for v in fixed]
+                val = np.zeros(x + 1, dtype=np.int64)
+                pk = p
+                while pk <= x:
+                    val[pk::pk] += 1
+                    pk *= p
+                table = []
+                for k in range(int(val.max()) + 1):
+                    evec = list(exps)
+                    evec[pos] += k
+                    table.append(self._block(p, tuple(reversed(evec))))
+                factor *= np.array(table)[val]
+                rest //= p**val
+            row = self._base_row(pos, x)[rest] * factor
+            row[0] = 0
             return row
-        prefix = tuple(int(v) for v in prefix)
-        suffix = tuple(int(v) for v in suffix)
-        scale, x = int(scale), int(x)
-        fixed = prefix + (scale,) + suffix
-        if len(fixed) != self.degree - 1:
-            raise ValueError(f"need {self.degree - 1} indices, got {len(fixed)}")
-        if any(v < 1 for v in fixed):
-            raise ValueError("indices must be >= 1")
-        if x < 0:
-            raise ValueError("row length x must be >= 0")
-        pos = len(prefix)
-        rest = np.arange(x + 1, dtype=np.int64)  # e stripped of the fixed primes
-        factor = np.ones(x + 1, dtype=complex)
-        for p in sorted({p for v in fixed for p, _ in factorize(v)}):
-            exps = [valuation(v, p) for v in fixed]
-            val = np.zeros(x + 1, dtype=np.int64)
-            pk = p
-            while pk <= x:
-                val[pk::pk] += 1
-                pk *= p
-            table = []
-            for k in range(int(val.max()) + 1):
-                evec = list(exps)
-                evec[pos] += k
-                table.append(self._block(p, tuple(reversed(evec))))
-            factor *= np.array(table)[val]
-            rest //= p**val
-        row = self._base_row(pos, x)[rest] * factor
-        row[0] = 0
-        row.flags.writeable = False
-        self._row_cache[key] = row
-        return row
+
+        key = (tuple(prefix), tuple(suffix), x, scale)
+        return stored(self._row_cache, key, build, *key)
 
 
 def random_satake_source(degree: int, prime_bound: int, seed: int) -> CoefficientSource:

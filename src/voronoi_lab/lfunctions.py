@@ -30,6 +30,7 @@ from functools import lru_cache
 
 from .characters import DirichletCharacter
 from .exponential_sums import tau
+from .numeric import stored
 
 __all__ = [
     "GammaFactorSpec",
@@ -473,15 +474,9 @@ def dirichlet_l_stored(
     """dirichlet_l(z, chi, precision), evaluated once per (repr(z), chi) in store.
 
     ``store`` is a dict the caller owns and drops, and it holds the values of
-    one precision; repr tells -0.0 from 0.0 where == does not.  Entries are
-    only ever inserted, and two threads that evaluate one key insert the same
-    bits.
+    one precision; repr tells -0.0 from 0.0 where == does not.
     """
-    key = (repr(z), chi)
-    value = store.get(key)
-    if value is None:
-        value = store[key] = dirichlet_l(z, chi, precision)
-    return value
+    return stored(store, (repr(z), chi), dirichlet_l, z, chi, precision)
 
 
 def g_pm_stored(store: dict, s: complex, spec: GammaFactorSpec) -> complex:
@@ -490,11 +485,7 @@ def g_pm_stored(store: dict, s: complex, spec: GammaFactorSpec) -> complex:
     ``store`` is a dict the caller owns and drops, and dirichlet_l_stored may
     share it: its keys have two entries, these three.
     """
-    key = (repr(s), repr(spec.lambdas), spec.delta)
-    value = store.get(key)
-    if value is None:
-        value = store[key] = g_pm_eval(s, spec)
-    return value
+    return stored(store, (repr(s), repr(spec.lambdas), spec.delta), g_pm_eval, s, spec)
 
 
 def twisted_l_isobaric(req: LValueRequest, store: dict, precision: int | None = None) -> complex:

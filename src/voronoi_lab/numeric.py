@@ -1,4 +1,5 @@
-"""Shared root-of-unity tables, the summation rounding bound and split complex arithmetic.
+"""The package's one memo, shared root-of-unity tables, the summation rounding
+bound and split complex arithmetic.
 
 Exponential sums are evaluated in double precision from cached tables of
 e(k/M).  sum_error_bound gives a conservative rounding bound for such a sum
@@ -21,19 +22,36 @@ TABLE_ENTRY_ERR = 4.0 * EPS
 _root_tables: dict[int, np.ndarray] = {}
 
 
+def stored(store: dict, key, build, *args):
+    """store[key], built as build(*args) and inserted on the first read.
+
+    Every dict memo of the package reads through here, whether its store is
+    module-level, owned by an object or kept by a sweep or a unit.  A built
+    ndarray is made read-only before it is inserted.  Entries are only ever
+    inserted, so two threads that build one key insert the same bits, and no
+    store needs a lock.
+    """
+    value = store.get(key)
+    if value is None:
+        value = build(*args)
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        store[key] = value
+    return value
+
+
 def roots_of_unity(m: int) -> np.ndarray:
     """Length-m read-only table of e(k/m) = exp(2*pi*i*k/m), k = 0..m-1.
 
     Cached per modulus; callers index it with residues reduced mod m.
     """
-    tab = _root_tables.get(m)
-    if tab is None:
-        if m <= 0:
-            raise ValueError("modulus must be positive")
-        tab = np.exp((2j * np.pi / m) * np.arange(m))
-        tab.setflags(write=False)
-        _root_tables[m] = tab
-    return tab
+    return stored(_root_tables, m, _unit_roots, m)
+
+
+def _unit_roots(m: int) -> np.ndarray:
+    if m <= 0:
+        raise ValueError("modulus must be positive")
+    return np.exp((2j * np.pi / m) * np.arange(m))
 
 
 def sum_error_bound(n_terms: int, max_abs: float) -> float:

@@ -222,10 +222,6 @@ class UnitGroup:
     modulus: int
     factors: tuple[CyclicFactor, ...]
 
-    @property
-    def order(self) -> int:
-        return euler_phi(self.modulus)
-
     @cached_property
     def exponent(self) -> int:
         """lcm of the factor orders (1 for c in {1, 2})."""

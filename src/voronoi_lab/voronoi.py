@@ -33,7 +33,7 @@ from .exponential_sums import (
 )
 from .hecke import CoefficientSource
 from .lfunctions import LValueRequest, _hurwitz_em, dirichlet_l_stored, twisted_l_isobaric
-from .numeric import roots_of_unity
+from .numeric import roots_of_unity, stored
 from .residues import (
     divisor_count,
     divisors,
@@ -168,7 +168,7 @@ def _chain_rows(inst: VoronoiInstance, s: complex, chains, starts):
     return qpow, rows()
 
 
-def voronoi_rhs_coefficients(inst: VoronoiInstance, s, leaves: dict | None = None) -> np.ndarray:
+def voronoi_rhs_coefficients(inst: VoronoiInstance, s, leaves: dict) -> np.ndarray:
     """Per-coefficient dual side of the additive identity, basis n^{-(1-s)}.
 
     complex128[c, 2, X+1]: [a, 0] is the G+ part and [a, 1] the G- part of
@@ -284,17 +284,8 @@ def _divisor_average(inst: VoronoiInstance, n: int, s, series) -> np.ndarray:
 
 
 def _read_once(store: dict, series, inst: VoronoiInstance, *args) -> np.ndarray:
-    """series(inst, *args), evaluated once per (series, inst, *args) in a caller's store.
-
-    ``store`` is a dict the caller owns and drops, as a mobius unit does.
-    Each value is stored read-only.
-    """
-    key = (series, inst, *args)
-    value = store.get(key)
-    if value is None:
-        value = store[key] = series(inst, *args)
-        value.setflags(write=False)
-    return value
+    """series(inst, *args), evaluated once per (series, inst, *args) in a caller's store."""
+    return stored(store, (series, inst, *args), series, inst, *args)
 
 
 def curly_h_coefficients(inst: VoronoiInstance, n: int, s, store: dict) -> np.ndarray:
@@ -474,8 +465,7 @@ def b_n_coefficients(
     (e_1...e_{N-1})^{s-1}: key (e_1...e_{N-2}, s, y), value the float64 power
     over e_{N-1} = 1..Y (degree 2 reads key (1, s, y)).  The powers depend on
     neither the source nor the twist, so voronoi-core keeps one store per
-    sweep, shared by every unit, and builds each array once.  Entries are only
-    ever inserted, and two threads that build one key insert the same bits.
+    sweep, shared by every unit, and builds each array once.
     """
     _require_character(inst)
     s = complex(s)
@@ -484,10 +474,9 @@ def b_n_coefficients(
     e_free = np.arange(1, y + 1, dtype=np.int64)
 
     def power(prod_rest: int) -> np.ndarray:
-        key = (prod_rest, s, y)
-        if key not in weights:
-            weights[key] = (prod_rest * e_free).astype(np.float64) ** (s - 1)
-        return weights[key]
+        return stored(
+            weights, (prod_rest, s, y), lambda: (prod_rest * e_free).astype(np.float64) ** (s - 1)
+        )
 
     if inst.degree == 2:
         wv = inst.source.coefficient_row((), (), y)[1:] * power(1)
@@ -606,22 +595,19 @@ def _mobius_character_terms(chi_values: np.ndarray, cstar: int, exponent: comple
 
 def _mobius_series(store: dict, chi: DirichletCharacter, conjugate: bool, exponent: complex, x: int):
     """(terms, prefix): _mobius_character_terms of chi's values, or of their
-    conjugates, and its cumsum, built once per key in a caller's store and
-    stored read-only.
+    conjugates, and its cumsum, each built once in a caller's store.
 
     The conjugates of chi.value_vector, not the conjugate character's own
     table, whose roots of unity need not be their exact conjugates.
     """
     key = (chi, conjugate, repr(exponent), x)
-    value = store.get(key)
-    if value is None:
+
+    def build():
         chi_values = chi.value_vector.conjugate() if conjugate else chi.value_vector
-        terms = _mobius_character_terms(chi_values, chi.modulus, exponent, x)
-        prefix = np.cumsum(terms)
-        terms.setflags(write=False)
-        prefix.setflags(write=False)
-        value = store[key] = terms, prefix
-    return value
+        return _mobius_character_terms(chi_values, chi.modulus, exponent, x)
+
+    terms = stored(store, ("terms", *key), build)
+    return terms, stored(store, ("prefix", *key), np.cumsum, terms)
 
 
 def z_probe_arguments(s, w) -> tuple[complex, complex]:

@@ -360,7 +360,7 @@ def _scale(c, q, d):
     return math.sqrt(math.prod(KloostermanSpec(1, 0, c, q, d).moduli))
 
 
-def _assert_walk_matches_nested(c, q, n_values, leaves=None):
+def _assert_walk_matches_nested(c, q, n_values, leaves):
     """One walk over every chain of (c, q) against the nested oracle, entry by entry.
 
     The oracle sums the nested layers itself: no layered tables and no Gauss
@@ -384,17 +384,17 @@ def _assert_walk_matches_nested(c, q, n_values, leaves=None):
 
 def test_kloosterman_vector_matches_naive():
     for c, q in ((7, ()), (3, (2,)), (4, (2, 2)), (5, (1,)), (6, (3, 2))):
-        _assert_walk_matches_nested(c, q, KL_N_VALUES)
+        _assert_walk_matches_nested(c, q, KL_N_VALUES, {})
 
 
 def test_kloosterman_negative_n():
-    _assert_walk_matches_nested(5, (2,), KL_N_VALUES + tuple(-n for n in KL_N_VALUES))
+    _assert_walk_matches_nested(5, (2,), KL_N_VALUES + tuple(-n for n in KL_N_VALUES), {})
 
 
 def test_direct_table_against_nested_oracle():
     for c in range(1, 7):
         for q in DIRECT_QS:
-            _assert_walk_matches_nested(c, q, KL_N_VALUES)
+            _assert_walk_matches_nested(c, q, KL_N_VALUES, {})
 
 
 def test_direct_tables_sharing_one_leaf_store_against_nested_oracle():
@@ -408,7 +408,7 @@ def test_direct_tables_sharing_one_leaf_store_against_nested_oracle():
         for c in range(1, 7):
             for q in DIRECT_QS:
                 table = _assert_walk_matches_nested(c, q, n_values, leaves)
-                own = kloosterman_vector(n_values, c, q)
+                own = kloosterman_vector(n_values, c, q, {})
                 assert table.tobytes() == own.tobytes(), (c, q)
     assert (KL_N_VALUES, 4, 2, 2) in leaves
 
@@ -416,9 +416,9 @@ def test_direct_tables_sharing_one_leaf_store_against_nested_oracle():
 def test_direct_table_rejects_broken_chains():
     # the walk builds every chain from (c, q), so only c and q can be broken
     with pytest.raises(ValueError, match="c must be >= 1"):
-        kloosterman_vector((1,), 0, ())
+        kloosterman_vector((1,), 0, (), {})
     with pytest.raises(ValueError, match="q entries must be positive"):
-        kloosterman_vector((1,), 4, (2, 0))
+        kloosterman_vector((1,), 4, (2, 0), {})
     with pytest.raises(ValueError, match="c must be >= 1"):
         kloosterman_divisor_chains(0, (2,))
     with pytest.raises(ValueError, match="q entries must be positive"):
@@ -527,7 +527,7 @@ def test_average_kloosterman_closed_form_small():
         chars = enumerate_characters(c)
         units = unit_residues(c)
         chains = kloosterman_divisor_chains(c, q)
-        table = kloosterman_vector((1, 2), c, q)
+        table = kloosterman_vector((1, 2), c, q, {})
         for j, d in enumerate(chains):
             mods = [c]
             for qi, di in zip(q, d):
@@ -735,7 +735,7 @@ def test_batched_columns_against_nested_oracle(c, q):
     # whose choices are not in ascending order
     n_values = (1, -3)
     units = [int(a) for a in unit_residues(c)]
-    walk = kloosterman_vector(n_values, c, q)
+    walk = kloosterman_vector(n_values, c, q, {})
     closed = average_kloosterman_closed_lemma34_table(c, q, n_values)
     vv = np.stack([chi.value_vector[units] for chi in enumerate_characters(c)])
     for qq, cols in _blocks(c, q):
@@ -756,10 +756,10 @@ def test_batched_columns_against_nested_oracle(c, q):
 def test_batched_layers_reject_bad_entries():
     for q in (((1, 0),), (2, (3, 0)), ((0,), 2)):
         with pytest.raises(ValueError, match="q entries must be positive"):
-            kloosterman_vector((1,), 4, q)
+            kloosterman_vector((1,), 4, q, {})
         with pytest.raises(ValueError, match="q entries must be positive"):
             average_kloosterman_closed_lemma34_table(4, q, (1,))
     with pytest.raises(ValueError, match="q layers must not be empty"):
-        kloosterman_vector((1,), 4, (2, ()))
+        kloosterman_vector((1,), 4, (2, ()), {})
     with pytest.raises(ValueError, match="q layers must not be empty"):
         average_kloosterman_closed_lemma34_table(4, ((),), (1,))

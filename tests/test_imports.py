@@ -266,6 +266,71 @@ def test_imports_match_the_declared_dependencies():
     assert third_party == declared
 
 
+# Parameter names of the caller-owned stores the package threads through its
+# functions; a default would let a caller drop sharing without noticing.
+_STORE_PARAMS = {"store", "leaves", "weights", "values", "series"}
+
+
+def _probed(fn: ast.AST) -> set[str]:
+    """Dicts fn probes, as d.get(key) with one argument, key in d or key not in d."""
+    found = set()
+    for n in ast.walk(fn):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+            if n.func.attr == "get" and len(n.args) == 1 and not n.keywords:
+                found.add(ast.unparse(n.func.value))
+        elif isinstance(n, ast.Compare):
+            found.update(
+                ast.unparse(right)
+                for op, right in zip(n.ops, n.comparators)
+                if isinstance(op, (ast.In, ast.NotIn))
+            )
+    return found
+
+
+def _assigned(fn: ast.AST) -> set[str]:
+    """Dicts fn assigns an entry of, as d[...] = ..."""
+    return {
+        ast.unparse(target.value)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Assign)
+        for target in n.targets
+        if isinstance(target, ast.Subscript)
+    }
+
+
+def test_every_memo_reads_through_stored():
+    # a get/build/insert memo is numeric.stored's alone, and no store
+    # parameter has a default
+    memos, defaults = [], []
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if _probed(fn) & _assigned(fn):
+                memos.append((path.name, fn.name, fn.lineno))
+            args = fn.args
+            positional = [*args.posonlyargs, *args.args]
+            with_default = positional[len(positional) - len(args.defaults) :]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            defaults += [
+                (path.name, fn.name, a.arg) for a in with_default if a.arg in _STORE_PARAMS
+            ]
+    assert [memo[:2] for memo in memos] == [("numeric.py", "stored")], memos
+    assert not defaults, defaults
+
+
+def test_the_memo_check_sees_each_probe_and_insert():
+    # the check above is only as wide as these two readers
+    fn = ast.parse(
+        "def memo(key):\n"
+        "    if key not in d:\n        d[key] = 1\n"
+        "    if e.get(key) is None:\n        e[key] = 2\n"
+        "    f.get(key, 0)\n    f[key] = 3\n"
+        "    return g[key]\n"
+    )
+    assert _probed(fn) == {"d", "e"} and _assigned(fn) == {"d", "e", "f"}
+
+
 # one tiny box per suite; the first three run straight after the harness import
 TINY_BOXES = {
     "gauss-lemmas": {"cstar_max": 5, "c_max": 10, "m_max": 6, "n_max": 3},

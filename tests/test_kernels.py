@@ -1,4 +1,5 @@
-"""The exponential-sum kernels against oracles that share none of their code."""
+"""The exponential-sum kernels against oracles that share none of their code,
+and the store and root tables they read."""
 
 import cmath
 import functools
@@ -6,14 +7,42 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 
 from voronoi_lab._kernels import kl_layer
 from voronoi_lab.characters import primitive_characters
 from voronoi_lab.exponential_sums import gauss_sum_vector
-from voronoi_lab.numeric import roots_of_unity, sum_error_bound
+from voronoi_lab.numeric import roots_of_unity, stored, sum_error_bound
 from voronoi_lab.residues import divisors, inverse_table, unit_residues
 
 from oracles import gauss_sum_error
+
+
+def test_stored_builds_each_key_once():
+    # a hit returns the stored object itself; a built ndarray is stored
+    # read-only and any other value as it was built
+    built = []
+
+    def build(*args):
+        built.append(args)
+        return np.arange(args[0]) if len(args) == 1 else 1 + 2j
+
+    store = {}
+    first = stored(store, "row", build, 3)
+    assert stored(store, "row", build, 3) is first and built == [(3,)]
+    assert not first.flags.writeable and first.tolist() == [0, 1, 2]
+    value = stored(store, ("scalar", 1), build, 1, 2)
+    assert value == 1 + 2j and type(value) is complex
+    assert stored(store, ("scalar", 1), build, 1, 2) is value and built == [(3,), (1, 2)]
+    assert store == {"row": first, ("scalar", 1): value}
+
+
+def test_roots_of_unity_are_stored_read_only():
+    assert roots_of_unity(12) is roots_of_unity(12)
+    assert not roots_of_unity(12).flags.writeable
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            roots_of_unity(m)
 
 
 def test_kl_layer_matches_double_loop():

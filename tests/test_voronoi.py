@@ -80,7 +80,7 @@ def test_family_and_character_instances_reach_only_their_side():
     with pytest.raises(ValueError):
         lq_additive_coefficients(twist)
     with pytest.raises(ValueError):
-        voronoi_rhs_coefficients(twist, S0)
+        voronoi_rhs_coefficients(twist, S0, {})
     with pytest.raises(ValueError):
         h_coefficients(family)
     with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ def test_additive_family_rows():
     src = raw_table_source(3, seed=5)
     family = VoronoiInstance(src, q, c, truncation=X)
     coefs = lq_additive_coefficients(family)
-    rhs = voronoi_rhs_coefficients(family, S0)
+    rhs = voronoi_rhs_coefficients(family, S0, {})
     assert coefs.shape == (c, X + 1) and rhs.shape == (c, 2, X + 1)
     units = [int(a) for a in unit_residues(c)]
     for a in range(c):
@@ -120,7 +120,7 @@ def test_rhs_coefficients_against_nested_oracle(q):
     n_deg, x = len(q) + 2, 4
     for c in range(1, 7):
         src = raw_table_source(n_deg, seed=c)
-        rhs = voronoi_rhs_coefficients(VoronoiInstance(src, q, c, truncation=x), S0)
+        rhs = voronoi_rhs_coefficients(VoronoiInstance(src, q, c, truncation=x), S0, {})
         assert rhs.shape == (c, 2, x + 1)
         units = [int(a) for a in unit_residues(c)]
         assert not np.any(np.delete(rhs, units, axis=0)), c
@@ -154,7 +154,7 @@ def test_character_averaging_equivalence_both_directions():
         units = [int(a) for a in unit_residues(c)]
         family = VoronoiInstance(src, q, c, truncation=X)
         add_coefs = lq_additive_coefficients(family)
-        rhs = voronoi_rhs_coefficients(family, S0)
+        rhs = voronoi_rhs_coefficients(family, S0, {})
         r10, r01 = rhs[:, 0], rhs[:, 1]
         chars = enumerate_characters(c)
         h_by_chi, g_by_chi = {}, {}
@@ -388,7 +388,7 @@ def test_rhs_with_a_shared_leaf_store_is_bit_equal_across_units():
     for n_deg, c, q in ((3, 12, (2,)), (3, 8, (3,)), (4, 6, (2, 2))):
         inst = VoronoiInstance(raw_table_source(n_deg, seed=c), q, c, truncation=20)
         shared = voronoi_rhs_coefficients(inst, S0, leaves)
-        alone = voronoi_rhs_coefficients(inst, S0)
+        alone = voronoi_rhs_coefficients(inst, S0, {})
         assert shared.tobytes() == alone.tobytes(), (n_deg, c, q)
     assert leaves
 
